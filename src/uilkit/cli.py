@@ -138,7 +138,8 @@ def cmd_tower(args):
     kd = cutting_data(nu)
     N = min(args.depth, kd.horizon)
     levels = tower_levels(kd, slope, N, prec_cap=_prec_cap(args))
-    lb = long_branched_evidence(kd, N, slope, prec_cap=_prec_cap(args))
+    lb = long_branched_evidence(kd, N, slope, prec_cap=_prec_cap(args),
+                                levels=levels)
     rows = []
     for lv in levels:
         if lv.length is not None:

@@ -28,9 +28,10 @@ from . import verdicts as V
 from .errors import (DomainError, InternalInconsistency, PrecisionExhausted,
                      UnresolvedComparison)
 from .kneading import CuttingData, cutting_data, nu_from_orbit, q_asymptotics
-from .scalars import (C, DEFAULT_PREC_CAP, Scalar, SignRelC, SlopeParam,
-                      branch_preimage_left, branch_preimage_right, certified_cmp,
-                      critical_orbit, s_one_minus, sign_rel_c, tent_apply)
+from .scalars import (C, DEFAULT_PREC_CAP, DEFAULT_PRECISION, Scalar,
+                      SignRelC, SlopeParam, branch_preimage_left,
+                      branch_preimage_right, certified_cmp, critical_orbit,
+                      s_one_minus, sign_rel_c, tent_apply)
 
 RULE_ZZZ = "critical-value-in-precritical-cell"
 RULE_LONGBRANCH = "tower-level-length-trend"
@@ -39,7 +40,11 @@ RULE_TOWER = "tower-index-vs-induction"
 
 
 class OrbitTable:
-    """Lazily extended certified critical orbit c_0 = c, c_1, c_2, ..."""
+    """Lazily extended certified critical orbit c_0 = c, c_1, c_2, ...
+
+    An exact slope appends c_{k+1} = T(c_k); an interval slope re-runs
+    ``critical_orbit``, since escalation may change earlier enclosures.
+    """
 
     def __init__(self, slope: SlopeParam, prec_cap: int = DEFAULT_PREC_CAP):
         self.slope = slope
@@ -49,9 +54,14 @@ class OrbitTable:
     def extend(self, n: int):
         if n < len(self._values):
             return
-        fresh = critical_orbit(self.slope, n, prec_cap=self.prec_cap,
-                               allow_unresolved=True)
-        self._values = [Scalar.exact(C)] + [x for x, _ in fresh]
+        if not self.slope.is_exact:
+            fresh = critical_orbit(self.slope, n, prec_cap=self.prec_cap,
+                                   allow_unresolved=True)
+            self._values = [Scalar.exact(C)] + [x for x, _ in fresh]
+            return
+        bits = max(DEFAULT_PRECISION, self.slope.s.precision_bits)
+        while len(self._values) <= n:
+            self._values.append(tent_apply(self.slope, self._values[-1], bits))
 
     def value(self, n: int) -> Scalar:
         """c_n, with c_0 = c."""
@@ -354,20 +364,22 @@ def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable,
 def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
                            slope: Optional[SlopeParam] = None,
                            threshold=Fraction(1, 1 << 16),
-                           prec_cap: int = DEFAULT_PREC_CAP) -> V.Verdict:
+                           prec_cap: int = DEFAULT_PREC_CAP,
+                           levels: Optional[list] = None) -> V.Verdict:
     """Finite-horizon verdict for inf_n |D_n| > 0.
 
     Refuted-style evidence (status ``refuted``) when the minimum level length
     decays below the threshold with a decreasing trend; evidence when the
     kneading map shows bounded evidence or the minimum is stable above the
     threshold.  The witness always carries min |D_n| and its argmin when a
-    slope is available.
+    slope is available.  ``levels``, when given, must be
+    ``tower_levels(kd, slope, N)``; it saves recomputing them.
     """
     N = N or kd.horizon
     qa = q_asymptotics(list(kd.Q))
     witness = {"q_bounded": qa.bounded.status, "q_max": qa.max_value}
     if slope is not None:
-        levels = tower_levels(kd, slope, N, prec_cap=prec_cap)
+        levels = levels or tower_levels(kd, slope, N, prec_cap=prec_cap)
         lengths = [(lv.length.hi, lv.n) for lv in levels]
         min_len, argmin = min(lengths)
         half = [l for l, n in lengths if n > N // 2]

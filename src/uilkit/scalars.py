@@ -62,7 +62,8 @@ class Scalar:
                  recompute: Optional[Callable[[int], "Scalar"]] = None):
         lo = Fraction(lo)
         hi = Fraction(hi)
-        if lo > hi:
+        # equal ends skip the order test, which cross-multiplies
+        if lo != hi and lo > hi:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
         if precision_bits <= 0:
             raise ValueError("precision_bits must be positive")
@@ -102,8 +103,12 @@ class Scalar:
         return (self.lo + self.hi) / 2
 
     def rounded(self, bits: int) -> "Scalar":
-        """Outward rounding onto the dyadic grid with 2^-bits resolution."""
-        if self.is_exact:
+        """Outward rounding onto the dyadic grid with 2^-bits resolution.
+
+        An exact value off the grid becomes an enclosure at most 2^-bits
+        wide, which sheds its denominator; one on the grid is returned as is.
+        """
+        if self.is_exact and (1 << bits) % self.lo.denominator == 0:
             return self
         return Scalar(_floor_dyadic(self.lo, bits), _ceil_dyadic(self.hi, bits),
                       bits, self.recompute)
@@ -171,39 +176,11 @@ def _maybe_round(x: "Scalar", bits: int) -> "Scalar":
         return x
     return x.rounded(bits)
 
-def _compose(op, bits, *args):
-    """Recomputation hook for a derived value: rerun op on refined inputs."""
-    if all(a.recompute is None or a.is_exact for a in args):
-        return None
-
-    def hook(p):
-        return op(*[a.at(p) for a in args], bits=p)
-
-    return hook
-
-
-def s_add(a: Scalar, b: Scalar, bits=None) -> Scalar:
-    bits = bits or min(a.precision_bits, b.precision_bits)
-    out = Scalar(a.lo + b.lo, a.hi + b.hi, bits, _compose(s_add, bits, a, b))
-    return _maybe_round(out, bits)
-
-
-def s_sub(a: Scalar, b: Scalar, bits=None) -> Scalar:
-    bits = bits or min(a.precision_bits, b.precision_bits)
-    out = Scalar(a.lo - b.hi, a.hi - b.lo, bits, _compose(s_sub, bits, a, b))
-    return _maybe_round(out, bits)
-
-
-def s_mul(a: Scalar, b: Scalar, bits=None) -> Scalar:
-    bits = bits or min(a.precision_bits, b.precision_bits)
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    out = Scalar(min(products), max(products), bits, _compose(s_mul, bits, a, b))
-    return _maybe_round(out, bits)
-
-
 def s_one_minus(a: Scalar, bits=None) -> Scalar:
     bits = bits or a.precision_bits
-    return Scalar(ONE - a.hi, ONE - a.lo, bits, _compose(s_one_minus, bits, a))
+    hook = None if a.recompute is None or a.is_exact else \
+        (lambda p: s_one_minus(a.at(p), bits=p))
+    return Scalar(ONE - a.hi, ONE - a.lo, bits, hook)
 
 
 def sign_rel_c(x: Scalar) -> SignRelC:
@@ -433,17 +410,25 @@ def parity_lex_cmp(a: str, b: str) -> int:
     return 0
 
 
-def _exact_kneading_bits(s: Fraction, depth: int):
-    """Kneading bits of an exact rational slope; None marks an exact c-hit."""
-    x = C
-    bits = []
-    for _ in range(depth):
-        x = s * min(x, 1 - x)
-        if x == C:
-            bits.append(None)
-            return bits
-        bits.append("1" if x > C else "0")
-    return bits
+def _kneading_probe(s: Fraction, target: str) -> Optional[str]:
+    """Kneading word of the exact slope s = p/q up to its first mismatch
+    with ``target``; None marks an exact critical hit.
+
+    The orbit is carried as integers, c_n = a_n / (2 q^n) with
+    a_{n+1} = p * min(a_n, 2 q^n - a_n), so no gcd runs.
+    """
+    p, q = s.numerator, s.denominator
+    a = qn = 1
+    word = []
+    for t in target:
+        a = p * min(a, 2 * qn - a)
+        qn *= q
+        if a == qn:
+            return None
+        word.append("1" if a > qn else "0")
+        if word[-1] != t:
+            break
+    return "".join(word)
 
 
 def slope_for_prefix(target: str, lo=Fraction(5, 4), hi=Fraction(2),
@@ -451,8 +436,11 @@ def slope_for_prefix(target: str, lo=Fraction(5, 4), hi=Fraction(2),
     """An exact rational slope whose kneading sequence starts with ``target``.
 
     Bisection on the slope, using the fact that the kneading sequence is
-    monotone in s for the parity-lexicographic order.  Exact critical hits at
-    a probe slope (a measure-zero event) are sidestepped by a dyadic nudge.
+    monotone in s for the parity-lexicographic order.  Each probe runs the
+    integer orbit and stops at the first symbol that differs from the
+    target, which already decides the step.  In lowest terms, c_n = 1/2
+    needs p * m = q^n with m <= q^(n-1), so only s = 1 hits c (at n = 1);
+    a dyadic nudge sidesteps it.
     """
     target = "".join(target.split("."))
     if not target or target[0] != "1":
@@ -464,14 +452,13 @@ def slope_for_prefix(target: str, lo=Fraction(5, 4), hi=Fraction(2),
         mid = (lo + hi) / 2
         nudge = (hi - lo) / 1024
         for _ in range(8):
-            bits = _exact_kneading_bits(mid, len(target))
-            if None not in bits:
+            word = _kneading_probe(mid, target)
+            if word is not None:
                 break
             mid = mid + nudge
             nudge /= 1024
         else:
             raise PrecisionExhausted("persistent exact critical hits in bisection")
-        word = "".join(bits)
         if word == target:
             return SlopeParam(Scalar.exact(mid), name or f"prefix:{target[:16]}")
         if parity_lex_cmp(word, target) < 0:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from uilkit import hofbauer
 from uilkit.errors import DomainError
 from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
                              cutting_value_gaps, f_apply, f_graph_data,
@@ -10,7 +11,8 @@ from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
 from uilkit.kneading import (KneadingPrefix, cutting_data,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                              cascade_q, fibonacci_q)
-from uilkit.scalars import C, Scalar, slope_exact, slope_for_prefix, tent_apply
+from uilkit.scalars import (C, Scalar, critical_orbit, slope_exact,
+                            slope_for_prefix, tent_apply)
 
 
 def test_z0_full_tent():
@@ -177,3 +179,21 @@ def test_level_at_cutting_time_spans_to_previous_cut(fib_kd):
     for k in range(1, fib_kd.max_k + 1):
         if fib_kd.S[k] <= fib_kd.horizon:
             assert fib_kd.beta_of(fib_kd.S[k]) == fib_kd.S[fib_kd.q_of(k)]
+
+
+def test_exact_orbit_table_grows_step_by_step(fib_slope, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return critical_orbit(*args, **kwargs)
+
+    monkeypatch.setattr(hofbauer, "critical_orbit", counting)
+    table = OrbitTable(fib_slope)
+    read = [table.value(n) for n in range(301)]
+    assert calls == []
+    reference = [x for x, _ in critical_orbit(fib_slope, 300)]
+    assert read[0].value == C
+    for got, want in zip(read[1:], reference):
+        assert (got.lo, got.hi, got.precision_bits) == \
+            (want.lo, want.hi, want.precision_bits)

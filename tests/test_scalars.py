@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uilkit.errors import DomainError, PrecisionExhausted
-from uilkit.kneading import nu_from_orbit
-from uilkit.presets import golden_slope, tribonacci_slope
-from uilkit.scalars import (C, Scalar, SignRelC, critical_orbit,
-                            parity_lex_cmp, refine, sign_rel_c, slope_decimal,
-                            slope_exact, slope_interval, tent_apply)
+from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
+                             nu_from_orbit, nu_from_q)
+from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
+from uilkit.scalars import (C, Scalar, SignRelC, _kneading_probe,
+                            critical_orbit, parity_lex_cmp, refine, sign_rel_c,
+                            slope_decimal, slope_exact, slope_interval,
+                            tent_apply)
+from uilkit.seqgen import generate
 
 
 def test_tent_full_slope_critical_value():
@@ -149,3 +152,107 @@ def test_sign_stability_under_refinement():
         if sign in (SignRelC.BELOW, SignRelC.ABOVE):
             finer = x.at(1024)
             assert sign_rel_c(finer) is sign
+
+
+# -- integer kneading probe against the Fraction reference ---------------------
+
+def _exact_kneading_bits(s: Fraction, depth: int):
+    """Kneading bits of an exact rational slope; None marks an exact c-hit."""
+    x = C
+    bits = []
+    for _ in range(depth):
+        x = s * min(x, 1 - x)
+        if x == C:
+            bits.append(None)
+            return bits
+        bits.append("1" if x > C else "0")
+    return bits
+
+
+def _oracle_slope_for_prefix(target: str) -> Fraction:
+    """The bisection of slope_for_prefix, probing with _exact_kneading_bits."""
+    lo, hi = Fraction(5, 4), Fraction(2)
+    for _ in range(4 * len(target) + 96):
+        mid = (lo + hi) / 2
+        nudge = (hi - lo) / 1024
+        for _ in range(8):
+            bits = _exact_kneading_bits(mid, len(target))
+            if None not in bits:
+                break
+            mid = mid + nudge
+            nudge /= 1024
+        word = "".join(bits)
+        if word == target:
+            return mid
+        if parity_lex_cmp(word, target) < 0:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("oracle bisection did not converge")
+
+
+@st.composite
+def slope_and_target(draw):
+    q = draw(st.integers(1, 1 << 64))
+    s = Fraction(draw(st.integers(q + 1, 2 * q)), q)
+    depth = draw(st.integers(1, 200))
+    word = "".join(_exact_kneading_bits(s, depth))
+    # targets that agree with the slope's word for a while, then differ
+    k = draw(st.integers(0, depth))
+    flipped = "" if k == depth else "01"[word[k] == "0"]
+    tail = draw(st.text(alphabet="01", max_size=depth - k - 1)) if flipped else ""
+    return s, word, word[:k] + flipped + tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=slope_and_target())
+def test_kneading_probe_matches_fraction_reference(case):
+    s, word, target = case
+    probe = _kneading_probe(s, target)
+    oracle = word[:len(target)]
+    assert probe is not None
+    # the probe is the reference word, cut right after its first mismatch
+    assert oracle.startswith(probe)
+    mismatch = next((i for i, (a, b) in enumerate(zip(oracle, target))
+                     if a != b), None)
+    assert len(probe) == (len(target) if mismatch is None else mismatch + 1)
+    assert parity_lex_cmp(probe, target) == parity_lex_cmp(oracle, target)
+
+
+def test_kneading_probe_critical_hit_at_one():
+    assert _exact_kneading_bits(Fraction(1), 5) == [None]
+    assert _kneading_probe(Fraction(1), "10") is None
+
+
+_PRESET_TARGETS = {
+    "fib": lambda d: nu_from_q(fibonacci_q, d).bits,
+    "ex35": lambda d: nu_from_q(example35_q, d).bits,
+    "nonrec41": lambda d: nonrecurrent_example_nu(d).bits,
+    "appendix": lambda d: generate(max(d, 7))[0].bits[:d],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_TARGETS))
+def test_preset_slopes_match_oracle_bisection(name):
+    slope = parse_slope(f"{name}:150")
+    assert slope.s.value == _oracle_slope_for_prefix(_PRESET_TARGETS[name](150))
+
+
+# -- outward rounding of exact values --------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.fractions(min_value=0, max_value=1, max_denominator=1 << 300),
+       bits=st.integers(1, 160))
+def test_rounded_exact_encloses_on_grid(x, bits):
+    r = Scalar.exact(x).rounded(bits)
+    assert r.lo <= x <= r.hi
+    assert (r.lo * (1 << bits)).denominator == 1
+    assert (r.hi * (1 << bits)).denominator == 1
+    assert r.width() <= Fraction(1, 1 << bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(0, 1 << 40), j=st.integers(0, 40), extra=st.integers(0, 24))
+def test_rounded_exact_on_grid_unchanged(k, j, extra):
+    x = Scalar.exact(Fraction(k, 1 << j))
+    assert x.rounded(j + extra) is x
