@@ -52,10 +52,21 @@ EXIT_INTERNAL = 4
 
 
 def _prec_cap(args) -> int:
+    """The precision cap; UILKIT_PREC_CAP, when set, overrides --prec-cap."""
     env = os.environ.get(PREC_CAP_ENV)
-    if env is not None:
+    if env is None:
+        return getattr(args, "prec_cap", None)
+    try:
         return int(env)
-    return args.prec_cap
+    except ValueError:
+        raise ConfigError(f"{PREC_CAP_ENV} must be an integer, got {env!r}")
+
+
+def _eps(args) -> Fraction:
+    try:
+        return Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse --eps {args.eps!r}")
 
 
 def _resolve_inputs(args, need=("slope", "nu", "q")):
@@ -166,7 +177,7 @@ def cmd_classify(args):
     for text in args.itinerary:
         it = parse_itinerary(text)
         rep = classification_report(it, nu, slope, kd, depth=args.depth,
-                                    eps=Fraction(args.eps), orbit=orbit,
+                                    eps=_eps(args), orbit=orbit,
                                     prec_cap=_prec_cap(args))
         items[text] = rep.to_json()
     _emit(args, _report(args, "classify", {"items": items}))
@@ -242,7 +253,7 @@ def cmd_density(args):
     slope, nu, qs = _resolve_inputs(args, need=("slope",))
     kd = cutting_data(nu)
     K = min(args.K, kd.max_k)
-    report = cutting_value_gaps(slope, K, Fraction(args.eps), kd,
+    report = cutting_value_gaps(slope, K, _eps(args), kd,
                                 prec_cap=_prec_cap(args))
     if args.out_csv:
         rows = []
@@ -302,7 +313,8 @@ def build_parser():
         p.add_argument("--eps", default="0.00000095367431640625",
                        help="tolerance (default 2^-20)")
         p.add_argument("--prec-cap", type=int, default=4096,
-                       help=f"precision cap in bits (env {PREC_CAP_ENV})")
+                       help=f"precision cap in bits; {PREC_CAP_ENV}, when "
+                       "set, overrides it")
         p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("knead", help="kneading data and admissibility")
@@ -359,6 +371,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _prec_cap(args)     # every command rejects a malformed env cap
         args.func(args)
         return EXIT_OK
     except ConfigError as exc:

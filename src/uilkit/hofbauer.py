@@ -42,26 +42,36 @@ RULE_TOWER = "tower-index-vs-induction"
 class OrbitTable:
     """Lazily extended certified critical orbit c_0 = c, c_1, c_2, ...
 
-    An exact slope appends c_{k+1} = T(c_k); an interval slope re-runs
-    ``critical_orbit``, since escalation may change earlier enclosures.
+    A read past the end appends c_{k+1} = T(c_k) at the table's precision,
+    with the slope refined to it.  An interval slope is built, and rebuilt
+    when a new sign is unresolved below the cap, by ``critical_orbit``; the
+    table takes that call's precision.  So it equals ``critical_orbit(slope,
+    n, allow_unresolved=True)`` for the largest n read, as that call keeps
+    the precision of the shorter orbit exactly when the next sign resolves.
     """
 
     def __init__(self, slope: SlopeParam, prec_cap: int = DEFAULT_PREC_CAP):
         self.slope = slope
         self.prec_cap = prec_cap
         self._values = [Scalar.exact(C)]
+        self._step_slope = slope
+        self._bits = max(DEFAULT_PRECISION, slope.s.precision_bits)
 
     def extend(self, n: int):
-        if n < len(self._values):
-            return
-        if not self.slope.is_exact:
+        values = self._values
+        while len(values) <= n:
+            if len(values) > 1 or self.slope.is_exact:
+                x = tent_apply(self._step_slope, values[-1], self._bits)
+                if (sign_rel_c(x) is not SignRelC.UNRESOLVED
+                        or self._bits >= self.prec_cap):
+                    values.append(x)
+                    continue
             fresh = critical_orbit(self.slope, n, prec_cap=self.prec_cap,
                                    allow_unresolved=True)
-            self._values = [Scalar.exact(C)] + [x for x, _ in fresh]
-            return
-        bits = max(DEFAULT_PRECISION, self.slope.s.precision_bits)
-        while len(self._values) <= n:
-            self._values.append(tent_apply(self.slope, self._values[-1], bits))
+            values = self._values = [Scalar.exact(C)] + [x for x, _ in fresh]
+            self._bits = values[-1].precision_bits
+            self._step_slope = SlopeParam(self.slope.s.at(self._bits),
+                                          self.slope.name)
 
     def value(self, n: int) -> Scalar:
         """c_n, with c_0 = c."""

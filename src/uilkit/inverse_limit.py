@@ -150,12 +150,6 @@ def parse_itinerary(text: str) -> TwoSidedItinerary:
     return TwoSidedItinerary(BackwardWord(back.strip(), block), fwd.strip())
 
 
-def format_itinerary(it: TwoSidedItinerary) -> str:
-    head = f"({it.backward.periodic_block})^inf " if it.backward.is_periodic \
-        else "..."
-    return f"{head}{it.backward.symbols}.{it.forward}"
-
-
 # -- match sets ---------------------------------------------------------------
 
 @dataclass(frozen=True)

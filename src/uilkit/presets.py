@@ -15,6 +15,8 @@ Two kinds of presets:
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -26,68 +28,88 @@ DEFAULT_PRESET_DEPTH = 200
 
 
 def _poly_root_enclosure(coeffs, lo, hi, bits):
-    """Sign bisection for a polynomial with a single root in [lo, hi]."""
-    def p(x):
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * x + c
+    """Sign bisection for a polynomial with a single root in [lo, hi].
+
+    Halves [lo, hi] until it is at most 2^-bits wide; a midpoint where p
+    vanishes is returned exact.  Each call builds a fresh Scalar, since the
+    presets attach their recompute hook to it.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    a, b, den, hit = _root_bracket(tuple(coeffs), lo, hi, bits)
+    if hit:
+        return Scalar.exact(Fraction(a, den))
+    return Scalar(Fraction(a, den), Fraction(b, den), bits)
+
+
+@functools.lru_cache(maxsize=256)
+def _root_bracket(coeffs, lo, hi, bits):
+    """The bisection in integers: bracket numerators over ``den``, hit flag.
+
+    den = D 2^k, with D the lcm of the bracket's denominators and k the
+    number of halvings the stop rule needs; these k guard bits put every
+    midpoint on the grid, so the ends equal those of a bisection in
+    rationals.  p(m/den) den^deg is a Horner sum over precomputed powers of
+    den.  Memoized, because each precision doubling of a preset slope asks
+    for the same few keys again.
+    """
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * d), int(hi * d)
+    k = 0
+    while (b - a) << bits > d << k:
+        k += 1
+    a, b, den = a << k, b << k, d << k
+    powers = [den ** i for i in range(1, len(coeffs))]
+
+    def p(m):
+        acc = coeffs[0]
+        for c, w in zip(coeffs[1:], powers):
+            acc = acc * m + c * w
         return acc
 
-    lo, hi = Fraction(lo), Fraction(hi)
-    neg_lo = p(lo) < 0
-    width = Fraction(1, 1 << bits)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
+    neg_lo = p(a) < 0
+    for _ in range(k):
+        mid = (a + b) >> 1
         v = p(mid)
         if v == 0:
-            return Scalar(mid, mid)
+            return mid, mid, den, True
         if (v < 0) == neg_lo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return Scalar(lo, hi, bits)
+            b = mid
+    return a, b, den, False
+
+
+def _algebraic_slope(name, coeffs, lo, hi, bits) -> SlopeParam:
+    def recompute(p):
+        return _poly_root_enclosure(coeffs, lo, hi, p)
+
+    s = recompute(bits)
+    s.recompute = recompute
+    return SlopeParam(s, name)
 
 
 def golden_slope(bits: int = 128) -> SlopeParam:
     """Root of x^2 - x - 1: the critical point is 3-periodic."""
-    def recompute(p):
-        return _poly_root_enclosure([1, -1, -1], Fraction(3, 2), Fraction(7, 4), p)
-
-    s = recompute(bits)
-    s.recompute = recompute
-    return SlopeParam(s, "golden")
+    return _algebraic_slope("golden", (1, -1, -1), Fraction(3, 2),
+                            Fraction(7, 4), bits)
 
 
 def tribonacci_slope(bits: int = 128) -> SlopeParam:
     """Root of x^3 - x^2 - x - 1: the critical point is 4-periodic."""
-    def recompute(p):
-        return _poly_root_enclosure([1, -1, -1, -1], Fraction(7, 4),
-                                    Fraction(15, 8), p)
-
-    s = recompute(bits)
-    s.recompute = recompute
-    return SlopeParam(s, "tribonacci")
+    return _algebraic_slope("tribonacci", (1, -1, -1, -1), Fraction(7, 4),
+                            Fraction(15, 8), bits)
 
 
 def sqrt3_slope(bits: int = 192) -> SlopeParam:
     """Root of x^2 - 3: a generic algebraic slope with infinite orbit."""
-    def recompute(p):
-        return _poly_root_enclosure([1, 0, -3], Fraction(3, 2), Fraction(15, 8), p)
-
-    s = recompute(bits)
-    s.recompute = recompute
-    return SlopeParam(s, "sqrt3")
+    return _algebraic_slope("sqrt3", (1, 0, -3), Fraction(3, 2),
+                            Fraction(15, 8), bits)
 
 
 def cbrt6_slope(bits: int = 192) -> SlopeParam:
     """Root of x^3 - 6: a generic algebraic slope with infinite orbit."""
-    def recompute(p):
-        return _poly_root_enclosure([1, 0, 0, -6], Fraction(3, 2),
-                                    Fraction(15, 8), p)
-
-    s = recompute(bits)
-    s.recompute = recompute
-    return SlopeParam(s, "cbrt6")
+    return _algebraic_slope("cbrt6", (1, 0, 0, -6), Fraction(3, 2),
+                            Fraction(15, 8), bits)
 
 
 def fibonacci_slope(depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
@@ -140,12 +162,18 @@ def parse_slope(text: str, depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
         if head == "interval":
             lo, _, hi = rest.partition(",")
             from .scalars import slope_interval
-            return slope_interval(Fraction(lo), Fraction(hi), name=text)
-        if head in _KNEADING_PRESETS:
-            return _KNEADING_PRESETS[head](int(rest))
-        if head in _ALGEBRAIC_PRESETS:
-            return _ALGEBRAIC_PRESETS[head](int(rest))
-        raise ConfigError(f"unknown slope preset {head!r}")
+            try:
+                return slope_interval(Fraction(lo), Fraction(hi), name=text)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"cannot parse slope interval {rest!r}")
+        make = _KNEADING_PRESETS.get(head) or _ALGEBRAIC_PRESETS.get(head)
+        if make is None:
+            raise ConfigError(f"unknown slope preset {head!r}")
+        try:
+            depth = int(rest)
+        except ValueError:
+            raise ConfigError(f"cannot parse preset depth {rest!r}")
+        return make(depth)
     if text in _KNEADING_PRESETS:
         return _KNEADING_PRESETS[text]()
     if text in _ALGEBRAIC_PRESETS:

@@ -99,9 +99,6 @@ class Scalar:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def rounded(self, bits: int) -> "Scalar":
         """Outward rounding onto the dyadic grid with 2^-bits resolution.
 
@@ -124,13 +121,6 @@ class Scalar:
             raise DomainError("refinement produced a disjoint enclosure")
         return Scalar(lo, hi, bits, self.recompute)
 
-    def intersect(self, other: "Scalar") -> "Scalar":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise DomainError("empty intersection of enclosures")
-        return Scalar(lo, hi, min(self.precision_bits, other.precision_bits))
-
     def contains(self, q) -> bool:
         q = Fraction(q)
         return self.lo <= q <= self.hi
@@ -141,18 +131,6 @@ class Scalar:
     def certainly_lt(self, other) -> bool:
         o = other if isinstance(other, Scalar) else Scalar.exact(other)
         return self.hi < o.lo
-
-    def certainly_gt(self, other) -> bool:
-        o = other if isinstance(other, Scalar) else Scalar.exact(other)
-        return self.lo > o.hi
-
-    def certainly_le(self, other) -> bool:
-        o = other if isinstance(other, Scalar) else Scalar.exact(other)
-        return self.hi <= o.lo
-
-    def certainly_ge(self, other) -> bool:
-        o = other if isinstance(other, Scalar) else Scalar.exact(other)
-        return self.lo >= o.hi
 
     def __repr__(self):
         if self.is_exact:
@@ -262,13 +240,6 @@ def tent_apply(slope: SlopeParam, x: Scalar, bits=None) -> Scalar:
     return out
 
 
-def tent_iter(slope: SlopeParam, x: Scalar, n: int, bits=None) -> Scalar:
-    y = x
-    for _ in range(n):
-        y = tent_apply(slope, y, bits=bits)
-    return y
-
-
 def branch_preimage_left(slope: SlopeParam, y: Scalar, bits=None) -> Scalar:
     """The preimage of y on the increasing branch: y / s."""
     s = slope.s
@@ -345,20 +316,6 @@ def refine(x: Scalar, target_width, prec_cap: int = DEFAULT_PREC_CAP) -> Scalar:
         bits = min(2 * bits, prec_cap)
         current = current.at(bits)
     return current
-
-
-def resolve_sign(x: Scalar, prec_cap: int = DEFAULT_PREC_CAP) -> SignRelC:
-    """sign_rel_c with refinement: escalate until resolved or cap."""
-    sign = sign_rel_c(x)
-    if sign is not SignRelC.UNRESOLVED or x.recompute is None:
-        return sign
-    bits = x.precision_bits
-    current = x
-    while sign is SignRelC.UNRESOLVED and bits < prec_cap:
-        bits = min(2 * bits, prec_cap)
-        current = current.at(bits)
-        sign = sign_rel_c(current)
-    return sign
 
 
 def certified_cmp(a: Scalar, b: Scalar, prec_cap: int = DEFAULT_PREC_CAP) -> int:

@@ -117,10 +117,6 @@ class WordLedger:
         fresh = WordLedger(self.nu, self.len_cap)
         return fresh.ends_at_cuts == self.ends_at_cuts
 
-    @property
-    def top_index(self) -> int:
-        return self.kd.max_k
-
     def to_json(self):
         return {"nu": self.nu, "len_cap": self.len_cap,
                 "cuts": list(self.kd.S)}

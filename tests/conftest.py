@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from uilkit.kneading import (cutting_data, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q)
 from uilkit.scalars import slope_for_prefix
+
+# big-rational examples take unpredictable time on a shared host, so property
+# tests run without a deadline; a failure prints the blob that replays it
+settings.register_profile("uilkit", deadline=None, print_blob=True)
+settings.load_profile("uilkit")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 from uilkit.cli import main
 
@@ -124,3 +125,41 @@ def test_report_written_atomically(tmp_path, capsys):
     assert code == 0
     assert json.load(open(out_path))["schema"] == "uilkit-report-v1"
     assert not os.path.exists(out_path + ".tmp")
+
+
+def test_bad_eps_is_config_error(capsys):
+    code, _ = run_cli(capsys, "density", "--slope", "9/5", "--eps", "abc")
+    assert code == 2
+    code, _ = run_cli(capsys, "classify", "--slope", "9/5", "--eps", "1/0",
+                      "--itinerary", "(1)^inf .1111")
+    assert code == 2
+
+
+def test_bad_env_prec_cap_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("UILKIT_PREC_CAP", "abc")
+    code, _ = run_cli(capsys, "knead", "--slope", "9/5", "--horizon", "20")
+    assert code == 2
+    # also rejected by commands that never read the cap
+    code, _ = run_cli(capsys, "genseq", "--length", "10")
+    assert code == 2
+
+
+def test_bad_slope_numbers_are_config_errors(capsys):
+    for slope in ("interval:abc,1.8", "interval:1.8,1.7", "fib:abc",
+                  "sqrt3:x"):
+        code, _ = run_cli(capsys, "knead", "--slope", slope, "--horizon", "20")
+        assert code == 2, slope
+
+
+def test_env_prec_cap_overrides_flag(capsys, monkeypatch):
+    # c_146 of this slope needs 256 bits
+    half = Fraction(1, 1 << 300)
+    lo, hi = Fraction(9, 5) - half, Fraction(9, 5) + half
+    argv = ("knead", "--slope", f"interval:{lo},{hi}", "--horizon", "200")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--prec-cap", "128")[0] == 3
+    monkeypatch.setenv("UILKIT_PREC_CAP", "128")
+    assert run_cli(capsys, *argv)[0] == 3
+    assert run_cli(capsys, *argv, "--prec-cap", "4096")[0] == 3
+    monkeypatch.setenv("UILKIT_PREC_CAP", "4096")
+    assert run_cli(capsys, *argv, "--prec-cap", "128")[0] == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uilkit import hofbauer
 from uilkit.errors import DomainError
@@ -11,8 +12,9 @@ from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
 from uilkit.kneading import (KneadingPrefix, cutting_data,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                              cascade_q, fibonacci_q)
+from uilkit.presets import parse_slope
 from uilkit.scalars import (C, Scalar, critical_orbit, slope_exact,
-                            slope_for_prefix, tent_apply)
+                            slope_for_prefix, slope_interval, tent_apply)
 
 
 def test_z0_full_tent():
@@ -195,5 +197,78 @@ def test_exact_orbit_table_grows_step_by_step(fib_slope, monkeypatch):
     reference = [x for x, _ in critical_orbit(fib_slope, 300)]
     assert read[0].value == C
     for got, want in zip(read[1:], reference):
+        assert (got.lo, got.hi, got.precision_bits) == \
+            (want.lo, want.hi, want.precision_bits)
+
+
+def _counting_orbit(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return critical_orbit(*args, **kwargs)
+
+    monkeypatch.setattr(hofbauer, "critical_orbit", counting)
+    return calls
+
+
+def _narrow(center, h, bits=128):
+    half = Fraction(1, 1 << h)
+    return slope_interval(center - half, center + half, bits)
+
+
+@pytest.mark.parametrize("make, N, cap, builds", [
+    (lambda: _narrow(Fraction(9, 5), 300), 200, 4096, [1, 146]),
+    (lambda: parse_slope("sqrt3"), 300, 4096, [1, 239]),
+    # escalates twice, then stays unresolved at the cap
+    (lambda: _narrow(Fraction(19, 10), 140, 64), 220, 4096, [1, 130, 151]),
+    # golden returns to c exactly, so its enclosure never resolves c_3
+    (lambda: parse_slope("golden"), 60, 512, [1, 3]),
+])
+def test_interval_orbit_table_grows_step_by_step(monkeypatch, make, N, cap,
+                                                 builds):
+    slope = make()
+    calls = _counting_orbit(monkeypatch)
+    table = OrbitTable(slope, cap)
+    for n in range(N + 1):
+        table.value(n)
+    assert calls == builds
+    reference = [x for x, _ in critical_orbit(slope, N, prec_cap=cap,
+                                              allow_unresolved=True)]
+    assert table.value(0).value == C
+    for n, want in enumerate(reference, 1):
+        got = table.value(n)
+        assert (got.lo, got.hi, got.precision_bits) == \
+            (want.lo, want.hi, want.precision_bits)
+
+
+@pytest.mark.parametrize("make", [lambda: _narrow(Fraction(9, 5), 300),
+                                  lambda: parse_slope("sqrt3"),
+                                  lambda: parse_slope("cbrt6")])
+def test_interval_orbit_table_without_escalation_builds_once(monkeypatch,
+                                                             make):
+    slope = make()
+    calls = _counting_orbit(monkeypatch)
+    table = OrbitTable(slope)
+    for n in (1, 5, 40, 41, 120, 140):
+        table.value(n)
+    assert calls == [1]
+    assert {table.value(n).precision_bits for n in range(1, 141)} == {
+        max(128, slope.s.precision_bits)}
+
+
+@settings(max_examples=25)
+@given(p=st.integers(101, 199), h=st.integers(90, 400),
+       reads=st.lists(st.integers(1, 40), min_size=1, max_size=8))
+def test_interval_orbit_table_matches_critical_orbit(p, h, reads):
+    slope = _narrow(Fraction(p, 100), h)
+    table = OrbitTable(slope)
+    n = 0
+    for step in reads:
+        n += step
+        table.value(n)
+    reference = critical_orbit(slope, n, allow_unresolved=True)
+    for k, (want, _) in enumerate(reference, 1):
+        got = table.value(k)
         assert (got.lo, got.hi, got.precision_bits) == \
             (want.lo, want.hi, want.precision_bits)
