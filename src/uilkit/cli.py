@@ -313,8 +313,9 @@ def build_parser():
         p.add_argument("--eps", default="0.00000095367431640625",
                        help="tolerance (default 2^-20)")
         p.add_argument("--prec-cap", type=int, default=4096,
-                       help=f"precision cap in bits; {PREC_CAP_ENV}, when "
-                       "set, overrides it")
+                       help="precision cap in bits, not below the slope's "
+                       f"starting precision (128 or more); {PREC_CAP_ENV}, "
+                       "when set, overrides it")
         p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("knead", help="kneading data and admissibility")

@@ -28,8 +28,8 @@ from . import verdicts as V
 from .errors import (DomainError, InternalInconsistency, PrecisionExhausted,
                      UnresolvedComparison)
 from .kneading import CuttingData, cutting_data, nu_from_orbit, q_asymptotics
-from .scalars import (C, DEFAULT_PREC_CAP, DEFAULT_PRECISION, Scalar,
-                      SignRelC, SlopeParam, branch_preimage_left,
+from .scalars import (C, DEFAULT_PREC_CAP, Scalar, SignRelC, SlopeParam,
+                      _start_precision, branch_preimage_left,
                       branch_preimage_right, certified_cmp, critical_orbit,
                       s_one_minus, sign_rel_c, tent_apply)
 
@@ -55,7 +55,7 @@ class OrbitTable:
         self.prec_cap = prec_cap
         self._values = [Scalar.exact(C)]
         self._step_slope = slope
-        self._bits = max(DEFAULT_PRECISION, slope.s.precision_bits)
+        self._bits = _start_precision(slope, prec_cap)
 
     def extend(self, n: int):
         values = self._values

@@ -8,11 +8,18 @@ through the match sets
     N_R = { n >= 1 : s_{-(n-1)}..s_{-1} = nu_1..nu_{n-1}, #1 even }
 
 (parities count the 1s of the matched kneading prefix) and their suprema
-tau_L, tau_R.  For a finite left word, the zero-th projections of all
-compatible points form an interval whose endpoints are critical-orbit values
-picked out by exactly these matches (plus the domain floor for the two words
-coding the endpoints 0 and 1); the independent oracle is a plain interval
-pull-back of [0, 1] through the word, composing the certified branch maps.
+tau_L, tau_R.  A depth n is in N_L or N_R exactly when the tail ends in the
+kneading prefix of length n - 1, so both sets come from one pass of the
+Knuth-Morris-Pratt automaton of nu over the tail: the border chain of its
+final state lists every such length, in O(|tail| + |nu|).  Past the known
+kneading data, the full occurrences of nu met on the way are the depths
+that no known symbol refutes.
+
+For a finite left word, the zero-th projections of all compatible points
+form an interval whose endpoints are critical-orbit values picked out by
+exactly these matches (plus the domain floor for the two words coding the
+endpoints 0 and 1); the independent oracle is a plain interval pull-back of
+[0, 1] through the word, composing the certified branch maps.
 
 An endpoint of the space needs an infinite tau on the side where the point
 sits at the arc's edge.  A finite horizon can never certify a supremum over
@@ -33,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import xor
 from typing import Optional, Sequence
 
 from . import verdicts as V
@@ -41,7 +50,8 @@ from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
 from .hofbauer import OrbitTable, tower_levels
 from .kneading import CuttingData, KneadingPrefix, cutting_data, q_asymptotics
 from .scalars import (C, DEFAULT_PREC_CAP, Scalar, SignRelC, SlopeParam,
-                      branch_preimage, certified_cmp, sign_rel_c, tent_apply)
+                      branch_preimage, certified_cmp, parity_lex_cmp,
+                      sign_rel_c, tent_apply)
 
 RULE_TAU = "backward-word-prefix-matches"
 RULE_ARC = "arc-projection-from-matches"
@@ -92,9 +102,12 @@ class BackwardWord:
         return self.periodic_block[-(((n - len(self.symbols) - 1) % p) + 1)]
 
     def unrolled(self, depth: int) -> str:
-        if not self.is_periodic and depth > len(self.symbols):
-            depth = len(self.symbols)
-        return "".join(self.at(n) for n in range(depth, 0, -1))
+        """s_{-depth} .. s_{-1}, cut at the start of a finite word."""
+        n, depth = len(self.symbols), max(depth, 0)
+        if depth <= n or not self.is_periodic:
+            return self.symbols[n - min(depth, n):]
+        reps = -(-(depth - n) // len(self.periodic_block))
+        return (self.periodic_block * reps)[n - depth:] + self.symbols
 
     def __eq__(self, other):
         return isinstance(other, BackwardWord) and \
@@ -188,134 +201,135 @@ class TauData:
                 "n_max": self.n_max}
 
 
-def _match_at(back: BackwardWord, nu: KneadingPrefix, n: int) -> bool:
-    for i in range(1, n):
-        if back.at(i) != nu.symbol_at(n - i):
-            return False
-    return True
+def _kmp_scan(pattern: str, text: str):
+    """Knuth-Morris-Pratt automaton of ``pattern`` run over ``text``.
+
+    Returns the border chain of the final state (every length l, longest
+    first down to 0, with ``text`` ending in ``pattern[:l]``) and the
+    ascending end indices e of full occurrences (``text[:e]`` ends in it).
+    """
+    m = len(pattern)
+    fail = [0] * (m + 1)
+    k = 0
+    for i in range(1, m):
+        while k and pattern[i] != pattern[k]:
+            k = fail[k]
+        if pattern[i] == pattern[k]:
+            k += 1
+        fail[i + 1] = k
+    state, ends = 0, []
+    for e, ch in enumerate(text, 1):
+        if state == m:
+            state = fail[state]
+        while state and pattern[state] != ch:
+            state = fail[state]
+        if state < m and pattern[state] == ch:
+            state += 1
+        if state == m:
+            ends.append(e)
+    chain = [state]
+    while state:
+        state = fail[state]
+        chain.append(state)
+    return chain, ends
+
+
+def _prefix_parity(word: str) -> list:
+    """parity[l] = number of 1s in word[:l], mod 2."""
+    return list(accumulate(map("1".__eq__, word), xor, initial=0))
 
 
 def tau_data(back: BackwardWord, nu: KneadingPrefix,
              depth: Optional[int] = None) -> TauData:
     """Exact match sets within the data, saturation flags at its boundary."""
-    width = len(nu)
     avail = back.depth_available()
-    if avail is not None and width < avail:
+    if avail is not None and len(nu) < avail:
         raise DomainError("kneading prefix shorter than the backward word")
-    n_max = width + 1 if avail is None else min(avail + 1, width + 1)
+    n_max = len(nu) + 1 if avail is None else avail + 1
     if depth is not None:
         n_max = min(n_max, depth)
 
-    parity = [0] * (width + 1)
-    ones = 0
-    for i in range(1, width + 1):
-        if nu[i] == "1":
-            ones += 1
-        parity[i] = ones % 2
+    if back.is_periodic:
+        chain, parity, certs = _periodic_tail_analysis(back, nu, n_max)
+    else:
+        pattern = nu.bits[:max(n_max - 1, 0)]
+        chain, _ = _kmp_scan(pattern, back.unrolled(n_max - 1))
+        parity, certs = _prefix_parity(pattern), (False,) * 4 + (None,)
+    cfL, cfR, ciL, ciR, pump = certs
 
     NL, NR = [], []
-    for n in range(1, n_max + 1):
-        if _match_at(back, nu, n):
-            (NR if parity[n - 1] == 0 else NL).append(n)
+    for ell in reversed(chain):
+        if ell < n_max:
+            (NR if parity[ell] == 0 else NL).append(ell + 1)
     tauL = NL[-1] if NL else None
     tauR = NR[-1] if NR else None
-    saturatedL = bool(NL) and NL[-1] == n_max
-    saturatedR = bool(NR) and NR[-1] == n_max
-
-    cfL = cfR = ciL = ciR = False
-    pump = None
-    if back.is_periodic:
-        cfL, cfR, ciL, ciR, pump = _periodic_tail_analysis(back, nu, n_max, parity)
-        saturatedL = saturatedL or ciL
-        saturatedR = saturatedR or ciR
+    saturatedL = bool(NL) and NL[-1] == n_max or ciL
+    saturatedR = bool(NR) and NR[-1] == n_max or ciR
     return TauData(tuple(NL), tuple(NR), tauL, tauR, saturatedL, saturatedR,
                    cfL, cfR, ciL, ciR, n_max, avail, pump)
 
 
-def _known_mismatch(back: BackwardWord, nu: KneadingPrefix, n: int) -> bool:
-    """A mismatch for the depth-n match witnessed inside the known prefix."""
-    for i in range(1, n):
-        v = nu.symbol_at(n - i)
-        if v is not None and back.at(i) != v:
-            return True
-    return False
-
-
-def _periodic_tail_analysis(back, nu, n_max, parity):
+def _periodic_tail_analysis(back, nu, n_max):
     """Finiteness kill-witnesses and pumping certificates for periodic tails.
 
     A depth-n match needs s_{-i} = nu_{n-i} for every i < n; only positions
-    with nu known can witness a mismatch.  Once n is past
-    ``explicit + |nu| + p``, the compared tail window is purely periodic and
-    the witness pattern depends only on n mod p, so finitely many checks
-    certify that tau is finite.  With a declared periodic kneading
-    continuation, two aligned matches one common period apart pump forever.
+    with nu known can witness a mismatch.  Up to n = |nu| + 1 a depth without
+    a witness is a border of the automaton state after reading the tail;
+    deeper, it is a full occurrence of nu in the tail.  From n = explicit +
+    |nu| + 1 on, the compared tail window is purely periodic and the witness
+    pattern depends only on n mod p, so the depths up to ``explicit + |nu| +
+    p + 2`` cover every class and certify that tau is finite.  With a
+    declared periodic kneading continuation every symbol is known, the
+    unrolled word is the pattern, and two aligned matches one common period
+    apart pump forever.
+
+    Returns the border chain and the prefix parities of the pattern (they
+    give the match sets up to ``n_max``) and the certificate flags.
     """
     p = len(back.periodic_block)
     width = len(nu)
     explicit = len(back.symbols)
-    threshold = explicit + width + p + 2
-
-    maybeL = maybeR = False
-    survivors = []
-    for n in range(n_max + 1, threshold + 1):
-        if not _known_mismatch(back, nu, n):
-            survivors.append(n)
-            if n - 1 <= width:
-                if parity[n - 1] == 0:
-                    maybeR = True
-                else:
-                    maybeL = True
-            else:
-                maybeL = maybeR = True
-    for r in range(p):
-        n = threshold + 1 + ((r - threshold - 1) % p)
-        if not _known_mismatch(back, nu, n):
-            maybeL = maybeR = True
-
-    ciL = ciR = False
-    pump = None
-    if nu.periodic_tail is not None:
+    last = explicit + width + p + 2
+    top, pattern = last, nu.bits
+    periodic_nu = nu.symbol_at(width + 1) is not None
+    if periodic_nu:
         pre_nu, per_nu = nu.periodic_tail
         L = per_nu
         while L % p:
             L += per_nu
         base = max(pre_nu + per_nu, explicit + p) + L
-        for n in range(base, base + 2 * L + 1):
-            if _pump_match(back, nu, n) and _pump_match(back, nu, n + L):
-                pump = (n, L)
-                break
-        if pump is not None:
-            n0 = pump[0]
-            block_ones = sum(
-                1 for i in range(pre_nu + 1, pre_nu + per_nu + 1)
-                if nu.symbol_at(i) == "1")
-            if (L // per_nu) * block_ones % 2 == 0:
-                if _pump_parity(nu, n0 - 1) == 0:
-                    ciR = True
-                else:
-                    ciL = True
-            else:
-                ciL = ciR = True
-            maybeL = maybeL or ciL
-            maybeR = maybeR or ciR
-    return (not maybeL and not ciL, not maybeR and not ciR, ciL, ciR, pump)
+        top = max(last, base + 3 * L)
+        pattern = "".join(nu.symbol_at(i) for i in range(1, top))
+    chain, ends = _kmp_scan(pattern, back.unrolled(top - 1))
+    parity = _prefix_parity(pattern)
+    unrefuted = {ell + 1 for ell in chain}
+    unrefuted.update(top + len(pattern) - e for e in ends if e < top - 1)
 
+    maybeL = maybeR = False
+    for n in unrefuted:
+        if not n_max < n <= last:
+            continue
+        if n - 1 > width:
+            maybeL = maybeR = True
+        elif parity[n - 1]:
+            maybeL = True
+        else:
+            maybeR = True
 
-def _pump_match(back, nu, n):
-    for i in range(1, n):
-        v = nu.symbol_at(n - i)
-        if v is None or back.at(i) != v:
-            return False
-    return True
-
-
-def _pump_parity(nu, m):
-    ones = 0
-    for i in range(1, m + 1):
-        if nu.symbol_at(i) == "1":
-            ones += 1
-    return ones % 2
+    ciL = ciR = False
+    pump = None
+    if periodic_nu:
+        pump = next(((n, L) for n in range(base, base + 2 * L + 1)
+                     if n in unrefuted and n + L in unrefuted), None)
+    if pump is not None:
+        block_ones = nu.bits[pre_nu:pre_nu + per_nu].count("1")
+        if (L // per_nu) * block_ones % 2 == 0:
+            ciR = parity[pump[0] - 1] == 0
+            ciL = not ciR
+        else:
+            ciL = ciR = True
+    return chain, parity, (not (maybeL or ciL), not (maybeR or ciR), ciL,
+                           ciR, pump)
 
 
 # -- arc projections ----------------------------------------------------------
@@ -361,7 +375,6 @@ def word_realizable(word: str, nu: KneadingPrefix) -> bool:
     stays parity-lex at or below the kneading prefix; ties run off the data
     and pass (points shadowing the critical value realize them).
     """
-    from .scalars import parity_lex_cmp
     for i in range(1, len(word)):
         if parity_lex_cmp(word[i:], nu.bits) > 0:
             return False

@@ -140,25 +140,20 @@ def _scan_structure(bits: str):
         n += 1
 
     cocut = []
-    start = None
-    for j in range(2, n_len + 1):
-        if bits[j - 1] == "1":
-            start = j
-            break
-    censored = False
-    if start is not None:
-        j = start
-        while j is not None and j <= n_len:
-            cocut.append(j)
-            if j in s_index:
-                return S, Q, cocut, False, j, (
-                    f"position {j} is both a cutting and a co-cutting time")
-            nxt = rho_step(bits, j)
-            if nxt is None:
-                censored = True
-                break
-            j = nxt
-    return S, Q, cocut, censored, None, None
+    for j in _cocut_orbit(bits):
+        cocut.append(j)
+        if j in s_index:
+            return S, Q, cocut, False, j, (
+                f"position {j} is both a cutting and a co-cutting time")
+    return S, Q, cocut, bool(cocut), None, None
+
+
+def _cocut_orbit(bits: str):
+    """The rho-orbit of the first 1 after position 1, until a step exits."""
+    j = bits.find("1", 1) + 1
+    while j:
+        yield j
+        j = rho_step(bits, j) or 0
 
 
 @dataclass(frozen=True)
@@ -215,16 +210,10 @@ def cutting_data(nu: KneadingPrefix) -> CuttingData:
     last = 1
     s_set = set(S)
     for n in range(2, len(bits) + 1):
+        beta.append(n - last)
         if n in s_set:
-            beta.append(n - last)
             last = n
-        else:
-            beta.append(n - last)
-    kappa = None
-    for i in range(2, len(bits) + 1):
-        if bits[i - 1] == "1":
-            kappa = i
-            break
+    kappa = cocut[0] if cocut else None
     return CuttingData(tuple(S), tuple(Q), tuple(beta), tuple(cocut),
                        censored, len(bits), kappa, nu)
 
@@ -235,22 +224,8 @@ def cocutting_times(nu: KneadingPrefix):
     Returns (times, censored): ``censored`` is True when the last rho step
     ran off the prefix, so later co-cutting times may exist.
     """
-    bits = nu.bits
-    start = None
-    for j in range(2, len(bits) + 1):
-        if bits[j - 1] == "1":
-            start = j
-            break
-    if start is None:
-        return (), False
-    out = [start]
-    j = start
-    while True:
-        nxt = rho_step(bits, j)
-        if nxt is None:
-            return tuple(out), True
-        out.append(nxt)
-        j = nxt
+    times = tuple(_cocut_orbit(nu.bits))
+    return times, bool(times)
 
 
 def admissible_disjoint(nu: KneadingPrefix) -> V.Verdict:
@@ -271,6 +246,28 @@ def _materialize_q(q, upto: int):
     return list(q[:upto])
 
 
+def _q_lookup(qs):
+    """j -> Q(j) over the list Q(1), Q(2), ...; Q(0) = 0, None beyond it."""
+    m = len(qs)
+
+    def q_of(j):
+        if 0 < j <= m:
+            return qs[j - 1]
+        return 0 if j == 0 else None
+    return q_of
+
+
+def _cutting_times(qs, horizon: Optional[int] = None) -> list:
+    """S_0 = 1 and S_k = S_{k-1} + S_{Q(k)}, while Q(k) < k and (with a
+    horizon) until the first S_k >= horizon."""
+    S = [1]
+    for qk in qs:
+        if qk >= len(S) or horizon is not None and S[-1] >= horizon:
+            break
+        S.append(S[-1] + S[qk])
+    return S
+
+
 def admissible_q(q, horizon: Optional[int] = None) -> V.Verdict:
     """Kneading-map admissibility: Q(k) < k and the lexicographic condition.
 
@@ -287,14 +284,7 @@ def admissible_q(q, horizon: Optional[int] = None) -> V.Verdict:
         qs = list(q)
     m = len(qs)
     limit = horizon if horizon is not None else m
-
-    def q_of(j):
-        if j == 0:
-            return 0
-        if 1 <= j <= m:
-            return qs[j - 1]
-        return None
-
+    q_of = _q_lookup(qs)
     first_unresolved = None
     for k in range(1, min(limit, m) + 1):
         if qs[k - 1] >= k:
@@ -339,22 +329,18 @@ def nu_from_q(q, horizon: int, source: str = "from_q") -> KneadingPrefix:
     for k, qk in enumerate(qs, start=1):
         if qk >= k:
             raise NotAdmissible(k, f"Q({k}) = {qk} >= {k}")
+    S = _cutting_times(qs, horizon)
     bits = ["1"]
-    S = [1]
-    k = 1
-    while len(bits) < horizon and k <= len(qs):
-        qk = qs[k - 1]
-        s_new = S[-1] + S[qk]
-        # copy segment, then the flipped symbol at the cutting time
+    for prev, s_new in zip(S, S[1:]):
+        # copy segment, then the flipped symbol at the cutting time, which
+        # copies position S_{Q(k)} = S_k - S_{k-1}
         while len(bits) < min(s_new - 1, horizon):
-            bits.append(bits[len(bits) - S[-1]])
+            bits.append(bits[len(bits) - prev])
         if s_new <= horizon:
-            bits.append(_flip(bits[S[qk] - 1]))
-        S.append(s_new)
-        k += 1
+            bits.append(_flip(bits[s_new - prev - 1]))
     while len(bits) < horizon:
         bits.append(bits[len(bits) - S[-1]])
-    k_used = k - 1
+    k_used = len(S) - 1
     check = admissible_q(qs, horizon=None)
     if check.is_refuted and check.witness.get("k", 0) <= k_used:
         raise NotAdmissible(check.witness.get("k", 0), check.witness.get("reason", ""))

@@ -261,6 +261,19 @@ def branch_preimage(slope: SlopeParam, y: Scalar, symbol: int, bits=None) -> Sca
         slope, y, bits=bits)
 
 
+def _start_precision(slope: SlopeParam, prec_cap: int) -> int:
+    """Precision of a first orbit build: the default, or the slope's if finer.
+
+    A cap below it cannot be honoured, and raising it silently would change
+    the input, so it is rejected.
+    """
+    bits = max(DEFAULT_PRECISION, slope.s.precision_bits)
+    if prec_cap < bits:
+        raise DomainError(f"precision cap {prec_cap} is below the starting "
+                          f"precision {bits} of the slope")
+    return bits
+
+
 def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
                    allow_unresolved: bool = False):
     """Certified orbit c_1 .. c_N of the critical value, with signs.
@@ -272,7 +285,7 @@ def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
     """
     if N < 1:
         raise DomainError("orbit length must be >= 1")
-    bits = max(DEFAULT_PRECISION, slope.s.precision_bits)
+    bits = _start_precision(slope, prec_cap)
     while True:
         s = slope.s if slope.s.is_exact else slope.s.at(bits)
         sl = SlopeParam(s, slope.name)

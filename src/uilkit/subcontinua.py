@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 from . import verdicts as V
 from .errors import ConditionViolated, DomainError, UnresolvedComparison
 from .hofbauer import OrbitTable, PrecriticalTable
-from .kneading import CuttingData, renorm_scan
+from .kneading import (CuttingData, _cutting_times, _materialize_q,
+                       _q_lookup, renorm_scan)
 from .scalars import (C, DEFAULT_PREC_CAP, Scalar, SlopeParam, certified_cmp,
                       s_one_minus, tent_apply)
 
@@ -42,19 +43,8 @@ STRICT = "strict"
 RELAXED = "relaxed"
 
 
-def _materialize(q, upto):
-    if callable(q):
-        return [q(k) for k in range(1, upto + 1)]
-    return list(q[:upto])
-
-
-def _satisfies(qs, variant, k_prev, k):
-    """The chain step condition from k_prev to k (1-based Q list)."""
-    def q_of(j):
-        if j == 0:
-            return 0
-        return qs[j - 1] if 1 <= j <= len(qs) else None
-
+def _satisfies(q_of, variant, k_prev, k):
+    """The chain step condition from k_prev to k (``q_of`` from _q_lookup)."""
     qk = q_of(k)
     inner = q_of(q_of(k - 1) + 1) if q_of(k - 1) is not None else None
     if qk is None or inner is None:
@@ -74,13 +64,14 @@ def find_qcond_chains(q, horizon: int, variant: str = STRICT,
     (which satisfies the relaxed condition whenever Q(k) <= k - 2 holds on
     the tail); it is reported separately even when shorter than ``min_len``.
     """
-    qs = _materialize(q, horizon)
+    qs = _materialize_q(q, horizon)
     m = len(qs)
 
+    q_of = _q_lookup(qs)
     succ = {}
     for k_prev in range(1, m + 1):
         succ[k_prev] = [k for k in range(k_prev + 1, m + 1)
-                        if _satisfies(qs, variant, k_prev, k)]
+                        if _satisfies(q_of, variant, k_prev, k)]
 
     chains = []
     seen_prefix = set()
@@ -204,12 +195,12 @@ def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
     the verified chain condition (used as a self-test).
     """
     kd = zp.kd
-    qs = list(kd.Q)
+    q_of = _q_lookup(kd.Q)
     k_seq = tuple(k_seq)
     if len(k_seq) < 2:
         raise DomainError("a chain needs at least two indices")
     for k_prev, k in zip(k_seq, k_seq[1:]):
-        if not _satisfies(qs, variant, k_prev, k):
+        if not _satisfies(q_of, variant, k_prev, k):
             raise ConditionViolated(
                 k, f"chain condition ({variant}) fails at {k_prev} -> {k}")
     if variant == STRICT:
@@ -295,7 +286,7 @@ def classify_chain(k_seq: Sequence[int], q, horizon: Optional[int] = None,
         return ChainClass("undetermined",
                           V.undetermined(RULE_CLASSIFY, "chain too short",
                                          depth=len(k_seq)))
-    qs = _materialize(q, (max(k_seq) + 2) if callable(q) else 10 ** 9)
+    qs = _materialize_q(q, (max(k_seq) + 2) if callable(q) else 10 ** 9)
     vals = []
     for k in k_seq:
         if k + 1 <= len(qs):
@@ -361,15 +352,10 @@ def nasty_cascade_rule(q, horizon: int, cascade_min: int = 3) -> V.Verdict:
     undetermined otherwise.  The witness reports the symbolic periods
     S_{k-1} of the cascade levels.
     """
-    qs = _materialize(q, horizon)
+    qs = _materialize_q(q, horizon)
     scan = renorm_scan(qs, horizon)
     passing = scan["passing"]
-    S = [1]
-    for k in range(1, len(qs) + 1):
-        qk = qs[k - 1]
-        if qk >= len(S):
-            break
-        S.append(S[-1] + S[qk])
+    S = _cutting_times(qs)
     periods = [S[k - 1] for k in passing if k - 1 < len(S)]
     if len(passing) >= cascade_min:
         return V.evidence(RULE_NASTY, depth=horizon, cascade=passing,

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
+
+import pytest
 
 from uilkit.cli import main
 
@@ -151,6 +154,15 @@ def test_bad_slope_numbers_are_config_errors(capsys):
         assert code == 2, slope
 
 
+def test_prec_cap_below_start_precision_is_config_error(capsys, monkeypatch):
+    argv = ("knead", "--slope", "sqrt3", "--horizon", "100")
+    assert run_cli(capsys, *argv, "--prec-cap", "1")[0] == 2
+    assert run_cli(capsys, *argv, "--prec-cap", "-5")[0] == 2
+    assert run_cli(capsys, *argv, "--prec-cap", "192")[0] == 0
+    monkeypatch.setenv("UILKIT_PREC_CAP", "64")
+    assert run_cli(capsys, *argv)[0] == 2
+
+
 def test_env_prec_cap_overrides_flag(capsys, monkeypatch):
     # c_146 of this slope needs 256 bits
     half = Fraction(1, 1 << 300)
@@ -163,3 +175,30 @@ def test_env_prec_cap_overrides_flag(capsys, monkeypatch):
     assert run_cli(capsys, *argv, "--prec-cap", "4096")[0] == 3
     monkeypatch.setenv("UILKIT_PREC_CAP", "4096")
     assert run_cli(capsys, *argv, "--prec-cap", "128")[0] == 0
+
+
+# sha256 of the stdout of README commands, recorded from the reports of the
+# rescanning match-set implementation; rewrites of the symbolic and numeric
+# layers must keep every byte
+README_REPORT_DIGESTS = [
+    (("knead", "--nu", "1.0.0.0.101"),
+     "4fe0b7e366fd75f082e71a0889e8fe4742c5706d60cfba499b8d08fd097c9a57"),
+    (("persistence", "--q", "fib", "--horizon", "100"),
+     "43aefde10c6d4b2871fac702ab29132c276f39d8cd86ab301ed17288bc9fbfd4"),
+    (("subcontinua", "--q", "ex35", "--horizon", "40"),
+     "be4ddb45fad23492f94e81825cb186abb00146144af7b4586e321078429c9abc"),
+    (("genseq", "--length", "200", "--compat"),
+     "8082c4165b715172435a405e2253962b17ae044f33291913e77f5608604f4b64"),
+    (("classify", "--slope", "nonrec41:120", "--depth", "48",
+      "--itinerary", "(1)^inf .1111", "--itinerary", "(0)^inf .0000"),
+     "2869a3db8170f306f5b888c839092478deea74e8bf9aa8a9f7a488f8f99a5586"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", README_REPORT_DIGESTS,
+                         ids=[argv[0] for argv, _ in README_REPORT_DIGESTS])
+def test_readme_reports_byte_identical(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("UILKIT_PREC_CAP", raising=False)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

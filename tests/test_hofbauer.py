@@ -272,3 +272,17 @@ def test_interval_orbit_table_matches_critical_orbit(p, h, reads):
         got = table.value(k)
         assert (got.lo, got.hi, got.precision_bits) == \
             (want.lo, want.hi, want.precision_bits)
+
+
+def test_prec_cap_below_start_precision_is_rejected():
+    sqrt3 = parse_slope("sqrt3")                      # starts at 192 bits
+    for cap in (1, -5, 191):
+        with pytest.raises(DomainError):
+            critical_orbit(sqrt3, 100, prec_cap=cap)
+        with pytest.raises(DomainError):
+            OrbitTable(sqrt3, prec_cap=cap)
+    orbit = critical_orbit(sqrt3, 100, prec_cap=192)
+    assert orbit[-1][0].precision_bits == 192
+    assert OrbitTable(sqrt3, prec_cap=192).value(100).precision_bits == 192
+    with pytest.raises(DomainError):
+        critical_orbit(slope_exact(Fraction(9, 5)), 10, prec_cap=127)

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uilkit.errors import NoRecurrenceWitness, UnrealizableWord
+from uilkit.errors import DomainError, NoRecurrenceWitness, UnrealizableWord
 from uilkit.hofbauer import OrbitTable
-from uilkit.inverse_limit import (BackwardWord, TwoSidedItinerary,
+from uilkit.inverse_limit import (BackwardWord, TauData, TwoSidedItinerary,
                                   basic_arc_interval, classification_report,
                                   endpoint_itinerary_gen, endpoint_verdict,
                                   folding_verdict, parse_itinerary, pull_back,
@@ -26,6 +26,16 @@ def test_backward_word_access():
     assert [w.at(n) for n in range(1, 8)] == list("110" + "0101")
     assert w.unrolled(5) == "10011"
     assert BackwardWord("01").at(3) is None
+
+
+@given(symbols=st.text(alphabet="01", max_size=8),
+       block=st.one_of(st.none(), st.text(alphabet="01", min_size=1,
+                                          max_size=5)),
+       depth=st.integers(-2, 30))
+def test_unrolled_reads_the_symbols(symbols, block, depth):
+    w = BackwardWord(symbols, block)
+    top = depth if block is not None else min(depth, len(symbols))
+    assert w.unrolled(depth) == "".join(w.at(n) for n in range(top, 0, -1))
 
 
 def test_parse_itinerary_roundtrip():
@@ -315,3 +325,181 @@ def test_pull_back_forward_containment():
         lo = min(img_a.lo, img_b.lo)
         hi = max(img_a.hi, img_b.hi)
         assert a0.lo <= lo and hi <= b0.hi
+
+
+# -- the automaton match sets against the naive rescanning matcher -----------
+#
+# The oracle below is the direct reading of the definitions: every depth n
+# rescans the tail from s_{-1}, with separate loops for matches, for
+# mismatches witnessed inside the known prefix and for pumping matches.
+
+def _naive_match_at(back, nu, n):
+    for i in range(1, n):
+        if back.at(i) != nu.symbol_at(n - i):
+            return False
+    return True
+
+
+def _naive_known_mismatch(back, nu, n):
+    for i in range(1, n):
+        v = nu.symbol_at(n - i)
+        if v is not None and back.at(i) != v:
+            return True
+    return False
+
+
+def _naive_pump_match(back, nu, n):
+    for i in range(1, n):
+        v = nu.symbol_at(n - i)
+        if v is None or back.at(i) != v:
+            return False
+    return True
+
+
+def _naive_pump_parity(nu, m):
+    return sum(1 for i in range(1, m + 1) if nu.symbol_at(i) == "1") % 2
+
+
+def _naive_periodic_tail_analysis(back, nu, n_max, parity):
+    p = len(back.periodic_block)
+    width = len(nu)
+    explicit = len(back.symbols)
+    threshold = explicit + width + p + 2
+    maybeL = maybeR = False
+    for n in range(n_max + 1, threshold + 1):
+        if not _naive_known_mismatch(back, nu, n):
+            if n - 1 <= width:
+                if parity[n - 1] == 0:
+                    maybeR = True
+                else:
+                    maybeL = True
+            else:
+                maybeL = maybeR = True
+    for r in range(p):
+        n = threshold + 1 + ((r - threshold - 1) % p)
+        if not _naive_known_mismatch(back, nu, n):
+            maybeL = maybeR = True
+    ciL = ciR = False
+    pump = None
+    if nu.periodic_tail is not None:
+        pre_nu, per_nu = nu.periodic_tail
+        L = per_nu
+        while L % p:
+            L += per_nu
+        base = max(pre_nu + per_nu, explicit + p) + L
+        for n in range(base, base + 2 * L + 1):
+            if _naive_pump_match(back, nu, n) and \
+                    _naive_pump_match(back, nu, n + L):
+                pump = (n, L)
+                break
+        if pump is not None:
+            block_ones = sum(1 for i in range(pre_nu + 1, pre_nu + per_nu + 1)
+                             if nu.symbol_at(i) == "1")
+            if (L // per_nu) * block_ones % 2 == 0:
+                if _naive_pump_parity(nu, pump[0] - 1) == 0:
+                    ciR = True
+                else:
+                    ciL = True
+            else:
+                ciL = ciR = True
+            maybeL = maybeL or ciL
+            maybeR = maybeR or ciR
+    return (not maybeL and not ciL, not maybeR and not ciR, ciL, ciR, pump)
+
+
+def naive_tau_data(back, nu, depth=None):
+    width = len(nu)
+    avail = back.depth_available()
+    if avail is not None and width < avail:
+        raise DomainError("kneading prefix shorter than the backward word")
+    n_max = width + 1 if avail is None else min(avail + 1, width + 1)
+    if depth is not None:
+        n_max = min(n_max, depth)
+    parity = [0] * (width + 1)
+    ones = 0
+    for i in range(1, width + 1):
+        ones += nu[i] == "1"
+        parity[i] = ones % 2
+    NL, NR = [], []
+    for n in range(1, n_max + 1):
+        if _naive_match_at(back, nu, n):
+            (NR if parity[n - 1] == 0 else NL).append(n)
+    saturatedL = bool(NL) and NL[-1] == n_max
+    saturatedR = bool(NR) and NR[-1] == n_max
+    cfL = cfR = ciL = ciR = False
+    pump = None
+    if back.is_periodic:
+        cfL, cfR, ciL, ciR, pump = _naive_periodic_tail_analysis(
+            back, nu, n_max, parity)
+        saturatedL = saturatedL or ciL
+        saturatedR = saturatedR or ciR
+    return TauData(tuple(NL), tuple(NR), NL[-1] if NL else None,
+                   NR[-1] if NR else None, saturatedL, saturatedR,
+                   cfL, cfR, ciL, ciR, n_max, avail, pump)
+
+
+@st.composite
+def _tau_inputs(draw):
+    """A kneading word (maybe declared periodic), a tail built from its
+    pieces so that matches are frequent, and an optional depth cap."""
+    block = "1" + draw(st.text(alphabet="01", max_size=5))
+    width = draw(st.integers(1, 40))
+    bits = (block * width)[:width] if draw(st.booleans()) else \
+        "1" + draw(st.text(alphabet="01", min_size=width - 1,
+                           max_size=width - 1))
+    kind = draw(st.sampled_from(["none", "valid", "invalid"]))
+    tail = None
+    if kind == "valid":
+        pre = draw(st.integers(0, width - 1))
+        tail = (pre, draw(st.integers(1, width - pre)))
+    elif kind == "invalid":
+        pre = draw(st.integers(0, width))
+        tail = (pre, draw(st.integers(max(1, width - pre + 1),
+                                      width - pre + 6)))
+    nu = KneadingPrefix(bits, periodic_tail=tail)
+    piece = st.one_of(st.text(alphabet="01", max_size=4),
+                      st.integers(0, width).map(lambda m: bits[:m]))
+    symbols = "".join(draw(st.lists(piece, max_size=6)))
+    if draw(st.booleans()):
+        blocks = [st.text(alphabet="01", min_size=1, max_size=6),
+                  st.integers(1, width).map(lambda m: bits[:m])]
+        if kind == "valid":                 # a rotation of nu's own period
+            pre, per = tail
+            blocks.append(st.integers(0, per - 1).map(
+                lambda r: (bits[pre:pre + per] * 2)[r:r + per]))
+        periodic = draw(st.one_of(*blocks))
+        back = BackwardWord(symbols[-3 * width:], periodic)
+    else:
+        back = BackwardWord(symbols[-width:])
+    depth = draw(st.one_of(st.none(), st.integers(1, 2 * width + 4)))
+    return back, nu, depth
+
+
+@settings(max_examples=600)
+@given(_tau_inputs())
+def test_tau_data_matches_naive_oracle(args):
+    back, nu, depth = args
+    assert tau_data(back, nu, depth) == naive_tau_data(back, nu, depth)
+
+
+def test_tau_data_oracle_rejects_alike():
+    nu = KneadingPrefix("101")
+    for fn in (tau_data, naive_tau_data):
+        with pytest.raises(DomainError):
+            fn(BackwardWord("0000"), nu)
+
+
+def test_tau_data_matches_oracle_on_pumping_and_long_words(fib_nu):
+    cases = [
+        (BackwardWord("", "011"),
+         KneadingPrefix("1011011011", periodic_tail=(1, 3))),
+        (BackwardWord("1", "10"),
+         KneadingPrefix("1101010", periodic_tail=(1, 2))),
+        (BackwardWord("", "1"), fib_nu),
+        (BackwardWord(fib_nu.bits[:150]), fib_nu),
+        (BackwardWord(fib_nu.bits[:89], fib_nu.bits[:55]), fib_nu),
+    ]
+    for back, nu in cases:
+        for depth in (None, 7, 64):
+            assert tau_data(back, nu, depth) == naive_tau_data(back, nu, depth)
+    assert tau_data(*cases[0][:2]).pump_witness is not None

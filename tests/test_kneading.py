@@ -73,6 +73,18 @@ def test_cocutting_times():
     assert cocutting_times(KneadingPrefix("10")) == ((), False)
 
 
+def test_cocutting_times_agree_with_cutting_data():
+    words = [w for n in range(1, 13) for w in admissible_prefixes(n)]
+    words += [nu_from_q(q, h).bits
+              for q in (fibonacci_q, example35_q, cascade_q)
+              for h in (1, 2, 7, 40, 300)]
+    for bits in words:
+        nu = KneadingPrefix(bits)
+        kd = cutting_data(nu)
+        assert cocutting_times(nu) == (kd.cocut, kd.cocut_censored), bits
+        assert kd.kappa == (kd.cocut[0] if kd.cocut else None), bits
+
+
 def test_cocut_disjoint_from_cut_fibonacci():
     nu = nu_from_q(fibonacci_q, 100)
     kd = cutting_data(nu)
