@@ -13,8 +13,8 @@ The kneading map Q is defined by S_k - S_{k-1} = S_{Q(k)} with Q(0) = 0.
 
 Two independent admissibility checkers are provided and cross-validated:
 
-* ``admissible_q``        -- Q(k) < k together with the lexicographic tail
-                             condition on the kneading map;
+* ``admissible_q``        -- 0 <= Q(k) < k together with the lexicographic
+                             tail condition on the kneading map;
 * ``admissible_disjoint`` -- structural scan of the word itself: consecutive
                              cutting gaps must be earlier cutting times, and
                              cutting and co-cutting times must be disjoint.
@@ -257,19 +257,25 @@ def _q_lookup(qs):
     return q_of
 
 
+def _q_out_of_range(k: int, qk: int) -> str:
+    """Why Q(k) breaks 0 <= Q(k) < k."""
+    return f"Q({k}) = {qk} " + (f">= {k}" if qk >= k else "< 0")
+
+
 def _cutting_times(qs, horizon: Optional[int] = None) -> list:
-    """S_0 = 1 and S_k = S_{k-1} + S_{Q(k)}, while Q(k) < k and (with a
+    """S_0 = 1 and S_k = S_{k-1} + S_{Q(k)}, while 0 <= Q(k) < k and (with a
     horizon) until the first S_k >= horizon."""
     S = [1]
     for qk in qs:
-        if qk >= len(S) or horizon is not None and S[-1] >= horizon:
+        if not 0 <= qk < len(S) or horizon is not None and S[-1] >= horizon:
             break
         S.append(S[-1] + S[qk])
     return S
 
 
 def admissible_q(q, horizon: Optional[int] = None) -> V.Verdict:
-    """Kneading-map admissibility: Q(k) < k and the lexicographic condition.
+    """Kneading-map admissibility: 0 <= Q(k) < k and the lexicographic
+    condition.
 
     The tail condition compares { Q(Q^2(k)+j) } against { Q(k+j) } for
     j >= 1; comparisons truncate at the available data.  ``horizon`` bounds
@@ -287,9 +293,9 @@ def admissible_q(q, horizon: Optional[int] = None) -> V.Verdict:
     q_of = _q_lookup(qs)
     first_unresolved = None
     for k in range(1, min(limit, m) + 1):
-        if qs[k - 1] >= k:
+        if not 0 <= qs[k - 1] < k:
             return V.refuted(RULE_Q, depth=limit, k=k,
-                             reason=f"Q({k}) = {qs[k - 1]} >= {k}")
+                             reason=_q_out_of_range(k, qs[k - 1]))
         qq = q_of(q_of(k))
         resolved = False
         j = 1
@@ -327,8 +333,8 @@ def nu_from_q(q, horizon: int, source: str = "from_q") -> KneadingPrefix:
         raise DomainError("horizon must be >= 1")
     qs = _materialize_q(q, 2 * horizon + 4) if callable(q) else list(q)
     for k, qk in enumerate(qs, start=1):
-        if qk >= k:
-            raise NotAdmissible(k, f"Q({k}) = {qk} >= {k}")
+        if not 0 <= qk < k:
+            raise NotAdmissible(k, _q_out_of_range(k, qk))
     S = _cutting_times(qs, horizon)
     bits = ["1"]
     for prev, s_new in zip(S, S[1:]):

@@ -15,18 +15,27 @@ are rounded outward onto the dyadic grid of that precision so denominators
 stay bounded along long orbits.  An interval may also carry a recomputation
 hook: refining re-derives the value at a higher precision and intersects it
 with the old enclosure, so refinement never widens.
+
+The tent step, the sign test against c, the reflection ``1 - x`` and the
+grid rounding work on the endpoints' integer numerators and denominators:
+a product of two fractions in lowest terms is reduced by the two cross
+gcds, which against a power-of-two denominator are trailing-zero counts,
+and rounding onto the 2^-bits grid of a dyadic end is a shift.  The results
+are the same reduced ``Fraction``s that ``Fraction`` arithmetic gives, built
+without a renormalising gcd.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DomainError, PrecisionExhausted, UnresolvedComparison
 
 C = Fraction(1, 2)
-ZERO = Fraction(0)
 ONE = Fraction(1)
 TWO = Fraction(2)
 
@@ -43,14 +52,63 @@ class SignRelC(enum.Enum):
     UNRESOLVED = "unresolved"
 
 
-def _floor_dyadic(q: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction((q.numerator * scale) // q.denominator, scale)
+class _Coprime:
+    """A numerator/denominator pair already in lowest terms.
+
+    ``Fraction(r)`` takes ``r.numerator`` and ``r.denominator`` of any
+    ``numbers.Rational`` as they are (CPython 3.10 to 3.13; checked by
+    ``tests/stdlib_check.py``), so a Fraction built from one of these costs
+    no gcd.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
 
 
-def _ceil_dyadic(q: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(-((-q.numerator * scale) // q.denominator), scale)
+numbers.Rational.register(_Coprime)
+
+
+def _frac(n: int, d: int) -> Fraction:
+    """The Fraction n/d, for n/d in lowest terms with d > 0."""
+    return Fraction(_Coprime(n, d))
+
+
+def _gcd(n: int, d: int) -> int:
+    """gcd(n, d) for d > 0: a trailing-zero count when d is a power of two."""
+    if d & (d - 1):
+        return math.gcd(n, d)
+    return min(n & -n or d, d)
+
+
+def _mul(n1: int, d1: int, n2: int, d2: int):
+    """(n1/d1) * (n2/d2) in lowest terms, from two factors in lowest terms."""
+    g1 = _gcd(n1, d2)
+    g2 = _gcd(n2, d1)
+    if g1 != 1:
+        n1 //= g1
+        d2 //= g1
+    if g2 != 1:
+        n2 //= g2
+        d1 //= g2
+    return n1 * n2, d1 * d2
+
+
+def _grid(n: int, d: int, bits: int, up: bool):
+    """n/d rounded down (or up) onto the 2^-bits grid, in lowest terms."""
+    if d & (d - 1):
+        k = -((-n << bits) // d) if up else (n << bits) // d
+    else:
+        shift = d.bit_length() - 1 - bits
+        if shift <= 0:
+            return n, d
+        k = -(-n >> shift) if up else n >> shift
+    if not k:
+        return 0, 1
+    tz = min((k & -k).bit_length() - 1, bits)
+    return k >> tz, 1 << (bits - tz)
 
 
 class Scalar:
@@ -105,10 +163,14 @@ class Scalar:
         An exact value off the grid becomes an enclosure at most 2^-bits
         wide, which sheds its denominator; one on the grid is returned as is.
         """
-        if self.is_exact and (1 << bits) % self.lo.denominator == 0:
+        lo, hi = self.lo, self.hi
+        d = lo.denominator
+        # on the grid: d = 2^e with e <= bits
+        if self.is_exact and not d & (d - 1) and d.bit_length() <= bits + 1:
             return self
-        return Scalar(_floor_dyadic(self.lo, bits), _ceil_dyadic(self.hi, bits),
-                      bits, self.recompute)
+        return _scalar(_frac(*_grid(lo.numerator, d, bits, False)),
+                       _frac(*_grid(hi.numerator, hi.denominator, bits, True)),
+                       bits, self.recompute)
 
     def at(self, bits: int) -> "Scalar":
         """Re-derive this value at the given precision, never widening."""
@@ -146,28 +208,50 @@ class Scalar:
 
 
 
-def _maybe_round(x: "Scalar", bits: int) -> "Scalar":
-    """Round outward only when the endpoints outgrow the working precision."""
-    if x.is_exact:
-        return x
-    if max(x.lo.denominator.bit_length(), x.hi.denominator.bit_length()) <= 2 * bits:
-        return x
-    return x.rounded(bits)
+def _scalar(lo: Fraction, hi: Fraction, bits: int,
+            recompute: Optional[Callable[[int], Scalar]] = None) -> Scalar:
+    """A Scalar from ends known to be in order, without the order test."""
+    if bits <= 0:
+        raise ValueError("precision_bits must be positive")
+    out = Scalar.__new__(Scalar)
+    out.lo = lo
+    out.hi = hi
+    out.precision_bits = bits
+    out.recompute = recompute
+    return out
+
+
+def _maybe_round(ln: int, ld: int, hn: int, hd: int, bits: int) -> Scalar:
+    """The Scalar [ln/ld, hn/hd] from ends in lowest terms, rounded outward
+    only when a denominator outgrows the working precision."""
+    if ln == hn and ld == hd:
+        v = _frac(ln, ld)
+        return _scalar(v, v, bits)
+    if max(ld.bit_length(), hd.bit_length()) > 2 * bits:
+        ln, ld = _grid(ln, ld, bits, False)
+        hn, hd = _grid(hn, hd, bits, True)
+    return _scalar(_frac(ln, ld), _frac(hn, hd), bits)
+
 
 def s_one_minus(a: Scalar, bits=None) -> Scalar:
     bits = bits or a.precision_bits
     hook = None if a.recompute is None or a.is_exact else \
         (lambda p: s_one_minus(a.at(p), bits=p))
-    return Scalar(ONE - a.hi, ONE - a.lo, bits, hook)
+    lo, hi = a.lo, a.hi
+    return _scalar(_frac(hi.denominator - hi.numerator, hi.denominator),
+                   _frac(lo.denominator - lo.numerator, lo.denominator),
+                   bits, hook)
 
 
 def sign_rel_c(x: Scalar) -> SignRelC:
     """Certified position of x relative to c = 1/2."""
-    if x.hi < C:
+    hi2, hid = 2 * x.hi.numerator, x.hi.denominator
+    if hi2 < hid:
         return SignRelC.BELOW
-    if x.lo > C:
+    lo2, lod = 2 * x.lo.numerator, x.lo.denominator
+    if lo2 > lod:
         return SignRelC.ABOVE
-    if x.is_exact and x.lo == C:
+    if lo2 == lod and hi2 == hid:
         return SignRelC.AT_C
     return SignRelC.UNRESOLVED
 
@@ -223,17 +307,28 @@ def tent_apply(slope: SlopeParam, x: Scalar, bits=None) -> Scalar:
     Works both as an enclosure of T(point) and as the set image T([a, b]):
     when the input straddles c the upper end of the image is the peak s/2.
     """
-    if not (x.lo >= ZERO and x.hi <= ONE):
+    a, b = x.lo.numerator, x.lo.denominator
+    c, d = x.hi.numerator, x.hi.denominator
+    if a < 0 or c > d:
         raise DomainError(f"tent_apply input not certified inside [0,1]: [{x.lo}, {x.hi}]")
     s = slope.s
     bits = bits or min(s.precision_bits, x.precision_bits)
-    if x.hi <= C:
-        m_lo, m_hi = x.lo, x.hi
-    elif x.lo >= C:
-        m_lo, m_hi = ONE - x.hi, ONE - x.lo
+    # min(x, 1 - x) over the input, as [mln/mld, mhn/mhd]
+    if 2 * c <= d:
+        mln, mld, mhn, mhd = a, b, c, d
+    elif 2 * a >= b:
+        mln, mld, mhn, mhd = d - c, d, b - a, b
     else:
-        m_lo, m_hi = min(x.lo, ONE - x.hi), C
-    out = _maybe_round(Scalar(s.lo * m_lo, s.hi * m_hi, bits), bits)
+        mln, mld = (a, b) if a * d <= (d - c) * b else (d - c, d)
+        mhn, mhd = 1, 2
+    pn, pd = s.lo.numerator, s.lo.denominator
+    rn, rd = s.hi.numerator, s.hi.denominator
+    ln, ld = _mul(pn, pd, mln, mld)
+    if mln == mhn and mld == mhd and pn == rn and pd == rd:
+        hn, hd = ln, ld
+    else:
+        hn, hd = _mul(rn, rd, mhn, mhd)
+    out = _maybe_round(ln, ld, hn, hd, bits)
     if s.recompute is not None or x.recompute is not None:
         out.recompute = lambda p: tent_apply(
             SlopeParam(s.at(p), slope.name), x.at(p), bits=p)
@@ -244,7 +339,9 @@ def branch_preimage_left(slope: SlopeParam, y: Scalar, bits=None) -> Scalar:
     """The preimage of y on the increasing branch: y / s."""
     s = slope.s
     bits = bits or min(s.precision_bits, y.precision_bits)
-    out = _maybe_round(Scalar(y.lo / s.hi, y.hi / s.lo, bits), bits)
+    q = Scalar(y.lo / s.hi, y.hi / s.lo, bits)
+    out = _maybe_round(q.lo.numerator, q.lo.denominator, q.hi.numerator,
+                       q.hi.denominator, bits)
     if s.recompute is not None or y.recompute is not None:
         out.recompute = lambda p: branch_preimage_left(
             SlopeParam(s.at(p), slope.name), y.at(p), bits=p)

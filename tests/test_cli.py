@@ -147,6 +147,12 @@ def test_bad_env_prec_cap_is_config_error(capsys, monkeypatch):
     assert code == 2
 
 
+def test_negative_q_is_not_admissible(capsys):
+    for q in ("-1", "0,-2"):
+        assert main(["knead", "--q", q, "--horizon", "10"]) == 2, q
+        assert "< 0" in capsys.readouterr().err
+
+
 def test_bad_slope_numbers_are_config_errors(capsys):
     for slope in ("interval:abc,1.8", "interval:1.8,1.7", "fib:abc",
                   "sqrt3:x"):

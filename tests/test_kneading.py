@@ -98,6 +98,17 @@ def test_admissible_q_verdicts():
     assert admissible_q([0, 0, 0, 2]).status == "evidence"
 
 
+def test_negative_q_is_refuted_like_too_large_q():
+    verdict = admissible_q([-1])
+    assert verdict.is_refuted and verdict.witness["reason"] == "Q(1) = -1 < 0"
+    for qs, k in (([-1], 1), ([0, -2, 1], 2), ([0, 1, 0, -1], 4)):
+        assert admissible_q(qs).is_refuted
+        with pytest.raises(NotAdmissible) as err:
+            nu_from_q(qs, 10)
+        assert err.value.position == k
+    assert admissible_q([0, 2]).witness["reason"] == "Q(2) = 2 >= 2"
+
+
 def test_admissible_disjoint_verdicts():
     assert admissible_disjoint(KneadingPrefix("11")).is_refuted
     assert admissible_disjoint(KneadingPrefix("10")).status == "evidence"

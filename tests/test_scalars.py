@@ -1,4 +1,7 @@
+import math
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +10,9 @@ from uilkit.errors import DomainError, PrecisionExhausted
 from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q)
 from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
-from uilkit.scalars import (C, Scalar, SignRelC, _kneading_probe,
-                            critical_orbit, parity_lex_cmp, refine, sign_rel_c,
+from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _frac, _gcd,
+                            _grid, _kneading_probe, critical_orbit,
+                            parity_lex_cmp, refine, s_one_minus, sign_rel_c,
                             slope_decimal, slope_exact, slope_interval,
                             tent_apply)
 from uilkit.seqgen import generate
@@ -256,3 +260,214 @@ def test_rounded_exact_encloses_on_grid(x, bits):
 def test_rounded_exact_on_grid_unchanged(k, j, extra):
     x = Scalar.exact(Fraction(k, 1 << j))
     assert x.rounded(j + extra) is x
+
+
+# -- the integer tent step against the Fraction code it replaced -----------------
+
+def _floor_dyadic(q: Fraction, bits: int) -> Fraction:
+    scale = 1 << bits
+    return Fraction((q.numerator * scale) // q.denominator, scale)
+
+
+def _ceil_dyadic(q: Fraction, bits: int) -> Fraction:
+    scale = 1 << bits
+    return Fraction(-((-q.numerator * scale) // q.denominator), scale)
+
+
+def _oracle_rounded(lo: Fraction, hi: Fraction, bits: int):
+    """Scalar.rounded of the Fraction code, as its two ends."""
+    if lo == hi and (1 << bits) % lo.denominator == 0:
+        return lo, hi
+    return _floor_dyadic(lo, bits), _ceil_dyadic(hi, bits)
+
+
+def _oracle_tent(s_lo, s_hi, x_lo, x_hi, bits):
+    """tent_apply of the Fraction code (hooks left out), as its two ends."""
+    if x_hi <= C:
+        m_lo, m_hi = x_lo, x_hi
+    elif x_lo >= C:
+        m_lo, m_hi = 1 - x_hi, 1 - x_lo
+    else:
+        m_lo, m_hi = min(x_lo, 1 - x_hi), C
+    lo, hi = s_lo * m_lo, s_hi * m_hi
+    if lo != hi and max(lo.denominator.bit_length(),
+                        hi.denominator.bit_length()) > 2 * bits:
+        return _oracle_rounded(lo, hi, bits)
+    return lo, hi
+
+
+def _oracle_sign(lo: Fraction, hi: Fraction) -> SignRelC:
+    if hi < C:
+        return SignRelC.BELOW
+    if lo > C:
+        return SignRelC.ABOVE
+    if lo == hi == C:
+        return SignRelC.AT_C
+    return SignRelC.UNRESOLVED
+
+
+def _ends(x: Scalar):
+    assert type(x.lo) is Fraction and type(x.hi) is Fraction
+    return (x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator,
+            x.precision_bits)
+
+
+def _pairs(lo: Fraction, hi: Fraction, bits: int):
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator, bits
+
+
+@st.composite
+def dyadic_interval(draw, floor=Fraction(0), ceil=Fraction(1)):
+    """[m - w, m + w] with m on a 2^-j grid and w = 2^-h, h in 64..2048."""
+    j = draw(st.integers(1, 2100))
+    h = draw(st.integers(64, 2048))
+    k = draw(st.integers(0, (ceil - floor) * (1 << j)))
+    m = floor + Fraction(k, 1 << j)
+    w = Fraction(1, 1 << h)
+    return max(m - w, floor), min(m + w, ceil)
+
+
+@st.composite
+def decimal_interval(draw, floor=Fraction(0), ceil=Fraction(1)):
+    """Two decimals with up to 40 digits, in order."""
+    k = draw(st.integers(1, 40))
+    span = int((ceil - floor) * 10 ** k)
+    a, b = sorted(draw(st.lists(st.integers(0, span), min_size=2, max_size=2)))
+    return floor + Fraction(a, 10 ** k), floor + Fraction(b, 10 ** k)
+
+
+@st.composite
+def exact_point(draw, floor=Fraction(0), ceil=Fraction(1)):
+    """p/q with q up to 2^64, or one of the ends and c."""
+    if draw(st.booleans()):
+        v = draw(st.sampled_from([floor, ceil, (floor + ceil) / 2]))
+    else:
+        q = draw(st.integers(1, 1 << 64))
+        v = floor + Fraction(draw(st.integers(0, int((ceil - floor) * q))), q)
+    return v, v
+
+
+def _ends_in(floor, ceil):
+    return st.one_of(exact_point(floor, ceil), dyadic_interval(floor, ceil),
+                     decimal_interval(floor, ceil))
+
+
+# slopes: exact p/q (q <= 2^64), dyadic and decimal intervals inside (1, 2]
+slope_ends = st.one_of(
+    exact_point(Fraction(1), Fraction(2)),
+    dyadic_interval(Fraction(1), Fraction(2)),
+    decimal_interval(Fraction(1), Fraction(2)),
+).filter(lambda e: e[0] > 1)
+
+# inputs below, at and above c, straddling it, and the ends of [0, 1]
+input_ends = st.one_of(
+    _ends_in(Fraction(0), C), _ends_in(C, Fraction(1)),
+    _ends_in(Fraction(0), Fraction(1)),
+    st.sampled_from([(Fraction(0), Fraction(0)), (C, C), (Fraction(1),) * 2,
+                     (Fraction(0), Fraction(1))]),
+)
+
+precisions = st.integers(1, 2100)
+
+
+@settings(max_examples=600)
+@given(s=slope_ends, x=input_ends, s_bits=precisions, x_bits=precisions,
+       data=st.data())
+def test_tent_step_matches_fraction_oracle(s, x, s_bits, x_bits, data):
+    slope = SlopeParam(Scalar(*s, s_bits))
+    xs = Scalar(*x, x_bits)
+    # the default precision, any, or one at the 2*bits rounding boundary of
+    # the unrounded image
+    lo, hi = _oracle_tent(*s, *x, 1 << 20)
+    width = max(lo.denominator.bit_length(), hi.denominator.bit_length())
+    bits = data.draw(st.one_of(
+        st.none(), precisions,
+        st.integers(-2, 1).map(lambda d: max(1, (width + d) // 2))))
+    out = tent_apply(slope, xs, bits)
+    bits = bits or min(s_bits, x_bits)
+    assert _ends(out) == _pairs(*_oracle_tent(*s, *x, bits), bits)
+    assert sign_rel_c(out) is _oracle_sign(out.lo, out.hi)
+    assert sign_rel_c(xs) is _oracle_sign(*x)
+    assert _ends(s_one_minus(xs)) == _pairs(1 - x[1], 1 - x[0], x_bits)
+    rounded = xs.rounded(bits)
+    on_grid = x[0] == x[1] and (1 << bits) % x[0].denominator == 0
+    assert (rounded is xs) == on_grid
+    assert _ends(rounded) == _pairs(*_oracle_rounded(*x, bits),
+                                    x_bits if on_grid else bits)
+
+
+def test_tent_step_rounding_boundary():
+    # 3/2 * (2^-bits - 2^-e) has a denominator of e + 2 bits: 2*bits ends
+    # are kept, 2*bits + 1 ends are rounded
+    bits = 40
+    slope = slope_exact(Fraction(3, 2))
+    for e, kept in ((2 * bits - 2, True), (2 * bits - 1, False)):
+        x = Scalar(Fraction(1, 1 << bits) - Fraction(1, 1 << e),
+                   Fraction(1, 1 << bits))
+        lo, hi = Fraction(3, 2) * x.lo, Fraction(3, 2) * x.hi
+        assert lo.denominator.bit_length() == 2 * bits + (not kept)
+        out = tent_apply(slope, x, bits=bits)
+        assert (out.lo, out.hi) == ((lo, hi) if kept else
+                                    _oracle_rounded(lo, hi, bits))
+        assert (out.lo == lo) is kept
+
+
+@settings(max_examples=300)
+@given(n=st.integers(-(1 << 300), 1 << 300), e=st.integers(0, 300),
+       odd=st.integers(1, 1 << 70).map(lambda v: 2 * v + 1))
+def test_gcd_and_grid_helpers(n, e, odd):
+    assert _gcd(n, 1 << e) == math.gcd(n, 1 << e)
+    assert _gcd(n, odd) == math.gcd(n, odd)
+    for d in (1 << e, odd):
+        g = math.gcd(n, d)
+        q = Fraction(n // g, d // g)
+        for bits in {1, e // 2 + 1, max(e, 1), e + 3}:
+            for up, oracle in ((False, _floor_dyadic), (True, _ceil_dyadic)):
+                r = oracle(q, bits)
+                assert _grid(q.numerator, q.denominator, bits, up) == \
+                    (r.numerator, r.denominator)
+
+
+# -- Fraction built from a reduced pair ------------------------------------------
+
+@settings(max_examples=300)
+@given(n=st.integers(-(1 << 2100), 1 << 2100), d=st.integers(1, 1 << 2100))
+def test_fraction_from_reduced_pair(n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    f = _frac(n, d)
+    ref = Fraction(n, d)
+    assert type(f) is Fraction
+    assert (f.numerator, f.denominator) == (ref.numerator, ref.denominator)
+    assert f == ref and hash(f) == hash(ref)
+
+
+# -- tent set images contain sampled points --------------------------------------
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=1 << 20)
+
+
+@settings(max_examples=400)
+@given(s=slope_ends, x=input_ends, t=unit, u=unit, bits=st.integers(8, 600))
+def test_tent_image_contains_sampled_points(s, x, t, u, bits):
+    slope = SlopeParam(Scalar(*s, bits))
+    image = tent_apply(slope, Scalar(*x, bits))
+    s_pt = s[0] + t * (s[1] - s[0])
+    x_pt = x[0] + u * (x[1] - x[0])
+    assert image.contains(s_pt * min(x_pt, 1 - x_pt))
+
+
+# -- the library's exact orbit against the integer kneading probe ----------------
+
+@settings(max_examples=150)
+@given(q=st.integers(1, 1 << 64), data=st.data(), depth=st.integers(1, 200))
+def test_nu_from_orbit_matches_kneading_probe(q, data, depth):
+    s = Fraction(data.draw(st.integers(q + 1, 2 * q)), q)
+    word = nu_from_orbit(slope_exact(s), depth).bits
+    assert _kneading_probe(s, word) == word
+
+
+def test_stdlib_check():
+    # the pinned orbit digest and the Fraction contract, as run on
+    # interpreters that have no pytest
+    runpy.run_path(str(Path(__file__).with_name("stdlib_check.py")))["main"]()
