@@ -280,8 +280,7 @@ def cmd_fmap(args):
     slope, nu, qs = _resolve_inputs(args, need=("slope",))
     kd = cutting_data(nu)
     zp = PrecriticalTable(slope, kd, prec_cap=_prec_cap(args))
-    rows = f_graph_data(slope, zp, grid=args.grid, max_cell=args.max_cell,
-                        prec_cap=_prec_cap(args))
+    rows = f_graph_data(slope, zp, grid=args.grid, max_cell=args.max_cell)
     out_rows = [(V.approx(a), V.approx(b), V.approx(c), V.approx(d), k)
                 for a, b, c, d, k in rows]
     if args.out_csv:

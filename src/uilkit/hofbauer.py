@@ -70,8 +70,7 @@ class OrbitTable:
                                    allow_unresolved=True)
             values = self._values = [Scalar.exact(C)] + [x for x, _ in fresh]
             self._bits = values[-1].precision_bits
-            self._step_slope = SlopeParam(self.slope.s.at(self._bits),
-                                          self.slope.name)
+            self._step_slope = self.slope.at(self._bits)
 
     def value(self, n: int) -> Scalar:
         """c_n, with c_0 = c."""
@@ -200,7 +199,6 @@ class PrecriticalTable:
         self.slope = slope
         self.kd = kd
         self.orbit = orbit or OrbitTable(slope, prec_cap)
-        self.prec_cap = prec_cap
         self._natural = [branch_preimage_left(slope, Scalar.exact(C))]
 
     @property
@@ -271,18 +269,17 @@ def closest_precriticals(slope: SlopeParam, upto_k: int,
     return [table.pair(k) for k in range(0, upto_k + 1)]
 
 
-def upsilon_index(slope: SlopeParam, x: Scalar, zp: PrecriticalTable,
-                  prec_cap: int = DEFAULT_PREC_CAP) -> int:
+def upsilon_index(slope: SlopeParam, x: Scalar, zp: PrecriticalTable) -> int:
     """The unique k with x in Upsilon_k, certified by comparisons against z_k.
 
     Raises UnresolvedComparison when the enclosure of x straddles a cell
-    boundary at the precision cap, and DomainError when x is not certified
+    boundary, and DomainError when x is not certified
     inside the core minus the critical point.
     """
     c2 = zp.orbit.value(2)
     c1 = zp.orbit.value(1)
     try:
-        if certified_cmp(x, c2, prec_cap) < 0 or certified_cmp(x, c1, prec_cap) > 0:
+        if certified_cmp(x, c2) < 0 or certified_cmp(x, c1) > 0:
             raise DomainError("x not certified inside the core [c_2, c_1]")
     except UnresolvedComparison:
         # equality with a core endpoint is fine; being outside is not
@@ -301,30 +298,28 @@ def upsilon_index(slope: SlopeParam, x: Scalar, zp: PrecriticalTable,
             raise PrecisionExhausted(
                 f"x closer to c than z_{zp.max_k}; extend the kneading horizon")
         if sign is SignRelC.BELOW:
-            if certified_cmp(x, zp.boundary(k), prec_cap) < 0:
+            if certified_cmp(x, zp.boundary(k)) < 0:
                 return k            # x in [z_{k-1}, z_k)
         else:
-            if certified_cmp(x, zp.boundary_hat(k), prec_cap) > 0:
+            if certified_cmp(x, zp.boundary_hat(k)) > 0:
                 return k            # x in (zhat_k, zhat_{k-1}]
         k += 1
 
 
-def f_apply(slope: SlopeParam, y: Scalar, zp: PrecriticalTable,
-            prec_cap: int = DEFAULT_PREC_CAP):
+def f_apply(slope: SlopeParam, y: Scalar, zp: PrecriticalTable):
     """The accelerated map F(y) = T^{S_k}(y) for y in Upsilon_k.
 
     Returns (F(y), k).  Unresolved cell membership propagates from
     upsilon_index.
     """
-    k = upsilon_index(slope, y, zp, prec_cap)
+    k = upsilon_index(slope, y, zp)
     out = y
     for _ in range(zp.kd.S[k]):
         out = tent_apply(slope, out)
     return out, k
 
 
-def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable,
-               prec_cap: int = DEFAULT_PREC_CAP) -> V.Verdict:
+def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable) -> V.Verdict:
     """Check that c_{S_k} sits in the interior of Upsilon_{Q(k+1)} (k >= 2).
 
     For k = 0 and k = 1 the membership is on the boundary: c_1 = zhat_{-1}
@@ -346,8 +341,7 @@ def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable,
 
         def strictly_inside(a, b):
             try:
-                return certified_cmp(val, a, prec_cap) > 0 and \
-                    certified_cmp(val, b, prec_cap) < 0
+                return certified_cmp(val, a) > 0 and certified_cmp(val, b) < 0
             except UnresolvedComparison:
                 return None
 
@@ -467,7 +461,7 @@ def cutting_value_gaps(slope: SlopeParam, K: int, eps,
 
 
 def f_graph_data(slope: SlopeParam, zp: PrecriticalTable, grid: int = 256,
-                 max_cell: int = 8, prec_cap: int = DEFAULT_PREC_CAP):
+                 max_cell: int = 8):
     """Sample rows (x_lo, x_hi, F_lo, F_hi, cell_k) for plotting Eq-style
     graphs of the accelerated map; cell-aware so each branch piece shows its
     affine structure (at least 3 interior points per piece)."""
@@ -492,7 +486,7 @@ def f_graph_data(slope: SlopeParam, zp: PrecriticalTable, grid: int = 256,
     rows = []
     for x in samples:
         try:
-            y, k = f_apply(slope, x, zp, prec_cap)
+            y, k = f_apply(slope, x, zp)
         except (UnresolvedComparison, DomainError, PrecisionExhausted):
             continue
         rows.append((x.lo, x.hi, y.lo, y.hi, k))

@@ -410,7 +410,7 @@ class ArcInterval:
                 if self.degenerate_width is not None else None}
 
 
-def _extreme_orbit_value(candidates, orbit, want_min, prec_cap):
+def _extreme_orbit_value(candidates, orbit, want_min):
     best_n = None
     best = None
     for n in candidates:
@@ -419,7 +419,7 @@ def _extreme_orbit_value(candidates, orbit, want_min, prec_cap):
             best, best_n = v, n
             continue
         try:
-            cmp = certified_cmp(v, best, prec_cap)
+            cmp = certified_cmp(v, best)
         except UnresolvedComparison:
             raise PrecisionExhausted(f"cannot order c_{n} against c_{best_n}")
         if cmp != 0 and (cmp < 0) == want_min:
@@ -429,8 +429,7 @@ def _extreme_orbit_value(candidates, orbit, want_min, prec_cap):
 
 def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = None,
                        kd: Optional[CuttingData] = None, mode: str = "unit",
-                       degeneracy_threshold=Fraction(1, 1 << 20),
-                       prec_cap: int = DEFAULT_PREC_CAP) -> ArcInterval:
+                       degeneracy_threshold=Fraction(1, 1 << 20)) -> ArcInterval:
     """Arc projection interval from the match sets.
 
     ``unit`` mode reproduces the [0,1] pull-back through the finite word:
@@ -454,11 +453,11 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
             raise UnrealizableWord("a shifted window exceeds the kneading word")
         if not nr:
             raise UnrealizableWord("no upper constraint: empty cylinder")
-        hi, hi_n = _extreme_orbit_value(nr, orbit, True, prec_cap)
+        hi, hi_n = _extreme_orbit_value(nr, orbit, True)
         if domain_floor:
             lo, lo_n = Scalar.exact(0), 0
         elif nl:
-            lo, lo_n = _extreme_orbit_value(nl, orbit, False, prec_cap)
+            lo, lo_n = _extreme_orbit_value(nl, orbit, False)
         else:
             raise UnrealizableWord(
                 "no lower constraint and no domain endpoint: empty cylinder")
@@ -467,9 +466,9 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
         raise DomainError(f"unknown mode {mode!r}")
 
     nl, nr = list(td.NL), list(td.NR)
-    hi, hi_n = _extreme_orbit_value(nr or [1], orbit, True, prec_cap)
+    hi, hi_n = _extreme_orbit_value(nr or [1], orbit, True)
     if nl:
-        lo, lo_n = _extreme_orbit_value(nl, orbit, False, prec_cap)
+        lo, lo_n = _extreme_orbit_value(nl, orbit, False)
     else:
         lo, lo_n = orbit.value(2), 2
     exact = bool(nl) and bool(nr) and not td.saturatedL and not td.saturatedR \
@@ -499,8 +498,8 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
 # -- endpoint and folding verdicts ---------------------------------------------
 
 def endpoint_verdict(it: TwoSidedItinerary, nu: KneadingPrefix,
-                     depth: int = 256, position: Optional[str] = None,
-                     prec_cap: int = DEFAULT_PREC_CAP) -> V.Verdict:
+                     depth: int = 256,
+                     position: Optional[str] = None) -> V.Verdict:
     """Endpoint test through the infinite-tau criterion.
 
     Certified only for periodic tails that pump against a declared periodic
@@ -711,8 +710,8 @@ class PullbackChain:
         return self.complete and self.monotone_prefix == self.length
 
 
-def pull_back(J, along, slope: SlopeParam, stop_on_nonmonotone: bool = False,
-              prec_cap: int = DEFAULT_PREC_CAP) -> PullbackChain:
+def pull_back(J, along, slope: SlopeParam,
+              stop_on_nonmonotone: bool = False) -> PullbackChain:
     """Maximal pull-back of J along a backward orbit or a symbol word.
 
     ``along`` is either a list of point enclosures [x_0, x_{-1}, ...] (each
@@ -738,8 +737,8 @@ def pull_back(J, along, slope: SlopeParam, stop_on_nonmonotone: bool = False,
     for k in range(steps):
         a, b = intervals[-1]
         try:
-            reaches_peak = certified_cmp(b, c1, prec_cap) >= 0
-            if certified_cmp(a, c1, prec_cap) > 0:
+            reaches_peak = certified_cmp(b, c1) >= 0
+            if certified_cmp(a, c1) > 0:
                 complete = False      # no preimage at all
                 break
         except UnresolvedComparison:
@@ -767,7 +766,7 @@ def pull_back(J, along, slope: SlopeParam, stop_on_nonmonotone: bool = False,
         joined_flags.append(joined)
         if joined and first_interior is None:
             try:
-                pinched = certified_cmp(a_eff, c1, prec_cap) == 0
+                pinched = certified_cmp(a_eff, c1) == 0
             except UnresolvedComparison:
                 pinched = False
             if not pinched:
@@ -779,15 +778,14 @@ def pull_back(J, along, slope: SlopeParam, stop_on_nonmonotone: bool = False,
     return PullbackChain(intervals, joined_flags, monotone_prefix, complete)
 
 
-def verify_monotone(chain: PullbackChain,
-                    prec_cap: int = DEFAULT_PREC_CAP) -> bool:
+def verify_monotone(chain: PullbackChain) -> bool:
     """Independent recheck that c is not interior to J_1 .. J_monotone_prefix."""
     c_scalar = Scalar.exact(C)
     for k in range(1, chain.monotone_prefix + 1):
         a, b = chain.intervals[k]
         try:
-            if certified_cmp(a, c_scalar, prec_cap) < 0 and \
-               certified_cmp(b, c_scalar, prec_cap) > 0:
+            if certified_cmp(a, c_scalar) < 0 and \
+               certified_cmp(b, c_scalar) > 0:
                 return False
         except UnresolvedComparison:
             return False
@@ -832,8 +830,7 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
             ball = (Scalar.exact(max(Fraction(0), center.lo - eps)),
                     Scalar.exact(min(Fraction(1), center.hi + eps)))
             segment = [orbit.value(n + 1 - k) for k in range(0, n + 1)]
-            chain = pull_back(ball, segment, slope, stop_on_nonmonotone=True,
-                              prec_cap=prec_cap)
+            chain = pull_back(ball, segment, slope, stop_on_nonmonotone=True)
             if chain.monotone_prefix > best_len:
                 best_len, best_n = chain.monotone_prefix, n
             if best_len >= length_target:
@@ -888,8 +885,7 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     projecting onto long tower levels).
     """
     kd = kd or cutting_data(nu)
-    endpoint = endpoint_verdict(it, nu, depth=depth, position=position,
-                                prec_cap=prec_cap)
+    endpoint = endpoint_verdict(it, nu, depth=depth, position=position)
     if slope is not None and orbit is None:
         orbit = OrbitTable(slope, prec_cap)
     if slope is not None:
@@ -907,8 +903,7 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     arc = None
     if orbit is not None:
         td = tau_data(it.backward, nu, depth)
-        arc = basic_arc_interval(td, orbit, kd=kd, mode="core",
-                                 prec_cap=prec_cap)
+        arc = basic_arc_interval(td, orbit, kd=kd, mode="core")
 
     qa = q_asymptotics(list(kd.Q))
     if persistence is not None and persistence.witness.get("kind") == "persistent":

@@ -365,7 +365,7 @@ def nu_from_orbit(slope: SlopeParam, N: int,
     orbit = critical_orbit(slope, N, prec_cap=prec_cap)
     bits = []
     flags = set()
-    seen = {}
+    seen = set()
     for n, (x, sign) in enumerate(orbit, start=1):
         if sign is SignRelC.AT_C:
             raise CriticalHit(n)
@@ -373,9 +373,12 @@ def nu_from_orbit(slope: SlopeParam, N: int,
             raise PrecisionExhausted(f"sign of c_{n} unresolved", index=n)
         bits.append("1" if sign is SignRelC.ABOVE else "0")
         if x.is_exact:
-            if x.lo in seen:
+            # a reduced pair is equal exactly when the values are, and
+            # hashing it skips Fraction.__hash__'s modular inverse
+            key = (x.lo.numerator, x.lo.denominator)
+            if key in seen:
                 flags.add("critical_orbit_finite")
-            seen[x.lo] = n
+            seen.add(key)
     name = slope.name or "slope"
     return KneadingPrefix("".join(bits), source=f"slope:{name}", flags=flags)
 

@@ -2,10 +2,12 @@
 
 Two kinds of presets:
 
-* algebraic roots (``golden``, ``tribonacci``) given as certified interval
-  enclosures with a sign-bisection refinement rule on the minimal
-  polynomial.  Both have finite critical orbits (the critical point returns
-  exactly after 3 resp. 4 steps), so they exercise exact-hit handling;
+* algebraic roots (``golden``, ``tribonacci``, ``sqrt3``, ``cbrt6``) given
+  as certified interval enclosures.  Each slope carries the sign bisection
+  on its minimal polynomial as its root bracket, which ``SlopeParam.at``
+  calls for a finer enclosure.  ``golden`` and ``tribonacci`` have finite
+  critical orbits (the critical point returns exactly after 3 resp. 4
+  steps), so they exercise exact-hit handling;
 * kneading-matched rationals (``fib``, ``ex35``, ``nonrec41``, ``appendix``)
   found by bisection against a target kneading word to a requested depth.
   They are exact rationals certified to reproduce the target combinatorics
@@ -31,8 +33,8 @@ def _poly_root_enclosure(coeffs, lo, hi, bits):
     """Sign bisection for a polynomial with a single root in [lo, hi].
 
     Halves [lo, hi] until it is at most 2^-bits wide; a midpoint where p
-    vanishes is returned exact.  Each call builds a fresh Scalar, since the
-    presets attach their recompute hook to it.
+    vanishes is returned exact.  The bracket is memoized, the Scalar is not:
+    each call builds a fresh one.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     a, b, den, hit = _root_bracket(tuple(coeffs), lo, hi, bits)
@@ -48,9 +50,9 @@ def _root_bracket(coeffs, lo, hi, bits):
     den = D 2^k, with D the lcm of the bracket's denominators and k the
     number of halvings the stop rule needs; these k guard bits put every
     midpoint on the grid, so the ends equal those of a bisection in
-    rationals.  p(m/den) den^deg is a Horner sum over precomputed powers of
-    den.  Memoized, because each precision doubling of a preset slope asks
-    for the same few keys again.
+    rationals.  p(m/den) den^deg is a Horner sum over the powers of den,
+    computed once.  Memoized, because each precision doubling of a preset
+    slope asks for the same few keys again.
     """
     d = math.lcm(lo.denominator, hi.denominator)
     a, b = int(lo * d), int(hi * d)
@@ -80,12 +82,10 @@ def _root_bracket(coeffs, lo, hi, bits):
 
 
 def _algebraic_slope(name, coeffs, lo, hi, bits) -> SlopeParam:
-    def recompute(p):
+    def bracket(p):
         return _poly_root_enclosure(coeffs, lo, hi, p)
 
-    s = recompute(bits)
-    s.recompute = recompute
-    return SlopeParam(s, name)
+    return SlopeParam(bracket(bits), name, bracket)
 
 
 def golden_slope(bits: int = 128) -> SlopeParam:

@@ -12,9 +12,12 @@ because ``T`` attains its maximum ``s/2`` inside any interval straddling c.
 
 Intervals carry a working precision (``precision_bits``); non-exact results
 are rounded outward onto the dyadic grid of that precision so denominators
-stay bounded along long orbits.  An interval may also carry a recomputation
-hook: refining re-derives the value at a higher precision and intersects it
-with the old enclosure, so refinement never widens.
+stay bounded along long orbits.  A value keeps no record of how it was
+computed.  The only refinable object is the slope: an algebraic preset
+carries its root bracket, and ``SlopeParam.at(bits)`` encloses the root at
+2^-bits.  Precision escalates by re-deriving from that slope, as
+``critical_orbit`` does for a whole orbit and ``refine`` for one orbit value
+(intersected with the old enclosure, so refinement never widens).
 
 The tent step, the sign test against c, the reflection ``1 - x`` and the
 grid rounding work on the endpoints' integer numerators and denominators:
@@ -114,10 +117,9 @@ def _grid(n: int, d: int, bits: int, up: bool):
 class Scalar:
     """An exact rational, or an interval enclosure [lo, hi] of a real value."""
 
-    __slots__ = ("lo", "hi", "precision_bits", "recompute")
+    __slots__ = ("lo", "hi", "precision_bits")
 
-    def __init__(self, lo, hi, precision_bits=DEFAULT_PRECISION,
-                 recompute: Optional[Callable[[int], "Scalar"]] = None):
+    def __init__(self, lo, hi, precision_bits=DEFAULT_PRECISION):
         lo = Fraction(lo)
         hi = Fraction(hi)
         # equal ends skip the order test, which cross-multiplies
@@ -128,7 +130,6 @@ class Scalar:
         self.lo = lo
         self.hi = hi
         self.precision_bits = precision_bits
-        self.recompute = recompute
 
     @classmethod
     def exact(cls, value) -> "Scalar":
@@ -170,18 +171,7 @@ class Scalar:
             return self
         return _scalar(_frac(*_grid(lo.numerator, d, bits, False)),
                        _frac(*_grid(hi.numerator, hi.denominator, bits, True)),
-                       bits, self.recompute)
-
-    def at(self, bits: int) -> "Scalar":
-        """Re-derive this value at the given precision, never widening."""
-        if self.is_exact or self.recompute is None:
-            return self
-        fresh = self.recompute(bits)
-        lo = max(self.lo, fresh.lo)
-        hi = min(self.hi, fresh.hi)
-        if lo > hi:
-            raise DomainError("refinement produced a disjoint enclosure")
-        return Scalar(lo, hi, bits, self.recompute)
+                       bits)
 
     def contains(self, q) -> bool:
         q = Fraction(q)
@@ -208,8 +198,7 @@ class Scalar:
 
 
 
-def _scalar(lo: Fraction, hi: Fraction, bits: int,
-            recompute: Optional[Callable[[int], Scalar]] = None) -> Scalar:
+def _scalar(lo: Fraction, hi: Fraction, bits: int) -> Scalar:
     """A Scalar from ends known to be in order, without the order test."""
     if bits <= 0:
         raise ValueError("precision_bits must be positive")
@@ -217,7 +206,6 @@ def _scalar(lo: Fraction, hi: Fraction, bits: int,
     out.lo = lo
     out.hi = hi
     out.precision_bits = bits
-    out.recompute = recompute
     return out
 
 
@@ -235,12 +223,10 @@ def _maybe_round(ln: int, ld: int, hn: int, hd: int, bits: int) -> Scalar:
 
 def s_one_minus(a: Scalar, bits=None) -> Scalar:
     bits = bits or a.precision_bits
-    hook = None if a.recompute is None or a.is_exact else \
-        (lambda p: s_one_minus(a.at(p), bits=p))
     lo, hi = a.lo, a.hi
     return _scalar(_frac(hi.denominator - hi.numerator, hi.denominator),
                    _frac(lo.denominator - lo.numerator, lo.denominator),
-                   bits, hook)
+                   bits)
 
 
 def sign_rel_c(x: Scalar) -> SignRelC:
@@ -257,16 +243,28 @@ def sign_rel_c(x: Scalar) -> SignRelC:
 
 
 class SlopeParam:
-    """A certified tent-map slope s with 1 < s <= 2."""
+    """A certified tent-map slope s with 1 < s <= 2.
 
-    __slots__ = ("s", "family_tag", "name")
+    ``bracket``, when given, maps a precision to an enclosure of the same
+    slope at least that fine; it is how an algebraic slope is refined.
+    """
 
-    def __init__(self, s: Scalar, name: str = ""):
+    __slots__ = ("s", "family_tag", "name", "bracket")
+
+    def __init__(self, s: Scalar, name: str = "",
+                 bracket: Optional[Callable[[int], Scalar]] = None):
         if not (s.lo > ONE and s.hi <= TWO):
             raise DomainError(f"slope not certified inside (1, 2]: [{s.lo}, {s.hi}]")
         self.s = s
         self.family_tag = "tent"
         self.name = name
+        self.bracket = bracket
+
+    def at(self, bits: int) -> "SlopeParam":
+        """The slope enclosed at 2^-bits; itself when exact or unbracketed."""
+        if self.bracket is None or self.s.is_exact:
+            return self
+        return SlopeParam(self.bracket(bits), self.name, self.bracket)
 
     @property
     def kappa_finite(self) -> bool:
@@ -328,11 +326,7 @@ def tent_apply(slope: SlopeParam, x: Scalar, bits=None) -> Scalar:
         hn, hd = ln, ld
     else:
         hn, hd = _mul(rn, rd, mhn, mhd)
-    out = _maybe_round(ln, ld, hn, hd, bits)
-    if s.recompute is not None or x.recompute is not None:
-        out.recompute = lambda p: tent_apply(
-            SlopeParam(s.at(p), slope.name), x.at(p), bits=p)
-    return out
+    return _maybe_round(ln, ld, hn, hd, bits)
 
 
 def branch_preimage_left(slope: SlopeParam, y: Scalar, bits=None) -> Scalar:
@@ -340,12 +334,8 @@ def branch_preimage_left(slope: SlopeParam, y: Scalar, bits=None) -> Scalar:
     s = slope.s
     bits = bits or min(s.precision_bits, y.precision_bits)
     q = Scalar(y.lo / s.hi, y.hi / s.lo, bits)
-    out = _maybe_round(q.lo.numerator, q.lo.denominator, q.hi.numerator,
-                       q.hi.denominator, bits)
-    if s.recompute is not None or y.recompute is not None:
-        out.recompute = lambda p: branch_preimage_left(
-            SlopeParam(s.at(p), slope.name), y.at(p), bits=p)
-    return out
+    return _maybe_round(q.lo.numerator, q.lo.denominator, q.hi.numerator,
+                        q.hi.denominator, bits)
 
 
 def branch_preimage_right(slope: SlopeParam, y: Scalar, bits=None) -> Scalar:
@@ -384,8 +374,7 @@ def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
         raise DomainError("orbit length must be >= 1")
     bits = _start_precision(slope, prec_cap)
     while True:
-        s = slope.s if slope.s.is_exact else slope.s.at(bits)
-        sl = SlopeParam(s, slope.name)
+        sl = slope.at(bits)
         orbit = []
         x = Scalar.exact(C)
         unresolved_at = None
@@ -406,53 +395,50 @@ def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
         bits = min(2 * bits, prec_cap)
 
 
-def refine(x: Scalar, target_width, prec_cap: int = DEFAULT_PREC_CAP) -> Scalar:
-    """Shrink an enclosure to the target width by recomputation.
+def refine(x: Scalar, target_width, slope: SlopeParam, n: int,
+           prec_cap: int = DEFAULT_PREC_CAP) -> Scalar:
+    """Shrink the enclosure x of c_n to the target width.
 
-    Exact values are returned unchanged.  Raises PrecisionExhausted when the
-    value has no recomputation hook or the cap is reached first.
+    Each round re-derives c_n from the slope at twice the precision and
+    intersects it with x, so the result never widens.  Exact values are
+    returned unchanged.  Raises PrecisionExhausted when the slope has no
+    root bracket or the cap is reached first, and DomainError when the
+    re-derived enclosure misses x.
     """
     target_width = Fraction(target_width)
     if x.is_exact or x.width() <= target_width:
         return x
-    if x.recompute is None:
-        raise PrecisionExhausted("value has no recomputation hook")
+    if slope.bracket is None:
+        raise PrecisionExhausted("the slope has no root bracket to refine")
     bits = x.precision_bits
-    current = x
-    while current.width() > target_width:
+    while x.width() > target_width:
         if bits >= prec_cap:
             raise PrecisionExhausted(
-                f"width {float(current.width())} above target at cap {prec_cap}")
+                f"width {float(x.width())} above target at cap {prec_cap}")
         bits = min(2 * bits, prec_cap)
-        current = current.at(bits)
-    return current
+        sl = slope.at(bits)
+        y = Scalar.exact(C)
+        for _ in range(n):
+            y = tent_apply(sl, y, bits=bits)
+        lo, hi = max(x.lo, y.lo), min(x.hi, y.hi)
+        if lo > hi:
+            raise DomainError("refinement produced a disjoint enclosure")
+        x = Scalar(lo, hi, bits)
+    return x
 
 
-def certified_cmp(a: Scalar, b: Scalar, prec_cap: int = DEFAULT_PREC_CAP) -> int:
+def certified_cmp(a: Scalar, b: Scalar) -> int:
     """Certified three-way comparison; raises UnresolvedComparison on overlap.
 
-    Exact equal values compare as 0; overlapping non-identical enclosures are
-    refined (when possible) before giving up.
+    Exact equal values compare as 0.  Nothing is refined here: a caller that
+    needs a finer answer re-derives both values from ``slope.at(bits)``.
     """
-    for bits_round in range(64):
-        if a.hi < b.lo:
-            return -1
-        if a.lo > b.hi:
-            return 1
-        if a.is_exact and b.is_exact and a.lo == b.lo:
-            return 0
-        progressed = False
-        bits = max(a.precision_bits, b.precision_bits) * 2
-        if bits > prec_cap:
-            break
-        if not a.is_exact and a.recompute is not None:
-            a = a.at(bits)
-            progressed = True
-        if not b.is_exact and b.recompute is not None:
-            b = b.at(bits)
-            progressed = True
-        if not progressed:
-            break
+    if a.hi < b.lo:
+        return -1
+    if a.lo > b.hi:
+        return 1
+    if a.is_exact and b.is_exact:
+        return 0
     raise UnresolvedComparison(
         f"cannot order [{a.lo}, {a.hi}] against [{b.lo}, {b.hi}]")
 

@@ -74,7 +74,7 @@ class WordLedger:
     ``ends_at_cuts`` collects all subwords (up to ``len_cap``) whose last
     letter falls on a cutting time; ``paired`` holds the words w such that
     both w and its last-letter flip appear there.  The cap grows on demand
-    and the ledger can always be recomputed from the word alone.
+    and the ledger can always be rebuilt from the word alone.
     """
 
     def __init__(self, nu_bits: str = SEED, len_cap: int = 8):
@@ -113,7 +113,7 @@ class WordLedger:
         return out
 
     def scratch_equal(self) -> bool:
-        """Soundness: the incrementally maintained set equals a recompute."""
+        """Soundness: the incrementally maintained set equals a fresh rebuild."""
         fresh = WordLedger(self.nu, self.len_cap)
         return fresh.ends_at_cuts == self.ends_at_cuts
 

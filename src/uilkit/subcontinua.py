@@ -31,7 +31,7 @@ from .errors import ConditionViolated, DomainError, UnresolvedComparison
 from .hofbauer import OrbitTable, PrecriticalTable
 from .kneading import (CuttingData, _cutting_times, _materialize_q,
                        _q_lookup, renorm_scan)
-from .scalars import (C, DEFAULT_PREC_CAP, Scalar, SlopeParam, certified_cmp,
+from .scalars import (C, Scalar, SlopeParam, certified_cmp,
                       s_one_minus, tent_apply)
 
 RULE_CHAIN = "critical-projection-chain-search"
@@ -139,7 +139,7 @@ class CriticalProjectionChain:
                 "levels": [lv.to_json() for lv in self.levels]}
 
 
-def _monotone_branch_image(slope, zp, m, x, prec_cap):
+def _monotone_branch_image(slope, zp, m, x):
     """T^{S_m} of a point in the cell piece of index m (exact iterate)."""
     y = x
     for _ in range(zp.kd.S[m]):
@@ -147,7 +147,7 @@ def _monotone_branch_image(slope, zp, m, x, prec_cap):
     return y
 
 
-def _bisect_preimage(slope, zp, m, target, side, bits, prec_cap):
+def _bisect_preimage(slope, zp, m, target, side, bits):
     """Point a in the open piece of Upsilon_m with T^{S_m}(a) = target.
 
     T^{S_m} is monotone on each piece; certified bisection on the piece.
@@ -157,22 +157,22 @@ def _bisect_preimage(slope, zp, m, target, side, bits, prec_cap):
     if side == "right":
         lo, hi = s_one_minus(hi), s_one_minus(lo)
     a, b = lo.hi, hi.lo                     # inner dyadic-ish bracket
-    fa = _monotone_branch_image(slope, zp, m, Scalar.exact(a), prec_cap)
-    fb = _monotone_branch_image(slope, zp, m, Scalar.exact(b), prec_cap)
+    fa = _monotone_branch_image(slope, zp, m, Scalar.exact(a))
+    fb = _monotone_branch_image(slope, zp, m, Scalar.exact(b))
     try:
-        increasing = certified_cmp(fa, fb, prec_cap) < 0
+        increasing = certified_cmp(fa, fb) < 0
         lo_v, hi_v = (fa, fb) if increasing else (fb, fa)
-        if not (certified_cmp(target, lo_v, prec_cap) > 0
-                and certified_cmp(target, hi_v, prec_cap) < 0):
+        if not (certified_cmp(target, lo_v) > 0
+                and certified_cmp(target, hi_v) < 0):
             raise ConditionViolated(
                 m, "target not inside the branch image of the cell piece")
     except UnresolvedComparison:
         raise ConditionViolated(m, "branch image comparison unresolved")
     for _ in range(bits):
         mid = (a + b) / 2
-        fm = _monotone_branch_image(slope, zp, m, Scalar.exact(mid), prec_cap)
+        fm = _monotone_branch_image(slope, zp, m, Scalar.exact(mid))
         try:
-            cmp = certified_cmp(fm, target, prec_cap)
+            cmp = certified_cmp(fm, target)
         except UnresolvedComparison:
             break
         if cmp == 0:
@@ -186,8 +186,7 @@ def _bisect_preimage(slope, zp, m, target, side, bits, prec_cap):
 
 def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
                 variant: str = STRICT, side: str = "left",
-                bisect_bits: int = 64,
-                prec_cap: int = DEFAULT_PREC_CAP) -> CriticalProjectionChain:
+                bisect_bits: int = 64) -> CriticalProjectionChain:
     """Realize a chain numerically: certified a_i with monotone-onto levels.
 
     Aborts with ConditionViolated when the containment
@@ -235,9 +234,8 @@ def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
     levels.append(ChainLevel(1, k_seq[1], n_seq[1], m1, a_prev, sides[1], True))
     for i in range(2, len(k_seq)):
         m = k_seq[i] - 1
-        a_i = _bisect_preimage(slope, zp, m, a_prev, sides[i], bisect_bits,
-                               prec_cap)
-        img = _monotone_branch_image(slope, zp, m, a_i, prec_cap)
+        a_i = _bisect_preimage(slope, zp, m, a_prev, sides[i], bisect_bits)
+        img = _monotone_branch_image(slope, zp, m, a_i)
         onto = img.overlaps(a_prev)
         l_avoid = None
         if variant == RELAXED and i + 1 < len(k_seq):

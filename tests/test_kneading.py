@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from uilkit.kneading import (KneadingPrefix, admissible_disjoint, admissible_q,
                              emit_dotted, example35_q, fibonacci_q,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                              parse_dotted, q_asymptotics, renorm_scan)
+from uilkit.scalars import slope_exact
 
 def admissible_prefixes(length):
     """All admissible kneading prefixes of exactly this length."""
@@ -38,6 +41,20 @@ def test_appendix_seed():
 def test_dotted_validation():
     with pytest.raises(NotAdmissible):
         parse_dotted("1.00.0.0101")   # dots not on cutting times
+
+
+@st.composite
+def slope_kneading_words(draw):
+    """Kneading words of exact slopes p/q in (1, 2], q < 2^20, length 1-120."""
+    q = draw(st.integers(1, (1 << 20) - 1))
+    p = draw(st.integers(q + 1, 2 * q))
+    return nu_from_orbit(slope_exact(Fraction(p, q)), draw(st.integers(1, 120)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu=slope_kneading_words())
+def test_dotted_round_trip_on_slope_words(nu):
+    assert parse_dotted(emit_dotted(nu)).bits == nu.bits
 
 
 def test_nonrecurrent_pattern_cuts():

@@ -6,15 +6,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uilkit.errors import DomainError, PrecisionExhausted
+from uilkit.errors import DomainError, PrecisionExhausted, UnresolvedComparison
 from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q)
 from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
 from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _frac, _gcd,
-                            _grid, _kneading_probe, critical_orbit,
-                            parity_lex_cmp, refine, s_one_minus, sign_rel_c,
-                            slope_decimal, slope_exact, slope_interval,
-                            tent_apply)
+                            _grid, _kneading_probe, certified_cmp,
+                            critical_orbit, parity_lex_cmp, refine,
+                            s_one_minus, sign_rel_c, slope_decimal,
+                            slope_exact, slope_interval, tent_apply)
 from uilkit.seqgen import generate
 
 
@@ -71,7 +71,7 @@ def test_tribonacci_refine_c10():
     s = tribonacci_slope()
     orbit = critical_orbit(s, 10, prec_cap=512, allow_unresolved=True)
     c10 = orbit[9][0]
-    tight = refine(c10, Fraction(1, 10 ** 12))
+    tight = refine(c10, Fraction(1, 10 ** 12), s, 10)
     assert tight.width() <= Fraction(1, 10 ** 12)
     assert tight.lo >= c10.lo and tight.hi <= c10.hi
 
@@ -86,13 +86,45 @@ def test_sign_rel_c_cases():
 
 def test_refine_exact_noop():
     x = Scalar.exact(Fraction(2, 3))
-    assert refine(x, Fraction(1, 10 ** 9)) is x
+    assert refine(x, Fraction(1, 10 ** 9), tribonacci_slope(), 5) is x
 
 
 def test_refine_without_hook_raises():
-    x = Scalar.interval(Fraction(1, 3), Fraction(2, 3))
+    # an interval slope has no root bracket, so c_n cannot be re-derived
+    s = slope_interval(Fraction("1.79"), Fraction("1.80"))
+    x = critical_orbit(s, 3, allow_unresolved=True)[-1][0]
+    assert not x.is_exact
     with pytest.raises(PrecisionExhausted):
-        refine(x, Fraction(1, 10 ** 6))
+        refine(x, Fraction(1, 10 ** 6), s, 3)
+
+
+def test_refine_c1200_of_sqrt3_reaches_2_to_minus_64_of_its_width():
+    # c_n is re-derived from the slope in a loop over the orbit; when
+    # values carried nested recomputation closures this was a RecursionError
+    s = parse_slope("sqrt3")
+    x = critical_orbit(s, 1200)[-1][0]
+    target = x.width() / (1 << 64)
+    tight = refine(x, target, s, 1200)
+    assert tight.width() <= target
+    assert x.lo <= tight.lo and tight.hi <= x.hi
+
+
+def test_certified_cmp_only_compares(monkeypatch):
+    s = parse_slope("sqrt3")
+    c1 = critical_orbit(s, 1)[0][0]
+    coarse = tent_apply(s, Scalar.exact(C), bits=64)
+    assert c1.overlaps(coarse) and (c1.lo, c1.hi) != (coarse.lo, coarse.hi)
+
+    def no_refinement(self, bits):
+        raise AssertionError("certified_cmp refined the slope")
+
+    monkeypatch.setattr(SlopeParam, "at", no_refinement)
+    for a, b in ((c1, coarse), (coarse, c1), (c1, c1)):
+        with pytest.raises(UnresolvedComparison):
+            certified_cmp(a, b)
+    assert certified_cmp(c1, Scalar.exact(1)) == -1
+    assert certified_cmp(c1, Scalar.exact(C)) == 1
+    assert certified_cmp(Scalar.exact(C), Scalar.exact(Fraction(2, 4))) == 0
 
 
 def test_slope_validation():
@@ -152,9 +184,10 @@ def test_parity_lex_order_examples():
 def test_sign_stability_under_refinement():
     s = tribonacci_slope(64)
     orbit = critical_orbit(s, 3, prec_cap=4096)
-    for x, sign in orbit:
+    finer_orbit = critical_orbit(s.at(1024), 3, prec_cap=4096)
+    for (x, sign), (finer, _) in zip(orbit, finer_orbit):
         if sign in (SignRelC.BELOW, SignRelC.ABOVE):
-            finer = x.at(1024)
+            assert finer.precision_bits == 1024
             assert sign_rel_c(finer) is sign
 
 
