@@ -70,25 +70,31 @@ def _eps(args) -> Fraction:
 
 
 def _resolve_inputs(args, need=("slope", "nu", "q")):
-    """Exactly one of slope/nu/q; derive the kneading word where possible."""
+    """Exactly one of slope/nu/q; derive the kneading word where possible.
+
+    Returns the slope, the kneading word, the kneading map, the cutting data
+    and, for a slope, the one orbit table of the run at the precision cap.
+    """
     given = [name for name in ("slope", "nu", "q") if getattr(args, name, None)]
     if len(given) != 1:
         raise ConfigError("exactly one of --slope / --nu / --q is required")
     kind = given[0]
     if kind not in need:
         raise ConfigError(f"--{kind} input not supported by this command")
-    slope = nu = qs = None
+    slope = nu = qs = orbit = None
     if kind == "slope":
         slope = parse_slope(args.slope, depth=max(args.horizon, 64))
-        nu = nu_from_orbit(slope, args.horizon, prec_cap=_prec_cap(args))
+        orbit = OrbitTable(slope, _prec_cap(args))
+        nu = nu_from_orbit(slope, args.horizon, prec_cap=orbit.prec_cap)
     elif kind == "nu":
         nu = parse_dotted(args.nu)
     else:
         qs, _ = parse_q(args.q, args.horizon)
         nu = nu_from_q(qs, args.horizon)
+    kd = cutting_data(nu)
     if qs is None:
-        qs = list(cutting_data(nu).Q)
-    return slope, nu, qs
+        qs = list(kd.Q)
+    return slope, nu, qs, kd, orbit
 
 
 def _emit(args, report):
@@ -123,8 +129,7 @@ def _report(args, command, results):
 # -- commands -------------------------------------------------------------------
 
 def cmd_knead(args):
-    slope, nu, qs = _resolve_inputs(args)
-    kd = cutting_data(nu)
+    slope, nu, qs, kd, _ = _resolve_inputs(args)
     qa = q_asymptotics(qs)
     scan = renorm_scan(qs, min(len(qs), args.horizon))
     results = {
@@ -145,12 +150,10 @@ def cmd_knead(args):
 
 
 def cmd_tower(args):
-    slope, nu, qs = _resolve_inputs(args)
-    kd = cutting_data(nu)
+    slope, nu, qs, kd, orbit = _resolve_inputs(args)
     N = min(args.depth, kd.horizon)
-    levels = tower_levels(kd, slope, N, prec_cap=_prec_cap(args))
-    lb = long_branched_evidence(kd, N, slope, prec_cap=_prec_cap(args),
-                                levels=levels)
+    levels = tower_levels(kd, slope, N, orbit=orbit)
+    lb = long_branched_evidence(kd, N, slope, levels=levels)
     rows = []
     for lv in levels:
         if lv.length is not None:
@@ -168,24 +171,20 @@ def cmd_tower(args):
 
 
 def cmd_classify(args):
-    slope, nu, qs = _resolve_inputs(args)
-    kd = cutting_data(nu)
+    slope, nu, qs, kd, orbit = _resolve_inputs(args)
     if not args.itinerary:
         raise ConfigError("classify needs at least one --itinerary")
-    orbit = OrbitTable(slope, _prec_cap(args)) if slope is not None else None
     items = {}
     for text in args.itinerary:
         it = parse_itinerary(text)
         rep = classification_report(it, nu, slope, kd, depth=args.depth,
-                                    eps=_eps(args), orbit=orbit,
-                                    prec_cap=_prec_cap(args))
+                                    eps=_eps(args), orbit=orbit)
         items[text] = rep.to_json()
     _emit(args, _report(args, "classify", {"items": items}))
 
 
 def cmd_persistence(args):
-    slope, nu, qs = _resolve_inputs(args)
-    kd = cutting_data(nu)
+    slope, nu, qs, kd, orbit = _resolve_inputs(args)
     qa = q_asymptotics(qs)
     results = {"q_asymptotics": qa.to_json()}
     if slope is not None:
@@ -194,7 +193,7 @@ def cmd_persistence(args):
         verdict = reluctance_search(slope, eps_grid,
                                     length_target=args.length_target,
                                     horizon=args.horizon, kd=kd,
-                                    prec_cap=_prec_cap(args))
+                                    orbit=orbit)
         results["search"] = verdict.to_json()
         kind = verdict.witness.get("kind")
     else:
@@ -218,11 +217,9 @@ def cmd_persistence(args):
 
 
 def cmd_subcontinua(args):
-    slope, nu, qs = _resolve_inputs(args)
+    slope, nu, qs, kd, orbit = _resolve_inputs(args)
     strict = find_qcond_chains(qs, min(len(qs), args.horizon), variant="strict")
     relaxed = find_qcond_chains(qs, min(len(qs), args.horizon), variant="relaxed")
-    kd = cutting_data(nu)
-    orbit = OrbitTable(slope, _prec_cap(args)) if slope is not None else None
     chains_out = []
     for ch in strict["chains"][: args.max_chains]:
         cc = classify_chain(ch, qs, kd=kd, orbit=orbit)
@@ -250,11 +247,9 @@ def cmd_genseq(args):
 
 
 def cmd_density(args):
-    slope, nu, qs = _resolve_inputs(args, need=("slope",))
-    kd = cutting_data(nu)
+    slope, nu, qs, kd, orbit = _resolve_inputs(args, need=("slope",))
     K = min(args.K, kd.max_k)
-    report = cutting_value_gaps(slope, K, _eps(args), kd,
-                                prec_cap=_prec_cap(args))
+    report = cutting_value_gaps(slope, K, _eps(args), kd, orbit=orbit)
     if args.out_csv:
         rows = []
         for row in report["rows"]:
@@ -277,9 +272,8 @@ def cmd_density(args):
 
 
 def cmd_fmap(args):
-    slope, nu, qs = _resolve_inputs(args, need=("slope",))
-    kd = cutting_data(nu)
-    zp = PrecriticalTable(slope, kd, prec_cap=_prec_cap(args))
+    slope, nu, qs, kd, orbit = _resolve_inputs(args, need=("slope",))
+    zp = PrecriticalTable(slope, kd, orbit=orbit)
     rows = f_graph_data(slope, zp, grid=args.grid, max_cell=args.max_cell)
     out_rows = [(V.approx(a), V.approx(b), V.approx(c), V.approx(d), k)
                 for a, b, c, d, k in rows]

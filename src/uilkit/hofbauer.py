@@ -48,6 +48,9 @@ class OrbitTable:
     table takes that call's precision.  So it equals ``critical_orbit(slope,
     n, allow_unresolved=True)`` for the largest n read, as that call keeps
     the precision of the shorter orbit exactly when the next sign resolves.
+
+    The table owns the precision cap of its orbit: the functions that read
+    the orbit take it as ``orbit=``.
     """
 
     def __init__(self, slope: SlopeParam, prec_cap: int = DEFAULT_PREC_CAP):
@@ -79,13 +82,34 @@ class OrbitTable:
         self.extend(n)
         return self._values[n]
 
-    def sign(self, n: int) -> SignRelC:
-        return sign_rel_c(self.value(n))
+
+def orbit_table(slope: SlopeParam,
+                orbit: Optional[OrbitTable] = None) -> OrbitTable:
+    """``orbit``, or a table for ``slope`` at the default cap.
+
+    A caller sets the precision cap by building the table itself.  A table
+    built for a slope with other ends is rejected.
+    """
+    if orbit is None:
+        return OrbitTable(slope)
+    if orbit.slope.s.lo != slope.s.lo or orbit.slope.s.hi != slope.s.hi:
+        raise DomainError("orbit table built for another slope")
+    return orbit
 
 
-def _hull(a: Scalar, b: Scalar) -> Scalar:
-    return Scalar(min(a.lo, b.lo), max(a.hi, b.hi),
-                  min(a.precision_bits, b.precision_bits))
+def level_ends(orbit: OrbitTable, kd: CuttingData, ns):
+    """Outer ends (lo, hi) of the tower levels D_n = [c_n, c_beta(n)], n in
+    ``ns``, intersected: for one n, the hull of the two enclosures.
+
+    lo > hi when the levels are disjoint; None when ``ns`` is empty.
+    """
+    lo = hi = None
+    for n in ns:
+        a, b = orbit.value(n), orbit.value(kd.beta_of(n))
+        d_lo, d_hi = min(a.lo, b.lo), max(a.hi, b.hi)
+        lo = d_lo if lo is None else max(lo, d_lo)
+        hi = d_hi if hi is None else min(hi, d_hi)
+    return None if lo is None else (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -110,8 +134,7 @@ class TowerLevel:
 
 def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
                  N: Optional[int] = None,
-                 orbit: Optional[OrbitTable] = None,
-                 prec_cap: int = DEFAULT_PREC_CAP):
+                 orbit: Optional[OrbitTable] = None):
     """Tower levels D_1 .. D_N with the induction cross-checked numerically.
 
     Without a slope only the index form is produced.  With one, the two
@@ -128,7 +151,7 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
             levels.append(TowerLevel(n, kd.beta_of(n), contains_c=n in cuts))
         return levels
 
-    orbit = orbit or OrbitTable(slope, prec_cap)
+    orbit = orbit_table(slope, orbit)
     orbit.extend(N)
     c1 = orbit.value(1)
     # The inductive level is carried as its two endpoint values; away from
@@ -137,8 +160,10 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     for n in range(1, N + 1):
         lo_idx = orbit.value(n)
         hi_idx = orbit.value(kd.beta_of(n))
-        index_form = _hull(lo_idx, hi_idx)
-        inductive = _hull(end_a, end_b)
+        index_form = Scalar(*level_ends(orbit, kd, (n,)),
+                            min(lo_idx.precision_bits, hi_idx.precision_bits))
+        inductive = Scalar(min(end_a.lo, end_b.lo), max(end_a.hi, end_b.hi),
+                           min(end_a.precision_bits, end_b.precision_bits))
         if index_form.lo > inductive.hi or inductive.lo > index_form.hi or (
                 slope.is_exact and (index_form.lo != inductive.lo
                                     or index_form.hi != inductive.hi)):
@@ -158,9 +183,9 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     return levels
 
 
-def tower_level(kd: CuttingData, n: int, slope: Optional[SlopeParam] = None,
-                prec_cap: int = DEFAULT_PREC_CAP) -> TowerLevel:
-    return tower_levels(kd, slope, n, prec_cap=prec_cap)[n - 1]
+def tower_level(kd: CuttingData, n: int,
+                slope: Optional[SlopeParam] = None) -> TowerLevel:
+    return tower_levels(kd, slope, n)[n - 1]
 
 
 @dataclass(frozen=True)
@@ -194,11 +219,10 @@ class PrecriticalTable:
     """
 
     def __init__(self, slope: SlopeParam, kd: CuttingData,
-                 orbit: Optional[OrbitTable] = None,
-                 prec_cap: int = DEFAULT_PREC_CAP):
+                 orbit: Optional[OrbitTable] = None):
         self.slope = slope
         self.kd = kd
-        self.orbit = orbit or OrbitTable(slope, prec_cap)
+        self.orbit = orbit_table(slope, orbit)
         self._natural = [branch_preimage_left(slope, Scalar.exact(C))]
 
     @property
@@ -254,18 +278,16 @@ class PrecriticalTable:
 
 
 def closest_precriticals(slope: SlopeParam, upto_k: int,
-                         kd: Optional[CuttingData] = None,
-                         prec_cap: int = DEFAULT_PREC_CAP):
+                         kd: Optional[CuttingData] = None):
     """Certified pairs (z_k, zhat_k) for k = 0 .. upto_k."""
     if kd is None:
         depth = 4
         while True:
-            nu = nu_from_orbit(slope, depth, prec_cap)
-            kd = cutting_data(nu)
+            kd = cutting_data(nu_from_orbit(slope, depth))
             if kd.max_k >= upto_k:
                 break
             depth *= 2
-    table = PrecriticalTable(slope, kd, prec_cap=prec_cap)
+    table = PrecriticalTable(slope, kd)
     return [table.pair(k) for k in range(0, upto_k + 1)]
 
 
@@ -368,7 +390,6 @@ def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable) -> V.Verdict:
 def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
                            slope: Optional[SlopeParam] = None,
                            threshold=Fraction(1, 1 << 16),
-                           prec_cap: int = DEFAULT_PREC_CAP,
                            levels: Optional[list] = None) -> V.Verdict:
     """Finite-horizon verdict for inf_n |D_n| > 0.
 
@@ -377,13 +398,13 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
     kneading map shows bounded evidence or the minimum is stable above the
     threshold.  The witness always carries min |D_n| and its argmin when a
     slope is available.  ``levels``, when given, must be
-    ``tower_levels(kd, slope, N)``; it saves recomputing them.
+    ``tower_levels(kd, slope, N, orbit=...)``; it saves recomputing them.
     """
     N = N or kd.horizon
     qa = q_asymptotics(list(kd.Q))
     witness = {"q_bounded": qa.bounded.status, "q_max": qa.max_value}
     if slope is not None:
-        levels = levels or tower_levels(kd, slope, N, prec_cap=prec_cap)
+        levels = levels or tower_levels(kd, slope, N)
         lengths = [(lv.length.hi, lv.n) for lv in levels]
         min_len, argmin = min(lengths)
         half = [l for l, n in lengths if n > N // 2]
@@ -405,23 +426,23 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
 
 def cutting_value_gaps(slope: SlopeParam, K: int, eps,
                        kd: Optional[CuttingData] = None,
-                       prec_cap: int = DEFAULT_PREC_CAP):
+                       orbit: Optional[OrbitTable] = None):
     """Largest gap in {c_{S_k} : k <= K} (plus core endpoints), and the
     sub-report restricted to k with Q(k) <= 1.
 
     The verdict is about eps-density at this horizon only.
     """
     eps = Fraction(eps)
+    orbit = orbit_table(slope, orbit)
     if kd is None:
         depth = 64
         while True:
-            kd = cutting_data(nu_from_orbit(slope, depth, prec_cap))
+            kd = cutting_data(nu_from_orbit(slope, depth, orbit.prec_cap))
             if kd.max_k >= K:
                 break
             depth *= 2
     if kd.max_k < K:
         raise DomainError(f"cutting data only reaches S_{kd.max_k}")
-    orbit = OrbitTable(slope, prec_cap)
 
     def gap_report(ks):
         pts = [(orbit.value(kd.S[k]), kd.S[k]) for k in ks]

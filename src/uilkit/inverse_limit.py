@@ -47,9 +47,9 @@ from typing import Optional, Sequence
 from . import verdicts as V
 from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
                      UnrealizableWord, UnresolvedComparison)
-from .hofbauer import OrbitTable, tower_levels
+from .hofbauer import OrbitTable, level_ends, orbit_table, tower_levels
 from .kneading import CuttingData, KneadingPrefix, cutting_data, q_asymptotics
-from .scalars import (C, DEFAULT_PREC_CAP, Scalar, SignRelC, SlopeParam,
+from .scalars import (C, Scalar, SignRelC, SlopeParam,
                       branch_preimage, certified_cmp, parity_lex_cmp,
                       sign_rel_c, tent_apply)
 
@@ -479,19 +479,10 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
         if n_star <= kd.horizon and kd.beta_of(n_star) == min(td.tauL, td.tauR):
             identity = n_star
     degen = None
-    if kd is not None and nl:
-        inter_lo = inter_hi = None
-        for n in nl:
-            if n > kd.horizon:
-                continue
-            a, b = orbit.value(n), orbit.value(kd.beta_of(n))
-            d_lo, d_hi = min(a.lo, b.lo), max(a.hi, b.hi)
-            if inter_lo is None:
-                inter_lo, inter_hi = d_lo, d_hi
-            else:
-                inter_lo, inter_hi = max(inter_lo, d_lo), min(inter_hi, d_hi)
-        if inter_lo is not None and inter_hi - inter_lo <= degeneracy_threshold:
-            degen = max(Fraction(0), inter_hi - inter_lo)
+    ends = None if kd is None else \
+        level_ends(orbit, kd, [n for n in nl if n <= kd.horizon])
+    if ends is not None and ends[1] - ends[0] <= degeneracy_threshold:
+        degen = max(Fraction(0), ends[1] - ends[0])
     return ArcInterval(lo, hi, lo_n, hi_n, exact, identity, degen)
 
 
@@ -504,9 +495,9 @@ def endpoint_verdict(it: TwoSidedItinerary, nu: KneadingPrefix,
 
     Certified only for periodic tails that pump against a declared periodic
     kneading continuation (with the point at the matching arc edge); refuted
-    when both tail suprema are certifiably finite or the word's matches sit
-    strictly inside the data; evidence when saturation persists as the depth
-    grows.
+    when both tail suprema are certifiably finite or, once the depth reaches
+    past a finite word, its matches sit strictly inside it; evidence when
+    saturation persists as the depth grows.
     """
     td = tau_data(it.backward, nu, depth)
     if td.cert_infiniteL or td.cert_infiniteR:
@@ -532,7 +523,7 @@ def endpoint_verdict(it: TwoSidedItinerary, nu: KneadingPrefix,
         return V.undetermined(RULE_ENDPOINT,
                               "saturation without repeated recurrence",
                               depth=td.n_max)
-    if td.word_len is not None:
+    if td.word_len is not None and td.n_max > td.word_len:
         return V.refuted(RULE_ENDPOINT, depth=td.n_max, tauL=td.tauL,
                          tauR=td.tauR,
                          reason="matches sit strictly inside the word")
@@ -577,8 +568,7 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
                     nu: KneadingPrefix, depth: int = 64,
                     eps=Fraction(1, 1 << 20), proxy_len: int = 256,
                     burn_in: Optional[int] = None, window: int = 24,
-                    orbit: Optional[OrbitTable] = None,
-                    prec_cap: int = DEFAULT_PREC_CAP) -> V.Verdict:
+                    orbit: Optional[OrbitTable] = None) -> V.Verdict:
     """Two-channel finite test that all projections lie in omega(c).
 
     Numeric channel: every projection up to ``depth`` must come eps-close to
@@ -589,7 +579,7 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
     """
     eps = Fraction(eps)
     burn_in = proxy_len // 4 if burn_in is None else burn_in
-    orbit = orbit or OrbitTable(slope, prec_cap)
+    orbit = orbit_table(slope, orbit)
     orbit.extend(proxy_len)
     # distances only need eps resolution; shed the huge exact denominators
     bits = max(64, (eps.denominator.bit_length() + 32))
@@ -795,8 +785,7 @@ def verify_monotone(chain: PullbackChain) -> bool:
 def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
                       length_target: int = 64, horizon: int = 200,
                       kd: Optional[CuttingData] = None,
-                      orbit: Optional[OrbitTable] = None,
-                      prec_cap: int = DEFAULT_PREC_CAP) -> V.Verdict:
+                      orbit: Optional[OrbitTable] = None) -> V.Verdict:
     """Monotone pull-backs of eps-balls along critical-orbit segments.
 
     Reluctant recurrence is witnessed by a monotone pull-back of a fixed
@@ -806,7 +795,7 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
     shortcut "divergent kneading map implies persistent recurrence" and the
     recurrence of c within the horizon are reported alongside.
     """
-    orbit = orbit or OrbitTable(slope, prec_cap)
+    orbit = orbit_table(slope, orbit)
     orbit.extend(horizon + 2)
     rec_gap = None
     for n in range(1, horizon + 1):
@@ -874,8 +863,7 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
                           depth: int = 64, eps=Fraction(1, 1 << 20),
                           position: Optional[str] = None,
                           persistence: Optional[V.Verdict] = None,
-                          orbit: Optional[OrbitTable] = None,
-                          prec_cap: int = DEFAULT_PREC_CAP) -> PointClassification:
+                          orbit: Optional[OrbitTable] = None) -> PointClassification:
     """Combine folding/endpoint verdicts with the global dichotomies.
 
     Expectations reported: persistent-recurrence evidence makes the folding
@@ -886,12 +874,11 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     """
     kd = kd or cutting_data(nu)
     endpoint = endpoint_verdict(it, nu, depth=depth, position=position)
-    if slope is not None and orbit is None:
-        orbit = OrbitTable(slope, prec_cap)
     if slope is not None:
+        orbit = orbit_table(slope, orbit)
         try:
             folding = folding_verdict(it, slope, nu, depth=depth, eps=eps,
-                                      orbit=orbit, prec_cap=prec_cap)
+                                      orbit=orbit)
         except (DomainError, UnrealizableWord) as exc:
             folding = V.undetermined(RULE_FOLDING, str(exc), depth=depth)
     else:
@@ -921,7 +908,7 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     elif qa.to_infinity.is_refuted and slope is not None:
         witness = None
         levels = tower_levels(kd, slope, min(kd.horizon, 4 * depth),
-                              orbit=orbit, prec_cap=prec_cap)
+                              orbit=orbit)
         for lv in levels[2:]:
             if lv.length is not None and lv.length.lo > Fraction(1, 128):
                 w = BackwardWord("111" + nu.bits[:lv.n - 1])

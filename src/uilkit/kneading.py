@@ -178,9 +178,6 @@ class CuttingData:
     def beta_of(self, n: int) -> int:
         return self.beta[n - 1]
 
-    def s_index(self, value: int) -> int:
-        return self.S.index(value)
-
     @property
     def max_k(self) -> int:
         return len(self.S) - 1

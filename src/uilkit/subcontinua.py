@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import verdicts as V
 from .errors import ConditionViolated, DomainError, UnresolvedComparison
-from .hofbauer import OrbitTable, PrecriticalTable
+from .hofbauer import OrbitTable, PrecriticalTable, level_ends
 from .kneading import (CuttingData, _cutting_times, _materialize_q,
                        _q_lookup, renorm_scan)
 from .scalars import (C, Scalar, SlopeParam, certified_cmp,
@@ -297,15 +297,12 @@ def classify_chain(k_seq: Sequence[int], q, horizon: Optional[int] = None,
     half = len(vals) // 2
     head, tail = vals[:half], vals[half:]
     decay = None
+    level_ns = []
     if kd is not None and orbit is not None:
-        lengths = []
-        for k in k_seq:
-            if k <= kd.max_k:
-                n = kd.S[k]
-                if n <= kd.horizon:
-                    a = orbit.value(n)
-                    b = orbit.value(kd.beta_of(n))
-                    lengths.append(max(a.hi, b.hi) - min(a.lo, b.lo))
+        level_ns = [kd.S[k] for k in k_seq
+                    if k <= kd.max_k and kd.S[k] <= kd.horizon]
+        lengths = [hi - lo for lo, hi in (level_ends(orbit, kd, (n,))
+                                          for n in level_ns)]
         if len(lengths) >= min_levels:
             decay = all(y < x for x, y in zip(lengths, lengths[1:]))
     if min(tail) > max(head) and vals[-1] >= vals[0] + len(vals) // 2:
@@ -319,18 +316,8 @@ def classify_chain(k_seq: Sequence[int], q, horizon: Optional[int] = None,
     bound = max(head)
     witnesses = [k for k, v in zip(k_seq, vals) if v <= bound]
     if len([v for v in tail if v <= bound]) >= 1 and len(witnesses) >= 2:
-        bar = None
-        if kd is not None and orbit is not None:
-            lo = hi = None
-            for k in k_seq:
-                if k <= kd.max_k and kd.S[k] <= kd.horizon:
-                    n = kd.S[k]
-                    a, b = orbit.value(n), orbit.value(kd.beta_of(n))
-                    d_lo, d_hi = min(a.lo, b.lo), max(a.hi, b.hi)
-                    lo = d_lo if lo is None else max(lo, d_lo)
-                    hi = d_hi if hi is None else min(hi, d_hi)
-            if lo is not None and lo <= hi:
-                bar = (lo, hi)
+        ends = level_ends(orbit, kd, level_ns)
+        bar = ends if ends is not None and ends[0] <= ends[1] else None
         return ChainClass("basic-sin-curve",
                           V.evidence(RULE_CLASSIFY, depth=len(vals),
                                      q_values=vals, bounded_by=bound,

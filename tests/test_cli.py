@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from uilkit import cli, hofbauer
 from uilkit.cli import main
 
 
@@ -181,6 +182,35 @@ def test_env_prec_cap_overrides_flag(capsys, monkeypatch):
     assert run_cli(capsys, *argv, "--prec-cap", "4096")[0] == 3
     monkeypatch.setenv("UILKIT_PREC_CAP", "4096")
     assert run_cli(capsys, *argv, "--prec-cap", "128")[0] == 0
+
+
+TABLE_COMMANDS = [
+    ("tower", "--depth", "10"),
+    ("classify", "--depth", "8", "--itinerary", "(1)^inf .1111"),
+    ("persistence", "--length-target", "8", "--eps-pow-max", "6"),
+    ("subcontinua",),
+    ("density", "--K", "3"),
+    ("fmap", "--grid", "8", "--max-cell", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda a: a[0])
+def test_commands_build_one_table_at_the_cap(capsys, monkeypatch, argv):
+    caps = []
+
+    class RecordingTable(hofbauer.OrbitTable):
+        def __init__(self, slope, prec_cap=hofbauer.DEFAULT_PREC_CAP):
+            caps.append(prec_cap)
+            super().__init__(slope, prec_cap)
+
+    monkeypatch.setattr(cli, "OrbitTable", RecordingTable)
+    monkeypatch.setattr(hofbauer, "OrbitTable", RecordingTable)
+    argv = argv + ("--slope", "9/5", "--horizon", "40")
+    assert run_cli(capsys, *argv, "--prec-cap", "512")[0] == 0
+    assert caps == [512]
+    monkeypatch.setenv("UILKIT_PREC_CAP", "768")
+    assert run_cli(capsys, *argv, "--prec-cap", "512")[0] == 0
+    assert caps == [512, 768]
 
 
 # sha256 of the stdout of README commands, recorded from the reports of the

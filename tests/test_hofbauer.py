@@ -1,14 +1,20 @@
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uilkit
 from uilkit import hofbauer
 from uilkit.errors import DomainError
 from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
                              cutting_value_gaps, f_apply, f_graph_data,
                              long_branched_evidence, tower_level, tower_levels,
                              upsilon_index, verify_zzz)
+from uilkit.inverse_limit import (classification_report, folding_verdict,
+                                  parse_itinerary, reluctance_search)
 from uilkit.kneading import (KneadingPrefix, cutting_data,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                              cascade_q, fibonacci_q)
@@ -286,3 +292,58 @@ def test_prec_cap_below_start_precision_is_rejected():
     assert OrbitTable(sqrt3, prec_cap=192).value(100).precision_bits == 192
     with pytest.raises(DomainError):
         critical_orbit(slope_exact(Fraction(9, 5)), 10, prec_cap=127)
+
+
+def test_table_for_another_slope_is_rejected():
+    sqrt3 = parse_slope("sqrt3")
+    kd = cutting_data(nu_from_orbit(sqrt3, 100))
+    it = parse_itinerary("(1)^inf .1111")
+    for foreign in (OrbitTable(parse_slope("cbrt6")),
+                    OrbitTable(sqrt3.at(384))):
+        calls = [
+            lambda: tower_levels(kd, sqrt3, 20, orbit=foreign),
+            lambda: PrecriticalTable(sqrt3, kd, orbit=foreign),
+            lambda: cutting_value_gaps(sqrt3, 3, Fraction(1, 4), kd,
+                                       orbit=foreign),
+            lambda: folding_verdict(it, sqrt3, kd.nu, orbit=foreign),
+            lambda: reluctance_search(sqrt3, [Fraction(1, 64)], 8, 20,
+                                      orbit=foreign),
+            lambda: classification_report(it, kd.nu, sqrt3, kd, depth=8,
+                                          orbit=foreign),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="another slope"):
+                call()
+    # a table is matched by the slope's ends, not by object identity, and
+    # its cap holds: c_239 of sqrt3 escalates to 384 bits below the default
+    kd = cutting_data(nu_from_orbit(sqrt3, 300))
+    capped = tower_levels(kd, sqrt3, 300,
+                          orbit=OrbitTable(parse_slope("sqrt3"), 192))
+    assert capped[-1].numeric[0].precision_bits == 192
+    assert tower_levels(kd, sqrt3, 300)[-1].numeric[0].precision_bits == 384
+
+
+def test_only_the_orbit_builders_take_a_precision_cap():
+    # public names only: the private scalars._start_precision is the cap
+    # check that these four share
+    found = set()
+    for info in pkgutil.iter_modules(uilkit.__path__):
+        module = importlib.import_module(f"uilkit.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or \
+                    getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", fn)
+                            for attr, fn in vars(obj).items()
+                            if inspect.isfunction(fn)
+                            and not attr.startswith("_")]
+            for label, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "prec_cap" in params:
+                    found.add(label)
+    assert found == {"critical_orbit", "refine", "nu_from_orbit", "OrbitTable"}

@@ -14,7 +14,8 @@ from uilkit.inverse_limit import (BackwardWord, TauData, TwoSidedItinerary,
                                   verify_monotone, word_image_interval,
                                   word_realizable)
 from uilkit.kneading import (KneadingPrefix, admissible_disjoint, cutting_data,
-                             fibonacci_q, nu_from_q)
+                             example35_q, fibonacci_q, nonrecurrent_example_nu,
+                             nu_from_q)
 from uilkit.scalars import C, Scalar, slope_exact, slope_for_prefix
 
 
@@ -145,6 +146,58 @@ def test_pumping_certificate_on_declared_periodic_nu():
     td = tau_data(it.backward, nu)
     assert td.cert_infiniteL or td.cert_infiniteR
     assert endpoint_verdict(it, nu).is_certified
+
+
+def test_endpoint_not_refuted_before_the_word_is_read():
+    nu = nu_from_q(fibonacci_q, 400)
+    it = TwoSidedItinerary(BackwardWord(nu.bits[:33]))
+    assert endpoint_verdict(it, nu, depth=33).status == "undetermined"
+    assert endpoint_verdict(it, nu, depth=34).status == "evidence"
+    it = TwoSidedItinerary(BackwardWord("0100"))
+    nu = KneadingPrefix("1000101")
+    assert [endpoint_verdict(it, nu, depth=d).status for d in (3, 4, 5)] == \
+        ["undetermined", "undetermined", "refuted"]
+
+
+def _assert_decided_verdict_stays(back, nu, depths):
+    """A certified or refuted endpoint verdict never changes as the depth
+    grows on the same input."""
+    decided = None
+    for depth in depths:
+        status = endpoint_verdict(TwoSidedItinerary(back), nu, depth).status
+        if decided is not None:
+            assert status == decided[1], (back.symbols, back.periodic_block,
+                                           decided, depth)
+        elif status in ("certified", "refuted"):
+            decided = (depth, status)
+
+
+METAMORPHIC_NUS = {
+    "fib": nu_from_q(fibonacci_q, 400),
+    "ex35": nu_from_q(example35_q, 400),
+    "nonrec": nonrecurrent_example_nu(400),
+    "periodic3": KneadingPrefix("1011011011", periodic_tail=(1, 3)),
+    "periodic2": KneadingPrefix("1101010", periodic_tail=(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", ["fib", "ex35", "nonrec"])
+def test_decided_endpoint_verdicts_stay_on_word_prefixes(name):
+    nu = METAMORPHIC_NUS[name]
+    for length in range(1, 81):
+        _assert_decided_verdict_stays(BackwardWord(nu.bits[:length]), nu,
+                                      range(1, length + 8))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_decided_endpoint_verdicts_stay_on_random_tails(data):
+    nu = METAMORPHIC_NUS[data.draw(st.sampled_from(sorted(METAMORPHIC_NUS)))]
+    symbols = data.draw(st.text("01", max_size=min(len(nu), 40)))
+    block = data.draw(st.one_of(st.none(),
+                                st.text("01", min_size=1, max_size=6)))
+    _assert_decided_verdict_stays(BackwardWord(symbols, block), nu,
+                                  range(1, len(symbols) + 24))
 
 
 def test_generator_fibonacci_words(fib_nu):
