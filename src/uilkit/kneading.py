@@ -9,6 +9,8 @@ breaks.  Equivalently they are the orbit of 1 under
     rho(j) = min{ k > j : nu_k != nu_{k-j} },
 
 while the co-cutting times are the rho-orbit of the first 1 after position 1.
+``_lcp`` computes rho(j) - j - 1, the common prefix of nu and its j-shift, by
+slice comparisons; the kneading map's lexicographic check uses it on lists.
 The kneading map Q is defined by S_k - S_{k-1} = S_{Q(k)} with Q(0) = 0.
 
 Two independent admissibility checkers are provided and cross-validated:
@@ -38,10 +40,6 @@ RULE_RENORM = "renormalization-window-scan"
 RULE_QASYMP = "kneading-map-asymptotics"
 
 
-def _flip(bit: str) -> str:
-    return "1" if bit == "0" else "0"
-
-
 class KneadingPrefix:
     """A finite kneading word nu_1 .. nu_N over {0, 1}.
 
@@ -59,7 +57,7 @@ class KneadingPrefix:
         bits = "".join(bits.split("."))
         if not bits:
             raise NotAdmissible(1, "empty kneading prefix")
-        if any(b not in "01" for b in bits):
+        if not set(bits) <= {"0", "1"}:
             raise DomainError(f"kneading prefix must be over 0/1: {bits[:20]!r}")
         if bits[0] != "1":
             raise NotAdmissible(1, "nu_1 must be 1 (c_1 > c for every slope)")
@@ -101,44 +99,63 @@ class KneadingPrefix:
         return self.bits[pre + (n - pre - 1) % per]
 
 
+def _lcp(seq, i: int, j: int) -> int:
+    """Length of the common prefix of seq[i:] and seq[j:] (a str or a list):
+    slice comparisons gallop over blocks of 4, 8, 16, ..., then bisect the
+    first block that differs."""
+    limit = len(seq) - max(i, j)
+    lo, hi = 0, 4
+    while seq[i + lo:i + hi] == seq[j + lo:j + hi]:
+        if hi >= limit:
+            return limit
+        lo, hi = hi, hi + 2 * (hi - lo)
+    # seq[i:i+lo] == seq[j:j+lo], and the first difference lies in [lo, hi);
+    # for i != j a slice cut short by the end of seq compares unequal, which
+    # is a difference at limit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if seq[i + lo:i + mid] == seq[j + lo:j + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def rho_step(bits: str, j: int) -> Optional[int]:
     """rho(j) = min{k > j : nu_k != nu_{k-j}}, or None if it exits the prefix."""
-    for k in range(j + 1, len(bits) + 1):
-        if bits[k - 1] != bits[k - 1 - j]:
-            return k
-    return None
+    if j >= len(bits):
+        return None
+    # steps of length 1 and 2, common with dense cutting times, need no call
+    if bits[j] != bits[0]:
+        return j + 1
+    if j + 1 < len(bits) and bits[j + 1] != bits[1]:
+        return j + 2
+    k = j + 1 + _lcp(bits, j, 0)
+    return k if k <= len(bits) else None
 
 
 def _scan_structure(bits: str):
-    """One pass over the word computing cutting data and structural failures.
-
-    Returns (S, Q, cocut, cocut_censored, refute_pos, refute_reason).
-    S and Q are filled up to the failure point when a failure is found.
-    """
-    n_len = len(bits)
+    """One pass over a word with nu_1 = 1 computing cutting data and
+    structural failures: (S, Q, cocut, cocut_censored, refute_pos,
+    refute_reason), with S and Q filled up to the failure point."""
     S = [1]
     Q = []
     s_index = {1: 0}
-    if bits[0] != "1":
-        return S, Q, [], False, 1, "nu_1 must be 1"
+    # the cutting times are the rho-orbit of 1
     last = 1
-    n = 2
-    while n <= n_len:
-        if bits[n - 1] != bits[n - 1 - last]:
-            gap = n - last
-            if gap not in s_index:
-                return S, Q, [], False, n, (
-                    f"cutting gap {gap} at position {n} is not a cutting time")
-            Q.append(s_index[gap])
-            s_index[n] = len(S)
-            S.append(n)
-            last = n
-        elif n == 2 * last:
+    while (n := rho_step(bits, last)) is not None and n <= 2 * last:
+        gap = n - last
+        if gap not in s_index:
             return S, Q, [], False, n, (
-                f"no cutting time in ({last}, {2 * last}]; the next gap "
-                f"could not be a cutting time")
-        n += 1
-
+                f"cutting gap {gap} at position {n} is not a cutting time")
+        Q.append(s_index[gap])
+        s_index[n] = len(S)
+        S.append(n)
+        last = n
+    if 2 * last <= len(bits):
+        return S, Q, [], False, 2 * last, (
+            f"no cutting time in ({last}, {2 * last}]; the next gap "
+            f"could not be a cutting time")
     cocut = []
     for j in _cocut_orbit(bits):
         cocut.append(j)
@@ -199,20 +216,15 @@ def cutting_data(nu: KneadingPrefix) -> CuttingData:
     Raises NotAdmissible at the first position where the word cannot be a
     kneading sequence prefix.
     """
-    bits = nu.bits
-    S, Q, cocut, censored, pos, reason = _scan_structure(bits)
+    S, Q, cocut, censored, pos, reason = _scan_structure(nu.bits)
     if pos is not None:
         raise NotAdmissible(pos, reason)
+    # beta(n) = n - S_{k-1} for S_{k-1} < n <= S_k, and past the last cut
     beta = [0]
-    last = 1
-    s_set = set(S)
-    for n in range(2, len(bits) + 1):
-        beta.append(n - last)
-        if n in s_set:
-            last = n
-    kappa = cocut[0] if cocut else None
+    for prev, nxt in zip(S, S[1:] + [len(nu.bits)]):
+        beta.extend(range(1, nxt - prev + 1))
     return CuttingData(tuple(S), tuple(Q), tuple(beta), tuple(cocut),
-                       censored, len(bits), kappa, nu)
+                       censored, len(nu.bits), cocut[0] if cocut else None, nu)
 
 
 def cocutting_times(nu: KneadingPrefix):
@@ -225,9 +237,13 @@ def cocutting_times(nu: KneadingPrefix):
     return times, bool(times)
 
 
-def admissible_disjoint(nu: KneadingPrefix) -> V.Verdict:
-    """Word-structure admissibility: gaps recurse and cut/co-cut are disjoint."""
-    S, Q, cocut, censored, pos, reason = _scan_structure(nu.bits)
+def admissible_disjoint(nu: KneadingPrefix,
+                        kd: Optional[CuttingData] = None) -> V.Verdict:
+    """Word-structure admissibility: gaps recurse and cut/co-cut are disjoint.
+    A given ``kd = cutting_data(nu)`` stands for a scan with no failure."""
+    S, _, cocut, censored, pos, reason = (
+        _scan_structure(nu.bits) if kd is None
+        else (kd.S, kd.Q, kd.cocut, kd.cocut_censored, None, None))
     if pos is not None:
         return V.refuted(RULE_DISJOINT, depth=len(nu.bits), position=pos,
                          reason=reason)
@@ -287,29 +303,23 @@ def admissible_q(q, horizon: Optional[int] = None) -> V.Verdict:
         qs = list(q)
     m = len(qs)
     limit = horizon if horizon is not None else m
-    q_of = _q_lookup(qs)
     first_unresolved = None
     for k in range(1, min(limit, m) + 1):
-        if not 0 <= qs[k - 1] < k:
+        qk = qs[k - 1]
+        if not 0 <= qk < k:
             return V.refuted(RULE_Q, depth=limit, k=k,
-                             reason=_q_out_of_range(k, qs[k - 1]))
-        qq = q_of(q_of(k))
-        resolved = False
-        j = 1
-        while True:
-            a = q_of(qq + j)
-            b = q_of(k + j)
-            if a is None or b is None:
-                break
-            if a < b:
-                resolved = True
-                break
+                             reason=_q_out_of_range(k, qk))
+        # qq = Q^2(k) < k, so qs[k:] runs off the data before qs[qq:] does
+        qq = qs[qk - 1] if qk else 0
+        t = _lcp(qs, qq, k) if k < m and qs[qq] == qs[k] else 0
+        if k + t < m:
+            a, b = qs[qq + t], qs[k + t]
             if a > b:
+                j = t + 1
                 return V.refuted(RULE_Q, depth=limit, k=k, j=j,
                                  reason=(f"lex violation at k={k}: "
                                          f"Q({qq + j}) = {a} > Q({k + j}) = {b}"))
-            j += 1
-        if not resolved and first_unresolved is None:
+        elif first_unresolved is None:
             first_unresolved = k
     if limit > m:
         first_unresolved = first_unresolved or (m + 1)
@@ -333,21 +343,19 @@ def nu_from_q(q, horizon: int, source: str = "from_q") -> KneadingPrefix:
         if not 0 <= qk < k:
             raise NotAdmissible(k, _q_out_of_range(k, qk))
     S = _cutting_times(qs, horizon)
-    bits = ["1"]
+    bits = "1"
     for prev, s_new in zip(S, S[1:]):
-        # copy segment, then the flipped symbol at the cutting time, which
-        # copies position S_{Q(k)} = S_k - S_{k-1}
-        while len(bits) < min(s_new - 1, horizon):
-            bits.append(bits[len(bits) - prev])
-        if s_new <= horizon:
-            bits.append(_flip(bits[s_new - prev - 1]))
-    while len(bits) < horizon:
-        bits.append(bits[len(bits) - S[-1]])
-    k_used = len(S) - 1
-    check = admissible_q(qs, horizon=None)
-    if check.is_refuted and check.witness.get("k", 0) <= k_used:
-        raise NotAdmissible(check.witness.get("k", 0), check.witness.get("reason", ""))
-    return KneadingPrefix("".join(bits), source=source)
+        # nu_{S_{k-1}+1} .. nu_{S_k} copy nu_1 .. nu_{S_{Q(k)}}, with the
+        # symbol at the cutting time S_k flipped
+        gap = s_new - prev
+        bits += bits[:gap - 1] + ("1" if bits[gap - 1] == "0" else "0")
+    # when Q runs out before the horizon the word has period S_k, its length
+    bits *= -(-horizon // len(bits))
+    # the k loop ascends, so checking the k used finds the same first failure
+    check = admissible_q(qs, horizon=len(S) - 1)
+    if check.is_refuted:
+        raise NotAdmissible(check.witness["k"], check.witness["reason"])
+    return KneadingPrefix(bits[:horizon], source=source)
 
 
 def nu_from_orbit(slope: SlopeParam, N: int,
@@ -391,17 +399,13 @@ def renorm_scan(q, horizon: int):
     per_k = {}
     passing = []
     for k in range(2, m + 1):
-        verdict = None
-        for j in range(0, m - k + 1):
-            if qs[k + j - 1] < k - 1:
-                verdict = V.refuted(RULE_RENORM, depth=m, k=k, j=j,
-                                    value=qs[k + j - 1])
-                break
-        if verdict is None:
-            verdict = V.evidence(RULE_RENORM, depth=m, k=k,
-                                 checked_j=m - k)
+        j = next((j for j in range(m - k + 1) if qs[k + j - 1] < k - 1), None)
+        if j is None:
+            per_k[k] = V.evidence(RULE_RENORM, depth=m, k=k, checked_j=m - k)
             passing.append(k)
-        per_k[k] = verdict
+        else:
+            per_k[k] = V.refuted(RULE_RENORM, depth=m, k=k, j=j,
+                                 value=qs[k + j - 1])
     return {"per_k": per_k, "passing": passing, "horizon": m}
 
 
@@ -452,7 +456,6 @@ def q_asymptotics(q, horizon: Optional[int] = None) -> QAsymptotics:
     windows = [qs[i * quarter:(i + 1) * quarter] for i in range(3)]
     windows.append(qs[3 * quarter:])
     mins = [min(w) for w in windows]
-    argmax = max(range(m), key=lambda i: qs[i])  # first index attaining max
     last_new_max = 0
     best = -1
     for i, v in enumerate(qs):
@@ -576,11 +579,6 @@ def parse_dotted(text: str) -> KneadingPrefix:
 
 
 def emit_dotted(nu: KneadingPrefix, kd: Optional[CuttingData] = None) -> str:
-    kd = kd or cutting_data(nu)
-    cuts = set(kd.S)
-    out = []
-    for i, b in enumerate(nu.bits, start=1):
-        out.append(b)
-        if i in cuts and i < len(nu.bits):
-            out.append(".")
-    return "".join(out)
+    # a dot after every cutting time but the last symbol
+    cuts = [0] + [s for s in (kd or cutting_data(nu)).S if s < len(nu.bits)]
+    return ".".join(nu.bits[a:b] for a, b in zip(cuts, cuts[1:] + [None]))

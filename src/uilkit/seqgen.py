@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import verdicts as V
-from .errors import ConstructionStuck, DomainError
+from .errors import ConstructionStuck, DomainError, NotAdmissible
 from .kneading import (CuttingData, KneadingPrefix, admissible_disjoint,
                        admissible_q, cutting_data, emit_dotted)
 from .scalars import parity_lex_cmp
@@ -177,10 +177,12 @@ def _block(nu: str, S, m: int) -> str:
 
 
 def _verify_admissible(bits: str, stage: str, state):
-    verdict = admissible_disjoint(KneadingPrefix(bits))
-    if verdict.is_refuted:
-        raise ConstructionStuck(stage, dict(state, verdict=str(verdict)))
-    kd = cutting_data(KneadingPrefix(bits))
+    nu = KneadingPrefix(bits)
+    try:
+        kd = cutting_data(nu)
+    except NotAdmissible:
+        verdict = str(admissible_disjoint(nu))
+        raise ConstructionStuck(stage, dict(state, verdict=verdict)) from None
     lex = admissible_q(list(kd.Q))
     if lex.is_refuted:
         raise ConstructionStuck(stage, dict(state, verdict=str(lex)))
@@ -382,7 +384,7 @@ def generate(target_length: int, compat: bool = False, max_steps: int = 64,
     ok, reason = _segment_conditions(ledger.kd, len(SEED))
     covered_to, missing = coverage_report(ledger)
     cut_cov, cut_missing = coverage_report(ledger, mode="at_cuts")
-    disjoint = admissible_disjoint(nu)
+    disjoint = admissible_disjoint(nu, ledger.kd)
     lex = admissible_q(list(ledger.kd.Q))
     scheduled_at_cuts = all(ledger.paired(p.v) and ledger.paired(p.v_flip)
                             for p in plans)

@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uilkit.errors import NotAdmissible
-from uilkit.kneading import (KneadingPrefix, admissible_disjoint, admissible_q,
-                             cascade_q, cocutting_times, cutting_data,
-                             emit_dotted, example35_q, fibonacci_q,
-                             nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
-                             parse_dotted, q_asymptotics, renorm_scan)
+from uilkit import verdicts as V
+from uilkit.errors import DomainError, NotAdmissible
+from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
+                             KneadingPrefix, _lcp, _scan_structure,
+                             admissible_disjoint, admissible_q, cascade_q,
+                             cocutting_times, cutting_data, emit_dotted,
+                             example35_q, fibonacci_q, nonrecurrent_example_nu,
+                             nu_from_orbit, nu_from_q, parse_dotted,
+                             q_asymptotics, renorm_scan, rho_step)
 from uilkit.scalars import slope_exact
 
 def admissible_prefixes(length):
@@ -222,3 +225,304 @@ def test_round_trip_random_q(seed):
     nu = nu_from_q(qs, 300)
     kd = cutting_data(nu)
     assert nu_from_q(list(kd.Q), 300).bits == nu.bits
+
+
+# -- per-symbol oracles for the common-prefix code ---------------------------
+# The loops below are the per-symbol implementations that ``_lcp`` and the
+# segment-wise builders replaced; every field and message must agree.
+
+def _lcp_ref(seq, i, j):
+    n = 0
+    while max(i, j) + n < len(seq) and seq[i + n] == seq[j + n]:
+        n += 1
+    return n
+
+
+def _rho_step_ref(bits, j):
+    for k in range(j + 1, len(bits) + 1):
+        if bits[k - 1] != bits[k - 1 - j]:
+            return k
+    return None
+
+
+def _scan_structure_ref(bits):
+    """(S, Q, cocut, cocut_censored, refute_pos, refute_reason)."""
+    n_len = len(bits)
+    S, Q, s_index = [1], [], {1: 0}
+    last, n = 1, 2
+    while n <= n_len:
+        if bits[n - 1] != bits[n - 1 - last]:
+            gap = n - last
+            if gap not in s_index:
+                return S, Q, [], False, n, (
+                    f"cutting gap {gap} at position {n} is not a cutting time")
+            Q.append(s_index[gap])
+            s_index[n] = len(S)
+            S.append(n)
+            last = n
+        elif n == 2 * last:
+            return S, Q, [], False, n, (
+                f"no cutting time in ({last}, {2 * last}]; the next gap "
+                f"could not be a cutting time")
+        n += 1
+    cocut = []
+    j = bits.find("1", 1) + 1
+    while j:
+        cocut.append(j)
+        if j in s_index:
+            return S, Q, cocut, False, j, (
+                f"position {j} is both a cutting and a co-cutting time")
+        j = _rho_step_ref(bits, j) or 0
+    return S, Q, cocut, bool(cocut), None, None
+
+
+def _beta_ref(bits, S):
+    beta, last, s_set = [0], 1, set(S)
+    for n in range(2, len(bits) + 1):
+        beta.append(n - last)
+        if n in s_set:
+            last = n
+    return beta
+
+
+def _admissible_q_ref(qs, horizon=None):
+    m = len(qs)
+    limit = horizon if horizon is not None else m
+
+    def q_of(j):
+        if 0 < j <= m:
+            return qs[j - 1]
+        return 0 if j == 0 else None
+
+    first_unresolved = None
+    for k in range(1, min(limit, m) + 1):
+        qk = qs[k - 1]
+        if not 0 <= qk < k:
+            return V.refuted(RULE_Q, depth=limit, k=k, reason=f"Q({k}) = {qk} "
+                             + (f">= {k}" if qk >= k else "< 0"))
+        qq = q_of(q_of(k))
+        resolved = False
+        j = 1
+        while True:
+            a, b = q_of(qq + j), q_of(k + j)
+            if a is None or b is None:
+                break
+            if a < b:
+                resolved = True
+                break
+            if a > b:
+                return V.refuted(RULE_Q, depth=limit, k=k, j=j,
+                                 reason=(f"lex violation at k={k}: "
+                                         f"Q({qq + j}) = {a} > Q({k + j}) = {b}"))
+            j += 1
+        if not resolved and first_unresolved is None:
+            first_unresolved = k
+    if limit > m:
+        first_unresolved = first_unresolved or (m + 1)
+    if first_unresolved is None:
+        return V.certified(RULE_Q, depth=limit, checked_k=limit)
+    return V.evidence(RULE_Q, depth=limit, first_unresolved_k=first_unresolved)
+
+
+def _nu_from_q_ref(qs, horizon):
+    """The word, or (position, reason) of the NotAdmissible it raises."""
+    for k, qk in enumerate(qs, start=1):
+        if not 0 <= qk < k:
+            return k, f"Q({k}) = {qk} " + (f">= {k}" if qk >= k else "< 0")
+    S = [1]
+    for qk in qs:
+        if S[-1] >= horizon:
+            break
+        S.append(S[-1] + S[qk])
+    bits = ["1"]
+    for prev, s_new in zip(S, S[1:]):
+        while len(bits) < min(s_new - 1, horizon):
+            bits.append(bits[len(bits) - prev])
+        if s_new <= horizon:
+            bits.append("1" if bits[s_new - prev - 1] == "0" else "0")
+    while len(bits) < horizon:
+        bits.append(bits[len(bits) - S[-1]])
+    check = _admissible_q_ref(qs)
+    if check.is_refuted and check.witness["k"] <= len(S) - 1:
+        return check.witness["k"], check.witness["reason"]
+    return "".join(bits)
+
+
+def _emit_dotted_ref(bits, S):
+    out = []
+    for i, b in enumerate(bits, start=1):
+        out.append(b)
+        if i in S and i < len(bits):
+            out.append(".")
+    return "".join(out)
+
+
+def assert_word_matches_oracle(bits):
+    nu = KneadingPrefix(bits)
+    S, Q, cocut, censored, pos, reason = want = _scan_structure_ref(bits)
+    assert _scan_structure(bits) == want, bits
+    assert [rho_step(bits, j) for j in range(len(bits) + 2)] == \
+        [_rho_step_ref(bits, j) for j in range(len(bits) + 2)], bits
+    if pos is not None:
+        with pytest.raises(NotAdmissible) as err:
+            cutting_data(nu)
+        assert (err.value.position, err.value.reason) == (pos, reason), bits
+        assert admissible_disjoint(nu) == V.refuted(
+            RULE_DISJOINT, depth=len(bits), position=pos, reason=reason), bits
+        return
+    kd = cutting_data(nu)
+    assert (kd.S, kd.Q, kd.cocut, kd.cocut_censored, kd.horizon, kd.kappa) == (
+        tuple(S), tuple(Q), tuple(cocut), censored, len(bits),
+        cocut[0] if cocut else None), bits
+    assert kd.beta == tuple(_beta_ref(bits, S)), bits
+    want = V.evidence(RULE_DISJOINT, depth=len(bits), cutting=S,
+                      cocutting=cocut, cocut_censored=censored)
+    assert admissible_disjoint(nu) == want == admissible_disjoint(nu, kd)
+    assert emit_dotted(nu, kd) == _emit_dotted_ref(bits, set(S)), bits
+
+
+def assert_q_matches_oracle(qs):
+    for horizon in (None, 0, 1, len(qs) // 2 + 1, len(qs), len(qs) + 2):
+        assert admissible_q(qs, horizon=horizon) == \
+            _admissible_q_ref(qs, horizon), (qs, horizon)
+    for horizon in (1, 2, len(qs) + 1, 3 * len(qs) + 5):
+        want = _nu_from_q_ref(qs, horizon)
+        if isinstance(want, str):
+            assert nu_from_q(qs, horizon).bits == want, (qs, horizon)
+        else:
+            with pytest.raises(NotAdmissible) as err:
+                nu_from_q(qs, horizon)
+            got = (err.value.position, err.value.reason)
+            assert got == want, (qs, horizon)
+
+
+def _renorm_scan_ref(qs):
+    m = len(qs)
+    per_k, passing = {}, []
+    for k in range(2, m + 1):
+        verdict = None
+        for j in range(0, m - k + 1):
+            if qs[k + j - 1] < k - 1:
+                verdict = V.refuted(RULE_RENORM, depth=m, k=k, j=j,
+                                    value=qs[k + j - 1])
+                break
+        if verdict is None:
+            verdict = V.evidence(RULE_RENORM, depth=m, k=k, checked_j=m - k)
+            passing.append(k)
+        per_k[k] = verdict
+    return {"per_k": per_k, "passing": passing, "horizon": m}
+
+
+@settings(max_examples=300)
+@given(seq=st.one_of(st.text("01", max_size=70),
+                     st.lists(st.integers(-1, 2), max_size=70)),
+       data=st.data())
+def test_lcp_matches_oracle(seq, data):
+    i = data.draw(st.integers(0, len(seq)))
+    j = data.draw(st.integers(0, len(seq)))
+    assert _lcp(seq, i, j) == _lcp_ref(seq, i, j)
+
+
+def test_lcp_on_periodic_and_long_words():
+    # long common prefixes cross several gallop blocks before the bisection
+    for period in ("10", "100", "1011", "10010"):
+        for n in (1, 4, 5, 12, 13, 28, 29, 300):
+            word = (period * n)[:n + 3] + "0" + period * 40
+            for i in range(0, 3 * len(period) + 1):
+                assert _lcp(word, i, 0) == _lcp_ref(word, i, 0), (word, i)
+                assert _lcp(list(word), 0, i) == _lcp_ref(word, 0, i), word
+
+
+def test_word_scan_matches_oracle_exhaustive_len12():
+    # every word up to 12 symbols: lengths 1 and 2, rho leaving the prefix and
+    # the 2*last boundary on both sides of the word's end
+    for length in range(1, 13):
+        for idx in range(1 << (length - 1)):
+            tail = format(idx, "b").zfill(length - 1) if length > 1 else ""
+            assert_word_matches_oracle("1" + tail)
+
+
+@st.composite
+def mutated_admissible_words(draw):
+    """Admissible words of random kneading maps and named families, cut to a
+    random length, with up to three symbols flipped."""
+    import random
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    q = draw(st.sampled_from(["random", fibonacci_q, example35_q, cascade_q]))
+    if q == "random":
+        q = _random_admissible_q(rng, 64, 3000)
+        verdict = admissible_q(q)
+        if verdict.is_refuted:
+            # a prefix of Q that only loses data stays unrefuted
+            q = q[:verdict.witness["k"] - 1]
+        bits = nu_from_q(q, rng.randrange(1, 3000)).bits
+    else:
+        bits = nu_from_q(q, draw(st.integers(1, 3000))).bits
+    for _ in range(draw(st.integers(0, 3))):
+        i = rng.randrange(1, len(bits)) if len(bits) > 1 else 0
+        if i:
+            bits = bits[:i] + ("1" if bits[i] == "0" else "0") + bits[i + 1:]
+    return bits
+
+
+@settings(max_examples=250)
+@given(bits=st.one_of(
+    st.text("01", max_size=80).map(lambda t: "1" + t),
+    mutated_admissible_words(),
+    # periodic words: long self-matches run rho off the prefix
+    st.tuples(st.text("01", max_size=7), st.integers(1, 400)).map(
+        lambda pn: (("1" + pn[0]) * pn[1])[:pn[1]])))
+def test_word_scan_matches_oracle(bits):
+    assert_word_matches_oracle(bits)
+
+
+@settings(max_examples=250)
+@given(data=st.data())
+def test_q_checks_match_oracle(data):
+    # Q lists with values in [-2, k + 1]: negative and too-large values, lex
+    # violations, and tails whose comparison runs off the data
+    m = data.draw(st.integers(0, 40))
+    spread = data.draw(st.sampled_from(["wide", "admissible", "repeats"]))
+    qs = []
+    for k in range(1, m + 1):
+        if spread == "wide":
+            qs.append(data.draw(st.integers(-2, k + 1)))
+        elif spread == "admissible":
+            qs.append(data.draw(st.integers(0, k - 1)))
+        else:
+            qs.append(data.draw(st.integers(0, min(k - 1, 1))))
+    assert_q_matches_oracle(qs)
+    m = len(qs)
+    assert renorm_scan(qs, m) == _renorm_scan_ref(qs)
+
+
+def test_q_checks_match_oracle_on_families():
+    import random
+    rng = random.Random(8)
+    for qs in ([], [0], [-1], [1], [0, 0], [0, 1], [0, 0, 0, 2], [0] * 30,
+               [max(k - 2, 0) for k in range(1, 200)],
+               [example35_q(k) for k in range(1, 200)]):
+        assert_q_matches_oracle(qs)
+    for _ in range(100):
+        qs = _random_admissible_q(rng, 80, 2000)
+        assert_q_matches_oracle(qs)
+        qs[rng.randrange(len(qs))] = rng.choice((-1, len(qs) + 1, 0, 1))
+        assert_q_matches_oracle(qs)
+
+
+def test_nu_from_q_checks_only_the_kneading_map_it_uses():
+    # Q(2) breaks the lex condition (Q(2) = 1 > Q(4) = 0), but the horizon 2
+    # uses only S_1 = 2, so Q(2) is never read
+    qs = [0, 1, 0, 0]
+    assert admissible_q(qs).witness["k"] == 2
+    assert nu_from_q(qs, 2).bits == "10"
+    with pytest.raises(NotAdmissible) as err:
+        nu_from_q(qs, 3)
+    assert err.value.position == 2
+
+
+def test_alphabet_check_keeps_its_message():
+    with pytest.raises(DomainError, match=r"over 0/1: '1021'"):
+        KneadingPrefix("1021")
+    with pytest.raises(DomainError):
+        KneadingPrefix("1 0")

@@ -1,10 +1,11 @@
 import pytest
 
-from uilkit.errors import DomainError
+from uilkit.errors import ConstructionStuck, DomainError
 from uilkit.kneading import admissible_disjoint, admissible_q, cutting_data
 from uilkit.seqgen import (FIRST_EXTENSION_REFERENCE, SEED, WordLedger,
                            coverage_report, dump_resume, extend_step, generate,
-                           load_resume, shortest_missing_pair, word_admissible)
+                           _verify_admissible, load_resume,
+                           shortest_missing_pair, word_admissible)
 
 
 def test_seed_ledger_matches_reference_collection():
@@ -120,3 +121,17 @@ def test_coverage_modes_differ():
     assert occurs >= 4
     # 0001 occurs but cannot end at a cutting time (0000 is inadmissible)
     assert at_cuts == 3 and missing == "0001"
+
+
+def test_verify_admissible_reports_the_structural_verdict():
+    # one scan for an admissible candidate; a refuted one still reports the
+    # word-structure checker's verdict in the state dump
+    kd = _verify_admissible("10001011", "block-ii", {"k": 4})
+    assert kd.S == (1, 2, 3, 4, 7)
+    with pytest.raises(ConstructionStuck) as err:
+        _verify_admissible("1000101" + "0000", "block-ii", {"k": 4})
+    assert err.value.stage == "block-ii"
+    assert err.value.state == {"k": 4, "verdict": (
+        "Verdict(refuted, rule=admissibility-cut-cocut-disjoint, depth=11, "
+        "witness={'position': 11, 'reason': 'position 11 is both a cutting "
+        "and a co-cutting time'})")}
