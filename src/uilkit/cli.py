@@ -154,13 +154,9 @@ def cmd_tower(args):
     N = min(args.depth, kd.horizon)
     levels = tower_levels(kd, slope, N, orbit=orbit)
     lb = long_branched_evidence(kd, N, slope, levels=levels)
-    rows = []
-    for lv in levels:
-        if lv.length is not None:
-            rows.append((lv.n, V.approx(lv.length.lo), V.approx(lv.length.hi)))
-        else:
-            rows.append((lv.n, "", ""))
     if args.out_csv:
+        rows = [(lv.n, V.approx(lv.length.lo), V.approx(lv.length.hi))
+                if lv.length is not None else (lv.n, "", "") for lv in levels]
         _emit_csv(args.out_csv, ("n", "len_lo", "len_hi"), rows)
     results = {
         "levels": [lv.to_json() for lv in levels[: args.depth]],
@@ -186,7 +182,8 @@ def cmd_classify(args):
 def cmd_persistence(args):
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
     qa = q_asymptotics(qs)
-    results = {"q_asymptotics": qa.to_json()}
+    results = {"q_asymptotics": qa.to_json(), "search": None}
+    kind = None
     if slope is not None:
         eps_grid = [Fraction(1, 1 << k) for k in range(args.eps_pow_min,
                                                        args.eps_pow_max + 1)]
@@ -196,22 +193,15 @@ def cmd_persistence(args):
                                     orbit=orbit)
         results["search"] = verdict.to_json()
         kind = verdict.witness.get("kind")
-    else:
-        kind = None
-        results["search"] = None
+    rule, depth = "folding-equals-endpoints-dichotomy", args.horizon
     if kind == "persistent":
-        expectation = V.evidence("folding-equals-endpoints-dichotomy",
-                                 depth=args.horizon, via="pullback-search")
+        expectation = V.evidence(rule, depth=depth, via="pullback-search")
     elif kind == "reluctant":
-        expectation = V.refuted("folding-equals-endpoints-dichotomy",
-                                depth=args.horizon, via="monotone-pullback")
+        expectation = V.refuted(rule, depth=depth, via="monotone-pullback")
     elif qa.to_infinity.is_positive:
-        expectation = V.evidence("folding-equals-endpoints-dichotomy",
-                                 depth=args.horizon, via="q-divergence")
+        expectation = V.evidence(rule, depth=depth, via="q-divergence")
     else:
-        expectation = V.undetermined("folding-equals-endpoints-dichotomy",
-                                     "no persistence signal",
-                                     depth=args.horizon)
+        expectation = V.undetermined(rule, "no persistence signal", depth=depth)
     results["folding_equals_endpoints"] = expectation.to_json()
     _emit(args, _report(args, "persistence", results))
 
@@ -251,11 +241,9 @@ def cmd_density(args):
     K = min(args.K, kd.max_k)
     report = cutting_value_gaps(slope, K, _eps(args), kd, orbit=orbit)
     if args.out_csv:
-        rows = []
-        for row in report["rows"]:
-            flag = 1 if (row["from_n"], row["to_n"]) == tuple(
-                report["max_gap_pair"] or ()) else 0
-            rows.append((row["from_n"], row["to_n"], row["gap_hi"], flag))
+        pair = tuple(report["max_gap_pair"] or ())
+        rows = [(r["from_n"], r["to_n"], r["gap_hi"],
+                 int((r["from_n"], r["to_n"]) == pair)) for r in report["rows"]]
         _emit_csv(args.out_csv, ("from_n", "to_n", "gap_hi", "is_max_gap"), rows)
     results = {
         "K": K,
@@ -311,54 +299,46 @@ def build_parser():
                        "when set, overrides it")
         p.add_argument("--out", help="write the JSON report here")
 
-    p = sub.add_parser("knead", help="kneading data and admissibility")
-    common(p, horizon=1000)
-    p.set_defaults(func=cmd_knead)
+    def command(name, func, help, horizon=None, depth=64):
+        p = sub.add_parser(name, help=help)
+        if horizon is not None:
+            common(p, horizon, depth)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("tower", help="Hofbauer tower levels")
-    common(p, horizon=256, depth=64)
+    command("knead", cmd_knead, "kneading data and admissibility", 1000, 256)
+    p = command("tower", cmd_tower, "Hofbauer tower levels", 256)
     p.add_argument("--out-csv")
-    p.set_defaults(func=cmd_tower)
 
-    p = sub.add_parser("classify", help="classify itineraries")
-    common(p, horizon=256, depth=64)
+    p = command("classify", cmd_classify, "classify itineraries", 256)
     p.add_argument("--itinerary", action="append", default=[],
                    help="e.g. '(1)^inf 111.111' or '...100110.01'; repeatable")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("persistence", help="recurrence-type search")
-    common(p, horizon=120, depth=64)
+    p = command("persistence", cmd_persistence, "recurrence-type search", 120)
     p.add_argument("--length-target", type=int, default=64)
     p.add_argument("--eps-pow-min", type=int, default=6)
     p.add_argument("--eps-pow-max", type=int, default=12)
-    p.set_defaults(func=cmd_persistence)
 
-    p = sub.add_parser("subcontinua", help="chain search and classification")
-    common(p, horizon=60, depth=64)
+    p = command("subcontinua", cmd_subcontinua,
+                "chain search and classification", 60)
     p.add_argument("--max-chains", type=int, default=8)
     p.add_argument("--cascade-min", type=int, default=3)
-    p.set_defaults(func=cmd_subcontinua)
 
-    p = sub.add_parser("genseq", help="appendix-style word generator")
+    p = command("genseq", cmd_genseq, "appendix-style word generator")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--compat", action="store_true",
                    help="assert the first extension matches the reference")
     p.add_argument("--plans", action="store_true", help="include step plans")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_genseq)
 
-    p = sub.add_parser("density", help="cutting-value gap scan")
-    common(p, horizon=512, depth=64)
+    p = command("density", cmd_density, "cutting-value gap scan", 512)
     p.add_argument("--K", type=int, default=8)
     p.add_argument("--out-csv")
-    p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("fmap", help="accelerated-map graph data")
-    common(p, horizon=128, depth=64)
+    p = command("fmap", cmd_fmap, "accelerated-map graph data", 128)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--max-cell", type=int, default=8)
     p.add_argument("--out-csv")
-    p.set_defaults(func=cmd_fmap)
     return top
 
 

@@ -3,7 +3,9 @@
 Tower levels follow the inductive definition D_1 = [c, c_1] and
 D_{n+1} = [c_{n+1}, c_1] when c is in D_n, else T(D_n); the index form
 D_n = [c_n, c_beta(n)] (with c_0 standing for c) is computed independently
-from the cutting structure and cross-checked against the induction.
+from the cutting structure and cross-checked against the induction.  Both
+compare ends by cross-multiplying their integers (shifting dyadic ones) and
+subtract them by Fraction's two-gcd rule, to the same reduced Fractions.
 
 Closest precritical points z_k < c < zhat_k = 1 - z_k satisfy
 T^{S_k}(z_k) = c with no earlier critical visit on [z_k, zhat_k]; they are
@@ -28,7 +30,8 @@ from . import verdicts as V
 from .errors import (DomainError, InternalInconsistency, PrecisionExhausted,
                      UnresolvedComparison)
 from .kneading import CuttingData, cutting_data, nu_from_orbit, q_asymptotics
-from .scalars import (C, DEFAULT_PREC_CAP, Scalar, SignRelC, SlopeParam,
+from .scalars import (C, DEFAULT_PREC_CAP, DEFAULT_PRECISION, Scalar,
+                      SignRelC, SlopeParam, _diff, _lt, _scalar,
                       _start_precision, branch_preimage_left,
                       branch_preimage_right, certified_cmp, critical_orbit,
                       s_one_minus, sign_rel_c, tent_apply)
@@ -97,6 +100,12 @@ def orbit_table(slope: SlopeParam,
     return orbit
 
 
+def _hull(a: Scalar, b: Scalar):
+    """Ends (lo, hi) of the hull of two enclosures."""
+    return (b.lo if _lt(b.lo, a.lo) else a.lo,
+            b.hi if _lt(a.hi, b.hi) else a.hi)
+
+
 def level_ends(orbit: OrbitTable, kd: CuttingData, ns):
     """Outer ends (lo, hi) of the tower levels D_n = [c_n, c_beta(n)], n in
     ``ns``, intersected: for one n, the hull of the two enclosures.
@@ -105,10 +114,11 @@ def level_ends(orbit: OrbitTable, kd: CuttingData, ns):
     """
     lo = hi = None
     for n in ns:
-        a, b = orbit.value(n), orbit.value(kd.beta_of(n))
-        d_lo, d_hi = min(a.lo, b.lo), max(a.hi, b.hi)
-        lo = d_lo if lo is None else max(lo, d_lo)
-        hi = d_hi if hi is None else min(hi, d_hi)
+        d_lo, d_hi = _hull(orbit.value(n), orbit.value(kd.beta_of(n)))
+        if lo is None or _lt(lo, d_lo):
+            lo = d_lo
+        if hi is None or _lt(d_hi, hi):
+            hi = d_hi
     return None if lo is None else (lo, hi)
 
 
@@ -145,11 +155,9 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     if N > kd.horizon:
         raise DomainError("tower depth exceeds the kneading horizon")
     cuts = set(kd.S)
-    levels = []
     if slope is None:
-        for n in range(1, N + 1):
-            levels.append(TowerLevel(n, kd.beta_of(n), contains_c=n in cuts))
-        return levels
+        return [TowerLevel(n, kd.beta_of(n), contains_c=n in cuts)
+                for n in range(1, N + 1)]
 
     orbit = orbit_table(slope, orbit)
     orbit.extend(N)
@@ -157,22 +165,26 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     # The inductive level is carried as its two endpoint values; away from
     # cutting times c is outside the level, so T maps endpoints to endpoints.
     end_a, end_b = Scalar.exact(C), c1          # D_1 = [c, c_1]
+    levels = []
     for n in range(1, N + 1):
         lo_idx = orbit.value(n)
         hi_idx = orbit.value(kd.beta_of(n))
-        index_form = Scalar(*level_ends(orbit, kd, (n,)),
-                            min(lo_idx.precision_bits, hi_idx.precision_bits))
-        inductive = Scalar(min(end_a.lo, end_b.lo), max(end_a.hi, end_b.hi),
-                           min(end_a.precision_bits, end_b.precision_bits))
-        if index_form.lo > inductive.hi or inductive.lo > index_form.hi or (
-                slope.is_exact and (index_form.lo != inductive.lo
-                                    or index_form.hi != inductive.hi)):
+        index_form = _scalar(*level_ends(orbit, kd, (n,)),
+                             min(lo_idx.precision_bits, hi_idx.precision_bits))
+        inductive = _scalar(*_hull(end_a, end_b),
+                            min(end_a.precision_bits, end_b.precision_bits))
+        if _lt(inductive.hi, index_form.lo) or _lt(index_form.hi, inductive.lo) \
+                or slope.is_exact and (index_form.lo != inductive.lo
+                                       or index_form.hi != inductive.hi):
             raise InternalInconsistency(
                 f"tower level {n}: index form [{index_form.lo}, {index_form.hi}] "
                 f"!= induction [{inductive.lo}, {inductive.hi}]")
-        length = Scalar(max(Fraction(0), index_form.width() - lo_idx.width()
-                            - hi_idx.width()),
-                        index_form.width())
+        width = low = _diff(index_form.hi, index_form.lo)
+        for x in (lo_idx, hi_idx):
+            if x.lo is not x.hi:                # an exact end has width 0
+                low = _diff(low, _diff(x.hi, x.lo))
+        length = _scalar(Fraction(0) if low.numerator < 0 else low, width,
+                         DEFAULT_PRECISION)
         levels.append(TowerLevel(n, kd.beta_of(n), (index_form, inductive),
                                  length, n in cuts))
         if n in cuts:
@@ -448,18 +460,15 @@ def cutting_value_gaps(slope: SlopeParam, K: int, eps,
         pts = [(orbit.value(kd.S[k]), kd.S[k]) for k in ks]
         pts.append((orbit.value(1), 1))
         pts.append((orbit.value(2), 2))
-        try:
-            pts.sort(key=lambda p: p[0].lo)
-            rows = []
-            worst = (Fraction(0), None)
-            for (a, na), (b, nb) in zip(pts, pts[1:]):
-                gap = b.hi - a.lo          # outer estimate of the gap
-                rows.append({"from_n": na, "to_n": nb, "gap_hi": V.approx(gap)})
-                if gap > worst[0]:
-                    worst = (gap, (na, nb))
-            return rows, worst
-        except UnresolvedComparison:
-            raise PrecisionExhausted("cutting values not separable")
+        pts.sort(key=lambda p: p[0].lo)
+        rows = []
+        worst = (Fraction(0), None)
+        for (a, na), (b, nb) in zip(pts, pts[1:]):
+            gap = b.hi - a.lo          # outer estimate of the gap
+            rows.append({"from_n": na, "to_n": nb, "gap_hi": V.approx(gap)})
+            if gap > worst[0]:
+                worst = (gap, (na, nb))
+        return rows, worst
 
     all_rows, (max_gap, max_pair) = gap_report(range(0, K + 1))
     small_ks = [k for k in range(0, K + 1) if kd.q_of(k) <= 1]

@@ -38,6 +38,7 @@ evidence of persistent recurrence, reported together with the shortcut
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -49,7 +50,7 @@ from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
                      UnrealizableWord, UnresolvedComparison)
 from .hofbauer import OrbitTable, level_ends, orbit_table, tower_levels
 from .kneading import CuttingData, KneadingPrefix, cutting_data, q_asymptotics
-from .scalars import (C, Scalar, SignRelC, SlopeParam,
+from .scalars import (C, Scalar, SignRelC, SlopeParam, _grid_ends,
                       branch_preimage, certified_cmp, parity_lex_cmp,
                       sign_rel_c, tent_apply)
 
@@ -341,29 +342,33 @@ def word_image_interval(slope: SlopeParam, word: str, domain: str = "unit"):
     K_i = T(K_{i-1} cut to the branch of w_i); K_N is exactly the set of
     zero-th projections compatible with the word.  Returns exact Fractions
     (lo, hi), or None when the cylinder is empty.
+
+    For s = p/q, K_i is [lo/d, hi/d] over one even d: c is d/2, 1 - x is
+    d - x, a step multiplies lo, hi by p and d by q, and one gcd reduces.
     """
     if not slope.is_exact:
         raise DomainError("the word-image oracle needs an exact rational slope")
-    s = slope.s.value
+    p, q = slope.s.value.numerator, slope.s.value.denominator
     if domain == "unit":
-        lo, hi = Fraction(0), Fraction(1)
+        lo, hi, d = 0, 2, 2
     elif domain == "core":
-        lo, hi = s * (1 - s / 2), s / 2
+        lo, hi, d = p * (2 * q - p), p * q, 2 * q * q
     else:
         raise DomainError(f"unknown domain {domain!r}")
-    half = Fraction(1, 2)
     for ch in word:
+        half = d >> 1
         if ch == "0":
-            a, b = lo, min(hi, half)
-            if a > b:
+            hi = min(hi, half)
+            if lo > hi:
                 return None
-            lo, hi = s * a, s * b
+            lo, hi = p * lo, p * hi
         else:
-            a, b = max(lo, half), hi
-            if a > b:
+            lo = max(lo, half)
+            if lo > hi:
                 return None
-            lo, hi = s * (1 - b), s * (1 - a)
-    return lo, hi
+            lo, hi = p * (d - hi), p * (d - lo)
+        d *= q
+    return Fraction(lo, d), Fraction(hi, d)
 
 
 def word_realizable(word: str, nu: KneadingPrefix) -> bool:
@@ -576,35 +581,36 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
     channel: the itinerary window starting at a far coordinate must occur in
     the kneading prefix.  Refuted only when both channels fail; evidence
     otherwise.
+
+    A projection [a, b] is far when every proxy interval is farther from it
+    than eps + r + (b - a), r the widest proxy interval; one within eps of
+    both ends is nearer than that, so no separate nearness test is needed.
+    Ends are rounded outward onto the 2^-bits grid and kept as integers k of
+    k/2^bits, so gaps are integers and the bound may be floored: [a, b] is
+    far when t = floor(eps 2^bits) + r + (b - a) is negative or no proxy
+    interval meets [a - t, b + t].  With the proxy sorted by low end and a
+    running maximum of its high ends, that is one bisection.
     """
     eps = Fraction(eps)
     burn_in = proxy_len // 4 if burn_in is None else burn_in
     orbit = orbit_table(slope, orbit)
     orbit.extend(proxy_len)
-    # distances only need eps resolution; shed the huge exact denominators
     bits = max(64, (eps.denominator.bit_length() + 32))
-    proxy = [orbit.value(j).rounded(bits)
-             for j in range(burn_in, proxy_len + 1)]
-    resolution = max(p.width() for p in proxy)
-    pts = [x.rounded(bits) for x in backward_points(slope, it, depth)]
-    far = []
-    for n, x in enumerate(pts):
-        near = False
-        certainly_far = True
-        for p in proxy:
-            gap_lo = max(Fraction(0), p.lo - x.hi, x.lo - p.hi)
-            gap_hi = max(abs(p.hi - x.lo), abs(x.hi - p.lo))
-            if gap_hi <= eps:
-                near = True
-                break
-            if gap_lo <= eps + resolution + x.width():
-                certainly_far = False
-        if not near and certainly_far:
-            far.append(n)
-    if not far:
+    proxy = sorted(_grid_ends(orbit.value(j), bits)
+                   for j in range(burn_in, proxy_len + 1))
+    resolution = max(p_hi - p_lo for p_lo, p_hi in proxy)
+    lows, highs = zip(*proxy)
+    max_high = list(accumulate(highs, max))
+    e = (eps.numerator << bits) // eps.denominator
+    pts = [_grid_ends(x, bits) for x in backward_points(slope, it, depth)]
+    for n, (a, b) in enumerate(pts):
+        t = e + resolution + b - a
+        i = bisect_right(lows, b + t)
+        if t < 0 or not i or max_high[i - 1] < a - t:
+            break
+    else:
         return V.evidence(RULE_FOLDING, depth=len(pts) - 1, epsilon=eps,
                           proxy_len=proxy_len)
-    n = far[0]
     piece = it.backward.unrolled(n + window)[:window] if n > 0 else \
         (it.forward[:window] or it.backward.unrolled(window))
     if piece and piece not in nu.bits:
@@ -797,11 +803,8 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
     """
     orbit = orbit_table(slope, orbit)
     orbit.extend(horizon + 2)
-    rec_gap = None
-    for n in range(1, horizon + 1):
-        x = orbit.value(n)
-        gap = max(abs(x.hi - C), abs(C - x.lo))
-        rec_gap = gap if rec_gap is None else min(rec_gap, gap)
+    rec_gap = min((max(abs(x.hi - C), abs(C - x.lo))
+                   for x in map(orbit.value, range(1, horizon + 1))), default=None)
     recurrent_hint = rec_gap is not None and rec_gap < Fraction(1, 64)
 
     q_shortcut = None

@@ -99,15 +99,52 @@ def _mul(n1: int, d1: int, n2: int, d2: int):
     return n1 * n2, d1 * d2
 
 
+def _lt(x: Fraction, y: Fraction) -> bool:
+    """x < y: one cross-multiplication, or a shift for two dyadic ends."""
+    a, b = x.numerator, x.denominator
+    c, d = y.numerator, y.denominator
+    if b & (b - 1) or d & (d - 1):
+        return a * d < c * b
+    shift = d.bit_length() - b.bit_length()
+    return a << shift < c if shift >= 0 else a < c << -shift
+
+
+def _diff(x: Fraction, y: Fraction) -> Fraction:
+    """x - y in lowest terms by the two-gcd subtraction of ``Fraction``,
+    whose gcds against power-of-two denominators are trailing-zero counts."""
+    na, da = x.numerator, x.denominator
+    nb, db = y.numerator, y.denominator
+    g = _gcd(da, db)
+    s = da // g
+    t = na * (db // g) - nb * s
+    g2 = _gcd(t, g)
+    return _frac(t // g2, s * (db // g2))
+
+
+def _grid_num(n: int, d: int, bits: int, up: bool) -> int:
+    """n/d rounded down (or up) onto the 2^-bits grid, as the k of k/2^bits."""
+    if d & (d - 1):
+        return -((-n << bits) // d) if up else (n << bits) // d
+    shift = d.bit_length() - 1 - bits
+    if shift <= 0:
+        return n << -shift
+    return -(-n >> shift) if up else n >> shift
+
+
+def _grid_ends(x: "Scalar", bits: int):
+    """The ends of ``x.rounded(bits)`` as the integers k of k/2^bits."""
+    lo, hi = x.lo, x.hi
+    d = lo.denominator
+    if lo is hi and d & (d - 1):        # off the grid: between k and k + 1
+        k = (lo.numerator << bits) // d
+        return k, k + 1
+    return (_grid_num(lo.numerator, d, bits, False),
+            _grid_num(hi.numerator, hi.denominator, bits, True))
+
+
 def _grid(n: int, d: int, bits: int, up: bool):
     """n/d rounded down (or up) onto the 2^-bits grid, in lowest terms."""
-    if d & (d - 1):
-        k = -((-n << bits) // d) if up else (n << bits) // d
-    else:
-        shift = d.bit_length() - 1 - bits
-        if shift <= 0:
-            return n, d
-        k = -(-n >> shift) if up else n >> shift
+    k = _grid_num(n, d, bits, up)
     if not k:
         return 0, 1
     tz = min((k & -k).bit_length() - 1, bits)
@@ -134,7 +171,7 @@ class Scalar:
     @classmethod
     def exact(cls, value) -> "Scalar":
         v = Fraction(value)
-        return cls(v, v)
+        return _scalar(v, v, DEFAULT_PRECISION)
 
     @classmethod
     def interval(cls, lo, hi, precision_bits=DEFAULT_PRECISION) -> "Scalar":
@@ -147,7 +184,9 @@ class Scalar:
 
     @property
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        lo, hi = self.lo, self.hi       # both in lowest terms
+        return lo is hi or (lo.numerator == hi.numerator
+                            and lo.denominator == hi.denominator)
 
     @property
     def value(self) -> Fraction:
@@ -433,9 +472,9 @@ def certified_cmp(a: Scalar, b: Scalar) -> int:
     Exact equal values compare as 0.  Nothing is refined here: a caller that
     needs a finer answer re-derives both values from ``slope.at(bits)``.
     """
-    if a.hi < b.lo:
+    if _lt(a.hi, b.lo):
         return -1
-    if a.lo > b.hi:
+    if _lt(b.hi, a.lo):
         return 1
     if a.is_exact and b.is_exact:
         return 0

@@ -68,10 +68,9 @@ def find_qcond_chains(q, horizon: int, variant: str = STRICT,
     m = len(qs)
 
     q_of = _q_lookup(qs)
-    succ = {}
-    for k_prev in range(1, m + 1):
-        succ[k_prev] = [k for k in range(k_prev + 1, m + 1)
-                        if _satisfies(q_of, variant, k_prev, k)]
+    succ = {k_prev: [k for k in range(k_prev + 1, m + 1)
+                     if _satisfies(q_of, variant, k_prev, k)]
+            for k_prev in range(1, m + 1)}
 
     chains = []
     seen_prefix = set()
@@ -94,14 +93,9 @@ def find_qcond_chains(q, horizon: int, variant: str = STRICT,
         extend((k0,))
     chains.sort()
 
-    greedy = []
-    k_prev = None
+    greedy, k_prev = [], 1          # the first step needs Q(k) > 0
     for k in range(1, m + 1):
-        if k_prev is None:
-            if qs[k - 1] > 0:
-                greedy.append(k)
-                k_prev = k
-        elif qs[k - 1] > k_prev - 1:
+        if qs[k - 1] > k_prev - 1:
             greedy.append(k)
             k_prev = k
     return {"variant": variant, "chains": chains, "greedy": tuple(greedy),

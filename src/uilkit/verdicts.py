@@ -13,6 +13,7 @@ Verdicts carry the identifier of the rule that produced them and a witness
 dictionary, so reports can be audited without re-running the computation.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,20 +30,24 @@ def approx(value, digits: int = 17) -> str:
 
     Exact fractions from long certified orbits can have denominators far
     beyond any printing limit; witnesses only need a human-scale value.
+    The decimal exponent comes from the bit lengths, so the cost does not
+    grow with it.
     """
     value = Fraction(value)
-    if value == 0:
+    n, d = abs(value.numerator), value.denominator
+    if not n:
         return "0"
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    exp = 0
-    while value >= 10:
-        value /= 10
-        exp += 1
-    while value < 1:
-        value *= 10
-        exp -= 1
-    scaled = int(value * 10 ** digits)
+    sign = "-" if value.numerator < 0 else ""
+    exp = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
+    while True:                         # until 10^exp <= n/d < 10^(exp + 1)
+        shift = digits - exp
+        scaled = n * 10 ** shift // d if shift >= 0 else n // (d * 10 ** -shift)
+        if scaled < 10 ** digits:
+            exp -= 1
+        elif scaled >= 10 ** (digits + 1):
+            exp += 1
+        else:
+            break
     mantissa = f"{scaled:0{digits + 1}d}"
     return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exp:+d}"
 

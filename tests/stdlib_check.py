@@ -26,15 +26,27 @@ fib, ex35, nonrec and generator words, their truncations and seeded
 one-symbol mutations, a fixed list of refuted words, and seeded ``Q`` lists
 with negative, too-large and lex-violating values.  It was recorded with the
 per-symbol scans that the common-prefix primitive ``kneading._lcp`` replaced.
+
+A fourth digest covers the layers above the kernel: ``tower_levels`` (both
+level Scalars and ``length`` per level) on 9/5, sqrt3, cbrt6 and a
+10^-40-wide interval, the criterion-8 folding battery's verdicts on exact,
+algebraic and interval slopes at several ``eps`` (zero and negative among
+them), and ``word_image_interval`` on every word up to 8 symbols and seeded
+longer ones, in both domains.  It was recorded with the ``Fraction``
+versions of ``level_ends``, ``tower_levels``, ``folding_verdict`` and
+``word_image_interval`` that the integer ones replaced.
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
-from uilkit.hofbauer import PrecriticalTable
-from uilkit.inverse_limit import pull_back
+from uilkit.hofbauer import PrecriticalTable, tower_levels
+from uilkit.inverse_limit import (BackwardWord, TwoSidedItinerary,
+                                  folding_verdict, pull_back,
+                                  word_image_interval)
 from uilkit.errors import NotAdmissible
 from uilkit.kneading import (KneadingPrefix, admissible_disjoint,
                              admissible_q, cutting_data, example35_q,
@@ -42,7 +54,7 @@ from uilkit.kneading import (KneadingPrefix, admissible_disjoint,
                              nu_from_orbit, nu_from_q)
 from uilkit.presets import parse_slope
 from uilkit.scalars import (Scalar, _Coprime, critical_orbit, slope_exact,
-                            slope_interval)
+                            slope_for_prefix, slope_interval)
 from uilkit.seqgen import generate
 
 ORBIT_DIGEST = "4ee8f2903c8ac3e6ca60262fcd351d6ba0a46f0a763b87d9f18a740ddf981f09"
@@ -50,6 +62,8 @@ PRECRITICAL_DIGEST = \
     "cca2e1830b435b61d8afc6d21fbcf53583748e2a3bb1b5c8541822f391490b02"
 KNEADING_DIGEST = \
     "99cb070f664af0baa8aaacc4ea3b09b0bce023634d9f56ab61dc180f27335e1b"
+TOWER_DIGEST = \
+    "22dec4ba9d72d3ce5513006fe79a2bb2452d210ca2d69360cc1940ec0fd9d06b"
 PULLBACK_WORD = "110101101110101101011101101011"
 REFUTED_WORDS = ("11", "100", "1001", "10000", "1011", "10010", "1000100",
                  "10011100", "1001110110", "1000101000", "10001011001")
@@ -184,12 +198,58 @@ def kneading_digest(seed=11):
     return h.hexdigest()
 
 
+def _folding_battery(slope):
+    s = slope.s.lo
+    r = Scalar.exact(s / (1 + s))
+    return (TwoSidedItinerary(BackwardWord("", "1"), "1" * 10, x0=r),
+            TwoSidedItinerary(BackwardWord("0", "1"), "1" * 10, x0=r),
+            TwoSidedItinerary(BackwardWord("", "0"), "0" * 10,
+                              x0=Scalar.exact(Fraction(1, 97))),
+            TwoSidedItinerary(BackwardWord("", "01"), "01" * 5,
+                              x0=Scalar.exact(s / (1 + s * s))))
+
+
+def tower_digest(seed=13):
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for slope in (slope_exact(Fraction(9, 5)), parse_slope("sqrt3"),
+                  parse_slope("cbrt6"), _interval_slope()):
+        kd = cutting_data(nu_from_orbit(slope, 120))
+        for lv in tower_levels(kd, slope, kd.horizon):
+            h.update(f"{lv.n},{lv.beta_n},{lv.contains_c};".encode())
+            for x in lv.numeric + (lv.length,):
+                _hash_ends(h, x)
+                h.update(b";")
+    nonrec = slope_for_prefix(nonrecurrent_example_nu(180).bits)
+    for slope in (nonrec, parse_slope("sqrt3"), _interval_slope()):
+        nu = nu_from_orbit(slope, 120)
+        for it in _folding_battery(slope):
+            for eps in (Fraction(1, 256), Fraction(1, 1000),
+                        Fraction(1, 1 << 20), Fraction(0), Fraction(-1, 256)):
+                for depth, proxy_len in ((64, 120), (16, 40)):
+                    v = folding_verdict(it, slope, nu, depth=depth, eps=eps,
+                                        proxy_len=proxy_len)
+                    h.update(repr(v.to_json()).encode())
+    words = ["".join(w) for n in range(1, 9)
+             for w in itertools.product("01", repeat=n)]
+    words += ["".join(rng.choice("01") for _ in range(rng.randrange(9, 60)))
+              for _ in range(200)]
+    for s in (Fraction(9, 5), Fraction(3, 2), Fraction(2), Fraction(7, 4),
+              nonrec.s.value):
+        slope = slope_exact(s)
+        for domain in ("unit", "core"):
+            for w in words:
+                h.update(repr(word_image_interval(slope, w, domain)).encode())
+    return h.hexdigest()
+
+
 def main():
     check_fraction_from_pair()
     digest = orbit_digest()
     assert digest == ORBIT_DIGEST, digest
     assert precritical_digest() == PRECRITICAL_DIGEST, precritical_digest()
     assert kneading_digest() == KNEADING_DIGEST, kneading_digest()
+    assert tower_digest() == TOWER_DIGEST, tower_digest()
     print("ok", digest[:16])
 
 

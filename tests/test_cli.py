@@ -4,8 +4,10 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uilkit import cli, hofbauer
+from uilkit import verdicts as V
 from uilkit.cli import main
 
 
@@ -86,6 +88,62 @@ def test_tower_csv_monotone_n(tmp_path, capsys):
     rows = open(out_csv).read().splitlines()[1:]
     ns = [int(r.split(",")[0]) for r in rows]
     assert ns == sorted(ns)
+
+
+def test_tower_builds_csv_rows_only_for_a_csv(tmp_path, capsys, monkeypatch):
+    calls = []
+    approx = V.approx
+    monkeypatch.setattr(cli.V, "approx",
+                        lambda *a: calls.append(a) or approx(*a))
+    argv = ("tower", "--slope", "9/5", "--horizon", "40", "--depth", "40")
+    assert run_cli(capsys, *argv)[0] == 0
+    report_calls = len(calls)
+    out_csv = str(tmp_path / "t.csv")
+    assert run_cli(capsys, *argv, "--out-csv", out_csv)[0] == 0
+    # two lengths per level, and nothing else, are rendered for the CSV
+    assert len(calls) == 2 * report_calls + 2 * 40
+    assert len(open(out_csv).read().splitlines()) == 41
+
+
+def _approx_oracle(value, digits=17):
+    """verdicts.approx of the Fraction code: one step per decade."""
+    value = Fraction(value)
+    if value == 0:
+        return "0"
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    exp = 0
+    while value >= 10:
+        value /= 10
+        exp += 1
+    while value < 1:
+        value *= 10
+        exp -= 1
+    scaled = int(value * 10 ** digits)
+    mantissa = f"{scaled:0{digits + 1}d}"
+    return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exp:+d}"
+
+
+def test_approx_matches_oracle_at_powers_of_ten():
+    one = Fraction(1, 10 ** 700)
+    for e in (-620, -301, -40, -18, -17, -2, -1, 0, 1, 2, 16, 17, 18, 40, 619):
+        p = Fraction(10) ** e
+        for v in (p, p - one, p + one, -p, p * Fraction(999, 1000),
+                  p * 2 ** 60 / (2 ** 60 + 1)):
+            for digits in (0, 3, 17):
+                assert V.approx(v, digits) == _approx_oracle(v, digits), v
+    assert V.approx(0) == "0" and V.approx(Fraction(0, 7), 3) == "0"
+
+
+@settings(max_examples=300)
+@given(n=st.integers(-(1 << 2100), 1 << 2100),
+       d=st.one_of(st.integers(1, 1 << 2100),
+                   st.integers(0, 2100).map(lambda e: 1 << e),
+                   st.integers(0, 640).map(lambda e: 10 ** e)),
+       digits=st.sampled_from([0, 1, 5, 17, 40]))
+def test_approx_matches_oracle(n, d, digits):
+    v = Fraction(n, d)
+    assert V.approx(v, digits) == _approx_oracle(v, digits)
 
 
 def test_density_csv_flags_max_gap(tmp_path, capsys):

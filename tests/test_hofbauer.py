@@ -4,11 +4,11 @@ import pkgutil
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import uilkit
 from uilkit import hofbauer
-from uilkit.errors import DomainError
+from uilkit.errors import DomainError, PrecisionExhausted
 from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
                              cutting_value_gaps, f_apply, f_graph_data,
                              long_branched_evidence, tower_level, tower_levels,
@@ -347,3 +347,128 @@ def test_only_the_orbit_builders_take_a_precision_cap():
                 if "prec_cap" in params:
                     found.add(label)
     assert found == {"critical_orbit", "refine", "nu_from_orbit", "OrbitTable"}
+
+
+# -- integer ends: differential tests against the Fraction code ----------------
+
+def _level_ends_oracle(orbit, kd, ns):
+    """level_ends of the Fraction code."""
+    lo = hi = None
+    for n in ns:
+        a, b = orbit.value(n), orbit.value(kd.beta_of(n))
+        d_lo, d_hi = min(a.lo, b.lo), max(a.hi, b.hi)
+        lo = d_lo if lo is None else max(lo, d_lo)
+        hi = d_hi if hi is None else min(hi, d_hi)
+    return None if lo is None else (lo, hi)
+
+
+def _tower_levels_oracle(kd, slope, N):
+    """tower_levels of the Fraction code: checked Scalars, Fraction widths."""
+    cuts = set(kd.S)
+    orbit = OrbitTable(slope)
+    orbit.extend(N)
+    c1 = orbit.value(1)
+    end_a, end_b = Scalar.exact(C), c1
+    levels = []
+    for n in range(1, N + 1):
+        lo_idx = orbit.value(n)
+        hi_idx = orbit.value(kd.beta_of(n))
+        index_form = Scalar(*_level_ends_oracle(orbit, kd, (n,)),
+                            min(lo_idx.precision_bits, hi_idx.precision_bits))
+        inductive = Scalar(min(end_a.lo, end_b.lo), max(end_a.hi, end_b.hi),
+                           min(end_a.precision_bits, end_b.precision_bits))
+        assert not (index_form.lo > inductive.hi
+                    or inductive.lo > index_form.hi or (
+                        slope.is_exact and (index_form.lo != inductive.lo
+                                            or index_form.hi != inductive.hi)))
+        length = Scalar(max(Fraction(0), index_form.width() - lo_idx.width()
+                            - hi_idx.width()),
+                        index_form.width())
+        levels.append((n, kd.beta_of(n), n in cuts, index_form, inductive,
+                       length))
+        if n in cuts:
+            end_a, end_b = orbit.value(n + 1) if n < N else \
+                tent_apply(slope, lo_idx), c1
+        else:
+            end_a, end_b = tent_apply(slope, end_a), tent_apply(slope, end_b)
+    return levels
+
+
+def _fields(x):
+    return (x.lo.numerator, x.lo.denominator, x.hi.numerator,
+            x.hi.denominator, x.precision_bits)
+
+
+def _assert_tower_matches_oracle(slope, N, ns_seed=0):
+    kd = cutting_data(nu_from_orbit(slope, N))
+    got = tower_levels(kd, slope, N)
+    want = _tower_levels_oracle(kd, slope, N)
+    assert len(got) == len(want) == N
+    for lv, (n, beta, cut, index_form, inductive, length) in zip(got, want):
+        assert (lv.n, lv.beta_n, lv.contains_c) == (n, beta, cut)
+        assert [_fields(x) for x in lv.numeric + (lv.length,)] == \
+            [_fields(x) for x in (index_form, inductive, length)], n
+    orbit = OrbitTable(slope)
+    orbit.extend(N)             # a rebuild would change the values read
+    ns = list(range(1, N + 1))
+    for k in range(len(ns) + 1):
+        sub = ns[(ns_seed + k) % N::k + 1]
+        got = hofbauer.level_ends(orbit, kd, sub)
+        want = _level_ends_oracle(orbit, kd, sub)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [(v.numerator, v.denominator) for v in got] == \
+                [(v.numerator, v.denominator) for v in want], sub
+
+
+@st.composite
+def _exact_slopes(draw):
+    q = draw(st.integers(1, 1 << 64))
+    return slope_exact(Fraction(q + draw(st.integers(1, q)), q))
+
+
+@st.composite
+def _dyadic_interval_slopes(draw):
+    h = draw(st.integers(64, 2048))
+    m = draw(st.integers(1, h - 1))         # so 1 < mid - half < mid + half < 2
+    mid = Fraction(draw(st.integers((1 << m) + 1, (1 << (m + 1)) - 1)), 1 << m)
+    half = Fraction(1, 1 << h)
+    return slope_interval(mid - half, mid + half, precision_bits=h)
+
+
+@st.composite
+def _decimal_interval_slopes(draw):
+    k = draw(st.integers(20, 80))
+    mid = Fraction(draw(st.integers(10 ** k + 1, 2 * 10 ** k - 1)), 10 ** k)
+    half = Fraction(1, 10 ** draw(st.integers(20, k)))
+    return slope_interval(max(mid - half, Fraction(10 ** k + 1, 10 ** k)),
+                          min(mid + half, Fraction(2)))
+
+
+@settings(max_examples=150)
+@given(slope=st.one_of(_exact_slopes(), _dyadic_interval_slopes(),
+                       _decimal_interval_slopes()),
+       N=st.integers(1, 40), seed=st.integers(0, 100))
+def test_tower_levels_match_fraction_oracle(slope, N, seed):
+    try:
+        _assert_tower_matches_oracle(slope, N, seed)
+    except PrecisionExhausted:
+        assume(False)               # the interval cannot certify a sign
+
+
+def test_tower_length_clamps_at_zero():
+    # at n = 27, 28 the ends' enclosures are together wider than the level
+    half = Fraction(1, 1 << 23)
+    slope = slope_interval(Fraction(8485, 8192) - half,
+                           Fraction(8485, 8192) + half, precision_bits=23)
+    levels = tower_levels(cutting_data(nu_from_orbit(slope, 28)), slope, 28)
+    assert [lv.n for lv in levels if lv.length.lo == 0 < lv.length.hi] == \
+        [27, 28]
+    _assert_tower_matches_oracle(slope, 28)
+
+
+@pytest.mark.parametrize("name,N", [("sqrt3", 300), ("cbrt6", 200),
+                                    ("9/5", 200)])
+def test_tower_levels_match_fraction_oracle_presets(name, N):
+    # c_239 of sqrt3 escalates the orbit to 384 bits
+    _assert_tower_matches_oracle(parse_slope(name), N)

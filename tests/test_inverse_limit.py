@@ -1,12 +1,16 @@
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uilkit import verdicts as V
 from uilkit.errors import DomainError, NoRecurrenceWitness, UnrealizableWord
 from uilkit.hofbauer import OrbitTable
-from uilkit.inverse_limit import (BackwardWord, TauData, TwoSidedItinerary,
+from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
+                                  TwoSidedItinerary, backward_points,
                                   basic_arc_interval, classification_report,
                                   endpoint_itinerary_gen, endpoint_verdict,
                                   folding_verdict, parse_itinerary, pull_back,
@@ -15,8 +19,10 @@ from uilkit.inverse_limit import (BackwardWord, TauData, TwoSidedItinerary,
                                   word_realizable)
 from uilkit.kneading import (KneadingPrefix, admissible_disjoint, cutting_data,
                              example35_q, fibonacci_q, nonrecurrent_example_nu,
-                             nu_from_q)
-from uilkit.scalars import C, Scalar, slope_exact, slope_for_prefix
+                             nu_from_orbit, nu_from_q)
+from uilkit.presets import parse_slope
+from uilkit.scalars import (C, Scalar, slope_exact, slope_for_prefix,
+                            slope_interval)
 
 
 # -- words, itineraries, match sets ---------------------------------------------
@@ -556,3 +562,199 @@ def test_tau_data_matches_oracle_on_pumping_and_long_words(fib_nu):
         for depth in (None, 7, 64):
             assert tau_data(back, nu, depth) == naive_tau_data(back, nu, depth)
     assert tau_data(*cases[0][:2]).pump_witness is not None
+
+
+# -- integer ends: differential tests against the Fraction code ----------------
+
+def _word_image_oracle(slope, word, domain="unit"):
+    """word_image_interval of the Fraction code."""
+    s = slope.s.value
+    if domain == "unit":
+        lo, hi = Fraction(0), Fraction(1)
+    else:
+        lo, hi = s * (1 - s / 2), s / 2
+    half = Fraction(1, 2)
+    for ch in word:
+        if ch == "0":
+            a, b = lo, min(hi, half)
+            if a > b:
+                return None
+            lo, hi = s * a, s * b
+        else:
+            a, b = max(lo, half), hi
+            if a > b:
+                return None
+            lo, hi = s * (1 - b), s * (1 - a)
+    return lo, hi
+
+
+def _pair(ends):
+    return None if ends is None else \
+        [(v.numerator, v.denominator) for v in ends]
+
+
+@st.composite
+def _exact_fractions(draw):
+    q = draw(st.integers(1, 1 << 64))
+    return Fraction(q + draw(st.integers(1, q)), q)
+
+
+@settings(max_examples=400)
+@given(s=st.one_of(_exact_fractions(),
+                   st.sampled_from([Fraction(2), Fraction(3, 2),
+                                    Fraction(9, 5), Fraction(5, 4)])),
+       word=st.text(alphabet="01", max_size=40),
+       domain=st.sampled_from(["unit", "core"]))
+def test_word_image_interval_matches_fraction_oracle(s, word, domain):
+    slope = slope_exact(s)
+    assert _pair(word_image_interval(slope, word, domain)) == \
+        _pair(_word_image_oracle(slope, word, domain))
+
+
+def test_word_image_interval_every_short_word():
+    words = ["".join(w) for n in range(9)
+             for w in itertools.product("01", repeat=n)]
+    for s in (Fraction(2), Fraction(3, 2), Fraction(9, 5),
+              Fraction(1000001, 1000000)):
+        slope = slope_exact(s)
+        for domain in ("unit", "core"):
+            for w in words:
+                assert _pair(word_image_interval(slope, w, domain)) == \
+                    _pair(_word_image_oracle(slope, w, domain)), (s, w)
+    with pytest.raises(DomainError, match="unknown domain"):
+        word_image_interval(slope_exact(Fraction(9, 5)), "0", "box")
+
+
+def _folding_oracle(it, slope, nu, depth=64, eps=Fraction(1, 1 << 20),
+                    proxy_len=256, burn_in=None, window=24):
+    """folding_verdict of the Fraction code: every projection against every
+    proxy value, on Scalars rounded onto the grid."""
+    eps = Fraction(eps)
+    burn_in = proxy_len // 4 if burn_in is None else burn_in
+    orbit = OrbitTable(slope)
+    orbit.extend(proxy_len)
+    bits = max(64, (eps.denominator.bit_length() + 32))
+    proxy = [orbit.value(j).rounded(bits)
+             for j in range(burn_in, proxy_len + 1)]
+    resolution = max(p.width() for p in proxy)
+    pts = [x.rounded(bits) for x in backward_points(slope, it, depth)]
+    far = []
+    for n, x in enumerate(pts):
+        near = False
+        certainly_far = True
+        for p in proxy:
+            gap_lo = max(Fraction(0), p.lo - x.hi, x.lo - p.hi)
+            gap_hi = max(abs(p.hi - x.lo), abs(x.hi - p.lo))
+            if gap_hi <= eps:
+                near = True
+                break
+            if gap_lo <= eps + resolution + x.width():
+                certainly_far = False
+        if not near and certainly_far:
+            far.append(n)
+    if not far:
+        return V.evidence(RULE_FOLDING, depth=len(pts) - 1, epsilon=eps,
+                          proxy_len=proxy_len)
+    n = far[0]
+    piece = it.backward.unrolled(n + window)[:window] if n > 0 else \
+        (it.forward[:window] or it.backward.unrolled(window))
+    if piece and piece not in nu.bits:
+        return V.refuted(RULE_FOLDING, depth=len(pts) - 1, epsilon=eps,
+                         far_at=n, missing_word=piece)
+    return V.evidence(RULE_FOLDING, depth=len(pts) - 1, epsilon=eps,
+                      anomaly_at=n)
+
+
+@functools.lru_cache(maxsize=None)
+def _folding_slopes():
+    half = Fraction(1, 1 << 200)
+    dec = Fraction("1.76543210987654321")
+    slopes = [slope_exact(Fraction(9, 5)), slope_exact(Fraction(3, 2)),
+              slope_for_prefix(nonrecurrent_example_nu(180).bits),
+              parse_slope("sqrt3"), parse_slope("cbrt6"),
+              slope_interval(Fraction(9, 5) - half, Fraction(9, 5) + half,
+                             precision_bits=256),
+              slope_interval(dec - Fraction(1, 10 ** 60),
+                             dec + Fraction(1, 10 ** 60), precision_bits=256)]
+    return [(slope, nu_from_orbit(slope, 100)) for slope in slopes]
+
+
+EPS_CASES = [Fraction(1, 256), Fraction(1, 1000), Fraction(1, 1 << 20),
+             Fraction(1, 1 << 64), Fraction(0), Fraction(-1, 256),
+             Fraction(-1, 1 << 70)]
+
+
+@st.composite
+def _folding_inputs(draw):
+    slope, nu = draw(st.sampled_from(_folding_slopes()))
+    eps = draw(st.one_of(st.sampled_from(EPS_CASES),
+                         st.builds(Fraction, st.integers(-3, 1000),
+                                   st.integers(1, 10 ** 6))))
+    proxy_len = draw(st.integers(4, 80))
+    burn_in = draw(st.one_of(st.none(), st.integers(0, proxy_len)))
+    first = proxy_len // 4 if burn_in is None else burn_in
+    bits = max(64, eps.denominator.bit_length() + 32)
+    one = 1 << bits
+    e = math.floor(eps * one)
+    # grid ends of the proxy as the oracle rounds them, to place points at
+    # distances e and t = e + resolution + width from a proxy end, and 1 off
+    orbit = OrbitTable(slope)
+    ends = [orbit.value(j).rounded(bits) for j in range(first, proxy_len + 1)]
+    ends = [(int(p.lo * one), int(p.hi * one)) for p in ends]
+    resolution = max(hi - lo for lo, hi in ends)
+    # a negative eps leaves t = e + resolution + width < 0 for a point about
+    # as wide as -e, with proxy values inside it
+    width = draw(st.sampled_from([0, 0, 1, 2, resolution, -e * 4 // 5]))
+    lo, hi = draw(st.sampled_from(ends))
+    kind = draw(st.sampled_from(["tie", "tie", "around", "random"]))
+    if kind == "tie":
+        reach = draw(st.sampled_from([e, e + resolution + width]))
+        off = reach + draw(st.integers(-1, 1))
+        k = hi + off if draw(st.booleans()) else lo - off - width
+    elif kind == "around":
+        k = lo - width // 2
+    else:
+        k = draw(st.integers(0, one))
+    width = max(width, 0)
+    k = min(max(k, 0), one - width)
+    x0 = Scalar.interval(Fraction(k, one), Fraction(k + width, one))
+    back = BackwardWord(draw(st.text(alphabet="01", max_size=10)),
+                        draw(st.one_of(st.none(), st.text(alphabet="01",
+                                                          min_size=1,
+                                                          max_size=3))))
+    it = TwoSidedItinerary(back, draw(st.text(alphabet="01", max_size=6)),
+                           x0=x0)
+    return (it, slope, nu), dict(depth=draw(st.integers(0, 12)), eps=eps,
+                                 proxy_len=proxy_len, burn_in=burn_in,
+                                 window=draw(st.integers(1, 24)))
+
+
+def _verdict_fields(v):
+    return (v.status, v.rule, v.depth, v.epsilon, v.witness, v.to_json())
+
+
+@settings(max_examples=400)
+@given(_folding_inputs())
+def test_folding_verdict_matches_fraction_oracle(args):
+    (it, slope, nu), kw = args
+    assert _verdict_fields(folding_verdict(it, slope, nu, **kw)) == \
+        _verdict_fields(_folding_oracle(it, slope, nu, **kw))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 256), Fraction(0),
+                                 Fraction(-1, 256)], ids=str)
+def test_folding_battery_matches_fraction_oracle(eps, nonrec_slope,
+                                                 nonrec_nu):
+    s = nonrec_slope.s.value
+    r = Scalar.exact(s / (1 + s))
+    for it in (TwoSidedItinerary(BackwardWord("", "1"), "1" * 10, x0=r),
+               TwoSidedItinerary(BackwardWord("0", "1"), "1" * 10, x0=r),
+               TwoSidedItinerary(BackwardWord("", "0"), "0" * 10,
+                                 x0=Scalar.exact(Fraction(1, 97))),
+               TwoSidedItinerary(BackwardWord("", "01"), "01" * 5,
+                                 x0=Scalar.exact(s / (1 + s * s)))):
+        kw = dict(depth=64, eps=eps, proxy_len=170)
+        assert _verdict_fields(folding_verdict(it, nonrec_slope, nonrec_nu,
+                                               **kw)) == \
+            _verdict_fields(_folding_oracle(it, nonrec_slope, nonrec_nu,
+                                            **kw))

@@ -10,10 +10,10 @@ from uilkit.errors import DomainError, PrecisionExhausted, UnresolvedComparison
 from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q)
 from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
-from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _frac, _gcd,
-                            _grid, _kneading_probe, certified_cmp,
-                            critical_orbit, parity_lex_cmp, refine,
-                            s_one_minus, sign_rel_c, slope_decimal,
+from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _diff, _frac,
+                            _gcd, _grid, _grid_ends, _kneading_probe, _lt,
+                            certified_cmp, critical_orbit, parity_lex_cmp,
+                            refine, s_one_minus, sign_rel_c, slope_decimal,
                             slope_exact, slope_interval, tent_apply)
 from uilkit.seqgen import generate
 
@@ -459,6 +459,44 @@ def test_gcd_and_grid_helpers(n, e, odd):
                 r = oracle(q, bits)
                 assert _grid(q.numerator, q.denominator, bits, up) == \
                     (r.numerator, r.denominator)
+
+
+@st.composite
+def _fractions(draw):
+    """Dyadic ends up to 2^-2100, decimal ends, and generic p/q, signed."""
+    n = draw(st.integers(-(1 << 2100), 1 << 2100))
+    kind = draw(st.sampled_from(["dyadic", "decimal", "generic", "small"]))
+    if kind == "dyadic":
+        return Fraction(n, 1 << draw(st.integers(0, 2100)))
+    if kind == "decimal":
+        return Fraction(n, 10 ** draw(st.integers(0, 640)))
+    if kind == "generic":
+        return Fraction(n, draw(st.integers(1, 1 << 2100)))
+    return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+
+
+@settings(max_examples=500)
+@given(x=_fractions(), y=_fractions(), same=st.sampled_from([0, 0, 0, 1, 2]))
+def test_lt_and_diff_match_fraction(x, y, same):
+    if same == 1:
+        y = x
+    elif same == 2:                 # a common denominator
+        y = Fraction(y.numerator, x.denominator)
+    assert _lt(x, y) == (x < y)
+    assert _lt(y, x) == (y < x)
+    for a, b in ((x, y), (y, x)):
+        got, want = _diff(a, b), a - b
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+
+
+@settings(max_examples=300)
+@given(x=_fractions(), w=_fractions(), bits=st.integers(1, 2200))
+def test_grid_ends_are_the_rounded_ends(x, w, bits):
+    for v in (Scalar.exact(x), Scalar(x, x + abs(w))):
+        r = v.rounded(bits)
+        assert _grid_ends(v, bits) == (r.lo * (1 << bits), r.hi * (1 << bits))
 
 
 # -- Fraction built from a reduced pair ------------------------------------------
