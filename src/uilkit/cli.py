@@ -98,7 +98,13 @@ def _resolve_inputs(args, need=("slope", "nu", "q")):
 
 
 def _emit(args, report):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # exact report values may pass CPython's 4300-digit int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
     if args.out:
         tmp = args.out + ".tmp"
         with open(tmp, "w") as fh:
@@ -141,7 +147,7 @@ def cmd_knead(args):
         "cocut_censored": kd.cocut_censored,
         "kappa": kd.kappa,
         "flags": sorted(nu.flags),
-        "admissible_disjoint": admissible_disjoint(nu).to_json(),
+        "admissible_disjoint": admissible_disjoint(nu, kd).to_json(),
         "admissible_q": admissible_q(qs).to_json(),
         "q_asymptotics": qa.to_json(),
         "renorm_passing": scan["passing"],

@@ -40,6 +40,7 @@ RULE_ZZZ = "critical-value-in-precritical-cell"
 RULE_LONGBRANCH = "tower-level-length-trend"
 RULE_DENSITY = "cutting-value-gap-scan"
 RULE_TOWER = "tower-index-vs-induction"
+_LONG_BRANCH_THRESHOLD = Fraction(1, 1 << 16)
 
 
 class OrbitTable:
@@ -289,21 +290,17 @@ class PrecriticalTable:
         return self.pair(k).zhat
 
 
-def closest_precriticals(slope: SlopeParam, upto_k: int,
-                         kd: Optional[CuttingData] = None):
-    """Certified pairs (z_k, zhat_k) for k = 0 .. upto_k."""
-    if kd is None:
-        depth = 4
-        while True:
-            kd = cutting_data(nu_from_orbit(slope, depth))
-            if kd.max_k >= upto_k:
-                break
-            depth *= 2
+def closest_precriticals(slope: SlopeParam, upto_k: int):
+    """Certified pairs (z_k, zhat_k) for k = 0 .. upto_k, from the shortest
+    kneading prefix (doubling from 4 symbols) that reaches S_{upto_k}."""
+    depth = 4
+    while (kd := cutting_data(nu_from_orbit(slope, depth))).max_k < upto_k:
+        depth *= 2
     table = PrecriticalTable(slope, kd)
     return [table.pair(k) for k in range(0, upto_k + 1)]
 
 
-def upsilon_index(slope: SlopeParam, x: Scalar, zp: PrecriticalTable) -> int:
+def upsilon_index(x: Scalar, zp: PrecriticalTable) -> int:
     """The unique k with x in Upsilon_k, certified by comparisons against z_k.
 
     Raises UnresolvedComparison when the enclosure of x straddles a cell
@@ -346,7 +343,7 @@ def f_apply(slope: SlopeParam, y: Scalar, zp: PrecriticalTable):
     Returns (F(y), k).  Unresolved cell membership propagates from
     upsilon_index.
     """
-    k = upsilon_index(slope, y, zp)
+    k = upsilon_index(y, zp)
     out = y
     for _ in range(zp.kd.S[k]):
         out = tent_apply(slope, out)
@@ -401,15 +398,14 @@ def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable) -> V.Verdict:
 
 def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
                            slope: Optional[SlopeParam] = None,
-                           threshold=Fraction(1, 1 << 16),
                            levels: Optional[list] = None) -> V.Verdict:
     """Finite-horizon verdict for inf_n |D_n| > 0.
 
     Refuted-style evidence (status ``refuted``) when the minimum level length
-    decays below the threshold with a decreasing trend; evidence when the
-    kneading map shows bounded evidence or the minimum is stable above the
-    threshold.  The witness always carries min |D_n| and its argmin when a
-    slope is available.  ``levels``, when given, must be
+    decays below 2^-16, the verdict's epsilon, with a decreasing trend;
+    evidence when the kneading map shows bounded evidence or the minimum is
+    stable above it.  The witness always carries min |D_n| and its argmin
+    when a slope is available.  ``levels``, when given, must be
     ``tower_levels(kd, slope, N, orbit=...)``; it saves recomputing them.
     """
     N = N or kd.horizon
@@ -424,9 +420,10 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
         decreasing = min(half) < min(first_half) if half and first_half else False
         witness.update(min_length=V.approx(min_len), argmin=argmin,
                        decreasing=decreasing)
-        if min_len < threshold and decreasing and not qa.bounded.is_positive:
+        if min_len < _LONG_BRANCH_THRESHOLD and decreasing \
+                and not qa.bounded.is_positive:
             return V.refuted(RULE_LONGBRANCH, depth=N,
-                             epsilon=Fraction(threshold), **witness)
+                             epsilon=_LONG_BRANCH_THRESHOLD, **witness)
     if qa.bounded.is_positive:
         return V.evidence(RULE_LONGBRANCH, depth=N, **witness)
     if slope is not None and witness.get("decreasing") is False:
@@ -436,8 +433,7 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
     return V.undetermined(RULE_LONGBRANCH, "no stable trend", depth=N, **witness)
 
 
-def cutting_value_gaps(slope: SlopeParam, K: int, eps,
-                       kd: Optional[CuttingData] = None,
+def cutting_value_gaps(slope: SlopeParam, K: int, eps, kd: CuttingData,
                        orbit: Optional[OrbitTable] = None):
     """Largest gap in {c_{S_k} : k <= K} (plus core endpoints), and the
     sub-report restricted to k with Q(k) <= 1.
@@ -446,13 +442,6 @@ def cutting_value_gaps(slope: SlopeParam, K: int, eps,
     """
     eps = Fraction(eps)
     orbit = orbit_table(slope, orbit)
-    if kd is None:
-        depth = 64
-        while True:
-            kd = cutting_data(nu_from_orbit(slope, depth, orbit.prec_cap))
-            if kd.max_k >= K:
-                break
-            depth *= 2
     if kd.max_k < K:
         raise DomainError(f"cutting data only reaches S_{kd.max_k}")
 

@@ -60,6 +60,7 @@ RULE_ENDPOINT = "endpoint-infinite-tau-criterion"
 RULE_FOLDING = "folding-orbit-closure-membership"
 RULE_PERSISTENCE = "monotone-pullback-search"
 RULE_CLASS = "folding-endpoint-classification"
+_DEGENERACY_THRESHOLD = Fraction(1, 1 << 20)
 
 
 # -- backward words and itineraries -------------------------------------------
@@ -386,10 +387,6 @@ def word_realizable(word: str, nu: KneadingPrefix) -> bool:
     return True
 
 
-def _approx_width(w):
-    return None if w is None else V.approx(w)
-
-
 @dataclass(frozen=True)
 class ArcInterval:
     """Projection interval compatible with a backward word.
@@ -411,7 +408,7 @@ class ArcInterval:
         return {"lo": self.lo.to_json(), "hi": self.hi.to_json(),
                 "lo_n": self.lo_n, "hi_n": self.hi_n, "exact": self.exact,
                 "tower_identity": self.tower_identity,
-                "degenerate_width": _approx_width(self.degenerate_width)
+                "degenerate_width": V.approx(self.degenerate_width)
                 if self.degenerate_width is not None else None}
 
 
@@ -433,8 +430,8 @@ def _extreme_orbit_value(candidates, orbit, want_min):
 
 
 def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = None,
-                       kd: Optional[CuttingData] = None, mode: str = "unit",
-                       degeneracy_threshold=Fraction(1, 1 << 20)) -> ArcInterval:
+                       kd: Optional[CuttingData] = None,
+                       mode: str = "unit") -> ArcInterval:
     """Arc projection interval from the match sets.
 
     ``unit`` mode reproduces the [0,1] pull-back through the finite word:
@@ -443,7 +440,8 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
     by zeros) contribute the floor 0.  ``core`` mode keeps every match
     (including saturated full-word ones) as one-sided bounds with the trivial
     floor c_2; with finite unsaturated matches on both sides the interval is
-    exact and is checked to be the tower level D_{max(tauL, tauR)}.
+    exact and is checked to be the tower level D_{max(tauL, tauR)}; with
+    ``kd``, left-match levels nested within 2^-20 mark it degenerate.
     """
     if mode == "unit":
         if td.word_len is None:
@@ -486,7 +484,7 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
     degen = None
     ends = None if kd is None else \
         level_ends(orbit, kd, [n for n in nl if n <= kd.horizon])
-    if ends is not None and ends[1] - ends[0] <= degeneracy_threshold:
+    if ends is not None and ends[1] - ends[0] <= _DEGENERACY_THRESHOLD:
         degen = max(Fraction(0), ends[1] - ends[0])
     return ArcInterval(lo, hi, lo_n, hi_n, exact, identity, degen)
 
@@ -494,24 +492,20 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
 # -- endpoint and folding verdicts ---------------------------------------------
 
 def endpoint_verdict(it: TwoSidedItinerary, nu: KneadingPrefix,
-                     depth: int = 256,
-                     position: Optional[str] = None) -> V.Verdict:
+                     depth: int = 256) -> V.Verdict:
     """Endpoint test through the infinite-tau criterion.
 
     Certified only for periodic tails that pump against a declared periodic
-    kneading continuation (with the point at the matching arc edge); refuted
+    kneading continuation, the side of the infinite tau in the witness; refuted
     when both tail suprema are certifiably finite or, once the depth reaches
     past a finite word, its matches sit strictly inside it; evidence when
     saturation persists as the depth grows.
     """
     td = tau_data(it.backward, nu, depth)
     if td.cert_infiniteL or td.cert_infiniteR:
-        side = "left" if td.cert_infiniteL else "right"
-        if position in (None, "edge", "left_end", "right_end"):
-            return V.certified(RULE_ENDPOINT, depth=td.n_max, side=side,
-                               pump=td.pump_witness)
-        return V.refuted(RULE_ENDPOINT, depth=td.n_max, side=side,
-                         reason="declared interior of its basic arc")
+        return V.certified(RULE_ENDPOINT, depth=td.n_max,
+                           side="left" if td.cert_infiniteL else "right",
+                           pump=td.pump_witness)
     if td.cert_finiteL and td.cert_finiteR:
         return V.refuted(RULE_ENDPOINT, depth=td.n_max, tauL=td.tauL,
                          tauR=td.tauR,
@@ -593,6 +587,9 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
     """
     eps = Fraction(eps)
     burn_in = proxy_len // 4 if burn_in is None else burn_in
+    if burn_in > proxy_len:
+        raise DomainError(f"burn_in {burn_in} > proxy_len {proxy_len} "
+                          f"leaves the orbit-tail proxy empty")
     orbit = orbit_table(slope, orbit)
     orbit.extend(proxy_len)
     bits = max(64, (eps.denominator.bit_length() + 32))
@@ -864,19 +861,17 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
                           slope: Optional[SlopeParam] = None,
                           kd: Optional[CuttingData] = None,
                           depth: int = 64, eps=Fraction(1, 1 << 20),
-                          position: Optional[str] = None,
-                          persistence: Optional[V.Verdict] = None,
                           orbit: Optional[OrbitTable] = None) -> PointClassification:
     """Combine folding/endpoint verdicts with the global dichotomies.
 
-    Expectations reported: persistent-recurrence evidence makes the folding
-    and endpoint sets expected to coincide; a divergent kneading map makes
+    Expectations reported: a divergent kneading map (so persistent
+    recurrence) makes the folding and endpoint sets expected to coincide and
     every folding arc degenerate; a non-divergent one yields a witness search
     for a folding point inside a non-degenerate arc (tails ...111 nu_1..nu_{n-1}
     projecting onto long tower levels).
     """
     kd = kd or cutting_data(nu)
-    endpoint = endpoint_verdict(it, nu, depth=depth, position=position)
+    endpoint = endpoint_verdict(it, nu, depth=depth)
     if slope is not None:
         orbit = orbit_table(slope, orbit)
         try:
@@ -896,15 +891,6 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
         arc = basic_arc_interval(td, orbit, kd=kd, mode="core")
 
     qa = q_asymptotics(list(kd.Q))
-    if persistence is not None and persistence.witness.get("kind") == "persistent":
-        f_is_e = V.evidence(RULE_CLASS, depth=kd.horizon,
-                            via="persistent-recurrence-evidence")
-    elif persistence is not None and persistence.witness.get("kind") == "reluctant":
-        f_is_e = V.refuted(RULE_CLASS, depth=kd.horizon,
-                           via="reluctant-recurrence-witness")
-    else:
-        f_is_e = qa.to_infinity
-
     if qa.to_infinity.is_positive:
         nondeg = V.refuted(RULE_CLASS, depth=kd.horizon,
                            via="divergent-kneading-map")
@@ -927,7 +913,7 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
         nondeg = V.undetermined(RULE_CLASS, "kneading-map trend unclear",
                                 depth=kd.horizon)
     expectations = {
-        "folding_set_equals_endpoints": f_is_e,
+        "folding_set_equals_endpoints": qa.to_infinity,
         "all_folding_arcs_degenerate": qa.to_infinity,
         "exists_nondegenerate_folding_arc": nondeg,
     }

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import verdicts as V
-from .errors import CriticalHit, DomainError, NotAdmissible, PrecisionExhausted
+from .errors import CriticalHit, DomainError, NotAdmissible
 from .scalars import DEFAULT_PREC_CAP, SignRelC, SlopeParam, critical_orbit
 
 RULE_Q = "admissibility-kneading-map-lex"
@@ -252,11 +252,14 @@ def admissible_disjoint(nu: KneadingPrefix,
                       cocut_censored=censored)
 
 
-def _materialize_q(q, upto: int):
-    """Q as a list Q(1)..Q(upto) from a list or a callable."""
+def _materialize_q(q, upto: Optional[int]):
+    """Q as a list: a callable read as Q(1)..Q(upto), a list read whole.
+    Every kneading-map consumer reads Q here and truncates after."""
     if callable(q):
+        if upto is None:
+            raise DomainError("a callable Q needs an explicit horizon")
         return [q(k) for k in range(1, upto + 1)]
-    return list(q[:upto])
+    return list(q)
 
 
 def _q_lookup(qs):
@@ -295,12 +298,7 @@ def admissible_q(q, horizon: Optional[int] = None) -> V.Verdict:
     the k that must resolve for a certificate; by default all k are examined
     and the verdict is at best evidence (the last k can never resolve).
     """
-    if callable(q):
-        if horizon is None:
-            raise DomainError("a callable Q needs an explicit horizon")
-        qs = _materialize_q(q, 2 * horizon + 4)
-    else:
-        qs = list(q)
+    qs = _materialize_q(q, None if horizon is None else 2 * horizon + 4)
     m = len(qs)
     limit = horizon if horizon is not None else m
     first_unresolved = None
@@ -328,7 +326,7 @@ def admissible_q(q, horizon: Optional[int] = None) -> V.Verdict:
     return V.evidence(RULE_Q, depth=limit, first_unresolved_k=first_unresolved)
 
 
-def nu_from_q(q, horizon: int, source: str = "from_q") -> KneadingPrefix:
+def nu_from_q(q, horizon: int) -> KneadingPrefix:
     """Reconstruct the kneading word from its kneading map.
 
     nu_1 = 1; between cutting times the word copies its own prefix and at a
@@ -338,7 +336,7 @@ def nu_from_q(q, horizon: int, source: str = "from_q") -> KneadingPrefix:
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    qs = _materialize_q(q, 2 * horizon + 4) if callable(q) else list(q)
+    qs = _materialize_q(q, 2 * horizon + 4)
     for k, qk in enumerate(qs, start=1):
         if not 0 <= qk < k:
             raise NotAdmissible(k, _q_out_of_range(k, qk))
@@ -355,17 +353,17 @@ def nu_from_q(q, horizon: int, source: str = "from_q") -> KneadingPrefix:
     check = admissible_q(qs, horizon=len(S) - 1)
     if check.is_refuted:
         raise NotAdmissible(check.witness["k"], check.witness["reason"])
-    return KneadingPrefix(bits[:horizon], source=source)
+    return KneadingPrefix(bits[:horizon], source="from_q")
 
 
 def nu_from_orbit(slope: SlopeParam, N: int,
                   prec_cap: int = DEFAULT_PREC_CAP) -> KneadingPrefix:
     """Certified kneading prefix of a slope; fails rather than guesses.
 
-    Raises CriticalHit(n) on an exact critical return and PrecisionExhausted
-    when a sign cannot be certified at the precision cap.  When the critical
-    orbit is exactly eventually periodic (possible for rational slopes, e.g.
-    s = 2) the prefix is flagged ``critical_orbit_finite``.
+    Raises CriticalHit(n) on an exact critical return (``critical_orbit``
+    raises PrecisionExhausted on a sign unresolved at the cap).  An exactly
+    eventually periodic orbit (possible for rational slopes, e.g. s = 2)
+    flags the prefix ``critical_orbit_finite``.
     """
     orbit = critical_orbit(slope, N, prec_cap=prec_cap)
     bits = []
@@ -374,8 +372,6 @@ def nu_from_orbit(slope: SlopeParam, N: int,
     for n, (x, sign) in enumerate(orbit, start=1):
         if sign is SignRelC.AT_C:
             raise CriticalHit(n)
-        if sign is SignRelC.UNRESOLVED:
-            raise PrecisionExhausted(f"sign of c_{n} unresolved", index=n)
         bits.append("1" if sign is SignRelC.ABOVE else "0")
         if x.is_exact:
             # a reduced pair is equal exactly when the values are, and
@@ -394,7 +390,7 @@ def renorm_scan(q, horizon: int):
     Returns a dict with per-candidate verdicts and the ordered list of
     candidates passing at the horizon (a nested cascade when several pass).
     """
-    qs = _materialize_q(q, horizon) if callable(q) else list(q[:horizon])
+    qs = _materialize_q(q, horizon)[:horizon]
     m = len(qs)
     per_k = {}
     passing = []
@@ -441,12 +437,7 @@ def q_asymptotics(q, horizon: Optional[int] = None) -> QAsymptotics:
     the second half, boundedness evidence requires the maximum to be attained
     in the first half.  At most one of the two can hold.
     """
-    if callable(q):
-        if horizon is None:
-            raise DomainError("a callable Q needs an explicit horizon")
-        qs = _materialize_q(q, horizon)
-    else:
-        qs = list(q if horizon is None else q[:horizon])
+    qs = _materialize_q(q, horizon)[:horizon]
     m = len(qs)
     if m < 8:
         und = V.undetermined(RULE_QASYMP, "horizon too short", depth=m)

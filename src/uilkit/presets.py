@@ -22,8 +22,8 @@ import math
 from fractions import Fraction
 
 from .errors import ConfigError
-from .kneading import example35_q, fibonacci_q, nonrecurrent_example_nu, \
-    nu_from_q
+from .kneading import _materialize_q, cascade_q, example35_q, fibonacci_q, \
+    nonrecurrent_example_nu, nu_from_q
 from .scalars import Scalar, SlopeParam, slope_exact, slope_for_prefix
 
 DEFAULT_PRESET_DEPTH = 200
@@ -186,13 +186,11 @@ def parse_slope(text: str, depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
 
 def parse_q(text: str, horizon: int):
     """Kneading-map inputs: preset names or a comma-separated list."""
-    from .kneading import cascade_q
     named = {"fib": fibonacci_q, "fibonacci": fibonacci_q,
              "ex35": example35_q, "cascade": cascade_q}
     text = text.strip()
     if text in named:
-        f = named[text]
-        return [f(k) for k in range(1, horizon + 1)], text
+        return _materialize_q(named[text], horizon), text
     try:
         return [int(tok) for tok in text.replace(",", " ").split()], "literal"
     except ValueError:

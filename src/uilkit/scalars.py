@@ -523,8 +523,7 @@ def _kneading_probe(s: Fraction, target: str) -> Optional[str]:
     return "".join(word)
 
 
-def slope_for_prefix(target: str, lo=Fraction(5, 4), hi=Fraction(2),
-                     max_iter: int = 0, name: str = "") -> SlopeParam:
+def slope_for_prefix(target: str, name: str = "") -> SlopeParam:
     """An exact rational slope whose kneading sequence starts with ``target``.
 
     Bisection on the slope, using the fact that the kneading sequence is
@@ -532,15 +531,14 @@ def slope_for_prefix(target: str, lo=Fraction(5, 4), hi=Fraction(2),
     integer orbit and stops at the first symbol that differs from the
     target, which already decides the step.  In lowest terms, c_n = 1/2
     needs p * m = q^n with m <= q^(n-1), so only s = 1 hits c (at n = 1);
-    a dyadic nudge sidesteps it.
+    a dyadic nudge sidesteps it.  The search runs on [5/4, 2] for at most
+    4 |target| + 96 halvings.
     """
     target = "".join(target.split("."))
     if not target or target[0] != "1":
         raise DomainError("kneading target must start with 1")
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    max_iter = max_iter or (4 * len(target) + 96)
-    for _ in range(max_iter):
+    lo, hi = Fraction(5, 4), Fraction(2)
+    for _ in range(4 * len(target) + 96):
         mid = (lo + hi) / 2
         nudge = (hi - lo) / 1024
         for _ in range(8):

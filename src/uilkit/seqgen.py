@@ -36,7 +36,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from . import verdicts as V
 from .errors import ConstructionStuck, DomainError, NotAdmissible
 from .kneading import (CuttingData, KneadingPrefix, admissible_disjoint,
                        admissible_q, cutting_data, emit_dotted)
@@ -46,6 +45,8 @@ SEED = "1000101"
 FIRST_EXTENSION_REFERENCE = "1000101" + "0" + "101" + "10001011"
 
 RULE_CERT = "dense-words-sparse-cuttings-certificate"
+_MAX_PAIR_LEN = 24      # longest stem + letter the missing-pair search tries
+_MAX_STEPS = 64         # extension rounds generate runs before giving up
 
 
 def word_admissible(word: str, nu_bits: str) -> bool:
@@ -99,14 +100,15 @@ class WordLedger:
         flip = word[:-1] + ("1" if word[-1] == "0" else "0")
         return word in self.ends_at_cuts and flip in self.ends_at_cuts
 
-    def extended(self, new_bits: str) -> "WordLedger":
-        """Ledger for a longer word, reusing the incremental suffix sets."""
+    def extended(self, new_bits: str, kd: CuttingData) -> "WordLedger":
+        """Ledger for a longer word with cutting data ``kd``, reusing the
+        incremental suffix sets."""
         if not new_bits.startswith(self.nu):
             raise DomainError("extension must preserve the prefix")
         out = WordLedger.__new__(WordLedger)
         out.nu = new_bits
         out.len_cap = self.len_cap
-        out.kd = cutting_data(KneadingPrefix(new_bits))
+        out.kd = kd
         out.ends_at_cuts = set(self.ends_at_cuts)
         old_cuts = set(self.kd.S)
         out._collect([p for p in out.kd.S if p not in old_cuts])
@@ -151,14 +153,14 @@ def _flip_last(word: str) -> str:
     return word[:-1] + ("1" if word[-1] == "0" else "0")
 
 
-def shortest_missing_pair(ledger: WordLedger, max_len: int = 24):
+def shortest_missing_pair(ledger: WordLedger):
     """Lexicographically first among the shortest admissible missing pairs.
 
     A pair is the two one-letter completions of a stem; it is missing when
     they are not both realized at cutting times, and eligible when both are
     admissible words.
     """
-    for L in range(1, max_len + 1):
+    for L in range(1, _MAX_PAIR_LEN + 1):
         ledger.ensure_cap(max(ledger.len_cap, L + 1))
         for idx in range(1 << max(L - 1, 0)):
             stem = format(idx, f"0{L - 1}b") if L > 1 else ""
@@ -168,7 +170,7 @@ def shortest_missing_pair(ledger: WordLedger, max_len: int = 24):
             if word_admissible(v, ledger.nu) and word_admissible(v_flip, ledger.nu):
                 return v, v_flip
     raise ConstructionStuck("missing-pair-search",
-                            {"nu": ledger.nu[:64], "max_len": max_len})
+                            {"nu": ledger.nu[:64], "max_len": _MAX_PAIR_LEN})
 
 
 def _block(nu: str, S, m: int) -> str:
@@ -264,7 +266,6 @@ def extend_step(ledger: WordLedger, compat: bool = False):
     block_iv = _flip_last(p2)
 
     chosen_r = None
-    final = None
     for r in range(2, kd_ii.max_k):
         candidate = cur + _block(nu, S, r) + block_iv
         try:
@@ -274,13 +275,12 @@ def extend_step(ledger: WordLedger, compat: bool = False):
         ok, _ = _segment_conditions(kd_fin, len(ledger.nu))
         if ok and len(candidate) in kd_fin.S and candidate.endswith(v):
             chosen_r = r
-            final = candidate
             break
-    if final is None:
+    if chosen_r is None:
         raise ConstructionStuck("block-iii", dict(state, cur_len=len(cur)))
     state["r"] = chosen_r
 
-    new_ledger = ledger.extended(final)
+    new_ledger = ledger.extended(candidate, kd_fin)
     ok, reason = _segment_conditions(new_ledger.kd, len(ledger.nu))
     if not ok:
         raise ConstructionStuck("postconditions", dict(state, reason=reason))
@@ -357,8 +357,7 @@ def coverage_goal(target_length: int) -> int:
     return 0
 
 
-def generate(target_length: int, compat: bool = False, max_steps: int = 64,
-             min_coverage: Optional[int] = None):
+def generate(target_length: int, compat: bool = False):
     """Extend the seed until the length target and the coverage goal hold.
 
     The certificate reports: the word-coverage depth (every admissible word
@@ -368,12 +367,12 @@ def generate(target_length: int, compat: bool = False, max_steps: int = 64,
     """
     if target_length < len(SEED):
         raise DomainError(f"target length must be >= {len(SEED)}")
-    goal = coverage_goal(target_length) if min_coverage is None else min_coverage
+    goal = coverage_goal(target_length)
     ledger = WordLedger(SEED)
     plans = []
     first_matches = None
     while len(ledger.nu) < target_length or coverage_report(ledger, goal)[0] < goal:
-        if len(plans) >= max_steps:
+        if len(plans) >= _MAX_STEPS:
             raise ConstructionStuck("step-budget", {"len": len(ledger.nu)})
         ledger, plan = extend_step(ledger, compat=compat and not plans)
         if first_matches is None:

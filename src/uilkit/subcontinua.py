@@ -41,6 +41,9 @@ RULE_NASTY = "renormalization-cascade-rule"
 
 STRICT = "strict"
 RELAXED = "relaxed"
+_MIN_CHAIN_LEN = 2      # shortest chain find_qcond_chains reports
+_MAX_CHAINS = 64        # find_qcond_chains stops after this many chains
+_MIN_LEVELS = 3         # shortest chain classify_chain decides
 
 
 def _satisfies(q_of, variant, k_prev, k):
@@ -56,15 +59,14 @@ def _satisfies(q_of, variant, k_prev, k):
     raise DomainError(f"unknown chain variant {variant!r}")
 
 
-def find_qcond_chains(q, horizon: int, variant: str = STRICT,
-                      min_len: int = 2, max_chains: int = 64):
+def find_qcond_chains(q, horizon: int, variant: str = STRICT):
     """All maximal chain prefixes within the horizon, plus the greedy chain.
 
     The greedy chain follows the recursion k_i = min{ k : Q(k) > k_{i-1}-1 }
     (which satisfies the relaxed condition whenever Q(k) <= k - 2 holds on
-    the tail); it is reported separately even when shorter than ``min_len``.
+    the tail); it is reported separately even when shorter than two.
     """
-    qs = _materialize_q(q, horizon)
+    qs = _materialize_q(q, horizon)[:horizon]
     m = len(qs)
 
     q_of = _q_lookup(qs)
@@ -76,11 +78,11 @@ def find_qcond_chains(q, horizon: int, variant: str = STRICT,
     seen_prefix = set()
 
     def extend(chain):
-        if len(chains) >= max_chains:
+        if len(chains) >= _MAX_CHAINS:
             return
         nexts = succ.get(chain[-1], [])
         if not nexts:
-            if len(chain) >= min_len and chain not in seen_prefix:
+            if len(chain) >= _MIN_CHAIN_LEN and chain not in seen_prefix:
                 seen_prefix.add(chain)
                 chains.append(chain)
             return
@@ -179,9 +181,10 @@ def _bisect_preimage(slope, zp, m, target, side, bits):
 
 
 def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
-                variant: str = STRICT, side: str = "left",
+                variant: str = STRICT,
                 bisect_bits: int = 64) -> CriticalProjectionChain:
-    """Realize a chain numerically: certified a_i with monotone-onto levels.
+    """Realize a chain numerically: certified a_i with monotone-onto levels,
+    each a_i on the side of c the next level maps onto (the last on the left).
 
     Aborts with ConditionViolated when the containment
     T^{S_{k_i - 1}}(open cell) contains a_{i-1} fails, which would falsify
@@ -205,12 +208,9 @@ def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
 
     # The branch image of the level-(i+1) cell lies between c_{S_{Q(k_{i+1}-1)}}
     # and c, on the side given by the kneading bit at S_{Q(k_{i+1}-1)}; a_i
-    # must sit on that side so the next level can map onto it.  The last
-    # level's side is the caller's free choice.
+    # must sit on that side so the next level can map onto it.
     nu_bits = kd.nu.bits
-    sides = {}
-    for i in range(1, len(k_seq)):
-        sides[i] = side
+    sides = {len(k_seq) - 1: "left"}
     for i in range(1, len(k_seq) - 1):
         m_next = k_seq[i + 1] - 1
         s_val = kd.S[kd.q_of(m_next)]
@@ -261,29 +261,28 @@ class ChainClass:
         return out
 
 
-def classify_chain(k_seq: Sequence[int], q, horizon: Optional[int] = None,
+def classify_chain(k_seq: Sequence[int], q,
                    kd: Optional[CuttingData] = None,
-                   orbit: Optional[OrbitTable] = None,
-                   min_levels: int = 3) -> ChainClass:
+                   orbit: Optional[OrbitTable] = None) -> ChainClass:
     """Direct spiral versus basic sin(1/x) from the tail of Q(k_i + 1).
 
     Divergence evidence of Q(k_i + 1) along the chain classifies a direct
     spiral (the central tower levels |D_{S_{k_i}}| shrink to a point); a
     bounded subsequence witness classifies a basic sin(1/x)-continuum, whose
     bar projection is enclosed by the intersection of the available levels.
-    Chains shorter than ``min_levels`` stay undetermined.
+    Chains shorter than three levels stay undetermined.
     """
     k_seq = tuple(k_seq)
-    if len(k_seq) < min_levels:
+    if len(k_seq) < _MIN_LEVELS:
         return ChainClass("undetermined",
                           V.undetermined(RULE_CLASSIFY, "chain too short",
                                          depth=len(k_seq)))
-    qs = _materialize_q(q, (max(k_seq) + 2) if callable(q) else 10 ** 9)
+    qs = _materialize_q(q, max(k_seq) + 2)
     vals = []
     for k in k_seq:
         if k + 1 <= len(qs):
             vals.append(qs[k])          # Q(k_i + 1), 1-based list
-    if len(vals) < min_levels:
+    if len(vals) < _MIN_LEVELS:
         return ChainClass("undetermined",
                           V.undetermined(RULE_CLASSIFY,
                                          "Q(k_i + 1) not available",
@@ -297,7 +296,7 @@ def classify_chain(k_seq: Sequence[int], q, horizon: Optional[int] = None,
                     if k <= kd.max_k and kd.S[k] <= kd.horizon]
         lengths = [hi - lo for lo, hi in (level_ends(orbit, kd, (n,))
                                           for n in level_ns)]
-        if len(lengths) >= min_levels:
+        if len(lengths) >= _MIN_LEVELS:
             decay = all(y < x for x, y in zip(lengths, lengths[1:]))
     if min(tail) > max(head) and vals[-1] >= vals[0] + len(vals) // 2:
         if decay is False:
@@ -331,7 +330,7 @@ def nasty_cascade_rule(q, horizon: int, cascade_min: int = 3) -> V.Verdict:
     undetermined otherwise.  The witness reports the symbolic periods
     S_{k-1} of the cascade levels.
     """
-    qs = _materialize_q(q, horizon)
+    qs = _materialize_q(q, horizon)[:horizon]
     scan = renorm_scan(qs, horizon)
     passing = scan["passing"]
     S = _cutting_times(qs)

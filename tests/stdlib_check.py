@@ -35,6 +35,17 @@ them), and ``word_image_interval`` on every word up to 8 symbols and seeded
 longer ones, in both domains.  It was recorded with the ``Fraction``
 versions of ``level_ends``, ``tower_levels``, ``folding_verdict`` and
 ``word_image_interval`` that the integer ones replaced.
+
+A fifth digest covers the library surface that the classification reaches
+users through: ``endpoint_verdict`` and ``classification_report`` on the
+benchmark itineraries and on periodic-pumping words, ``basic_arc_interval``
+in core mode, ``long_branched_evidence``, ``closest_precriticals``,
+``cutting_value_gaps``, the kneading-map consumers (``classify_chain``,
+``find_qcond_chains``, ``nasty_cascade_rule``, ``renorm_scan``,
+``q_asymptotics``, ``admissible_q``, ``nu_from_q``) on callables and lists,
+``build_chain``, ``generate``, ``slope_for_prefix`` and ``f_apply``.  It was
+recorded while those functions still took settable values that no caller
+set, and it calls them only with arguments both versions accept.
 """
 
 import hashlib
@@ -43,19 +54,26 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from uilkit.hofbauer import PrecriticalTable, tower_levels
+from uilkit.hofbauer import (OrbitTable, PrecriticalTable,
+                             closest_precriticals, cutting_value_gaps,
+                             f_apply, long_branched_evidence, tower_levels)
 from uilkit.inverse_limit import (BackwardWord, TwoSidedItinerary,
-                                  folding_verdict, pull_back,
+                                  basic_arc_interval, classification_report,
+                                  endpoint_verdict, folding_verdict,
+                                  parse_itinerary, pull_back, tau_data,
                                   word_image_interval)
-from uilkit.errors import NotAdmissible
+from uilkit.errors import NotAdmissible, UilkitError
 from uilkit.kneading import (KneadingPrefix, admissible_disjoint,
-                             admissible_q, cutting_data, example35_q,
-                             fibonacci_q, nonrecurrent_example_nu,
-                             nu_from_orbit, nu_from_q)
+                             admissible_q, cascade_q, cutting_data,
+                             example35_q, fibonacci_q,
+                             nonrecurrent_example_nu, nu_from_orbit,
+                             nu_from_q, q_asymptotics, renorm_scan)
 from uilkit.presets import parse_slope
 from uilkit.scalars import (Scalar, _Coprime, critical_orbit, slope_exact,
                             slope_for_prefix, slope_interval)
 from uilkit.seqgen import generate
+from uilkit.subcontinua import (build_chain, classify_chain,
+                                find_qcond_chains, nasty_cascade_rule)
 
 ORBIT_DIGEST = "4ee8f2903c8ac3e6ca60262fcd351d6ba0a46f0a763b87d9f18a740ddf981f09"
 PRECRITICAL_DIGEST = \
@@ -64,6 +82,8 @@ KNEADING_DIGEST = \
     "99cb070f664af0baa8aaacc4ea3b09b0bce023634d9f56ab61dc180f27335e1b"
 TOWER_DIGEST = \
     "22dec4ba9d72d3ce5513006fe79a2bb2452d210ca2d69360cc1940ec0fd9d06b"
+SURFACE_DIGEST = \
+    "8fa8ebc9ee9b6a48f7ea052b8596cec144c4d905bd5bb08f6445e855fdecf774"
 PULLBACK_WORD = "110101101110101101011101101011"
 REFUTED_WORDS = ("11", "100", "1001", "10000", "1011", "10010", "1000100",
                  "10011100", "1001110110", "1000101000", "10001011001")
@@ -243,6 +263,157 @@ def tower_digest(seed=13):
     return h.hexdigest()
 
 
+def _feed(h, obj):
+    """Hash a report value canonically; integers in hex, so exact values of
+    any size pass (the int-to-str limit covers only decimal)."""
+    if hasattr(obj, "to_json"):
+        obj = obj.to_json()
+    if isinstance(obj, dict):
+        h.update(b"{")
+        for key in sorted(obj, key=str):
+            _feed(h, key)
+            _feed(h, obj[key])
+        h.update(b"}")
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    elif isinstance(obj, Fraction):
+        h.update(f"{obj.numerator:x}/{obj.denominator:x};".encode())
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        h.update(f"{obj:x};".encode())
+    else:
+        h.update(f"{obj!r};".encode())
+
+
+def _feed_call(h, fn, *args, **kwargs):
+    """Hash fn's result, or the type and text of the uilkit error it raises."""
+    try:
+        out = fn(*args, **kwargs)
+    except UilkitError as err:
+        out = f"{type(err).__name__}: {err}"
+    _feed(h, out)
+    return out
+
+
+SURFACE_ITINERARIES = ("(1)^inf .1111", "(0)^inf .0000", "(01)^inf .0101",
+                       "...100110.01", "(110)^inf .11")
+PUMPING = ((KneadingPrefix("1011011011", periodic_tail=(1, 3)),
+            (("", "011"), ("", "101"), ("", "110"), ("0", "11"), ("1", None))),
+           (KneadingPrefix("1101010", periodic_tail=(1, 2)),
+            (("", "01"), ("", "10"), ("1", "10"), ("0100", None))))
+
+
+def _surface_points(h):
+    """endpoint_verdict, classification_report and the core-mode arc."""
+    for target in (nonrecurrent_example_nu(120).bits,
+                   nu_from_q(fibonacci_q, 120).bits):
+        slope = slope_for_prefix(target)
+        nu = nu_from_orbit(slope, 120)
+        kd = cutting_data(nu)
+        orbit = OrbitTable(slope)
+        s = slope.s.value
+        fixed = TwoSidedItinerary(BackwardWord("", "1"), "1" * 10,
+                                  x0=Scalar.exact(s / (1 + s)))
+        for it in [fixed] + [parse_itinerary(t) for t in SURFACE_ITINERARIES]:
+            _feed_call(h, endpoint_verdict, it, nu)
+            _feed_call(h, endpoint_verdict, it, nu, depth=24)
+            _feed_call(h, classification_report, it, nu, slope, kd, depth=32,
+                       orbit=orbit)
+            _feed_call(h, classification_report, it, nu, depth=32)
+            td = tau_data(it.backward, nu, 32)
+            _feed_call(h, basic_arc_interval, td, orbit, kd=kd, mode="core")
+            _feed_call(h, basic_arc_interval, td, orbit, mode="core")
+    for pnu, backs in PUMPING:
+        for symbols, block in backs:
+            it = TwoSidedItinerary(BackwardWord(symbols, block))
+            for depth in (4, 16, 256):
+                _feed_call(h, endpoint_verdict, it, pnu, depth=depth)
+            _feed_call(h, classification_report, it, pnu, depth=16)
+    return slope, kd
+
+
+def _surface_q(h):
+    """Every kneading-map consumer on callables and on lists."""
+    nonrec_q = list(cutting_data(nonrecurrent_example_nu(300)).Q)
+    cases = [(q, horizon) for q in (fibonacci_q, example35_q, cascade_q)
+             for horizon in (6, 20, 40)]
+    cases += [([q(k) for k in range(1, 61)], horizon)
+              for q in (fibonacci_q, example35_q, cascade_q)
+              for horizon in (6, 40, 60)]
+    cases += [(nonrec_q, 20), (nonrec_q, len(nonrec_q)),
+              ([0, 0, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2], 14),
+              ([0, 1, 5, 0], 4), ([0, 0, -1, 2], 4)]
+    for q, horizon in cases:
+        for variant in ("strict", "relaxed"):
+            res = _feed_call(h, find_qcond_chains, q, horizon, variant=variant)
+            for chain in list(res["chains"])[:4] + [res["greedy"]]:
+                _feed_call(h, classify_chain, chain, q)
+        _feed_call(h, nasty_cascade_rule, q, horizon)
+        _feed_call(h, nasty_cascade_rule, q, horizon, 2)
+        _feed_call(h, renorm_scan, q, horizon)
+        _feed_call(h, q_asymptotics, q, horizon)
+        _feed_call(h, admissible_q, q, horizon=horizon)
+        _feed_call(h, nu_from_q, q, horizon)
+        for chain in ((2, 5), tuple(3 * i - 1 for i in range(1, 12)),
+                      (4, 8, 12, 16, 20, 24, 28), (1, 2, 3, 4)):
+            _feed_call(h, classify_chain, chain, q)
+        if not callable(q):
+            _feed_call(h, q_asymptotics, q)
+            _feed_call(h, admissible_q, q)
+    for q in (fibonacci_q, example35_q):
+        _feed_call(h, q_asymptotics, q)
+        _feed_call(h, admissible_q, q)
+
+
+def surface_digest():
+    h = hashlib.sha256()
+    fib_slope, fib_kd = _surface_points(h)
+    _surface_q(h)
+    sqrt3 = parse_slope("sqrt3")
+    sqrt3_kd = cutting_data(nu_from_orbit(sqrt3, 120))
+    nonrec_kd = cutting_data(nonrecurrent_example_nu(180))
+    cascade_kd = cutting_data(nu_from_q(cascade_q, 600))
+    for kd in (fib_kd, nonrec_kd, cascade_kd, sqrt3_kd):
+        _feed_call(h, long_branched_evidence, kd)
+    for slope, kd in ((fib_slope, fib_kd), (sqrt3, sqrt3_kd)):
+        _feed_call(h, long_branched_evidence, kd, 60, slope)
+        for K, eps in ((1, Fraction(1, 20)), (8, Fraction(1, 20)),
+                       (8, Fraction(1, 2))):
+            _feed_call(h, cutting_value_gaps, slope, K, eps, kd)
+    for slope, upto_k in ((fib_slope, 6), (slope_exact(Fraction(9, 5)), 4),
+                          (sqrt3, 5), (slope_exact(2), 0)):
+        _feed_call(h, closest_precriticals, slope, upto_k)
+    # chains realized numerically, strict and relaxed
+    ex35 = slope_for_prefix(nu_from_q(example35_q, 120).bits)
+    ex35_kd = cutting_data(nu_from_orbit(ex35, 120))
+    zp = PrecriticalTable(ex35, ex35_kd)
+    _feed_call(h, build_chain, ex35, (2, 5, 8, 11), zp, variant="strict",
+               bisect_bits=48)
+    _feed_call(h, build_chain, ex35, (2, 5, 9), zp, variant="strict")
+    _feed_call(h, build_chain, ex35, (2,), zp)
+    zp = PrecriticalTable(fib_slope, fib_kd)
+    greedy = find_qcond_chains(fibonacci_q, fib_kd.max_k,
+                               variant="relaxed")["greedy"][:5]
+    _feed_call(h, build_chain, fib_slope, greedy, zp, variant="relaxed",
+               bisect_bits=40)
+    orbit = zp.orbit
+    points = [orbit.value(fib_kd.S[k]) for k in range(6)]
+    points += [Scalar.exact(orbit.value(2).value + (orbit.value(1).value
+                                                    - orbit.value(2).value)
+                            * Fraction(i, 17)) for i in range(0, 18)]
+    for x in points:
+        _feed_call(h, f_apply, fib_slope, x, zp)
+    for length in (7, 25, 200):
+        _feed_call(h, generate, length)
+    for target in (nu_from_q(fibonacci_q, 120).bits,
+                   nu_from_q(example35_q, 120).bits,
+                   nonrecurrent_example_nu(120).bits):
+        _feed(h, slope_for_prefix(target).s.lo)
+    return h.hexdigest()
+
+
 def main():
     check_fraction_from_pair()
     digest = orbit_digest()
@@ -250,6 +421,7 @@ def main():
     assert precritical_digest() == PRECRITICAL_DIGEST, precritical_digest()
     assert kneading_digest() == KNEADING_DIGEST, kneading_digest()
     assert tower_digest() == TOWER_DIGEST, tower_digest()
+    assert surface_digest() == SURFACE_DIGEST, surface_digest()
     print("ok", digest[:16])
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -296,3 +298,15 @@ def test_readme_reports_byte_identical(capsys, monkeypatch, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_tower_prints_numerators_past_the_int_str_limit(capsys):
+    """c_n of fib:300 at depth 60 has numerators of more than 4300 decimal
+    digits, CPython's default int-to-str limit; the report still prints,
+    and the limit is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "tower", "--slope", "fib:300", "--depth", "60")
+    assert code == 0
+    assert out.endswith("}\n")
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    assert sys.get_int_max_str_digits() == limit

@@ -83,12 +83,12 @@ def test_tower_cross_check_and_decay(fib_slope, fib_kd):
 def test_upsilon_index_conventions(fib_slope, fib_kd):
     zp = PrecriticalTable(fib_slope, fib_kd)
     orbit = zp.orbit
-    assert upsilon_index(fib_slope, orbit.value(2), zp) == 0
-    assert upsilon_index(fib_slope, orbit.value(1), zp) == 0
+    assert upsilon_index(orbit.value(2), zp) == 0
+    assert upsilon_index(orbit.value(1), zp) == 0
     mid = Scalar.exact((zp.boundary(2).value + zp.boundary(3).value) / 2)
-    assert upsilon_index(fib_slope, mid, zp) == 3
+    assert upsilon_index(mid, zp) == 3
     with pytest.raises(DomainError):
-        upsilon_index(fib_slope, Scalar.exact(C), zp)
+        upsilon_index(Scalar.exact(C), zp)
 
 
 def test_upsilon_partition_no_early_hits(fib_slope, fib_kd):
@@ -98,7 +98,7 @@ def test_upsilon_partition_no_early_hits(fib_slope, fib_kd):
         lo = zp.boundary(k - 1) if k else zp.pair(-1).z
         hi = zp.boundary(k)
         x = Scalar.exact(lo.value + (hi.value - lo.value) * Fraction(3, 7))
-        assert upsilon_index(fib_slope, x, zp) == k
+        assert upsilon_index(x, zp) == k
         y = x
         for j in range(1, fib_kd.S[k]):
             y = tent_apply(fib_slope, y)
@@ -126,7 +126,7 @@ def test_f_orbit_identity(fib_slope, fib_kd):
 def test_f_first_cell_is_plain_tent(fib_slope, fib_kd):
     zp = PrecriticalTable(fib_slope, fib_kd)
     x = Scalar.exact(zp.boundary(0).value / 3 + Fraction(2, 3))  # in (zhat_0, c_1]
-    if upsilon_index(fib_slope, x, zp) == 0:
+    if upsilon_index(x, zp) == 0:
         y, cell = f_apply(fib_slope, x, zp)
         assert cell == 0
         assert y.value == tent_apply(fib_slope, x).value
@@ -472,3 +472,23 @@ def test_tower_length_clamps_at_zero():
 def test_tower_levels_match_fraction_oracle_presets(name, N):
     # c_239 of sqrt3 escalates the orbit to 384 bits
     _assert_tower_matches_oracle(parse_slope(name), N)
+
+
+@pytest.mark.parametrize("name", ["9/5", "sqrt3", "nonrec41:120", "interval"])
+def test_verify_zzz_stays_as_the_kneading_horizon_grows(name):
+    """A longer kneading prefix behind the PrecriticalTable adds cutting
+    data but changes no verdict it already gave."""
+    half = Fraction(1, 10 ** 40)
+    slope = slope_interval(Fraction("1.8393") - half,
+                           Fraction("1.8393") + half) \
+        if name == "interval" else parse_slope(name)
+    verdicts = {}
+    for horizon in (20, 40, 80, 120):
+        kd = cutting_data(nu_from_orbit(slope, horizon))
+        zp = PrecriticalTable(slope, kd)
+        verdicts[horizon] = [verify_zzz(slope, k, zp).to_json()
+                             for k in range(kd.max_k)]
+    longest = verdicts[120]
+    assert len(longest) >= 8
+    for horizon, got in verdicts.items():
+        assert got == longest[:len(got)], horizon

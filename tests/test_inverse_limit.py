@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -758,3 +759,46 @@ def test_folding_battery_matches_fraction_oracle(eps, nonrec_slope,
                                                **kw)) == \
             _verdict_fields(_folding_oracle(it, nonrec_slope, nonrec_nu,
                                             **kw))
+
+
+def test_folding_verdict_with_an_empty_proxy_is_a_domain_error():
+    slope = slope_exact(Fraction(9, 5))
+    nu = nu_from_orbit(slope, 40)
+    it = TwoSidedItinerary(BackwardWord("", "1"), "1" * 10,
+                           x0=Scalar.exact(Fraction(9, 14)))
+    with pytest.raises(DomainError,
+                       match="burn_in 11 > proxy_len 10 leaves the orbit-tail"):
+        folding_verdict(it, slope, nu, proxy_len=10, burn_in=11)
+    # a proxy of one value is still a proxy
+    assert folding_verdict(it, slope, nu, proxy_len=10, burn_in=10).status \
+        in ("evidence", "refuted")
+
+
+@pytest.mark.parametrize("name", ["9/5", "nonrec41:120", "sqrt3"])
+def test_refuted_folding_verdict_stays_as_depth_grows(name):
+    """Deeper projections come after the first far one, so a refutation
+    keeps its status, far_at and missing_word."""
+    rng = random.Random(name)
+    slope = parse_slope(name)
+    nu = nu_from_orbit(slope, 120)
+    orbit = OrbitTable(slope)
+    refuted = 0
+    for _ in range(30):
+        symbols = "".join(rng.choice("01") for _ in range(rng.randrange(12)))
+        block = rng.choice((None, "0", "1", "01", "10", "011", "001"))
+        back = BackwardWord(symbols or "0", block)
+        x0 = Scalar.exact(Fraction(rng.randrange(1, 200), 201))
+        first = None
+        for depth in (2, 4, 8, 16, 32, 64):
+            v = folding_verdict(TwoSidedItinerary(back, "", x0=x0), slope, nu,
+                                depth=depth, eps=Fraction(1, 256),
+                                proxy_len=64, orbit=orbit)
+            if first is None and v.is_refuted:
+                first = v
+                refuted += 1
+            elif first is not None:
+                assert (v.status, v.witness["far_at"],
+                        v.witness["missing_word"]) == \
+                    ("refuted", first.witness["far_at"],
+                     first.witness["missing_word"]), (symbols, block, depth)
+    assert refuted >= 10

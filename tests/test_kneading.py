@@ -6,13 +6,17 @@ from hypothesis import given, settings, strategies as st
 from uilkit import verdicts as V
 from uilkit.errors import DomainError, NotAdmissible
 from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
-                             KneadingPrefix, _lcp, _scan_structure,
+                             KneadingPrefix, _lcp, _materialize_q,
+                             _scan_structure,
                              admissible_disjoint, admissible_q, cascade_q,
                              cocutting_times, cutting_data, emit_dotted,
                              example35_q, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q, parse_dotted,
                              q_asymptotics, renorm_scan, rho_step)
+from uilkit.presets import parse_q
 from uilkit.scalars import slope_exact
+from uilkit.subcontinua import (classify_chain, find_qcond_chains,
+                                nasty_cascade_rule)
 
 def admissible_prefixes(length):
     """All admissible kneading prefixes of exactly this length."""
@@ -526,3 +530,67 @@ def test_alphabet_check_keeps_its_message():
         KneadingPrefix("1021")
     with pytest.raises(DomainError):
         KneadingPrefix("1 0")
+
+
+# -- one reader for Q: a callable equals the list of the values it reads ------
+
+CHAINS = ((1, 2, 3, 4), (2, 5, 8, 11, 14, 17, 20, 23),
+          tuple(3 * i - 1 for i in range(1, 12)), (4, 8, 12, 16, 20, 24, 28))
+
+
+def _canon(out):
+    if hasattr(out, "to_json"):
+        return out.to_json()
+    if isinstance(out, dict):
+        return {key: _canon(value) for key, value in out.items()}
+    if isinstance(out, (list, tuple)):
+        return [_canon(value) for value in out]
+    return out
+
+
+# consumer -> (call with a kneading map and a horizon, how many values of a
+# callable it reads at that horizon)
+Q_CONSUMERS = {
+    "admissible_q": (lambda q, h: admissible_q(q, horizon=h),
+                     lambda h: 2 * h + 4),
+    "nu_from_q": (lambda q, h: nu_from_q(q, h).bits, lambda h: 2 * h + 4),
+    "renorm_scan": (renorm_scan, lambda h: h),
+    "q_asymptotics": (q_asymptotics, lambda h: h),
+    "find_qcond_chains": (lambda q, h: [find_qcond_chains(q, h, variant)
+                                        for variant in ("strict", "relaxed")],
+                          lambda h: h),
+    "nasty_cascade_rule": (nasty_cascade_rule, lambda h: h),
+    "classify_chain": (lambda q, h: [classify_chain(ch, q) for ch in CHAINS],
+                       lambda h: max(map(max, CHAINS)) + 2),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(Q_CONSUMERS))
+def test_callable_q_equals_its_materialized_list(consumer):
+    call, reads = Q_CONSUMERS[consumer]
+    for q in (fibonacci_q, example35_q, cascade_q):
+        for horizon in (1, 3, 12, 40):
+            qs = [q(k) for k in range(1, reads(horizon) + 1)]
+            assert _canon(call(q, horizon)) == _canon(call(qs, horizon)), \
+                (q.__name__, horizon)
+
+
+def test_parse_q_reads_a_preset_to_the_horizon():
+    assert parse_q("cascade", 9) == ([cascade_q(k) for k in range(1, 10)],
+                                     "cascade")
+    assert parse_q("fib", 5) == ([0, 0, 1, 2, 3], "fib")
+
+
+def test_callable_q_without_a_horizon_is_one_domain_error():
+    text = "a callable Q needs an explicit horizon"
+    for call in (lambda: _materialize_q(fibonacci_q, None),
+                 lambda: admissible_q(fibonacci_q),
+                 lambda: q_asymptotics(example35_q),
+                 lambda: renorm_scan(cascade_q, None),
+                 lambda: find_qcond_chains(fibonacci_q, None),
+                 lambda: nasty_cascade_rule(cascade_q, None)):
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            call()
+    # a list is read whole, with or without a horizon
+    assert _materialize_q([0, 0, 1], None) == _materialize_q((0, 0, 1), 1) \
+        == [0, 0, 1]
