@@ -30,7 +30,9 @@ class UnresolvedComparison(UilkitError):
 
 
 class CriticalHit(UilkitError):
-    """The critical orbit hits c exactly (periodic critical point)."""
+    """The critical orbit hits c exactly.  No slope in (1, 2] raises it: for
+    s = p/q in lowest terms, q > 1, c_n = a_n / (2 q^n) with a_{n+1} = p *
+    min(a_n, 2 q^n - a_n) coprime to q; s = 2 and interval slopes miss c."""
 
     def __init__(self, n):
         super().__init__(f"critical orbit returns to c exactly at step {n}")

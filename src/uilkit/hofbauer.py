@@ -31,9 +31,9 @@ from .errors import (DomainError, InternalInconsistency, PrecisionExhausted,
                      UnresolvedComparison)
 from .kneading import CuttingData, cutting_data, nu_from_orbit, q_asymptotics
 from .scalars import (C, DEFAULT_PREC_CAP, DEFAULT_PRECISION, Scalar,
-                      SignRelC, SlopeParam, _diff, _lt, _scalar,
-                      _start_precision, branch_preimage_left,
-                      branch_preimage_right, certified_cmp, critical_orbit,
+                      SignRelC, SlopeParam, _SYMBOL, _diff, _lt, _scalar,
+                      _start_precision, branch_preimage,
+                      branch_preimage_left, certified_cmp, critical_orbit,
                       s_one_minus, sign_rel_c, tent_apply)
 
 RULE_ZZZ = "critical-value-in-precritical-cell"
@@ -53,6 +53,11 @@ class OrbitTable:
     n, allow_unresolved=True)`` for the largest n read, as that call keeps
     the precision of the shorter orbit exactly when the next sign resolves.
 
+    ``word`` holds the signs nu_1 nu_2 ... read, up to the first unresolved
+    one.  None is at c, so CriticalHit never fires: for s = p/q in lowest
+    terms, q > 1, c_n = a_n / (2 q^n) with a_{n+1} = p * min(a_n, 2 q^n -
+    a_n) coprime to q; s = 2 and interval slopes miss c too.
+
     The table owns the precision cap of its orbit: the functions that read
     the orbit take it as ``orbit=``.
     """
@@ -60,31 +65,49 @@ class OrbitTable:
     def __init__(self, slope: SlopeParam, prec_cap: int = DEFAULT_PREC_CAP):
         self.slope = slope
         self.prec_cap = prec_cap
+        self.word = ""
         self._values = [Scalar.exact(C)]
         self._step_slope = slope
         self._bits = _start_precision(slope, prec_cap)
 
     def extend(self, n: int):
         values = self._values
+        signs = []
         while len(values) <= n:
             if len(values) > 1 or self.slope.is_exact:
                 x = tent_apply(self._step_slope, values[-1], self._bits)
-                if (sign_rel_c(x) is not SignRelC.UNRESOLVED
+                sign = sign_rel_c(x)
+                if (sign is not SignRelC.UNRESOLVED
                         or self._bits >= self.prec_cap):
                     values.append(x)
+                    signs.append(sign)
                     continue
             fresh = critical_orbit(self.slope, n, prec_cap=self.prec_cap,
                                    allow_unresolved=True)
             values = self._values = [Scalar.exact(C)] + [x for x, _ in fresh]
+            signs = [sign for _, sign in fresh]
+            self.word = ""
             self._bits = values[-1].precision_bits
             self._step_slope = self.slope.at(self._bits)
+        if len(self.word) + len(signs) == len(values) - 1:  # no gap yet
+            self.word += "".join(map(_SYMBOL.get, signs)).partition("?")[0]
 
     def value(self, n: int) -> Scalar:
         """c_n, with c_0 = c."""
         if n < 0:
             raise DomainError("orbit index must be >= 0")
-        self.extend(n)
+        if n >= len(self._values):
+            self.extend(n)
         return self._values[n]
+
+    def check_word(self, word: str):
+        """Raise DomainError when ``word`` and ``self.word`` differ within
+        their common length: ``word`` is then another slope's."""
+        if word[:len(self.word)] != self.word[:len(word)]:
+            n = next(i for i, (a, b) in enumerate(zip(word, self.word), 1)
+                     if a != b)
+            raise DomainError(f"kneading word disagrees with the orbit table "
+                              f"of {self.slope.name or 'its slope'} at nu_{n}")
 
 
 def orbit_table(slope: SlopeParam,
@@ -162,6 +185,7 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
 
     orbit = orbit_table(slope, orbit)
     orbit.extend(N)
+    orbit.check_word(kd.nu.bits)
     c1 = orbit.value(1)
     # The inductive level is carried as its two endpoint values; away from
     # cutting times c is outside the level, so T maps endpoints to endpoints.
@@ -251,16 +275,11 @@ class PrecriticalTable:
         nu = self.kd.nu.bits
         while len(self._natural) <= k:
             j = len(self._natural)
-            s_prev = self.kd.S[j - 1]
-            q = self.kd.q_of(j)
-            side_bit = nu[s_prev - 1]
-            w = self.hat_natural(q) if side_bit == "1" else self.natural(q)
-            y = w
+            s_prev, q = self.kd.S[j - 1], self.kd.q_of(j)
+            y = self.hat_natural(q) if nu[s_prev - 1] == "1" \
+                else self.natural(q)
             for i in range(s_prev - 1, 0, -1):
-                if nu[i - 1] == "0":
-                    y = branch_preimage_left(self.slope, y)
-                else:
-                    y = branch_preimage_right(self.slope, y)
+                y = branch_preimage(self.slope, y, int(nu[i - 1]))
             self._natural.append(branch_preimage_left(self.slope, y))
         return self._natural[k]
 

@@ -413,13 +413,9 @@ class ArcInterval:
 
 
 def _extreme_orbit_value(candidates, orbit, want_min):
-    best_n = None
-    best = None
-    for n in candidates:
+    best_n, best = candidates[0], orbit.value(candidates[0])
+    for n in candidates[1:]:
         v = orbit.value(n)
-        if best is None:
-            best, best_n = v, n
-            continue
         try:
             cmp = certified_cmp(v, best)
         except UnresolvedComparison:
@@ -443,6 +439,7 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
     exact and is checked to be the tower level D_{max(tauL, tauR)}; with
     ``kd``, left-match levels nested within 2^-20 mark it degenerate.
     """
+    exact, identity, degen = True, None, None
     if mode == "unit":
         if td.word_len is None:
             raise DomainError("unit mode needs a finite backward word")
@@ -464,28 +461,29 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
         else:
             raise UnrealizableWord(
                 "no lower constraint and no domain endpoint: empty cylinder")
-        return ArcInterval(lo, hi, lo_n, hi_n, True)
-    if mode != "core":
-        raise DomainError(f"unknown mode {mode!r}")
-
-    nl, nr = list(td.NL), list(td.NR)
-    hi, hi_n = _extreme_orbit_value(nr or [1], orbit, True)
-    if nl:
-        lo, lo_n = _extreme_orbit_value(nl, orbit, False)
+    elif mode == "core":
+        nl, nr = list(td.NL), list(td.NR)
+        hi, hi_n = _extreme_orbit_value(nr or [1], orbit, True)
+        if nl:
+            lo, lo_n = _extreme_orbit_value(nl, orbit, False)
+        else:
+            lo, lo_n = orbit.value(2), 2
+        exact = bool(nl) and bool(nr) and not td.saturatedL \
+            and not td.saturatedR and not td.cert_infiniteL \
+            and not td.cert_infiniteR
+        if exact and kd is not None:
+            n_star = max(td.tauL, td.tauR)
+            if n_star <= kd.horizon and \
+                    kd.beta_of(n_star) == min(td.tauL, td.tauR):
+                identity = n_star
+        ends = None if kd is None else \
+            level_ends(orbit, kd, [n for n in nl if n <= kd.horizon])
+        if ends is not None and ends[1] - ends[0] <= _DEGENERACY_THRESHOLD:
+            degen = max(Fraction(0), ends[1] - ends[0])
     else:
-        lo, lo_n = orbit.value(2), 2
-    exact = bool(nl) and bool(nr) and not td.saturatedL and not td.saturatedR \
-        and not td.cert_infiniteL and not td.cert_infiniteR
-    identity = None
-    if exact and kd is not None:
-        n_star = max(td.tauL, td.tauR)
-        if n_star <= kd.horizon and kd.beta_of(n_star) == min(td.tauL, td.tauR):
-            identity = n_star
-    degen = None
-    ends = None if kd is None else \
-        level_ends(orbit, kd, [n for n in nl if n <= kd.horizon])
-    if ends is not None and ends[1] - ends[0] <= _DEGENERACY_THRESHOLD:
-        degen = max(Fraction(0), ends[1] - ends[0])
+        raise DomainError(f"unknown mode {mode!r}")
+    if kd is not None:
+        orbit.check_word(kd.nu.bits)
     return ArcInterval(lo, hi, lo_n, hi_n, exact, identity, degen)
 
 

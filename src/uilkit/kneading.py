@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import verdicts as V
-from .errors import CriticalHit, DomainError, NotAdmissible
-from .scalars import DEFAULT_PREC_CAP, SignRelC, SlopeParam, critical_orbit
+from .errors import DomainError, NotAdmissible
+from .scalars import DEFAULT_PREC_CAP, SlopeParam, _SYMBOL, critical_orbit
 
 RULE_Q = "admissibility-kneading-map-lex"
 RULE_DISJOINT = "admissibility-cut-cocut-disjoint"
@@ -334,7 +334,7 @@ def nu_from_q(q, horizon: int) -> KneadingPrefix:
     ``cutting_data``.  Raises NotAdmissible when Q violates admissibility
     within the horizon.
     """
-    if horizon < 1:
+    if horizon is None or horizon < 1:
         raise DomainError("horizon must be >= 1")
     qs = _materialize_q(q, 2 * horizon + 4)
     for k, qk in enumerate(qs, start=1):
@@ -358,30 +358,17 @@ def nu_from_q(q, horizon: int) -> KneadingPrefix:
 
 def nu_from_orbit(slope: SlopeParam, N: int,
                   prec_cap: int = DEFAULT_PREC_CAP) -> KneadingPrefix:
-    """Certified kneading prefix of a slope; fails rather than guesses.
+    """Certified kneading prefix of a slope; PrecisionExhausted, never a guess.
 
-    Raises CriticalHit(n) on an exact critical return (``critical_orbit``
-    raises PrecisionExhausted on a sign unresolved at the cap).  An exactly
-    eventually periodic orbit (possible for rational slopes, e.g. s = 2)
-    flags the prefix ``critical_orbit_finite``.
+    No slope in (1, 2] raises CriticalHit: for s = p/q in lowest terms, q > 1,
+    c_n = a_n / (2 q^n) with a_{n+1} = p * min(a_n, 2 q^n - a_n) coprime to q
+    never equals c or repeats.  Only s = 2 repeats (c_2 = c_3 = 0), which
+    flags ``critical_orbit_finite``; an interval slope never hits c exactly.
     """
-    orbit = critical_orbit(slope, N, prec_cap=prec_cap)
-    bits = []
-    flags = set()
-    seen = set()
-    for n, (x, sign) in enumerate(orbit, start=1):
-        if sign is SignRelC.AT_C:
-            raise CriticalHit(n)
-        bits.append("1" if sign is SignRelC.ABOVE else "0")
-        if x.is_exact:
-            # a reduced pair is equal exactly when the values are, and
-            # hashing it skips Fraction.__hash__'s modular inverse
-            key = (x.lo.numerator, x.lo.denominator)
-            if key in seen:
-                flags.add("critical_orbit_finite")
-            seen.add(key)
+    bits = "".join(_SYMBOL[s] for _, s in critical_orbit(slope, N, prec_cap))
+    flags = ("critical_orbit_finite",) if N >= 3 and slope.s.lo == 2 else ()
     name = slope.name or "slope"
-    return KneadingPrefix("".join(bits), source=f"slope:{name}", flags=flags)
+    return KneadingPrefix(bits, source=f"slope:{name}", flags=flags)
 
 
 def renorm_scan(q, horizon: int):

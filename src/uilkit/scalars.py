@@ -55,6 +55,9 @@ class SignRelC(enum.Enum):
     UNRESOLVED = "unresolved"
 
 
+_SYMBOL = dict(zip(SignRelC, "01??"))      # kneading symbol; "?" is none
+
+
 class _Coprime:
     """A numerator/denominator pair already in lowest terms.
 
@@ -407,7 +410,7 @@ def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
     Precision escalates geometrically (recomputing the whole orbit from the
     refined slope) until every sign up to N is resolved or the cap is hit.
     For an exact rational slope everything is exact and a single pass
-    suffices; an exact critical return is reported as AT_C.
+    suffices; an exact return to c would be reported as AT_C.
     """
     if N < 1:
         raise DomainError("orbit length must be >= 1")
@@ -423,11 +426,9 @@ def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
             orbit.append((x, sign))
             if sign is SignRelC.UNRESOLVED and unresolved_at is None:
                 unresolved_at = n
-        if unresolved_at is None or slope.s.is_exact:
+        if unresolved_at is None or allow_unresolved and bits >= prec_cap:
             return orbit
         if bits >= prec_cap:
-            if allow_unresolved:
-                return orbit
             raise PrecisionExhausted(
                 f"sign of c_{unresolved_at} unresolved at precision cap {prec_cap}",
                 index=unresolved_at)
@@ -529,10 +530,10 @@ def slope_for_prefix(target: str, name: str = "") -> SlopeParam:
     Bisection on the slope, using the fact that the kneading sequence is
     monotone in s for the parity-lexicographic order.  Each probe runs the
     integer orbit and stops at the first symbol that differs from the
-    target, which already decides the step.  In lowest terms, c_n = 1/2
-    needs p * m = q^n with m <= q^(n-1), so only s = 1 hits c (at n = 1);
-    a dyadic nudge sidesteps it.  The search runs on [5/4, 2] for at most
-    4 |target| + 96 halvings.
+    target, which already decides the step.  No midpoint in (5/4, 2) hits
+    c, so CriticalHit never fires: a_{n+1} = p * min(a_n, 2 q^n - a_n) stays
+    coprime to q for s = p/q in lowest terms, q > 1.  The search runs on
+    [5/4, 2] for at most 4 |target| + 96 halvings.
     """
     target = "".join(target.split("."))
     if not target or target[0] != "1":
@@ -540,15 +541,7 @@ def slope_for_prefix(target: str, name: str = "") -> SlopeParam:
     lo, hi = Fraction(5, 4), Fraction(2)
     for _ in range(4 * len(target) + 96):
         mid = (lo + hi) / 2
-        nudge = (hi - lo) / 1024
-        for _ in range(8):
-            word = _kneading_probe(mid, target)
-            if word is not None:
-                break
-            mid = mid + nudge
-            nudge /= 1024
-        else:
-            raise PrecisionExhausted("persistent exact critical hits in bisection")
+        word = _kneading_probe(mid, target)
         if word == target:
             return SlopeParam(Scalar.exact(mid), name or f"prefix:{target[:16]}")
         if parity_lex_cmp(word, target) < 0:

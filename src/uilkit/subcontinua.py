@@ -290,12 +290,13 @@ def classify_chain(k_seq: Sequence[int], q,
     half = len(vals) // 2
     head, tail = vals[:half], vals[half:]
     decay = None
-    level_ns = []
-    if kd is not None and orbit is not None:
+    tabled = kd is not None and orbit is not None
+    if tabled:
         level_ns = [kd.S[k] for k in k_seq
                     if k <= kd.max_k and kd.S[k] <= kd.horizon]
         lengths = [hi - lo for lo, hi in (level_ends(orbit, kd, (n,))
                                           for n in level_ns)]
+        orbit.check_word(kd.nu.bits)
         if len(lengths) >= _MIN_LEVELS:
             decay = all(y < x for x, y in zip(lengths, lengths[1:]))
     if min(tail) > max(head) and vals[-1] >= vals[0] + len(vals) // 2:
@@ -309,7 +310,7 @@ def classify_chain(k_seq: Sequence[int], q,
     bound = max(head)
     witnesses = [k for k, v in zip(k_seq, vals) if v <= bound]
     if len([v for v in tail if v <= bound]) >= 1 and len(witnesses) >= 2:
-        ends = level_ends(orbit, kd, level_ns)
+        ends = level_ends(orbit, kd, level_ns) if tabled else None
         bar = ends if ends is not None and ends[0] <= ends[1] else None
         return ChainClass("basic-sin-curve",
                           V.evidence(RULE_CLASSIFY, depth=len(vals),

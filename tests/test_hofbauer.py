@@ -13,14 +13,16 @@ from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
                              cutting_value_gaps, f_apply, f_graph_data,
                              long_branched_evidence, tower_level, tower_levels,
                              upsilon_index, verify_zzz)
-from uilkit.inverse_limit import (classification_report, folding_verdict,
-                                  parse_itinerary, reluctance_search)
+from uilkit.inverse_limit import (BackwardWord, basic_arc_interval,
+                                  classification_report, folding_verdict,
+                                  parse_itinerary, reluctance_search, tau_data)
 from uilkit.kneading import (KneadingPrefix, cutting_data,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                              cascade_q, fibonacci_q)
 from uilkit.presets import parse_slope
-from uilkit.scalars import (C, Scalar, critical_orbit, slope_exact,
+from uilkit.scalars import (C, Scalar, SignRelC, critical_orbit, slope_exact,
                             slope_for_prefix, slope_interval, tent_apply)
+from uilkit.subcontinua import classify_chain
 
 
 def test_z0_full_tent():
@@ -492,3 +494,90 @@ def test_verify_zzz_stays_as_the_kneading_horizon_grows(name):
     assert len(longest) >= 8
     for horizon, got in verdicts.items():
         assert got == longest[:len(got)], horizon
+
+
+# -- the table's sign word against a kneading word -------------------------------
+
+def test_word_of_another_slope_is_rejected():
+    sqrt3, cbrt6 = parse_slope("sqrt3"), parse_slope("cbrt6")
+    kd = cutting_data(nu_from_orbit(sqrt3, 100))      # nu_6 is 1, cbrt6's 0
+    td = tau_data(BackwardWord(kd.nu.bits[:6]), kd.nu)
+    chain = (2, 3, 5, 8, 13)
+    genuine = basic_arc_interval(td, OrbitTable(sqrt3), kd=kd, mode="core")
+    assert (round(float(genuine.lo.lo), 3), round(float(genuine.hi.hi), 3)) \
+        == (0.232, 0.311)
+    bar = classify_chain(chain, kd.Q, kd=kd, orbit=OrbitTable(sqrt3))
+    assert [round(float(x), 3) for x in bar.bar_enclosure] == [0.402, 0.524]
+    word = kd.nu.bits[:8]
+    unit = tau_data(BackwardWord(word), kd.nu)
+    shared = OrbitTable(cbrt6)
+    shared.extend(20)
+    cbrt6_kd = cutting_data(nu_from_orbit(cbrt6, 100))
+    calls = [
+        lambda: basic_arc_interval(td, OrbitTable(cbrt6), kd=kd, mode="core"),
+        lambda: basic_arc_interval(unit, shared, word, kd=kd, mode="unit"),
+        lambda: classify_chain(chain, kd.Q, kd=kd, orbit=OrbitTable(cbrt6)),
+    ] + [lambda N=N: tower_levels(cbrt6_kd, sqrt3, N) for N in (10, 30, 100)]
+    for call in calls:
+        with pytest.raises(DomainError, match="disagrees with the orbit "
+                                              "table of (cbrt6|sqrt3) at nu_6$"):
+            call()
+
+
+def test_table_word_stops_at_the_first_unresolved_sign():
+    # golden returns to c exactly, so c_3 never resolves: a genuine word of
+    # any continuation is accepted, one that breaks "10" is not
+    table = OrbitTable(parse_slope("golden"), 1024)
+    table.extend(40)
+    assert table.word == "10"
+    for word in ("1", "10", "1001", "1011101"):
+        table.check_word(word)
+    for word in ("11", "0110"):
+        with pytest.raises(DomainError, match="at nu_[12]$"):
+            table.check_word(word)
+
+
+def _resolved_prefix(orbit):
+    signs = [sign for _, sign in orbit] + [SignRelC.UNRESOLVED]
+    return "".join("1" if sign is SignRelC.ABOVE else "0"
+                   for sign in signs[:signs.index(SignRelC.UNRESOLVED)])
+
+
+@pytest.mark.parametrize("make, cap", [
+    (lambda: slope_exact(Fraction(9, 5)), 4096),
+    (lambda: _narrow(Fraction(9, 5), 300), 4096),
+    (lambda: parse_slope("sqrt3"), 4096),
+    (lambda: _narrow(Fraction(19, 10), 140, 64), 4096),
+    (lambda: parse_slope("golden"), 512),
+])
+@pytest.mark.parametrize("reads", [(220,), (1, 5, 60, 130, 151, 152, 220),
+                                   tuple(range(0, 221, 3))])
+def test_table_word_is_the_resolved_sign_prefix(make, cap, reads):
+    slope = make()
+    table = OrbitTable(slope, cap)
+    for n in reads:
+        table.value(n)
+        assert table.word == _resolved_prefix(
+            critical_orbit(slope, n, prec_cap=cap, allow_unresolved=True)
+            if n else [])
+
+
+@pytest.mark.parametrize("kd_name, horizon", [("fib", 220), ("nonrec", 180)])
+@pytest.mark.parametrize("with_slope", [True, False])
+def test_long_branched_verdict_holds_as_n_grows(request, kd_name, horizon,
+                                                with_slope):
+    """Once decided at some N, the verdict stays for every larger N."""
+    kd = request.getfixturevalue(f"{kd_name}_kd")
+    slope = request.getfixturevalue(f"{kd_name}_slope") if with_slope else None
+    table = OrbitTable(slope) if with_slope else None
+    statuses = {}
+    for N in range(20, horizon + 1, 20):
+        levels = tower_levels(kd, slope, N, orbit=table) if with_slope \
+            else None
+        statuses[N] = long_branched_evidence(kd, N, slope, levels).status
+    decided = [N for N, status in statuses.items() if status != "undetermined"]
+    assert decided and all(statuses[N] == statuses[decided[0]]
+                           for N in statuses if N >= decided[0])
+    expected = {"fib": "refuted", "nonrec": "evidence"}[kd_name]
+    first = 40 if (kd_name, with_slope) == ("fib", True) else 20
+    assert decided[0] == first and statuses[first] == expected

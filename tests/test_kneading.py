@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uilkit import verdicts as V
-from uilkit.errors import DomainError, NotAdmissible
+from uilkit.errors import CriticalHit, DomainError, NotAdmissible, UilkitError
 from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
                              KneadingPrefix, _lcp, _materialize_q,
                              _scan_structure,
@@ -13,8 +13,9 @@ from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
                              example35_q, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q, parse_dotted,
                              q_asymptotics, renorm_scan, rho_step)
-from uilkit.presets import parse_q
-from uilkit.scalars import slope_exact
+from uilkit.presets import parse_q, parse_slope
+from uilkit.scalars import (DEFAULT_PREC_CAP, SignRelC, critical_orbit,
+                            slope_exact, slope_interval)
 from uilkit.subcontinua import (classify_chain, find_qcond_chains,
                                 nasty_cascade_rule)
 
@@ -594,3 +595,61 @@ def test_callable_q_without_a_horizon_is_one_domain_error():
     # a list is read whole, with or without a horizon
     assert _materialize_q([0, 0, 1], None) == _materialize_q((0, 0, 1), 1) \
         == [0, 0, 1]
+
+
+def test_nu_from_q_without_a_horizon_is_a_domain_error():
+    for q in (fibonacci_q, [0, 0, 1, 2, 3]):
+        with pytest.raises(DomainError, match="^horizon must be >= 1$"):
+            nu_from_q(q, None)
+
+
+# -- nu_from_orbit against the code it replaced ----------------------------------
+
+def _nu_from_orbit_oracle(slope, N, prec_cap=DEFAULT_PREC_CAP):
+    """nu_from_orbit with its critical-hit raise and repeat scan."""
+    orbit = critical_orbit(slope, N, prec_cap=prec_cap)
+    bits = []
+    flags = set()
+    seen = set()
+    for n, (x, sign) in enumerate(orbit, start=1):
+        if sign is SignRelC.AT_C:
+            raise CriticalHit(n)
+        bits.append("1" if sign is SignRelC.ABOVE else "0")
+        if x.is_exact:
+            key = (x.lo.numerator, x.lo.denominator)
+            if key in seen:
+                flags.add("critical_orbit_finite")
+            seen.add(key)
+    name = slope.name or "slope"
+    return KneadingPrefix("".join(bits), source=f"slope:{name}", flags=flags)
+
+
+def _outcome(call, *args):
+    try:
+        nu = call(*args)
+    except UilkitError as err:
+        return type(err), str(err)
+    return nu.bits, nu.flags, nu.source
+
+
+@settings(max_examples=80)
+@given(slope=st.one_of(
+           st.builds(lambda q, k: slope_exact(Fraction(q + 1 + k % q, q)),
+                     st.integers(1, 1 << 64), st.integers(0, 1 << 64)),
+           st.builds(lambda p, h: slope_interval(Fraction(p, 100) - Fraction(1, 1 << h),
+                                                 Fraction(p, 100) + Fraction(1, 1 << h)),
+                     st.integers(101, 199), st.integers(8, 300))),
+       N=st.integers(-2, 120))
+def test_nu_from_orbit_matches_oracle(slope, N):
+    assert _outcome(nu_from_orbit, slope, N) == \
+        _outcome(_nu_from_orbit_oracle, slope, N)
+
+
+@pytest.mark.parametrize("name, N, cap", [
+    ("2", 12, 4096), ("2", 2, 4096), ("9/5", 0, 4096), ("golden", 5, 512),
+    ("golden", 2, 512), ("sqrt3", 300, 192), ("sqrt3", 300, 4096),
+    ("fib:120", 150, 4096)])
+def test_nu_from_orbit_matches_oracle_on_presets(name, N, cap):
+    slope = parse_slope(name)
+    assert _outcome(nu_from_orbit, slope, N, cap) == \
+        _outcome(_nu_from_orbit_oracle, slope, N, cap)

@@ -14,7 +14,8 @@ from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _diff, _frac,
                             _gcd, _grid, _grid_ends, _kneading_probe, _lt,
                             certified_cmp, critical_orbit, parity_lex_cmp,
                             refine, s_one_minus, sign_rel_c, slope_decimal,
-                            slope_exact, slope_interval, tent_apply)
+                            slope_exact, slope_for_prefix, slope_interval,
+                            tent_apply)
 from uilkit.seqgen import generate
 
 
@@ -142,6 +143,33 @@ def test_critical_hit_detected():
     assert len(nu) == 40
     s2 = nu_from_orbit(slope_exact(2), 5)
     assert s2.bits == "10000" and "critical_orbit_finite" in s2.flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(2, 1 << 64), data=st.data(), N=st.integers(1, 300))
+def test_rational_orbit_never_hits_c_nor_repeats(q, data, N):
+    # c_n = a_n / (2 q^n) with a_n coprime to q: no c_n equals c or another
+    s = Fraction(data.draw(st.integers(q + 1, 2 * q - 1)), q)
+    orbit = critical_orbit(slope_exact(s), N)
+    assert all(sign is not SignRelC.AT_C for _, sign in orbit)
+    assert len({x.value for x, _ in orbit}) == N
+    word = "".join("1" if sign is SignRelC.ABOVE else "0" for _, sign in orbit)
+    assert _kneading_probe(s, word) == word
+
+
+def test_only_slope_two_has_a_finite_critical_orbit():
+    for N in range(1, 12):
+        flags = nu_from_orbit(slope_exact(2), N).flags
+        assert flags == ({"critical_orbit_finite"} if N >= 3 else set()), N
+    assert [x.value for x, _ in critical_orbit(slope_exact(2), 4)] == \
+        [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name", ["sqrt3", "cbrt6", "golden", "tribonacci"])
+def test_algebraic_orbits_hold_no_exact_value(name):
+    # golden returns to c exactly, so its c_3 stays unresolved at the cap
+    orbit = critical_orbit(parse_slope(name), 200, allow_unresolved=True)
+    assert not any(x.is_exact for x, _ in orbit)
 
 
 rational = st.fractions(min_value=0, max_value=1, max_denominator=997)
@@ -273,6 +301,15 @@ _PRESET_TARGETS = {
 def test_preset_slopes_match_oracle_bisection(name):
     slope = parse_slope(f"{name}:150")
     assert slope.s.value == _oracle_slope_for_prefix(_PRESET_TARGETS[name](150))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(2, 1 << 32), data=st.data(), depth=st.integers(1, 60))
+def test_slope_for_prefix_matches_oracle_bisection(q, data, depth):
+    # the oracle still nudges off exact critical hits, which never happen
+    s = Fraction(data.draw(st.integers(q * 5 // 4 + 1, 2 * q - 1)), q)
+    target = "".join(_exact_kneading_bits(s, depth))
+    assert slope_for_prefix(target).s.value == _oracle_slope_for_prefix(target)
 
 
 # -- outward rounding of exact values --------------------------------------------
