@@ -49,7 +49,8 @@ from . import verdicts as V
 from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
                      UnrealizableWord, UnresolvedComparison)
 from .hofbauer import OrbitTable, level_ends, orbit_table, tower_levels
-from .kneading import CuttingData, KneadingPrefix, cutting_data, q_asymptotics
+from .kneading import (CuttingData, KneadingPrefix, _lcp, cutting_data,
+                       q_asymptotics)
 from .scalars import (C, Scalar, SignRelC, SlopeParam, _grid_ends,
                       branch_preimage, certified_cmp, parity_lex_cmp,
                       sign_rel_c, tent_apply)
@@ -285,6 +286,15 @@ def _periodic_tail_analysis(back, nu, n_max):
     unrolled word is the pattern, and two aligned matches one common period
     apart pump forever.
 
+    Only a short prefix of the pattern can match.  With m explicit symbols,
+    block period p and z the common prefix of the pattern and its p-shift,
+    the pattern's longest p-periodic prefix has length p + z.  A border of
+    length l > m + p puts pattern[:l - m] inside the periodic part of the
+    tail, so it is p-periodic and l <= m + p + z; a full occurrence puts at
+    least len(pattern) - m of its leading symbols there, so it needs
+    len(pattern) <= m + p + z.  So when m + p + z < len(pattern), the scan
+    reads the first m + p + z pattern and last m + p + z tail symbols only.
+
     Returns the border chain and the prefix parities of the pattern (they
     give the match sets up to ``n_max``) and the certificate flags.
     """
@@ -302,21 +312,18 @@ def _periodic_tail_analysis(back, nu, n_max):
         base = max(pre_nu + per_nu, explicit + p) + L
         top = max(last, base + 3 * L)
         pattern = "".join(nu.symbol_at(i) for i in range(1, top))
-    chain, ends = _kmp_scan(pattern, back.unrolled(top - 1))
+    reach = top - 1
+    bound = explicit + p + _lcp(pattern, 0, p)
+    if bound < len(pattern):
+        pattern, reach = pattern[:bound], bound
+    chain, ends = _kmp_scan(pattern, back.unrolled(reach))
     parity = _prefix_parity(pattern)
     unrefuted = {ell + 1 for ell in chain}
-    unrefuted.update(top + len(pattern) - e for e in ends if e < top - 1)
+    unrefuted.update(reach + 1 + len(pattern) - e for e in ends if e < reach)
 
-    maybeL = maybeR = False
-    for n in unrefuted:
-        if not n_max < n <= last:
-            continue
-        if n - 1 > width:
-            maybeL = maybeR = True
-        elif parity[n - 1]:
-            maybeL = True
-        else:
-            maybeR = True
+    deeper = [n - 1 for n in unrefuted if n_max < n <= last]
+    maybeL = any(ell > width or parity[ell] for ell in deeper)
+    maybeR = any(ell > width or not parity[ell] for ell in deeper)
 
     ciL = ciR = False
     pump = None
@@ -628,49 +635,42 @@ def endpoint_itinerary_gen(nu: KneadingPrefix, count: int = 2,
     at the word boundary.  Words are emitted only from chains still alive at
     the horizon (the final element recurs again); a non-recurrent word
     raises NoRecurrenceWitness with the deepest live chain element.  When
-    two non-nested continuations exist, both branches are explored.
+    two non-nested continuations exist, both branches are explored.  The
+    continuations of n depend on n alone and chains strictly increase, so
+    the subtree of n is done before another copy of n pops: each n is
+    expanded once.
     """
     bits = nu.bits
 
-    def occurrences(m):
+    def occurrences(m):                # ascending ends, after position 1
         pref = bits[:m]
-        out = []
-        start = 1
-        while True:
-            idx = bits.find(pref, start)
-            if idx < 0:
-                break
-            out.append(idx + m)
-            start = idx + 1
-        return [n for n in out if n > m]
+        idx = bits.find(pref, 1)
+        while idx >= 0:
+            yield idx + m
+            idx = bits.find(pref, idx + 1)
 
-    words, chains = [], []
-    best_live = 1
-    seen = set()
-    stack = [(1, (1,))]
+    words, expanded, stack, best_live = [], set(), [1], 1
     while stack and len(words) < count:
-        n, chain = stack.pop()
+        n = stack.pop()
+        if n in expanded:
+            continue
+        expanded.add(n)
         nexts = occurrences(n)
-        if nexts:
-            best_live = max(best_live, n)
-        if n >= depth and nexts:
-            w = bits[:n]
-            if w not in seen:
-                seen.add(w)
-                words.append(BackwardWord(w))
-                chains.append(chain)
+        first = next(nexts, None)
+        if first is None:
             continue
-        if not nexts:
+        best_live = max(best_live, n)
+        if n >= depth:
+            words.append(BackwardWord(bits[:n]))
             continue
-        picked = [nexts[0]]
-        for cand in nexts[1:]:
-            if not bits[:cand].endswith(bits[:picked[0]]):
-                picked.append(cand)
-                break
-        if len(picked) == 1 and len(nexts) > 1:
-            picked.append(nexts[1])
-        for cand in reversed(picked):
-            stack.append((cand, chain + (cand,)))
+        second = next(nexts, None)
+        if second is not None:
+            head = bits[:first]
+            if bits.endswith(head, 0, second):   # nested: find one that is not
+                second = next((cand for cand in nexts
+                               if not bits.endswith(head, 0, cand)), second)
+            stack.append(second)
+        stack.append(first)
     if not words:
         raise NoRecurrenceWitness(best_live)
     return words

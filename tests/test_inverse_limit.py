@@ -1,27 +1,36 @@
 import functools
 import itertools
 import math
+import os
 import random
+import statistics
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uilkit
 from uilkit import verdicts as V
 from uilkit.errors import DomainError, NoRecurrenceWitness, UnrealizableWord
 from uilkit.hofbauer import OrbitTable
 from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
-                                  TwoSidedItinerary, backward_points,
+                                  TwoSidedItinerary, _kmp_scan,
+                                  _prefix_parity, backward_points,
                                   basic_arc_interval, classification_report,
                                   endpoint_itinerary_gen, endpoint_verdict,
                                   folding_verdict, parse_itinerary, pull_back,
                                   reconstruct_x0, reluctance_search, tau_data,
                                   verify_monotone, word_image_interval,
                                   word_realizable)
-from uilkit.kneading import (KneadingPrefix, admissible_disjoint, cutting_data,
-                             example35_q, fibonacci_q, nonrecurrent_example_nu,
-                             nu_from_orbit, nu_from_q)
+from uilkit.kneading import (KneadingPrefix, _lcp, admissible_disjoint,
+                             cutting_data, example35_q, fibonacci_q,
+                             nonrecurrent_example_nu, nu_from_orbit, nu_from_q)
 from uilkit.presets import parse_slope
+from uilkit.seqgen import generate
 from uilkit.scalars import (C, Scalar, slope_exact, slope_for_prefix,
                             slope_interval)
 
@@ -563,6 +572,279 @@ def test_tau_data_matches_oracle_on_pumping_and_long_words(fib_nu):
         for depth in (None, 7, 64):
             assert tau_data(back, nu, depth) == naive_tau_data(back, nu, depth)
     assert tau_data(*cases[0][:2]).pump_witness is not None
+
+
+# -- the bounded periodic-tail scan against the whole-word scan -----------------
+#
+# The oracle is the periodic-tail analysis as it was before the scan was
+# bounded: the automaton of the whole kneading word (or of its unrolled
+# declared continuation) runs over the tail unrolled to every checked depth.
+
+def _whole_word_periodic_tail_analysis(back, nu, n_max):
+    p = len(back.periodic_block)
+    width = len(nu)
+    explicit = len(back.symbols)
+    last = explicit + width + p + 2
+    top, pattern = last, nu.bits
+    periodic_nu = nu.symbol_at(width + 1) is not None
+    if periodic_nu:
+        pre_nu, per_nu = nu.periodic_tail
+        L = per_nu
+        while L % p:
+            L += per_nu
+        base = max(pre_nu + per_nu, explicit + p) + L
+        top = max(last, base + 3 * L)
+        pattern = "".join(nu.symbol_at(i) for i in range(1, top))
+    chain, ends = _kmp_scan(pattern, back.unrolled(top - 1))
+    parity = _prefix_parity(pattern)
+    unrefuted = {ell + 1 for ell in chain}
+    unrefuted.update(top + len(pattern) - e for e in ends if e < top - 1)
+
+    maybeL = maybeR = False
+    for n in unrefuted:
+        if not n_max < n <= last:
+            continue
+        if n - 1 > width:
+            maybeL = maybeR = True
+        elif parity[n - 1]:
+            maybeL = True
+        else:
+            maybeR = True
+
+    ciL = ciR = False
+    pump = None
+    if periodic_nu:
+        pump = next(((n, L) for n in range(base, base + 2 * L + 1)
+                     if n in unrefuted and n + L in unrefuted), None)
+    if pump is not None:
+        block_ones = nu.bits[pre_nu:pre_nu + per_nu].count("1")
+        if (L // per_nu) * block_ones % 2 == 0:
+            ciR = parity[pump[0] - 1] == 0
+            ciL = not ciR
+        else:
+            ciL = ciR = True
+    return chain, parity, (not (maybeL or ciL), not (maybeR or ciR), ciL,
+                           ciR, pump)
+
+
+def whole_word_tau_data(back, nu, depth=None):
+    """tau_data of a periodic tail with the whole-word scan."""
+    n_max = len(nu) + 1 if depth is None else min(len(nu) + 1, depth)
+    chain, parity, certs = _whole_word_periodic_tail_analysis(back, nu, n_max)
+    cfL, cfR, ciL, ciR, pump = certs
+    NL, NR = [], []
+    for ell in reversed(chain):
+        if ell < n_max:
+            (NR if parity[ell] == 0 else NL).append(ell + 1)
+    return TauData(tuple(NL), tuple(NR), NL[-1] if NL else None,
+                   NR[-1] if NR else None,
+                   bool(NL) and NL[-1] == n_max or ciL,
+                   bool(NR) and NR[-1] == n_max or ciR,
+                   cfL, cfR, ciL, ciR, n_max, None, pump)
+
+
+def _scan_bound(back, nu):
+    """m + p + z of the bounded scan, for a word without a declared tail."""
+    p = len(back.periodic_block)
+    return len(back.symbols) + p + _lcp(nu.bits, 0, p)
+
+
+def _assert_tau_like_whole_word(back, nu, depths=()):
+    for depth in (None, 1, 64, 512, len(nu) + 5, *depths):
+        assert tau_data(back, nu, depth) == \
+            whole_word_tau_data(back, nu, depth), (back, nu, depth)
+
+
+def _rotations(word):
+    return st.integers(0, max(len(word) - 1, 0)).map(
+        lambda r: word[r:] + word[:r])
+
+
+@st.composite
+def _tails_from(draw, bits):
+    """A periodic tail whose symbols and block are cut from ``bits``, so the
+    block is often a prefix or a rotation of a prefix and z is large."""
+    piece = st.one_of(st.text("01", max_size=6),
+                      st.integers(0, 60).map(lambda k: bits[:k]))
+    symbols = "".join(draw(st.lists(piece, max_size=5)))
+    prefix = bits[:draw(st.integers(1, min(len(bits), 60)))]
+    block = draw(st.one_of(st.text("01", min_size=1, max_size=8),
+                           st.just(prefix), _rotations(prefix)))
+    return BackwardWord(symbols, block)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_bounded_scan_matches_whole_word_scan_on_long_words(data):
+    bits = data.draw(st.one_of(
+        st.text("01", min_size=99, max_size=399).map("1".__add__),
+        st.sampled_from([METAMORPHIC_NUS[k].bits
+                         for k in ("fib", "ex35", "nonrec")])
+        .flatmap(lambda b: st.integers(1, len(b)).map(lambda n: b[:n]))))
+    nu = KneadingPrefix(bits)
+    _assert_tau_like_whole_word(data.draw(_tails_from(bits)), nu)
+
+
+@settings(max_examples=300)
+@given(period=st.text("01", max_size=5).map("1".__add__),
+       z=st.integers(0, 30), rest=st.text("01", max_size=40),
+       shift=st.sampled_from([-1, 0, 1]), data=st.data())
+def test_bounded_scan_at_the_edge_of_the_word(period, z, rest, shift, data):
+    # nu is p-periodic for exactly p + z symbols, so the bound m + p + z
+    # lands on |nu| + shift
+    p = len(period)
+    head = (period * (z // p + 2))[:p + z]
+    bits = head + "01"[head[z] == "0"] + rest
+    symbols = data.draw(st.one_of(
+        st.text("01", min_size=len(rest) + 1 + shift,
+                max_size=len(rest) + 1 + shift),
+        st.just(bits[:len(rest) + 1 + shift])))
+    block = data.draw(_rotations(period))
+    back, nu = BackwardWord(symbols, block), KneadingPrefix(bits)
+    assert _scan_bound(back, nu) == len(nu) + shift
+    _assert_tau_like_whole_word(back, nu)
+
+
+@settings(max_examples=300)
+@given(_tau_inputs())
+def test_bounded_scan_matches_whole_word_scan_on_short_words(args):
+    back, nu, depth = args
+    if back.is_periodic:
+        _assert_tau_like_whole_word(back, nu, (depth,))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_bounded_scan_matches_whole_word_scan_on_fixture_words(
+        data, fib_nu, nonrec_nu):
+    nu = data.draw(st.sampled_from([fib_nu, nonrec_nu,
+                                    METAMORPHIC_NUS["ex35"]]))
+    _assert_tau_like_whole_word(data.draw(_tails_from(nu.bits)), nu)
+
+
+def test_periodic_tail_tau_data_against_the_long_fibonacci_word():
+    nu = nu_from_q(fibonacci_q, 10000)
+    for back in (BackwardWord("", "1"), BackwardWord("0110", "10"),
+                 BackwardWord(nu.bits[:89], nu.bits[:55])):
+        times = []
+        for _ in range(21):
+            start = time.perf_counter()
+            tau_data(back, nu, 64)
+            times.append(time.perf_counter() - start)
+        assert statistics.median(times[1:]) < 0.5e-3, back
+
+
+# -- the chain generator against the one that expands a head per chain -----------
+
+class _OracleBudgetSpent(Exception):
+    pass
+
+
+def _per_chain_itinerary_gen(nu, count, depth, found, budget=100_000):
+    """The generator as it was before heads were expanded once: every chain
+    that reaches a head expands it again.  ``found`` memoizes the occurrence
+    lists per (word, m), and ``budget`` caps the expansions."""
+    bits = nu.bits
+
+    def occurrences(m):
+        if (bits, m) not in found:
+            pref = bits[:m]
+            out = []
+            start = 1
+            while True:
+                idx = bits.find(pref, start)
+                if idx < 0:
+                    break
+                out.append(idx + m)
+                start = idx + 1
+            found[bits, m] = [n for n in out if n > m]
+        return found[bits, m]
+
+    words, chains = [], []
+    best_live = 1
+    seen = set()
+    stack = [(1, (1,))]
+    while stack and len(words) < count:
+        budget -= 1
+        if budget < 0:
+            raise _OracleBudgetSpent(nu, count, depth)
+        n, chain = stack.pop()
+        nexts = occurrences(n)
+        if nexts:
+            best_live = max(best_live, n)
+        if n >= depth and nexts:
+            w = bits[:n]
+            if w not in seen:
+                seen.add(w)
+                words.append(BackwardWord(w))
+                chains.append(chain)
+            continue
+        if not nexts:
+            continue
+        picked = [nexts[0]]
+        for cand in nexts[1:]:
+            if not bits[:cand].endswith(bits[:picked[0]]):
+                picked.append(cand)
+                break
+        if len(picked) == 1 and len(nexts) > 1:
+            picked.append(nexts[1])
+        for cand in reversed(picked):
+            stack.append((cand, chain + (cand,)))
+    if not words:
+        raise NoRecurrenceWitness(best_live)
+    return words
+
+
+def _generated(gen, *args):
+    try:
+        return [w.symbols for w in gen(*args)]
+    except NoRecurrenceWitness as exc:
+        return exc.max_depth
+
+
+def test_generator_matches_per_chain_expansion_on_short_words():
+    found = {}
+    for length in range(1, 11):
+        for tail in itertools.product("01", repeat=length - 1):
+            nu = KneadingPrefix("1" + "".join(tail))
+            for count in (1, 2, 3):
+                for depth in range(1, length + 3):
+                    assert _generated(endpoint_itinerary_gen, nu, count,
+                                      depth) == \
+                        _generated(_per_chain_itinerary_gen, nu, count,
+                                   depth, found), (nu, count, depth)
+
+
+def test_generator_matches_per_chain_expansion_on_benchmark_words():
+    words = [nu_from_q(fibonacci_q, 10000), nu_from_q(example35_q, 6000),
+             nonrecurrent_example_nu(4000),
+             KneadingPrefix(generate(6773)[0].bits[:6773])]
+    found = {}
+    for nu in words:
+        for count in range(1, 7):
+            for depth in range(1, 401):
+                assert _generated(endpoint_itinerary_gen, nu, count,
+                                  depth) == \
+                    _generated(_per_chain_itinerary_gen, nu, count, depth,
+                               found), (nu, count, depth)
+
+
+def test_generator_expands_each_chain_head_once():
+    # "1"*52: every head n continues at n + 1 and n + 2, so expanding a head
+    # once per chain that reaches it doubles the work at each level
+    code = ("from uilkit.errors import NoRecurrenceWitness\n"
+            "from uilkit.inverse_limit import endpoint_itinerary_gen\n"
+            "from uilkit.kneading import KneadingPrefix\n"
+            "try:\n"
+            "    endpoint_itinerary_gen(KneadingPrefix('1' * 52), count=1,"
+            " depth=59)\n"
+            "except NoRecurrenceWitness as exc:\n"
+            "    print(exc.max_depth)\n")
+    src = str(Path(uilkit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=20, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["51"]
 
 
 # -- integer ends: differential tests against the Fraction code ----------------
