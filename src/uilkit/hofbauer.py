@@ -150,7 +150,7 @@ def level_ends(orbit: OrbitTable, kd: CuttingData, ns):
 class TowerLevel:
     n: int
     beta_n: int                       # 0 stands for the critical point c
-    numeric: Optional[tuple] = None   # (Scalar low end, Scalar high end)
+    numeric: Optional[tuple] = None   # enclosures (index form, induction)
     length: Optional[Scalar] = None
     contains_c: bool = False
 
@@ -174,8 +174,11 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     Without a slope only the index form is produced.  With one, the two
     computations of every level must agree (exactly for exact slopes,
     overlapping enclosures otherwise) or InternalInconsistency is raised.
+    ``N`` defaults to the kneading horizon; ``N = 0`` gives no levels.
     """
-    N = N or kd.horizon
+    N = kd.horizon if N is None else N
+    if N < 0:
+        raise DomainError(f"tower depth must be >= 0, got {N}")
     if N > kd.horizon:
         raise DomainError("tower depth exceeds the kneading horizon")
     cuts = set(kd.S)
@@ -220,9 +223,8 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     return levels
 
 
-def tower_level(kd: CuttingData, n: int,
-                slope: Optional[SlopeParam] = None) -> TowerLevel:
-    return tower_levels(kd, slope, n)[n - 1]
+def tower_level(kd: CuttingData, n: int) -> TowerLevel:
+    return tower_levels(kd, None, n)[n - 1]
 
 
 @dataclass(frozen=True)
@@ -426,8 +428,11 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
     stable above it.  The witness always carries min |D_n| and its argmin
     when a slope is available.  ``levels``, when given, must be
     ``tower_levels(kd, slope, N, orbit=...)``; it saves recomputing them.
+    ``N`` defaults to the kneading horizon.
     """
-    N = N or kd.horizon
+    N = kd.horizon if N is None else N
+    if N < 1:
+        raise DomainError(f"long-branched depth must be >= 1, got {N}")
     qa = q_asymptotics(list(kd.Q))
     witness = {"q_bounded": qa.bounded.status, "q_max": qa.max_value}
     if slope is not None:
@@ -509,7 +514,7 @@ def f_graph_data(slope: SlopeParam, zp: PrecriticalTable, grid: int = 256,
     for k in range(0, max_cell + 1):
         if k > zp.max_k:
             break
-        lo = zp.boundary(k - 1) if k >= 1 else zp.pair(-1).z
+        lo = zp.boundary(k - 1)
         hi = zp.boundary(k)
         if not lo.certainly_lt(hi):
             continue

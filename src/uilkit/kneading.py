@@ -11,6 +11,8 @@ breaks.  Equivalently they are the orbit of 1 under
 while the co-cutting times are the rho-orbit of the first 1 after position 1.
 ``_lcp`` computes rho(j) - j - 1, the common prefix of nu and its j-shift, by
 slice comparisons; the kneading map's lexicographic check uses it on lists.
+It is one of three prefix primitives, each the measured fastest on its
+traffic, with ``inverse_limit._kmp_scan`` and ``scalars.parity_lex_cmp``.
 The kneading map Q is defined by S_k - S_{k-1} = S_{Q(k)} with Q(0) = 0.
 
 Two independent admissibility checkers are provided and cross-validated:

@@ -19,13 +19,13 @@ carries its root bracket, and ``SlopeParam.at(bits)`` encloses the root at
 ``critical_orbit`` does for a whole orbit and ``refine`` for one orbit value
 (intersected with the old enclosure, so refinement never widens).
 
-The tent step, the sign test against c, the reflection ``1 - x`` and the
-grid rounding work on the endpoints' integer numerators and denominators:
-a product of two fractions in lowest terms is reduced by the two cross
-gcds, which against a power-of-two denominator are trailing-zero counts,
-and rounding onto the 2^-bits grid of a dyadic end is a shift.  The results
-are the same reduced ``Fraction``s that ``Fraction`` arithmetic gives, built
-without a renormalising gcd.
+The tent step, the branch preimages, the sign test against c, the
+reflection ``1 - x`` and the grid rounding work on the endpoints' integer
+numerators and denominators: a product of two fractions in lowest terms is
+reduced by the two cross gcds, which against a power-of-two denominator are
+trailing-zero counts, and rounding onto the 2^-bits grid of a dyadic end is
+a shift.  The results are the same reduced ``Fraction``s that ``Fraction``
+arithmetic gives, built without a renormalising gcd.
 """
 
 from __future__ import annotations
@@ -263,12 +263,11 @@ def _maybe_round(ln: int, ld: int, hn: int, hd: int, bits: int) -> Scalar:
     return _scalar(_frac(ln, ld), _frac(hn, hd), bits)
 
 
-def s_one_minus(a: Scalar, bits=None) -> Scalar:
-    bits = bits or a.precision_bits
+def s_one_minus(a: Scalar) -> Scalar:
     lo, hi = a.lo, a.hi
     return _scalar(_frac(hi.denominator - hi.numerator, hi.denominator),
                    _frac(lo.denominator - lo.numerator, lo.denominator),
-                   bits)
+                   a.precision_bits)
 
 
 def sign_rel_c(x: Scalar) -> SignRelC:
@@ -371,23 +370,27 @@ def tent_apply(slope: SlopeParam, x: Scalar, bits=None) -> Scalar:
     return _maybe_round(ln, ld, hn, hd, bits)
 
 
-def branch_preimage_left(slope: SlopeParam, y: Scalar, bits=None) -> Scalar:
-    """The preimage of y on the increasing branch: y / s."""
-    s = slope.s
-    bits = bits or min(s.precision_bits, y.precision_bits)
-    q = Scalar(y.lo / s.hi, y.hi / s.lo, bits)
-    return _maybe_round(q.lo.numerator, q.lo.denominator, q.hi.numerator,
-                        q.hi.denominator, bits)
+def branch_preimage_left(slope: SlopeParam, y: Scalar) -> Scalar:
+    """The preimage of y on the increasing branch: y / s.  Its ends fall out
+    of order (ValueError) only for a y below 0 on an interval slope."""
+    a, b, lo, hi = slope.s.lo, slope.s.hi, y.lo, y.hi
+    ln, ld = _mul(lo.numerator, lo.denominator, b.denominator, b.numerator)
+    hn, hd = _mul(hi.numerator, hi.denominator, a.denominator, a.numerator)
+    if ln < 0 and hn * ld < ln * hd:
+        raise ValueError("interval endpoints out of order: "
+                         f"[{_frac(ln, ld)}, {_frac(hn, hd)}]")
+    bits = min(slope.s.precision_bits, y.precision_bits)
+    return _maybe_round(ln, ld, hn, hd, bits)
 
 
-def branch_preimage_right(slope: SlopeParam, y: Scalar, bits=None) -> Scalar:
+def branch_preimage_right(slope: SlopeParam, y: Scalar) -> Scalar:
     """The preimage of y on the decreasing branch: 1 - y / s."""
-    return s_one_minus(branch_preimage_left(slope, y, bits=bits))
+    return s_one_minus(branch_preimage_left(slope, y))
 
 
-def branch_preimage(slope: SlopeParam, y: Scalar, symbol: int, bits=None) -> Scalar:
+def branch_preimage(slope: SlopeParam, y: Scalar, symbol: int) -> Scalar:
     return (branch_preimage_left if symbol == 0 else branch_preimage_right)(
-        slope, y, bits=bits)
+        slope, y)
 
 
 def _start_precision(slope: SlopeParam, prec_cap: int) -> int:

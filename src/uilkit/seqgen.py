@@ -74,48 +74,32 @@ class WordLedger:
 
     ``ends_at_cuts`` collects all subwords (up to ``len_cap``) whose last
     letter falls on a cutting time; ``paired`` holds the words w such that
-    both w and its last-letter flip appear there.  The cap grows on demand
-    and the ledger can always be rebuilt from the word alone.
+    both w and its last-letter flip appear there.  The set is built from
+    the word alone, and again when the cap grows.
     """
 
     def __init__(self, nu_bits: str = SEED, len_cap: int = 8):
         self.nu = nu_bits
         self.len_cap = len_cap
         self.kd: CuttingData = cutting_data(KneadingPrefix(nu_bits))
-        self.ends_at_cuts = set()
-        self._collect(self.kd.S)
+        self._collect()
 
-    def _collect(self, positions):
-        for p in positions:
-            for L in range(1, min(p, self.len_cap) + 1):
-                self.ends_at_cuts.add(self.nu[p - L:p])
+    def _collect(self):
+        self.ends_at_cuts = {self.nu[p - L:p] for p in self.kd.S
+                             for L in range(1, min(p, self.len_cap) + 1)}
 
     def ensure_cap(self, cap: int):
         if cap > self.len_cap:
             self.len_cap = cap
-            self.ends_at_cuts = set()
-            self._collect(self.kd.S)
+            self._collect()
 
     def paired(self, word: str) -> bool:
         flip = word[:-1] + ("1" if word[-1] == "0" else "0")
         return word in self.ends_at_cuts and flip in self.ends_at_cuts
 
-    def extended(self, new_bits: str, kd: CuttingData) -> "WordLedger":
-        """Ledger for a longer word with cutting data ``kd``, reusing the
-        incremental suffix sets."""
-        if not new_bits.startswith(self.nu):
-            raise DomainError("extension must preserve the prefix")
-        out = WordLedger.__new__(WordLedger)
-        out.nu = new_bits
-        out.len_cap = self.len_cap
-        out.kd = kd
-        out.ends_at_cuts = set(self.ends_at_cuts)
-        old_cuts = set(self.kd.S)
-        out._collect([p for p in out.kd.S if p not in old_cuts])
-        return out
-
     def scratch_equal(self) -> bool:
-        """Soundness: the incrementally maintained set equals a fresh rebuild."""
+        """The set equals a fresh rebuild; by construction, as every ledger
+        and every raised cap builds it from the word."""
         fresh = WordLedger(self.nu, self.len_cap)
         return fresh.ends_at_cuts == self.ends_at_cuts
 
@@ -241,9 +225,9 @@ def extend_step(ledger: WordLedger, compat: bool = False):
     q_top = kd.q_of(k)
     block_i = "".join(_block(nu, S, m) for m in range(q_top - 1, 1, -1))
     cur = nu + block_i
-    kd_i = _verify_admissible(cur, "block-i", state)
+    _verify_admissible(cur, "block-i", state)
 
-    def attach_completion(base, kd_base, include_branch_block):
+    def attach_completion(base, include_branch_block):
         body = "" if not include_branch_block else _block(nu, S, n_prime)
         candidate = base + body + u_flip
         kd_c = _verify_admissible(candidate, "block-ii", state)
@@ -255,9 +239,9 @@ def extend_step(ledger: WordLedger, compat: bool = False):
     # skip the branch block when the stem already sits at the current end
     attempt = None
     if cur.endswith(w):
-        attempt = attach_completion(cur, kd_i, False)
+        attempt = attach_completion(cur, False)
     if attempt is None:
-        attempt = attach_completion(cur, kd_i, True)
+        attempt = attach_completion(cur, True)
     if attempt is None:
         raise ConstructionStuck("block-ii", dict(state, cur_len=len(cur)))
     cur, branch_body, kd_ii = attempt
@@ -280,19 +264,13 @@ def extend_step(ledger: WordLedger, compat: bool = False):
         raise ConstructionStuck("block-iii", dict(state, cur_len=len(cur)))
     state["r"] = chosen_r
 
-    new_ledger = ledger.extended(candidate, kd_fin)
-    ok, reason = _segment_conditions(new_ledger.kd, len(ledger.nu))
-    if not ok:
-        raise ConstructionStuck("postconditions", dict(state, reason=reason))
-    new_ledger.ensure_cap(max(new_ledger.len_cap, len(v) + 1))
+    new_ledger = WordLedger(candidate, max(ledger.len_cap, len(v) + 1))
     if not (new_ledger.paired(v) and new_ledger.paired(v_flip)):
         raise ConstructionStuck("pair-not-realized", state)
     if len(u) not in new_ledger.kd.S or len(u) == 2:
         raise ConstructionStuck(
             "u-length", dict(state, u_len=len(u),
                              reason="|u| must be a cutting time other than 2"))
-    if not new_ledger.scratch_equal():
-        raise ConstructionStuck("ledger-soundness", state)
     if compat and ledger.nu == SEED and new_ledger.nu != FIRST_EXTENSION_REFERENCE:
         raise ConstructionStuck(
             "compat-first-extension",

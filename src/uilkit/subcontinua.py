@@ -75,22 +75,20 @@ def find_qcond_chains(q, horizon: int, variant: str = STRICT):
             for k_prev in range(1, m + 1)}
 
     chains = []
-    seen_prefix = set()
 
     def extend(chain):
         if len(chains) >= _MAX_CHAINS:
             return
         nexts = succ.get(chain[-1], [])
         if not nexts:
-            if len(chain) >= _MIN_CHAIN_LEN and chain not in seen_prefix:
-                seen_prefix.add(chain)
+            if len(chain) >= _MIN_CHAIN_LEN:
                 chains.append(chain)
             return
         for k in nexts:
             extend(chain + (k,))
 
-    starts = sorted({k for k in range(1, m + 1)
-                     if succ[k] and not any(k in s for s in succ.values())})
+    reached = {k for s in succ.values() for k in s}
+    starts = [k for k in range(1, m + 1) if succ[k] and k not in reached]
     for k0 in starts or range(1, m + 1):
         extend((k0,))
     chains.sort()
@@ -148,7 +146,7 @@ def _bisect_preimage(slope, zp, m, target, side, bits):
 
     T^{S_m} is monotone on each piece; certified bisection on the piece.
     """
-    lo = zp.boundary(m - 1) if m >= 1 else zp.pair(-1).z
+    lo = zp.boundary(m - 1)
     hi = zp.boundary(m)
     if side == "right":
         lo, hi = s_one_minus(hi), s_one_minus(lo)
@@ -220,7 +218,7 @@ def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
     orbit = zp.orbit
     # base level: a_1 free inside the open cell of index k_1 - 1
     m1 = k_seq[1] - 1
-    lo = zp.boundary(m1 - 1) if m1 >= 1 else zp.pair(-1).z
+    lo = zp.boundary(m1 - 1)
     hi = zp.boundary(m1)
     a_prev = Scalar.exact((lo.hi + hi.lo) / 2)
     if sides[1] == "right":

@@ -310,3 +310,20 @@ def test_tower_prints_numerators_past_the_int_str_limit(capsys):
     assert out.endswith("}\n")
     assert max(map(len, re.findall(r"\d+", out))) > 4300
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_unclosed_periodic_block_is_config_error(capsys):
+    code = main(["classify", "--q", "fib", "--itinerary", "(01"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "(block)^inf" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q", "fib", "--horizon", "40", "--depth", "0"),
+    ("--slope", "9/5", "--horizon", "40", "--depth", "-1"),
+])
+def test_tower_depth_below_one_is_config_error(capsys, argv):
+    # depth 0 used to mean the whole horizon in the long-branched verdict
+    code, out = run_cli(capsys, "tower", *argv)
+    assert code == 2 and out == ""

@@ -82,6 +82,20 @@ def test_tower_cross_check_and_decay(fib_slope, fib_kd):
         assert lv.contains_c == (lv.n in fib_kd.S)
 
 
+def test_tower_depth_zero_is_no_levels_not_the_horizon(fib_slope, fib_kd):
+    # only None means "to the horizon"
+    assert tower_levels(fib_kd, fib_slope, 0) == []
+    assert tower_levels(fib_kd, None, 0) == []
+    assert len(tower_levels(fib_kd, None)) == fib_kd.horizon
+    with pytest.raises(DomainError):
+        tower_levels(fib_kd, fib_slope, -1)
+    for N in (0, -1):
+        with pytest.raises(DomainError):
+            long_branched_evidence(fib_kd, N, fib_slope)
+        with pytest.raises(DomainError):
+            long_branched_evidence(fib_kd, N)
+
+
 def test_upsilon_index_conventions(fib_slope, fib_kd):
     zp = PrecriticalTable(fib_slope, fib_kd)
     orbit = zp.orbit

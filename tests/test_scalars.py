@@ -12,8 +12,10 @@ from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
 from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
 from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _diff, _frac,
                             _gcd, _grid, _grid_ends, _kneading_probe, _lt,
-                            certified_cmp, critical_orbit, parity_lex_cmp,
-                            refine, s_one_minus, sign_rel_c, slope_decimal,
+                            branch_preimage, branch_preimage_left,
+                            branch_preimage_right, certified_cmp,
+                            critical_orbit, parity_lex_cmp, refine,
+                            s_one_minus, sign_rel_c, slope_decimal,
                             slope_exact, slope_for_prefix, slope_interval,
                             tent_apply)
 from uilkit.seqgen import generate
@@ -480,6 +482,82 @@ def test_tent_step_rounding_boundary():
         assert (out.lo, out.hi) == ((lo, hi) if kept else
                                     _oracle_rounded(lo, hi, bits))
         assert (out.lo == lo) is kept
+
+
+# -- the integer branch preimage against the Fraction code it replaced ----------
+
+def _oracle_preimage_left(s_lo, s_hi, y_lo, y_hi, bits):
+    """branch_preimage_left of the Fraction code, as its two ends: y / s by
+    Fraction division into a checked Scalar, rounded outward when a
+    denominator passes 2*bits bits."""
+    lo, hi = y_lo / s_hi, y_hi / s_lo
+    if lo != hi and lo > hi:
+        raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+    if lo != hi and max(lo.denominator.bit_length(),
+                        hi.denominator.bit_length()) > 2 * bits:
+        return _oracle_rounded(lo, hi, bits)
+    return lo, hi
+
+
+def _check_preimages(slope, y):
+    bits = min(slope.s.precision_bits, y.precision_bits)
+    try:
+        lo, hi = _oracle_preimage_left(slope.s.lo, slope.s.hi, y.lo, y.hi, bits)
+    except ValueError as exc:
+        for f in (branch_preimage_left, branch_preimage_right):
+            with pytest.raises(ValueError) as err:
+                f(slope, y)
+            assert str(err.value) == str(exc)
+        return False
+    assert _ends(branch_preimage_left(slope, y)) == _pairs(lo, hi, bits)
+    assert _ends(branch_preimage_right(slope, y)) == \
+        _pairs(1 - hi, 1 - lo, bits)
+    for symbol, f in ((0, branch_preimage_left), (1, branch_preimage_right)):
+        assert _ends(branch_preimage(slope, y, symbol)) == _ends(f(slope, y))
+    return True
+
+
+_ALGEBRAIC = ["sqrt3", "cbrt6", "golden", "tribonacci"]
+
+# exact, dyadic and decimal interval slopes, and algebraic root enclosures
+any_slope = st.one_of(
+    st.builds(lambda s, bits: SlopeParam(Scalar(*s, bits)), slope_ends,
+              precisions),
+    st.builds(lambda name, bits: parse_slope(name).at(bits),
+              st.sampled_from(_ALGEBRAIC), st.integers(64, 1024)),
+)
+
+
+@settings(max_examples=600)
+@given(slope=any_slope, y=input_ends, y_bits=precisions)
+def test_branch_preimages_match_fraction_oracle(slope, y, y_bits):
+    assert _check_preimages(slope, Scalar(*y, y_bits))
+
+
+@pytest.mark.parametrize("name", ["9/5", "fib:60", "interval:1.79,1.8"]
+                         + _ALGEBRAIC)
+def test_branch_preimages_of_orbit_values_match_fraction_oracle(name):
+    slope = parse_slope(name)
+    for x, _ in critical_orbit(slope, 80, allow_unresolved=True):
+        assert _check_preimages(slope, x)
+
+
+@settings(max_examples=300)
+@given(slope=any_slope, y=_ends_in(Fraction(-1), Fraction(0)),
+       y_bits=precisions)
+def test_branch_preimage_rejects_ends_out_of_order_as_before(slope, y, y_bits):
+    # only a y wholly below 0 on an interval slope can put y/s out of order
+    kept = _check_preimages(slope, Scalar(*y, y_bits))
+    assert kept or (y[1] < 0 and not slope.is_exact)
+
+
+def test_branch_preimage_out_of_order_example():
+    y = Scalar(Fraction(-33, 64), Fraction(-1, 2))
+    with pytest.raises(ValueError, match=r"out of order: \[-33/112, -1/3\]"):
+        branch_preimage_left(slope_interval(Fraction(3, 2), Fraction(7, 4)), y)
+    assert not _check_preimages(
+        slope_interval(Fraction(3, 2), Fraction(7, 4)), y)
+    assert _check_preimages(slope_exact(Fraction(3, 2)), y)
 
 
 @settings(max_examples=300)

@@ -1,5 +1,6 @@
 import pytest
 
+from uilkit import seqgen
 from uilkit.errors import ConstructionStuck, DomainError
 from uilkit.kneading import admissible_disjoint, admissible_q, cutting_data
 from uilkit.seqgen import (FIRST_EXTENSION_REFERENCE, SEED, WordLedger,
@@ -52,6 +53,45 @@ def test_ledger_soundness_incremental_vs_scratch():
     for _ in range(3):
         ledger, _ = extend_step(ledger)
         assert ledger.scratch_equal()
+
+
+def _collect(bits, positions, cap, into):
+    for p in positions:
+        for L in range(1, min(p, cap) + 1):
+            into.add(bits[p - L:p])
+    return into
+
+
+def _extended(ledger, new_bits, cuts, cap):
+    """The incremental ledger update the generator used to run: the old
+    suffix set plus the subwords ending at the new cutting times, rebuilt
+    from scratch when the cap then grows."""
+    assert new_bits.startswith(ledger.nu)
+    if cap > ledger.len_cap:
+        return _collect(new_bits, cuts, cap, set())
+    old_cuts = set(ledger.kd.S)
+    return _collect(new_bits, [p for p in cuts if p not in old_cuts],
+                    ledger.len_cap, set(ledger.ends_at_cuts))
+
+
+def test_ledger_built_from_the_word_equals_the_incremental_update(monkeypatch):
+    # every round of generate(20000), past 6773 symbols: the ledger
+    # extend_step builds from the word against the old incremental update
+    rounds = []
+    real = seqgen.extend_step
+
+    def checked(ledger, compat=False):
+        new_ledger, plan = real(ledger, compat)
+        cap = max(ledger.len_cap, len(plan.v) + 1)
+        assert new_ledger.len_cap == cap
+        assert new_ledger.ends_at_cuts == _extended(
+            ledger, new_ledger.nu, new_ledger.kd.S, cap)
+        rounds.append(len(new_ledger.nu))
+        return new_ledger, plan
+
+    monkeypatch.setattr(seqgen, "extend_step", checked)
+    nu, _, plans = generate(20000)
+    assert len(rounds) == len(plans) == 5 and rounds[-1] == len(nu) > 6773
 
 
 def test_word_admissibility_channels():

@@ -1,12 +1,14 @@
 import pytest
 
+from uilkit import subcontinua
 from uilkit.errors import ConditionViolated
 from uilkit.hofbauer import OrbitTable, PrecriticalTable
-from uilkit.kneading import (cascade_q, cutting_data, example35_q, fibonacci_q,
+from uilkit.kneading import (_materialize_q, _q_lookup, cascade_q,
+                             cutting_data, example35_q, fibonacci_q,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q)
 from uilkit.scalars import C, slope_for_prefix, tent_apply
-from uilkit.subcontinua import (build_chain, classify_chain, find_qcond_chains,
-                                nasty_cascade_rule)
+from uilkit.subcontinua import (_satisfies, build_chain, classify_chain,
+                                find_qcond_chains, nasty_cascade_rule)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,59 @@ def test_chain_finder_soundness():
                     assert inner < k_prev - 1
                 else:
                     assert inner < k_prev - 1 < qs[k - 1]
+
+
+def _old_find_qcond_chains(q, horizon, variant):
+    """find_qcond_chains as it was: a seen-set over the reported chains and
+    a starts scan over every successor list per index."""
+    qs = _materialize_q(q, horizon)[:horizon]
+    m = len(qs)
+    q_of = _q_lookup(qs)
+    succ = {k_prev: [k for k in range(k_prev + 1, m + 1)
+                     if _satisfies(q_of, variant, k_prev, k)]
+            for k_prev in range(1, m + 1)}
+    chains = []
+    seen_prefix = set()
+
+    def extend(chain):
+        if len(chains) >= subcontinua._MAX_CHAINS:
+            return
+        nexts = succ.get(chain[-1], [])
+        if not nexts:
+            if len(chain) >= subcontinua._MIN_CHAIN_LEN \
+                    and chain not in seen_prefix:
+                seen_prefix.add(chain)
+                chains.append(chain)
+            return
+        for k in nexts:
+            extend(chain + (k,))
+
+    starts = sorted({k for k in range(1, m + 1)
+                     if succ[k] and not any(k in s for s in succ.values())})
+    for k0 in starts or range(1, m + 1):
+        extend((k0,))
+    chains.sort()
+    greedy, k_prev = [], 1
+    for k in range(1, m + 1):
+        if qs[k - 1] > k_prev - 1:
+            greedy.append(k)
+            k_prev = k
+    return {"variant": variant, "chains": chains, "greedy": tuple(greedy),
+            "horizon": m}
+
+
+def _q_shift(d):
+    return lambda k: max(k - d, 0)
+
+
+@pytest.mark.parametrize("variant", ["strict", "relaxed"])
+@pytest.mark.parametrize("q", [fibonacci_q, example35_q, cascade_q,
+                               _q_shift(3), _q_shift(4), _q_shift(5)])
+def test_chain_search_matches_the_code_it_replaced(q, variant):
+    # the chain-search families of the benchmark at its horizons 30 to 60
+    for horizon in (30, 40, 50, 60):
+        assert find_qcond_chains(q, horizon, variant) == \
+            _old_find_qcond_chains(q, horizon, variant)
 
 
 def test_classify_example35_direct_spiral():
