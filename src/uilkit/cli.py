@@ -23,6 +23,7 @@ consistency failure (cross-checker disagreement, always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -282,7 +283,9 @@ def cmd_fmap(args):
 
 # -- argument parsing -------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first call and shared by later ones."""
     top = argparse.ArgumentParser(
         prog="uilkit",
         description="symbolic dynamics toolkit for tent-map inverse limits")

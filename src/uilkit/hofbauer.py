@@ -31,7 +31,8 @@ from .errors import (DomainError, InternalInconsistency, PrecisionExhausted,
                      UnresolvedComparison)
 from .kneading import CuttingData, cutting_data, nu_from_orbit, q_asymptotics
 from .scalars import (C, DEFAULT_PREC_CAP, DEFAULT_PRECISION, Scalar,
-                      SignRelC, SlopeParam, _SYMBOL, _diff, _lt, _scalar,
+                      SignRelC, SlopeParam, _SYMBOL, _diff,
+                      _exact_critical_orbit, _grid_ends, _lt, _scalar,
                       _start_precision, branch_preimage,
                       branch_preimage_left, certified_cmp, critical_orbit,
                       s_one_minus, sign_rel_c, tent_apply)
@@ -46,12 +47,15 @@ _LONG_BRANCH_THRESHOLD = Fraction(1, 1 << 16)
 class OrbitTable:
     """Lazily extended certified critical orbit c_0 = c, c_1, c_2, ...
 
-    A read past the end appends c_{k+1} = T(c_k) at the table's precision,
-    with the slope refined to it.  An interval slope is built, and rebuilt
-    when a new sign is unresolved below the cap, by ``critical_orbit``; the
-    table takes that call's precision.  So it equals ``critical_orbit(slope,
-    n, allow_unresolved=True)`` for the largest n read, as that call keeps
-    the precision of the shorter orbit exactly when the next sign resolves.
+    A read past the end of an exact slope's table takes the next steps of
+    the integer recurrence in ``scalars``, so the table equals
+    ``critical_orbit(slope, n)``.  An interval slope's table appends
+    c_{k+1} = T(c_k) at the table's precision, with the slope refined to
+    it.  It is built, and rebuilt when a new sign is unresolved below the
+    cap, by ``critical_orbit``, and takes that call's precision.  So it
+    equals ``critical_orbit(slope, n, allow_unresolved=True)`` for the
+    largest n read, as that call keeps the precision of the shorter orbit
+    exactly when the next sign resolves.
 
     ``word`` holds the signs nu_1 nu_2 ... read, up to the first unresolved
     one.  None is at c, so CriticalHit never fires: for s = p/q in lowest
@@ -60,6 +64,9 @@ class OrbitTable:
 
     The table owns the precision cap of its orbit: the functions that read
     the orbit take it as ``orbit=``.
+
+    ``grid_ends(n, bits)`` memoizes the grid ends of c_n per ``bits``.  The
+    memo lives as long as the values: a rebuild clears both.
     """
 
     def __init__(self, slope: SlopeParam, prec_cap: int = DEFAULT_PREC_CAP):
@@ -69,12 +76,20 @@ class OrbitTable:
         self._values = [Scalar.exact(C)]
         self._step_slope = slope
         self._bits = _start_precision(slope, prec_cap)
+        self._exact = _exact_critical_orbit(slope, self._bits) \
+            if slope.is_exact else None
+        self._grid = {}
 
     def extend(self, n: int):
         values = self._values
         signs = []
         while len(values) <= n:
-            if len(values) > 1 or self.slope.is_exact:
+            if self._exact is not None:
+                x, sign = next(self._exact)
+                values.append(x)
+                signs.append(sign)
+                continue
+            if len(values) > 1:
                 x = tent_apply(self._step_slope, values[-1], self._bits)
                 sign = sign_rel_c(x)
                 if (sign is not SignRelC.UNRESOLVED
@@ -87,6 +102,7 @@ class OrbitTable:
             values = self._values = [Scalar.exact(C)] + [x for x, _ in fresh]
             signs = [sign for _, sign in fresh]
             self.word = ""
+            self._grid.clear()
             self._bits = values[-1].precision_bits
             self._step_slope = self.slope.at(self._bits)
         if len(self.word) + len(signs) == len(values) - 1:  # no gap yet
@@ -99,6 +115,15 @@ class OrbitTable:
         if n >= len(self._values):
             self.extend(n)
         return self._values[n]
+
+    def grid_ends(self, n: int, bits: int):
+        """``_grid_ends(c_n, bits)``, rounded once per table and ``bits``."""
+        x = self.value(n)               # first: a rebuild clears the memo
+        memo = self._grid.setdefault(bits, {})
+        ends = memo.get(n)
+        if ends is None:
+            ends = memo[n] = _grid_ends(x, bits)
+        return ends
 
     def check_word(self, word: str):
         """Raise DomainError when ``word`` and ``self.word`` differ within
@@ -224,6 +249,8 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
 
 
 def tower_level(kd: CuttingData, n: int) -> TowerLevel:
+    if n < 1:
+        raise DomainError(f"tower level index must be >= 1, got {n}")
     return tower_levels(kd, None, n)[n - 1]
 
 

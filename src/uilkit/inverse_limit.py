@@ -599,7 +599,7 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
     orbit = orbit_table(slope, orbit)
     orbit.extend(proxy_len)
     bits = max(64, (eps.denominator.bit_length() + 32))
-    proxy = sorted(_grid_ends(orbit.value(j), bits)
+    proxy = sorted(orbit.grid_ends(j, bits)
                    for j in range(burn_in, proxy_len + 1))
     resolution = max(p_hi - p_lo for p_lo, p_hi in proxy)
     lows, highs = zip(*proxy)

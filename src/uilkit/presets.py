@@ -154,7 +154,8 @@ def parse_slope(text: str, depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
     """Slope inputs: exact rationals/decimals, intervals, or preset names.
 
     ``1.84``, ``9/5``, ``fib``, ``fib:300`` (preset to a depth),
-    ``interval:1.79,1.80``.
+    ``interval:1.79,1.80``.  A bare kneading-matched name is matched to
+    ``depth`` symbols.
     """
     text = text.strip()
     if ":" in text:
@@ -175,7 +176,7 @@ def parse_slope(text: str, depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
             raise ConfigError(f"cannot parse preset depth {rest!r}")
         return make(depth)
     if text in _KNEADING_PRESETS:
-        return _KNEADING_PRESETS[text]()
+        return _KNEADING_PRESETS[text](depth)
     if text in _ALGEBRAIC_PRESETS:
         return _ALGEBRAIC_PRESETS[text]()
     try:

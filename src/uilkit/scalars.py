@@ -26,6 +26,22 @@ reduced by the two cross gcds, which against a power-of-two denominator are
 trailing-zero counts, and rounding onto the 2^-bits grid of a dyadic end is
 a shift.  The results are the same reduced ``Fraction``s that ``Fraction``
 arithmetic gives, built without a renormalising gcd.
+
+The critical orbit of an exact slope s = p/q runs on one integer recurrence
+(``_exact_orbit``): c_n = a_n / (2 q^n) with a_0 = 1 and
+a_{n+1} = p * min(a_n, 2 q^n - a_n), so c_n > c exactly when a_n > q^n.
+For q > 1, a_n stays coprime to q, so c_n never equals c or repeats, and
+its one common factor with 2 q^n is a 2 when a_n is even; that gives the
+reduced ``Fraction`` with no gcd.  ``tent_apply`` serves interval slopes,
+set images and the tower's induction, which cross-checks these values.
+
+The bisection probe behind ``slope_for_prefix`` needs only signs, so it
+carries c_n and s as integer balls [L, H] / 2^W, rounded outward at every
+step (the ball arithmetic of Arb: F. Johansson, IEEE Trans. Computers 66,
+2017).  W starts at bits(q) + 64 and doubles, with a restart, when a sign
+is undecided.  Each sign it returns is certified, and kneading words are
+monotone in s (Milnor and Thurston, LNM 1342, 1988), so the bisection takes
+the steps it would take on exact values.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ import enum
 import math
 import numbers
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from .errors import DomainError, PrecisionExhausted, UnresolvedComparison
@@ -406,18 +423,44 @@ def _start_precision(slope: SlopeParam, prec_cap: int) -> int:
     return bits
 
 
+def _orbit_start(slope: SlopeParam, N: int, prec_cap: int) -> int:
+    """``_start_precision`` of an orbit c_1 .. c_N, after rejecting N < 1."""
+    if N < 1:
+        raise DomainError("orbit length must be >= 1")
+    return _start_precision(slope, prec_cap)
+
+
+def _exact_orbit(s: Fraction):
+    """(a_n, q^n) for n = 1, 2, ...: c_n = a_n / (2 q^n) for s = p/q."""
+    p, q = s.numerator, s.denominator
+    a = qn = 1
+    while True:
+        a = p * (a if a <= qn else 2 * qn - a)
+        qn *= q
+        yield a, qn
+
+
+def _exact_critical_orbit(slope: SlopeParam, bits: int):
+    """(c_n, sign) for n = 1, 2, ... of an exact slope, each c_n exact at
+    ``bits``.  a_n is coprime to q, so a_n / (2 q^n) loses one 2 at most."""
+    for a, qn in _exact_orbit(slope.s.lo):
+        v = _frac(a, qn << 1) if a & 1 else _frac(a >> 1, qn)
+        yield (_scalar(v, v, bits),
+               SignRelC.ABOVE if a > qn else SignRelC.BELOW)
+
+
 def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
                    allow_unresolved: bool = False):
     """Certified orbit c_1 .. c_N of the critical value, with signs.
 
     Precision escalates geometrically (recomputing the whole orbit from the
     refined slope) until every sign up to N is resolved or the cap is hit.
-    For an exact rational slope everything is exact and a single pass
-    suffices; an exact return to c would be reported as AT_C.
+    An exact rational slope is one pass of the integer recurrence, with
+    every value exact and no sign at c.
     """
-    if N < 1:
-        raise DomainError("orbit length must be >= 1")
-    bits = _start_precision(slope, prec_cap)
+    bits = _orbit_start(slope, N, prec_cap)
+    if slope.is_exact:
+        return list(islice(_exact_critical_orbit(slope, bits), N))
     while True:
         sl = slope.at(bits)
         orbit = []
@@ -510,21 +553,38 @@ def _kneading_probe(s: Fraction, target: str) -> Optional[str]:
     """Kneading word of the exact slope s = p/q up to its first mismatch
     with ``target``; None marks an exact critical hit.
 
-    The orbit is carried as integers, c_n = a_n / (2 q^n) with
-    a_{n+1} = p * min(a_n, 2 q^n - a_n), so no gcd runs.
+    c_n is the ball [lo, hi] / 2^w and s the ball [s_lo, s_hi] / 2^w, so
+    one step is a product and a floor (ceiling) shift on each end, and a
+    sign is read only when the ball misses c.  Otherwise w doubles and the
+    probe restarts.  For q > 1 no c_n is c, so some w decides every sign;
+    for q = 1 every step is exact, and a ball of width 0 at c is an exact
+    hit whatever q is.
     """
     p, q = s.numerator, s.denominator
-    a = qn = 1
-    word = []
-    for t in target:
-        a = p * min(a, 2 * qn - a)
-        qn *= q
-        if a == qn:
-            return None
-        word.append("1" if a > qn else "0")
-        if word[-1] != t:
-            break
-    return "".join(word)
+    w = q.bit_length() + 64
+    while True:
+        one = 1 << w
+        half = one >> 1
+        s_lo, s_hi = (p << w) // q, -(-(p << w) // q)
+        lo = hi = half
+        word = []
+        for t in target:
+            if hi > half:               # above c: T reflects first
+                lo, hi = one - hi, one - lo
+            lo, hi = s_lo * lo >> w, -(-s_hi * hi >> w)
+            if lo > half:
+                word.append("1")
+            elif hi < half:
+                word.append("0")
+            elif lo == hi:
+                return None
+            else:
+                break
+            if word[-1] != t:
+                return "".join(word)
+        else:
+            return "".join(word)
+        w *= 2
 
 
 def slope_for_prefix(target: str, name: str = "") -> SlopeParam:
@@ -532,11 +592,11 @@ def slope_for_prefix(target: str, name: str = "") -> SlopeParam:
 
     Bisection on the slope, using the fact that the kneading sequence is
     monotone in s for the parity-lexicographic order.  Each probe runs the
-    integer orbit and stops at the first symbol that differs from the
-    target, which already decides the step.  No midpoint in (5/4, 2) hits
-    c, so CriticalHit never fires: a_{n+1} = p * min(a_n, 2 q^n - a_n) stays
-    coprime to q for s = p/q in lowest terms, q > 1.  The search runs on
-    [5/4, 2] for at most 4 |target| + 96 halvings.
+    orbit as a fixed-point ball and stops at the first symbol that differs
+    from the target, which already decides the step.  No midpoint in
+    (5/4, 2) hits c, so CriticalHit never fires: a_{n+1} = p * min(a_n,
+    2 q^n - a_n) stays coprime to q for s = p/q in lowest terms, q > 1.
+    The search runs on [5/4, 2] for at most 4 |target| + 96 halvings.
     """
     target = "".join(target.split("."))
     if not target or target[0] != "1":

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from uilkit import cli, hofbauer
 from uilkit import verdicts as V
 from uilkit.cli import main
+from uilkit.kneading import cutting_data, emit_dotted, fibonacci_q, nu_from_q
 
 
 def run_cli(capsys, *argv):
@@ -327,3 +328,22 @@ def test_tower_depth_below_one_is_config_error(capsys, argv):
     # depth 0 used to mean the whole horizon in the long-branched verdict
     code, out = run_cli(capsys, "tower", *argv)
     assert code == 2 and out == ""
+
+
+def test_one_parser_keeps_no_state_between_calls(capsys):
+    argv = ("classify", "--slope", "9/5", "--horizon", "40", "--depth", "8")
+    for itinerary in ("(1)^inf .1111", "(0)^inf .0000"):
+        code, out = run_cli(capsys, *argv, "--itinerary", itinerary)
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["itinerary"] == [itinerary]
+        assert list(report["results"]["items"]) == [itinerary]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_bare_preset_slope_takes_the_horizon(capsys):
+    code, out = run_cli(capsys, "knead", "--slope", "fib", "--horizon", "400")
+    assert code == 0
+    fib = nu_from_q(fibonacci_q, 400)
+    assert json.loads(out)["results"]["nu_dotted"] == \
+        emit_dotted(fib, cutting_data(fib))

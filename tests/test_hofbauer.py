@@ -20,8 +20,10 @@ from uilkit.kneading import (KneadingPrefix, cutting_data,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                              cascade_q, fibonacci_q)
 from uilkit.presets import parse_slope
-from uilkit.scalars import (C, Scalar, SignRelC, critical_orbit, slope_exact,
-                            slope_for_prefix, slope_interval, tent_apply)
+from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _SYMBOL,
+                            _grid_ends, critical_orbit, sign_rel_c,
+                            slope_exact, slope_for_prefix, slope_interval,
+                            tent_apply)
 from uilkit.subcontinua import classify_chain
 
 
@@ -223,6 +225,32 @@ def test_exact_orbit_table_grows_step_by_step(fib_slope, monkeypatch):
             (want.lo, want.hi, want.precision_bits)
 
 
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 1 << 64), data=st.data(),
+       reads=st.lists(st.integers(0, 300), min_size=1, max_size=6))
+def test_exact_orbit_table_matches_tent_chain(q, data, reads):
+    # the table's integer recurrence against tent_apply from c_0, which
+    # built exact tables before; q = 1 is s = 2
+    s = Fraction(data.draw(st.integers(q + 1, 2 * q)), q)
+    slope = SlopeParam(Scalar(s, s, data.draw(st.sampled_from([64, 256]))))
+    table = OrbitTable(slope)
+    for n in reads:
+        table.value(n)
+    N = max(reads)
+    bits = max(128, slope.s.precision_bits)
+    x, signs = Scalar.exact(C), []
+    for n in range(1, N + 1):
+        x = tent_apply(slope, x, bits=bits)
+        signs.append(sign_rel_c(x))
+        got = table.value(n)
+        assert got.lo is got.hi
+        assert (got.lo.numerator, got.lo.denominator, got.precision_bits) == \
+            (x.lo.numerator, x.lo.denominator, x.precision_bits)
+        assert (got.hi.numerator, got.hi.denominator) == \
+            (x.hi.numerator, x.hi.denominator)
+    assert table.word == "".join(map(_SYMBOL.get, signs))
+
+
 def _counting_orbit(monkeypatch):
     calls = []
 
@@ -294,6 +322,39 @@ def test_interval_orbit_table_matches_critical_orbit(p, h, reads):
         got = table.value(k)
         assert (got.lo, got.hi, got.precision_bits) == \
             (want.lo, want.hi, want.precision_bits)
+
+
+@pytest.mark.parametrize("make", [lambda: slope_exact(Fraction(9, 5)),
+                                  lambda: parse_slope("fib:150"),
+                                  lambda: parse_slope("sqrt3"),
+                                  lambda: _narrow(Fraction(19, 10), 140, 64)])
+def test_grid_ends_memo_matches_direct_rounding(make):
+    table = OrbitTable(make())
+    for bits in (64, 84, 64, 300):
+        for n in (0, 5, 3, 120, 5, 200, 120):
+            assert table.grid_ends(n, bits) == \
+                _grid_ends(table.value(n), bits), (n, bits)
+
+
+def test_grid_ends_memo_is_cleared_by_a_rebuild():
+    # c_146 of this slope is unresolved at 128 bits, so reading it rebuilds
+    # the table at 256 bits after the memo holds the 128-bit values' ends
+    table = OrbitTable(_narrow(Fraction(9, 5), 300))
+    ns = range(1, 141)
+    before = [table.grid_ends(n, 200) for n in ns]
+    assert table.value(140).precision_bits == 128
+    table.value(146)
+    assert table.value(140).precision_bits == 256
+    after = [table.grid_ends(n, 200) for n in ns]
+    assert after == [_grid_ends(table.value(n), 200) for n in ns]
+    assert after != before
+
+
+def test_tower_level_index_below_one_is_rejected(fib_kd):
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            tower_level(fib_kd, n)
+    assert tower_level(fib_kd, 1).n == 1
 
 
 def test_prec_cap_below_start_precision_is_rejected():

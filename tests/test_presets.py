@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uilkit.kneading import fibonacci_q, nu_from_orbit, nu_from_q
 from uilkit.presets import _poly_root_enclosure, parse_slope
 from uilkit.scalars import Scalar
 
@@ -125,3 +126,11 @@ def test_preset_roots_pinned_to_fraction_oracle(name, bits):
     slope = parse_slope(f"{name}:{bits}")
     _same(slope.s, want)
     _same(slope.at(bits).s, want)
+
+
+def test_bare_kneading_preset_takes_the_depth():
+    # a bare name used to ignore the depth: at 400 the word left the
+    # Fibonacci word at index 266
+    slope = parse_slope("fib", depth=400)
+    assert nu_from_orbit(slope, 400).bits == nu_from_q(fibonacci_q, 400).bits
+    assert parse_slope("fib").s.value == parse_slope("fib:200").s.value

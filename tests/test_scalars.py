@@ -10,8 +10,10 @@ from uilkit.errors import DomainError, PrecisionExhausted, UnresolvedComparison
 from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q)
 from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
-from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _diff, _frac,
-                            _gcd, _grid, _grid_ends, _kneading_probe, _lt,
+from uilkit import scalars
+from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _SYMBOL, _diff,
+                            _frac, _gcd, _grid, _grid_ends, _kneading_probe,
+                            _lt,
                             branch_preimage, branch_preimage_left,
                             branch_preimage_right, certified_cmp,
                             critical_orbit, parity_lex_cmp, refine,
@@ -221,6 +223,63 @@ def test_sign_stability_under_refinement():
             assert sign_rel_c(finer) is sign
 
 
+# -- exact orbits: the integer recurrence against the tent_apply chain ----------
+
+def _tent_chain(slope, N):
+    """(c_n, sign) for n = 1 .. N by tent_apply from c_0, at the starting
+    precision: how exact orbits were built before the integer recurrence."""
+    bits = max(128, slope.s.precision_bits)
+    x = Scalar.exact(C)
+    out = []
+    for _ in range(N):
+        x = tent_apply(slope, x, bits=bits)
+        out.append((x, sign_rel_c(x)))
+    return out
+
+
+def _assert_same_values(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.lo is x.hi
+        assert (x.lo.numerator, x.lo.denominator, x.precision_bits) == \
+            (y.lo.numerator, y.lo.denominator, y.precision_bits)
+        assert (x.hi.numerator, x.hi.denominator) == \
+            (y.hi.numerator, y.hi.denominator)
+
+
+exact_slopes = st.one_of(
+    st.just(Fraction(2)),
+    st.integers(2, 1 << 64).flatmap(
+        lambda q: st.integers(q + 1, 2 * q).map(lambda p: Fraction(p, q))))
+
+
+def exact_slope_param(s, bits):
+    return SlopeParam(Scalar(s, s, bits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=exact_slopes, N=st.integers(1, 300),
+       bits=st.sampled_from([64, 128, 200, 512]))
+def test_exact_critical_orbit_matches_tent_chain(s, N, bits):
+    slope = exact_slope_param(s, bits)
+    chain = _tent_chain(slope, N)
+    orbit = critical_orbit(slope, N)
+    assert [sign for _, sign in orbit] == [sign for _, sign in chain]
+    _assert_same_values([x for x, _ in orbit], [x for x, _ in chain])
+    word = "".join(_SYMBOL[sign] for _, sign in chain)
+    assert nu_from_orbit(slope, N).bits == word
+
+
+def test_exact_nu_from_orbit_rejects_the_length_then_the_cap():
+    slope = slope_exact(Fraction(9, 5))
+    for cap in (64, 4096):
+        with pytest.raises(DomainError, match="orbit length"):
+            nu_from_orbit(slope, 0, prec_cap=cap)
+    with pytest.raises(DomainError, match="precision cap 64"):
+        nu_from_orbit(slope, 10, prec_cap=64)
+    assert len(nu_from_orbit(slope, 10, prec_cap=128)) == 10
+
+
 # -- integer kneading probe against the Fraction reference ---------------------
 
 def _exact_kneading_bits(s: Fraction, depth: int):
@@ -258,6 +317,23 @@ def _oracle_slope_for_prefix(target: str) -> Fraction:
     raise AssertionError("oracle bisection did not converge")
 
 
+def _integer_probe(s: Fraction, target: str):
+    """The exact integer probe that the fixed-point _kneading_probe
+    replaced: c_n = a_n / (2 q^n), a_{n+1} = p * min(a_n, 2 q^n - a_n)."""
+    p, q = s.numerator, s.denominator
+    a = qn = 1
+    word = []
+    for t in target:
+        a = p * min(a, 2 * qn - a)
+        qn *= q
+        if a == qn:
+            return None
+        word.append("1" if a > qn else "0")
+        if word[-1] != t:
+            break
+    return "".join(word)
+
+
 @st.composite
 def slope_and_target(draw):
     q = draw(st.integers(1, 1 << 64))
@@ -284,6 +360,7 @@ def test_kneading_probe_matches_fraction_reference(case):
                      if a != b), None)
     assert len(probe) == (len(target) if mismatch is None else mismatch + 1)
     assert parity_lex_cmp(probe, target) == parity_lex_cmp(oracle, target)
+    assert probe == _integer_probe(s, target)
 
 
 def test_kneading_probe_critical_hit_at_one():
@@ -303,6 +380,36 @@ _PRESET_TARGETS = {
 def test_preset_slopes_match_oracle_bisection(name):
     slope = parse_slope(f"{name}:150")
     assert slope.s.value == _oracle_slope_for_prefix(_PRESET_TARGETS[name](150))
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.sampled_from([Fraction(1), Fraction(2)]),
+       target=st.text(alphabet="01", max_size=300))
+def test_kneading_probe_matches_integer_probe_at_integer_slopes(s, target):
+    # s = 1 hits c at once; s = 2 gives 1000...; both run exact at any w
+    assert _kneading_probe(s, target) == _integer_probe(s, target)
+
+
+@pytest.mark.parametrize("name, depth", [("fib", 300), ("ex35", 150),
+                                         ("nonrec41", 150),
+                                         ("appendix", 150)])
+def test_preset_bisections_match_the_integer_probe(monkeypatch, name, depth):
+    # every probe of the bisection, a deep fib target included, gives the
+    # integer probe's word, so the bisection takes the same steps
+    probes = []
+
+    def both(s, target):
+        word = _kneading_probe(s, target)
+        assert word == _integer_probe(s, target), s
+        probes.append(s)
+        return word
+
+    monkeypatch.setattr(scalars, "_kneading_probe", both)
+    slope = parse_slope(f"{name}:{depth}")
+    assert len(probes) > depth // 2
+    assert slope.s.value == probes[-1]
+    target = _PRESET_TARGETS[name](depth)
+    assert _integer_probe(slope.s.value, target) == target
 
 
 @settings(max_examples=40, deadline=None)
