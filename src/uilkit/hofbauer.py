@@ -128,11 +128,16 @@ class OrbitTable:
     def check_word(self, word: str):
         """Raise DomainError when ``word`` and ``self.word`` differ within
         their common length: ``word`` is then another slope's."""
-        if word[:len(self.word)] != self.word[:len(word)]:
-            n = next(i for i, (a, b) in enumerate(zip(word, self.word), 1)
-                     if a != b)
-            raise DomainError(f"kneading word disagrees with the orbit table "
-                              f"of {self.slope.name or 'its slope'} at nu_{n}")
+        _check_word(word, self.word, "the orbit table", self.slope)
+
+
+def _check_word(word: str, signs: str, source: str, slope: SlopeParam):
+    """DomainError naming ``source`` when ``word`` and the certified
+    ``signs`` of ``slope`` differ within their common length."""
+    if word[:len(signs)] != signs[:len(word)]:
+        n = next(i for i, (a, b) in enumerate(zip(word, signs), 1) if a != b)
+        raise DomainError(f"kneading word disagrees with {source} of "
+                          f"{slope.name or 'its slope'} at nu_{n}")
 
 
 def orbit_table(slope: SlopeParam,
@@ -282,6 +287,13 @@ class PrecriticalTable:
     symbols and finishes with the increasing branch.  The image endpoint used
     is whichever of z_{Q(k)}, zhat_{Q(k)} lies between c and c_{S_{k-1}}, read
     off from the kneading bit at S_{k-1}.
+
+    Those symbols and the cutting times S_{k-1}, S_k that fix Q(k) are read
+    off nu_1 .. nu_{S_k}, which must be the slope's own: ``check_symbols``
+    holds them to its certified signs (``nu_from_orbit`` at the orbit
+    table's cap, read to at least twice the checked length at a time), and
+    a mismatch raises DomainError.  Symbols past the first sign that stays
+    unresolved at the cap cannot be checked and are taken as given.
     """
 
     def __init__(self, slope: SlopeParam, kd: CuttingData,
@@ -290,6 +302,8 @@ class PrecriticalTable:
         self.kd = kd
         self.orbit = orbit_table(slope, orbit)
         self._natural = [branch_preimage_left(slope, Scalar.exact(C))]
+        self._signs = ""                # certified signs read so far
+        self._signs_final = False       # the next sign is unresolved at cap
 
     @property
     def max_k(self) -> int:
@@ -302,6 +316,8 @@ class PrecriticalTable:
             raise DomainError(
                 f"z_{k} needs cutting data to S_{k} (have {self.kd.max_k})")
         nu = self.kd.nu.bits
+        if len(self._natural) <= k:
+            self.check_symbols(k)
         while len(self._natural) <= k:
             j = len(self._natural)
             s_prev, q = self.kd.S[j - 1], self.kd.q_of(j)
@@ -311,6 +327,21 @@ class PrecriticalTable:
                 y = branch_preimage(self.slope, y, int(nu[i - 1]))
             self._natural.append(branch_preimage_left(self.slope, y))
         return self._natural[k]
+
+    def check_symbols(self, k: int):
+        """Raise DomainError unless nu_1 .. nu_{S_k} of the cutting data
+        are the slope's certified signs, as far as they resolve."""
+        word = self.kd.nu.bits[:self.kd.S[k]]
+        if len(word) > len(self._signs) and not self._signs_final:
+            cap = self.orbit.prec_cap
+            n = min(max(len(word), 2 * len(self._signs)), len(self.kd.nu))
+            try:
+                self._signs = nu_from_orbit(self.slope, n, cap).bits
+            except PrecisionExhausted as exc:
+                self._signs_final = True
+                self._signs = nu_from_orbit(self.slope, exc.index - 1,
+                                            cap).bits if exc.index > 1 else ""
+        _check_word(word, self._signs, "the certified signs", self.slope)
 
     def hat_natural(self, k: int) -> Scalar:
         return s_one_minus(self.natural(k))
@@ -408,6 +439,7 @@ def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable) -> V.Verdict:
     kd = zp.kd
     if k + 1 > kd.max_k:
         raise DomainError(f"need cutting data to S_{k + 1}")
+    zp.check_symbols(k + 1)
     q = kd.q_of(k + 1)
     val = zp.orbit.value(kd.S[k])
     if k >= 2:

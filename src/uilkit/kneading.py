@@ -30,13 +30,11 @@ beyond the prefix yields evidence, never a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Optional
 
 from . import verdicts as V
 from .errors import DomainError, NotAdmissible
-from .scalars import (DEFAULT_PREC_CAP, SlopeParam, _SYMBOL, _exact_orbit,
-                      _orbit_start, critical_orbit)
+from .scalars import DEFAULT_PREC_CAP, SlopeParam, _critical_word
 
 RULE_Q = "admissibility-kneading-map-lex"
 RULE_DISJOINT = "admissibility-cut-cocut-disjoint"
@@ -368,16 +366,16 @@ def nu_from_orbit(slope: SlopeParam, N: int,
     c_n = a_n / (2 q^n) with a_{n+1} = p * min(a_n, 2 q^n - a_n) coprime to q
     never equals c or repeats.  Only s = 2 repeats (c_2 = c_3 = 0), which
     flags ``critical_orbit_finite``; an interval slope never hits c exactly.
-    An exact slope's signs are read off the integer recurrence: nu_n = 1
-    exactly when a_n > q^n.
+
+    The signs are those of ``critical_orbit(slope, N, prec_cap)``, with its
+    exceptions, from ``scalars._critical_word``.  An interval slope's
+    fixed-point ball runs at each precision of the orbit's schedule and
+    hands over to the orbit itself at the first sign it leaves undecided.
+    An exact slope p/q reads nu_n = 1 off a_n > q^n in the integer
+    recurrence when q < 2^32, and otherwise widens a ball until it decides
+    every sign.
     """
-    if slope.is_exact:
-        _orbit_start(slope, N, prec_cap)
-        bits = "".join("1" if a > qn else "0"
-                       for a, qn in islice(_exact_orbit(slope.s.lo), N))
-    else:
-        bits = "".join(_SYMBOL[s]
-                       for _, s in critical_orbit(slope, N, prec_cap))
+    bits = _critical_word(slope, N, prec_cap)
     flags = ("critical_orbit_finite",) if N >= 3 and slope.s.lo == 2 else ()
     name = slope.name or "slope"
     return KneadingPrefix(bits, source=f"slope:{name}", flags=flags)

@@ -49,26 +49,53 @@ def _root_bracket(coeffs, lo, hi, bits):
 
     den = D 2^k, with D the lcm of the bracket's denominators and k the
     number of halvings the stop rule needs; these k guard bits put every
-    midpoint on the grid, so the ends equal those of a bisection in
-    rationals.  p(m/den) den^deg is a Horner sum over the powers of den,
-    computed once.  Memoized, because each precision doubling of a preset
-    slope asks for the same few keys again.
+    midpoint on the grid g_j = a + j w of the final width w, so the ends
+    equal those of a bisection in rationals.  p(m/den) den^deg is a Horner
+    sum with the powers of den folded into the coefficients once.
+
+    When ``_newton_root`` certifies p strictly monotone on [lo, inf), the
+    grid points on the low end's side of the root form a prefix, so the
+    bisection ends in the cell that holds the root, or at the root when it
+    is an interior grid point.  Newton's estimate of that cell is accepted
+    after sign checks at its two ends (one cell lower when the estimate
+    sits just past a grid point); otherwise the k halvings run.
+    Memoized, because each precision doubling of a preset slope asks for
+    the same few keys again.
     """
     d = math.lcm(lo.denominator, hi.denominator)
     a, b = int(lo * d), int(hi * d)
-    k = 0
-    while (b - a) << bits > d << k:
+    w = b - a
+    k = max(0, (w << bits).bit_length() - d.bit_length())
+    if w << bits > d << k:
         k += 1
     a, b, den = a << k, b << k, d << k
-    powers = [den ** i for i in range(1, len(coeffs))]
+    scaled = [c * den ** i for i, c in enumerate(coeffs)]
 
     def p(m):
-        acc = coeffs[0]
-        for c, w in zip(coeffs[1:], powers):
-            acc = acc * m + c * w
+        acc = 0
+        for c in scaled:
+            acc = acc * m + c
         return acc
 
     neg_lo = p(a) < 0
+    x = _newton_root(scaled, a, b)
+    if x is not None:
+        # x is not below the root, so the cell is x's or the one under it
+        top = min(max((x - a) // w, 0), (1 << k) - 1)
+        for j in range(top, max(top - 2, -1), -1):
+            g = a + j * w
+            if j:
+                v = p(g)
+                if v == 0:
+                    return g, g, den, True
+                if (v < 0) != neg_lo:       # g is past the root
+                    continue
+            if j + 1 == 1 << k:
+                return g, g + w, den, False
+            v = p(g + w)
+            if v and (v < 0) != neg_lo:
+                return g, g + w, den, False
+            break
     for _ in range(k):
         mid = (a + b) >> 1
         v = p(mid)
@@ -79,6 +106,42 @@ def _root_bracket(coeffs, lo, hi, bits):
         else:
             b = mid
     return a, b, den, False
+
+
+def _newton_root(scaled, a, b):
+    """A Newton estimate of the root of P(X) = sum scaled[i] X^(deg - i),
+    or None unless P is certified strictly monotone on [a, inf).
+
+    The certificate: the Taylor coefficients of P at a of order >= 1 all
+    share the sign of P'(a) or vanish.  Then P is monotone and convex (or
+    concave) there, so Newton's iterates from b, each step rounded toward
+    zero, are past the root after at most one step, approach it from there
+    and stop within a unit; P' has no zero on [a, inf), where they stay.
+    """
+    taylor, cs = [], scaled
+    while cs:                           # synthetic division by X - a
+        acc, quotient = 0, []
+        for c in cs:
+            acc = acc * a + c
+            quotient.append(acc)
+        taylor.append(quotient.pop())
+        cs = quotient
+    if len(taylor) < 2 or taylor[1] == 0 or \
+            any((t < 0) != (taylor[1] < 0) for t in taylor[2:] if t):
+        return None
+    x = b
+    for _ in range(256):
+        v = dv = 0
+        for c in scaled:
+            dv = dv * x + v
+            v = v * x + c
+        step = v // dv if (v < 0) == (dv < 0) else -(-v // dv)
+        if not step:
+            return x
+        x -= step
+        if x < a:                       # the root is below the bracket
+            return a
+    return None
 
 
 def _algebraic_slope(name, coeffs, lo, hi, bits) -> SlopeParam:

@@ -35,13 +35,29 @@ its one common factor with 2 q^n is a 2 when a_n is even; that gives the
 reduced ``Fraction`` with no gcd.  ``tent_apply`` serves interval slopes,
 set images and the tower's induction, which cross-checks these values.
 
-The bisection probe behind ``slope_for_prefix`` needs only signs, so it
-carries c_n and s as integer balls [L, H] / 2^W, rounded outward at every
-step (the ball arithmetic of Arb: F. Johansson, IEEE Trans. Computers 66,
-2017).  W starts at bits(q) + 64 and doubles, with a restart, when a sign
-is undecided.  Each sign it returns is certified, and kneading words are
-monotone in s (Milnor and Thurston, LNM 1342, 1988), so the bisection takes
-the steps it would take on exact values.
+Kneading words need only signs, so ``_ball_signs`` carries c_n and s as
+integer balls [L, H] / 2^W, rounded outward at every step (the ball
+arithmetic of Arb: F. Johansson, IEEE Trans. Computers 66, 2017).  Kneading
+words are monotone in s (Milnor and Thurston, LNM 1342, 1988), so certified
+signs are all a bisection on s needs.  Two kernels share that step:
+
+* the probe behind ``slope_for_prefix`` starts at W = bits(q) + 64 and
+  doubles W, with a restart, when a sign is undecided; so does
+  ``_critical_word`` for an exact slope with q of more than 32 bits, from
+  W = bits(q) + N + 64 (below that, the integer recurrence is cheaper);
+* ``_critical_word`` for an interval slope runs the ball at W = B at each
+  precision B of the schedule of ``critical_orbit`` (``_escalate``), on
+  ``slope.at(B)`` rounded outward onto the 2^-B grid.  The interval
+  formula of ``tent_apply`` and outward rounding onto one grid are both
+  inclusion-isotone: a ball whose ends lie on the 2^-B grid and bound the
+  exact image also bounds its rounding onto that grid.  So the ball holds
+  the ``Scalar`` enclosure of every c_n at B, and each sign it decides is
+  the sign ``critical_orbit`` decides at B.  At W > B the orbit's coarser
+  rounding can leave the ball, so W is B.  At the first sign the ball
+  leaves undecided, the ``Scalar`` orbit runs once at the same B
+  (``_orbit_pass``) and its verdict stands: every sign resolved returns the
+  word, an unresolved one goes on to the next B, or at the cap raises the
+  PrecisionExhausted that ``critical_orbit`` raises.
 """
 
 from __future__ import annotations
@@ -449,6 +465,84 @@ def _exact_critical_orbit(slope: SlopeParam, bits: int):
                SignRelC.ABOVE if a > qn else SignRelC.BELOW)
 
 
+def _ball_signs(s_lo: int, s_hi: int, w: int):
+    """Kneading symbols of c_1, c_2, ... for a slope in [s_lo, s_hi] / 2^w.
+
+    c_n is the ball [lo, hi] / 2^w, so one step is a reflection when the
+    ball lies above c, then a product and a floor (ceiling) shift on each
+    end.  Yields "1" or "0" while the ball misses c.  It stops at the first
+    ball that meets c, after yielding "" when that ball is c itself (an
+    exact hit).
+    """
+    one = 1 << w
+    half = one >> 1
+    lo = hi = half
+    while True:
+        if hi > half:                   # above c: T reflects first
+            lo, hi = one - hi, one - lo
+        lo, hi = s_lo * lo >> w, -(-s_hi * hi >> w)
+        if lo > half:
+            yield "1"
+        elif hi < half:
+            yield "0"
+        else:
+            if lo == hi:
+                yield ""
+            return
+
+
+def _orbit_pass(sl: SlopeParam, N: int, bits: int, whole: bool):
+    """c_1 .. c_N with signs at ``bits``, and the index of the first
+    unresolved sign (None when all resolve).  Unless ``whole``, the pass
+    stops at that sign, since its caller then escalates or raises."""
+    orbit = []
+    unresolved_at = None
+    x = Scalar.exact(C)
+    for n in range(1, N + 1):
+        x = tent_apply(sl, x, bits=bits)
+        sign = sign_rel_c(x)
+        orbit.append((x, sign))
+        if sign is SignRelC.UNRESOLVED and unresolved_at is None:
+            unresolved_at = n
+            if not whole:
+                break
+    return orbit, unresolved_at
+
+
+def _word_pass(sl: SlopeParam, N: int, bits: int, whole: bool):
+    """nu_1 .. nu_N at ``bits`` from the ball at W = bits, or, from the
+    first sign the ball leaves undecided, from ``_orbit_pass``."""
+    word = "".join(islice(_ball_signs(*_grid_ends(sl.s, bits), bits), N))
+    if len(word) == N:
+        return word, None
+    orbit, unresolved_at = _orbit_pass(sl, N, bits, whole)
+    return "".join(_SYMBOL[sign] for _, sign in orbit), unresolved_at
+
+
+def _escalate(slope: SlopeParam, N: int, prec_cap: int, run,
+              allow_unresolved: bool = False):
+    """The precision schedule of an interval slope's orbit.
+
+    ``run(slope.at(bits), N, bits, whole)`` is one pass; it returns its
+    result and the index of its first unresolved sign, None when there is
+    none.  ``bits`` starts at ``_start_precision`` and doubles, clipped at
+    the cap, until a pass resolves every sign up to N.  An unresolved sign
+    at the cap raises PrecisionExhausted, or, with ``allow_unresolved``,
+    returns that ``whole`` pass as it is.
+    """
+    bits = _orbit_start(slope, N, prec_cap)
+    while True:
+        whole = allow_unresolved and bits >= prec_cap
+        result, unresolved_at = run(slope.at(bits), N, bits, whole)
+        if unresolved_at is None or whole:
+            return result
+        if bits >= prec_cap:
+            raise PrecisionExhausted(
+                f"sign of c_{unresolved_at} unresolved at precision cap {prec_cap}",
+                index=unresolved_at)
+        bits = min(2 * bits, prec_cap)
+
+
 def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
                    allow_unresolved: bool = False):
     """Certified orbit c_1 .. c_N of the critical value, with signs.
@@ -458,27 +552,38 @@ def critical_orbit(slope: SlopeParam, N: int, prec_cap: int = DEFAULT_PREC_CAP,
     An exact rational slope is one pass of the integer recurrence, with
     every value exact and no sign at c.
     """
-    bits = _orbit_start(slope, N, prec_cap)
     if slope.is_exact:
+        bits = _orbit_start(slope, N, prec_cap)
         return list(islice(_exact_critical_orbit(slope, bits), N))
+    return _escalate(slope, N, prec_cap, _orbit_pass, allow_unresolved)
+
+
+def _critical_word(slope: SlopeParam, N: int, prec_cap: int) -> str:
+    """The signs nu_1 .. nu_N of ``critical_orbit(slope, N, prec_cap)``, or
+    its PrecisionExhausted or DomainError.
+
+    An interval slope runs ``_word_pass`` on the schedule of
+    ``critical_orbit``.  An exact slope p/q with q below 2^32 reads its
+    signs off ``_exact_orbit`` (a_n > q^n), whose step multiplies by the
+    small p.  A larger q runs the ball at W = bits(q) + N + 64, whose step
+    multiplies two W-bit ends, and doubles W, with a restart, while a sign
+    is undecided: for q > 1 no c_n is c, so some W decides every sign and
+    no cap or fallback is needed.  The two cost the same near bits(q) = 32
+    for N from 100 to 1000.
+    """
+    if not slope.is_exact:
+        return _escalate(slope, N, prec_cap, _word_pass)
+    _orbit_start(slope, N, prec_cap)
+    s = slope.s.lo
+    if s.denominator.bit_length() <= 32:
+        return "".join("1" if a > qn else "0"
+                       for a, qn in islice(_exact_orbit(s), N))
+    w = s.denominator.bit_length() + N + 64
     while True:
-        sl = slope.at(bits)
-        orbit = []
-        x = Scalar.exact(C)
-        unresolved_at = None
-        for n in range(1, N + 1):
-            x = tent_apply(sl, x, bits=bits)
-            sign = sign_rel_c(x)
-            orbit.append((x, sign))
-            if sign is SignRelC.UNRESOLVED and unresolved_at is None:
-                unresolved_at = n
-        if unresolved_at is None or allow_unresolved and bits >= prec_cap:
-            return orbit
-        if bits >= prec_cap:
-            raise PrecisionExhausted(
-                f"sign of c_{unresolved_at} unresolved at precision cap {prec_cap}",
-                index=unresolved_at)
-        bits = min(2 * bits, prec_cap)
+        word = "".join(islice(_ball_signs(*_grid_ends(slope.s, w), w), N))
+        if len(word) == N:
+            return word
+        w *= 2
 
 
 def refine(x: Scalar, target_width, slope: SlopeParam, n: int,
@@ -553,36 +658,23 @@ def _kneading_probe(s: Fraction, target: str) -> Optional[str]:
     """Kneading word of the exact slope s = p/q up to its first mismatch
     with ``target``; None marks an exact critical hit.
 
-    c_n is the ball [lo, hi] / 2^w and s the ball [s_lo, s_hi] / 2^w, so
-    one step is a product and a floor (ceiling) shift on each end, and a
-    sign is read only when the ball misses c.  Otherwise w doubles and the
-    probe restarts.  For q > 1 no c_n is c, so some w decides every sign;
-    for q = 1 every step is exact, and a ball of width 0 at c is an exact
-    hit whatever q is.
+    The signs come from ``_ball_signs`` at w bits.  When the ball meets c,
+    w doubles and the probe restarts.  For q > 1 no c_n is c, so some w
+    decides every sign; for q = 1 every step is exact, and a ball of width
+    0 at c is an exact hit whatever q is.
     """
     p, q = s.numerator, s.denominator
     w = q.bit_length() + 64
     while True:
-        one = 1 << w
-        half = one >> 1
-        s_lo, s_hi = (p << w) // q, -(-(p << w) // q)
-        lo = hi = half
         word = []
-        for t in target:
-            if hi > half:               # above c: T reflects first
-                lo, hi = one - hi, one - lo
-            lo, hi = s_lo * lo >> w, -(-s_hi * hi >> w)
-            if lo > half:
-                word.append("1")
-            elif hi < half:
-                word.append("0")
-            elif lo == hi:
+        for t, sym in zip(target, _ball_signs((p << w) // q,
+                                              -(-(p << w) // q), w)):
+            if not sym:
                 return None
-            else:
-                break
-            if word[-1] != t:
+            word.append(sym)
+            if sym != t:
                 return "".join(word)
-        else:
+        if len(word) == len(target):
             return "".join(word)
         w *= 2
 

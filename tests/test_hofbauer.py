@@ -599,6 +599,50 @@ def test_word_of_another_slope_is_rejected():
             call()
 
 
+def test_precritical_table_rejects_another_slopes_word(monkeypatch):
+    # natural(k) reads nu_1 .. nu_{S_k}; cbrt6's word leaves sqrt3's at its
+    # cutting time S_4 = 6, so z_0 .. z_3 are sqrt3's own and z_4 is refused
+    sqrt3, cbrt6 = parse_slope("sqrt3"), parse_slope("cbrt6")
+    own = PrecriticalTable(sqrt3, cutting_data(nu_from_orbit(sqrt3, 100)))
+    kd = cutting_data(nu_from_orbit(cbrt6, 100))
+    assert (kd.S[3], kd.S[4]) == (5, 6)
+    table = PrecriticalTable(sqrt3, kd)
+    for k in range(4):
+        z, want = table.natural(k), own.natural(k)
+        assert (z.lo, z.hi) == (want.lo, want.hi)
+    calls = [lambda: table.natural(4),
+             lambda: PrecriticalTable(sqrt3, kd).natural(7),
+             lambda: PrecriticalTable(sqrt3, kd).pair(5),
+             lambda: verify_zzz(sqrt3, 4, PrecriticalTable(sqrt3, kd))]
+    for call in calls:
+        with pytest.raises(DomainError, match="disagrees with the certified "
+                                              "signs of sqrt3 at nu_6$"):
+            call()
+    # the signs are read ahead by doubling, so a walk up k makes few reads
+    reads = []
+    real = hofbauer.nu_from_orbit
+
+    def spy(slope, N, cap):
+        reads.append(N)
+        return real(slope, N, cap)
+
+    monkeypatch.setattr(hofbauer, "nu_from_orbit", spy)
+    table = PrecriticalTable(sqrt3, cutting_data(nu_from_orbit(sqrt3, 300)))
+    for k in range(table.max_k + 1):
+        table.natural(k)
+    assert len(reads) <= 10 and reads == sorted(reads)
+
+
+def test_precritical_signs_stop_at_the_first_unresolved_sign():
+    # golden returns to c exactly: only "10" is certified, and any word
+    # that starts so is taken as given past it
+    golden = parse_slope("golden")
+    kd = cutting_data(nu_from_orbit(slope_exact(Fraction(1618, 1000)), 60))
+    table = PrecriticalTable(golden, kd, orbit=OrbitTable(golden, 512))
+    zs = [table.natural(k) for k in range(kd.max_k + 1)]
+    assert all(z.hi < C for z in zs)
+
+
 def test_table_word_stops_at_the_first_unresolved_sign():
     # golden returns to c exactly, so c_3 never resolves: a genuine word of
     # any continuation is accepted, one that breaks "10" is not

@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uilkit import verdicts as V
-from uilkit.errors import CriticalHit, DomainError, NotAdmissible, UilkitError
+from uilkit import scalars, verdicts as V
+from uilkit.errors import (CriticalHit, DomainError, NotAdmissible,
+                           PrecisionExhausted, UilkitError)
 from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
                              KneadingPrefix, _lcp, _materialize_q,
                              _scan_structure,
@@ -14,8 +17,8 @@ from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
                              nu_from_orbit, nu_from_q, parse_dotted,
                              q_asymptotics, renorm_scan, rho_step)
 from uilkit.presets import parse_q, parse_slope
-from uilkit.scalars import (DEFAULT_PREC_CAP, SignRelC, critical_orbit,
-                            slope_exact, slope_interval)
+from uilkit.scalars import (DEFAULT_PREC_CAP, SignRelC, _exact_orbit,
+                            critical_orbit, slope_exact, slope_interval)
 from uilkit.subcontinua import (classify_chain, find_qcond_chains,
                                 nasty_cascade_rule)
 
@@ -653,3 +656,115 @@ def test_nu_from_orbit_matches_oracle_on_presets(name, N, cap):
     slope = parse_slope(name)
     assert _outcome(nu_from_orbit, slope, N, cap) == \
         _outcome(_nu_from_orbit_oracle, slope, N, cap)
+
+
+# -- interval signs from fixed-point balls against the orbit oracle -------------
+
+@st.composite
+def intervals_near_exhaustion(draw):
+    """An interval slope, with dyadic or non-dyadic ends, and a horizon
+    within 40 of where its orbit stops resolving: the width, 2^-h or the
+    rounding 2^-cap when that is larger, grows like s^n, so that is about
+    n = min(h, cap) / log2(s)."""
+    h = draw(st.one_of(st.integers(12, 320), st.integers(320, 1100)))
+    cap = draw(st.sampled_from([512, 1024, 2048]))
+    if draw(st.booleans()):
+        mid = Fraction(draw(st.integers(41 << 10, (1 << 16) - 1)), 1 << 15)
+        half = Fraction(1, 1 << h)
+    else:
+        q = draw(st.integers(3, 10 ** 6))
+        mid = Fraction(draw(st.integers(q * 13 // 10 + 1, 2 * q - 1)), q)
+        half = Fraction(draw(st.integers(1, 9)), 3 ** (h * 2 // 3))
+    slope = slope_interval(mid - half, min(mid + half, Fraction(2)),
+                           precision_bits=draw(st.sampled_from([128, 200,
+                                                                578])))
+    N = round(min(h, cap) / math.log2(mid)) + draw(st.integers(-40, 40))
+    return slope, N, cap
+
+
+@settings(max_examples=100)
+@given(case=intervals_near_exhaustion())
+def test_interval_nu_from_orbit_matches_oracle_near_exhaustion(case):
+    # the word, or the PrecisionExhausted index and text, or the DomainError
+    # of a cap below the slope's precision or a horizon below 1
+    slope, N, cap = case
+    assert _outcome(nu_from_orbit, slope, N, cap) == \
+        _outcome(_nu_from_orbit_oracle, slope, N, cap)
+
+
+def test_rounding_sets_where_a_narrow_interval_exhausts():
+    # the slope is far narrower than 2^-512, so the orbit's rounding onto
+    # the grid of the cap ends its resolved signs at c_608; a ball on a
+    # finer grid than the orbit's would resolve about ten more
+    mid, half = Fraction(107, 60), Fraction(1, 1 << 1400)
+    slope = slope_interval(mid - half, mid + half)
+    outcomes = [_outcome(nu_from_orbit, slope, N, 512)
+                for N in range(600, 620, 2)]
+    assert outcomes == [_outcome(_nu_from_orbit_oracle, slope, N, 512)
+                        for N in range(600, 620, 2)]
+    assert [isinstance(o[0], str) for o in outcomes] == [True] * 4 + [False] * 6
+
+
+@pytest.mark.parametrize("name", ["golden", "tribonacci"])
+@pytest.mark.parametrize("cap", [512, 1024])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 20, 60])
+def test_exhausted_index_and_text_match_the_orbit(name, cap, N):
+    # both return to c exactly, so a sign stays unresolved at any cap
+    slope = parse_slope(name)
+    try:
+        want = critical_orbit(slope, N, prec_cap=cap)
+    except PrecisionExhausted as err:
+        with pytest.raises(PrecisionExhausted) as got:
+            nu_from_orbit(slope, N, prec_cap=cap)
+        assert (got.value.index, str(got.value)) == (err.index, str(err))
+    else:
+        assert nu_from_orbit(slope, N, cap).bits == \
+            "".join("1" if sign is SignRelC.ABOVE else "0" for _, sign in want)
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(scalars, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scalars, name, spy)
+    return calls
+
+
+def test_start_precision_578_clips_the_last_doubling(monkeypatch):
+    # 578 doubles to 1156 > 1024, so the second and last pass runs at 1024
+    mid, half = Fraction(17, 10), Fraction(1, 1 << 578)
+    slope = slope_interval(mid - half, mid + half, precision_bits=578)
+    passes = _spy(monkeypatch, "_word_pass")
+    outcomes, schedules = [], []
+    for N in range(700, 1100, 50):
+        passes.clear()
+        outcomes.append(_outcome(nu_from_orbit, slope, N, 1024))
+        assert outcomes[-1] == _outcome(_nu_from_orbit_oracle, slope, N, 1024)
+        schedules.append([bits for _, _, bits, _ in passes])
+    assert {tuple(s) for s in schedules} == {(578,), (578, 1024)}
+    assert any(isinstance(o[0], str) for o in outcomes)
+    assert any(o[0] is PrecisionExhausted for o in outcomes)
+
+
+def test_resolvable_interval_builds_no_orbit(monkeypatch):
+    orbits = _spy(monkeypatch, "critical_orbit")
+    scalar_passes = _spy(monkeypatch, "_orbit_pass")
+    mid, half = Fraction(9, 5), Fraction(1, 1 << 300)
+    slope = slope_interval(mid - half, mid + half, precision_bits=300)
+    word = nu_from_orbit(slope, 200).bits
+    assert (orbits, scalar_passes) == ([], [])
+    assert word == nu_from_orbit(slope_exact(mid), 200).bits
+
+
+@pytest.mark.parametrize("name", ["fib", "ex35", "nonrec41", "appendix"])
+def test_exact_balls_match_the_integer_recurrence(name):
+    # deep presets: q has hundreds of bits, so the signs come from balls
+    slope = parse_slope(f"{name}:300")
+    assert slope.s.value.denominator.bit_length() > 32
+    want = "".join("1" if a > qn else "0"
+                   for a, qn in islice(_exact_orbit(slope.s.value), 300))
+    assert nu_from_orbit(slope, 300).bits == want

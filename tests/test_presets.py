@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uilkit import presets
 from uilkit.kneading import fibonacci_q, nu_from_orbit, nu_from_q
 from uilkit.presets import _poly_root_enclosure, parse_slope
 from uilkit.scalars import Scalar
@@ -134,3 +136,52 @@ def test_bare_kneading_preset_takes_the_depth():
     slope = parse_slope("fib", depth=400)
     assert nu_from_orbit(slope, 400).bits == nu_from_q(fibonacci_q, 400).bits
     assert parse_slope("fib").s.value == parse_slope("fib:200").s.value
+
+
+# -- Newton to the root cell against the same bisection oracle ------------------
+
+@st.composite
+def factored_poly_and_bracket(draw):
+    """A polynomial with rational roots, some on the bisection's grid, and
+    a bracket around one or more of them: when the Taylor coefficients at
+    the low end certify monotonicity, Newton and two sign checks decide."""
+    roots = draw(st.lists(st.builds(Fraction, st.integers(-64, 64),
+                                    st.sampled_from([1, 2, 3, 4, 5, 16])),
+                          min_size=1, max_size=4))
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [x - r * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    coeffs = [int(c * den) * draw(st.sampled_from([1, -1, 3])) for c in coeffs]
+    e = draw(st.integers(0, 6))
+    lo = Fraction(draw(st.integers(-70 << e, 70 << e)), 1 << e)
+    hi = lo + Fraction(draw(st.integers(1, 8 << e)), 1 << e)
+    return coeffs, lo, hi
+
+
+@settings(max_examples=300)
+@given(case=factored_poly_and_bracket(),
+       bits=st.sampled_from([1, 3, 8, 20, 64, 300]))
+def test_newton_root_cell_matches_fraction_oracle(case, bits):
+    coeffs, lo, hi = case
+    _same(_poly_root_enclosure(coeffs, lo, hi, bits),
+          _fraction_root_enclosure(coeffs, lo, hi, bits))
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_POLYS))
+def test_preset_brackets_are_certified_for_newton(monkeypatch, name):
+    # the four preset polynomials are monotone and convex on their
+    # brackets, so a deep enclosure costs a few Newton steps, not one
+    # polynomial evaluation per bit (1025 bits: a key no other test caches)
+    estimates = []
+    real = presets._newton_root
+
+    def spy(*args):
+        estimates.append(real(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(presets, "_newton_root", spy)
+    coeffs, lo, hi = _PRESET_POLYS[name]
+    got = _poly_root_enclosure(coeffs, lo, hi, 1025)
+    assert estimates and None not in estimates
+    _same(got, _fraction_root_enclosure(coeffs, lo, hi, 1025))

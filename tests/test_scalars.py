@@ -11,9 +11,9 @@ from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q)
 from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
 from uilkit import scalars
-from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _SYMBOL, _diff,
-                            _frac, _gcd, _grid, _grid_ends, _kneading_probe,
-                            _lt,
+from uilkit.scalars import (C, DEFAULT_PRECISION, TWO, Scalar, SignRelC,
+                            SlopeParam, _SYMBOL, _diff, _frac, _gcd, _grid,
+                            _grid_ends, _kneading_probe, _lt,
                             branch_preimage, branch_preimage_left,
                             branch_preimage_right, certified_cmp,
                             critical_orbit, parity_lex_cmp, refine,
@@ -764,3 +764,36 @@ def test_stdlib_check():
     # the pinned orbit digest and the Fraction contract, as run on
     # interpreters that have no pytest
     runpy.run_path(str(Path(__file__).with_name("stdlib_check.py")))["main"]()
+
+
+# -- the fixed-point ball at the orbit's precision contains the orbit ------------
+
+def _ball_interval(mid, half, bits=DEFAULT_PRECISION):
+    return slope_interval(mid - half, min(mid + half, TWO), precision_bits=bits)
+
+
+ball_slopes = st.one_of(
+    st.builds(lambda m, h: _ball_interval(Fraction(m, 1 << 12),
+                                          Fraction(1, 1 << h), h),
+              st.integers(5 << 10, (1 << 13) - 1), st.integers(8, 700)),
+    st.builds(lambda p, h: _ball_interval(Fraction(p, 100), Fraction(1, 3 ** h)),
+              st.integers(130, 199), st.integers(4, 300)),
+    st.sampled_from(["golden", "tribonacci", "sqrt3", "cbrt6"]).map(parse_slope))
+
+
+@settings(max_examples=150)
+@given(slope=ball_slopes, bits=st.sampled_from([128, 256, 578, 1024, 2048]),
+       N=st.integers(1, 600))
+def test_ball_at_the_orbit_precision_contains_the_tent_chain(slope, bits, N):
+    # at W = bits the ball holds the tent_apply chain at bits, so each sign
+    # the ball decides is the orbit's; the ball ends are read off the
+    # suspended generator's frame
+    sl = slope.at(bits)
+    balls = scalars._ball_signs(*_grid_ends(sl.s, bits), bits)
+    x = Scalar.exact(C)
+    for _, symbol in zip(range(N), balls):
+        x = tent_apply(sl, x, bits=bits)
+        ball = balls.gi_frame.f_locals
+        assert Fraction(ball["lo"], 1 << bits) <= x.lo
+        assert x.hi <= Fraction(ball["hi"], 1 << bits)
+        assert symbol == _SYMBOL[sign_rel_c(x)]
