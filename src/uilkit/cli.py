@@ -70,6 +70,14 @@ def _eps(args) -> Fraction:
         raise ConfigError(f"cannot parse --eps {args.eps!r}")
 
 
+def _at_least(args, low, *flags):
+    """ConfigError unless each of ``flags`` is at least ``low``."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
 def _resolve_inputs(args, need=("slope", "nu", "q")):
     """Exactly one of slope/nu/q; derive the kneading word where possible.
 
@@ -187,6 +195,7 @@ def cmd_classify(args):
 
 
 def cmd_persistence(args):
+    _at_least(args, 0, "--eps-pow-min", "--eps-pow-max")
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
     qa = q_asymptotics(qs)
     results = {"q_asymptotics": qa.to_json(), "search": None}
@@ -244,6 +253,7 @@ def cmd_genseq(args):
 
 
 def cmd_density(args):
+    _at_least(args, 0, "--K")
     slope, nu, qs, kd, orbit = _resolve_inputs(args, need=("slope",))
     K = min(args.K, kd.max_k)
     report = cutting_value_gaps(slope, K, _eps(args), kd, orbit=orbit)
@@ -267,6 +277,7 @@ def cmd_density(args):
 
 
 def cmd_fmap(args):
+    _at_least(args, 1, "--grid")
     slope, nu, qs, kd, orbit = _resolve_inputs(args, need=("slope",))
     zp = PrecriticalTable(slope, kd, orbit=orbit)
     rows = f_graph_data(slope, zp, grid=args.grid, max_cell=args.max_cell)

@@ -43,8 +43,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import xor
+from itertools import accumulate, islice, repeat
+from operator import mul, xor
 from typing import Optional, Sequence
 
 from . import verdicts as V
@@ -53,9 +53,9 @@ from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
 from .hofbauer import OrbitTable, level_ends, orbit_table, tower_levels
 from .kneading import (CuttingData, KneadingPrefix, _lcp, cutting_data,
                        q_asymptotics)
-from .scalars import (C, Scalar, SignRelC, SlopeParam, _grid_ends,
-                      branch_preimage, certified_cmp, parity_lex_cmp,
-                      sign_rel_c, tent_apply)
+from .scalars import (C, Scalar, SignRelC, SlopeParam, _exact_orbit,
+                      _grid_ends, branch_preimage, certified_cmp,
+                      parity_lex_cmp, sign_rel_c, tent_apply)
 
 RULE_TAU = "backward-word-prefix-matches"
 RULE_ARC = "arc-projection-from-matches"
@@ -782,6 +782,68 @@ def verify_monotone(chain: PullbackChain) -> bool:
     return True
 
 
+def _pull_back_prefix(slope: SlopeParam, orbit: OrbitTable):
+    """``monotone_prefix(eps, n)`` of the pull-back of the eps-ball about
+    c_{n+1} along c_{n+1}, c_n, ..., c_0, run by ``pull_back``."""
+    def prefix(eps, n):
+        center = orbit.value(n + 1)
+        ball = (Scalar.exact(max(Fraction(0), center.lo - eps)),
+                Scalar.exact(min(Fraction(1), center.hi + eps)))
+        segment = [orbit.value(n + 1 - k) for k in range(0, n + 1)]
+        return pull_back(ball, segment, slope,
+                         stop_on_nonmonotone=True).monotone_prefix
+    return prefix
+
+
+def _closed_form_prefix(s: Fraction, horizon: int):
+    """The same ``monotone_prefix(eps, n)`` for an exact slope s = p/q,
+    eps > 0 and n <= horizon, in closed form on integers.
+
+    While the pull-back is monotone, J_k is an affine image of
+    J_0 = [c_{n+1} - d_l, c_{n+1} + d_r], with d_l = min(eps, c_{n+1}) and
+    d_r = min(eps, 1 - c_{n+1}).  With m = n + 1 - k, J_k is
+    [c_m - s^-k d, c_m + s^-k d'], where {d, d'} = {d_l, d_r}, swapped after
+    each step onto the decreasing branch.  Step k joins the two preimages
+    through c exactly when the upper end of J_k reaches c_1, and
+    ``monotone_prefix`` is the first such k, or n when none does.
+    ``pull_back``'s other two cases never occur:
+
+    * "no preimage" needs the lower end above c_1, but it is at most
+      c_m <= c_1;
+    * a join is pinched (c not interior) only when the lower end is c_1,
+      which needs c_m = c_1 with m >= 2.  That is impossible: for q > 1,
+      a_m is coprime to q, while c_m = c_1 would need a_m = p q^{m-1}; for
+      s = 2, c_m = 0.
+
+    The clamps and the swaps never move the first join, so the test is
+    c_m + s^-k eps >= c_1.  Clamped at 1, J_0 reaches 1 >= c_1 at k = 0.
+    Clamped at 0, d_l < d_r, and the offsets first differ after the first
+    step onto the decreasing branch.  Every step before it was increasing,
+    so the lower end is still 0, the step maps it to 1, and J_{k+1}
+    reaches 1 >= c_1 with either offset.
+
+    With c_m = a_m / (2 q^m) (``scalars._exact_orbit``) and
+    gap_m = p q^{m-1} - a_m, so that c_1 - c_m = gap_m / (2 q^m), and with
+    eps = e / d, the test reads gap_m p^k d <= 2 q^{n+1} e: no ``Fraction``
+    and no gcd.
+    """
+    p = s.numerator
+    gap, two_q = [0], [2]           # gap_m and 2 q^m for m = 0 .. horizon + 1
+    for a, qm in islice(_exact_orbit(s), horizon + 1):
+        gap.append(p * (two_q[-1] >> 1) - a)
+        two_q.append(qm << 1)
+    pk = list(accumulate(repeat(p, horizon), mul, initial=1))
+
+    def prefix(eps, n):
+        e, d = eps.numerator, eps.denominator
+        rhs = two_q[n + 1] * e
+        for k in range(n):
+            if gap[n + 1 - k] * pk[k] * d <= rhs:
+                return k
+        return n
+    return prefix
+
+
 def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
                       length_target: int = 64, horizon: int = 200,
                       kd: Optional[CuttingData] = None,
@@ -793,13 +855,30 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
     least ``length_target``.  When every eps in the grid fails for every
     segment within the horizon, the verdict is persistence evidence.  The
     shortcut "divergent kneading map implies persistent recurrence" and the
-    recurrence of c within the horizon are reported alongside.
+    recurrence of c within the horizon are reported alongside.  A search
+    over no eps, or over no n (a horizon below the length target), is
+    ``undetermined``; a length target below 1 is rejected.
+
+    For an exact slope and eps > 0, each pull-back's length comes from the
+    closed form of ``_closed_form_prefix`` on integers; interval slopes,
+    and eps <= 0, run ``pull_back``, which the closed form is tested
+    against.
     """
+    if length_target < 1:
+        raise DomainError(f"length target must be >= 1, got {length_target}")
+    eps_grid = [Fraction(eps) for eps in eps_grid]
+    if not eps_grid:
+        return V.undetermined(RULE_PERSISTENCE, "empty eps grid",
+                              depth=horizon)
+    if horizon < length_target:
+        return V.undetermined(
+            RULE_PERSISTENCE, f"horizon {horizon} below the length target "
+            f"{length_target}: no segment to search", depth=horizon)
     orbit = orbit_table(slope, orbit)
     orbit.extend(horizon + 2)
-    rec_gap = min((max(abs(x.hi - C), abs(C - x.lo))
-                   for x in map(orbit.value, range(1, horizon + 1))), default=None)
-    recurrent_hint = rec_gap is not None and rec_gap < Fraction(1, 64)
+    rec_gap = min(max(abs(x.hi - C), abs(C - x.lo))
+                  for x in map(orbit.value, range(1, horizon + 1)))
+    recurrent_hint = rec_gap < Fraction(1, 64)
 
     q_shortcut = None
     if kd is not None:
@@ -807,18 +886,17 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
         if qa.to_infinity.is_positive:
             q_shortcut = "kneading-map-divergence-implies-persistent"
 
+    closed = _closed_form_prefix(slope.s.value, horizon) \
+        if slope.is_exact else None
+    by_pull_back = _pull_back_prefix(slope, orbit)
     per_eps = {}
     for eps in eps_grid:
-        eps = Fraction(eps)
+        prefix = closed if closed is not None and eps > 0 else by_pull_back
         best_len, best_n = 0, None
         for n in range(length_target, horizon + 1):
-            center = orbit.value(n + 1)
-            ball = (Scalar.exact(max(Fraction(0), center.lo - eps)),
-                    Scalar.exact(min(Fraction(1), center.hi + eps)))
-            segment = [orbit.value(n + 1 - k) for k in range(0, n + 1)]
-            chain = pull_back(ball, segment, slope, stop_on_nonmonotone=True)
-            if chain.monotone_prefix > best_len:
-                best_len, best_n = chain.monotone_prefix, n
+            length = prefix(eps, n)
+            if length > best_len:
+                best_len, best_n = length, n
             if best_len >= length_target:
                 break
         per_eps[str(eps)] = {"max_monotone": best_len, "at_n": best_n}

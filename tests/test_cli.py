@@ -289,11 +289,23 @@ README_REPORT_DIGESTS = [
     (("classify", "--slope", "nonrec41:120", "--depth", "48",
       "--itinerary", "(1)^inf .1111", "--itinerary", "(0)^inf .0000"),
      "2869a3db8170f306f5b888c839092478deea74e8bf9aa8a9f7a488f8f99a5586"),
+    # recorded from the search that ran pull_back for every segment, the
+    # oracle of the closed form that exact slopes now use
+    (("persistence", "--slope", "fib:220", "--horizon", "120"),
+     "f1f1fb3cc7d71407b8fb6e027d30b81359f04994cc57118babf510761b79c2dc"),
 ]
 
 
+def _digest_ids(cases):
+    """The command name, and its input flag too for a repeated command."""
+    ids = []
+    for argv, _ in cases:
+        ids.append(argv[0] if argv[0] not in ids else f"{argv[0]}-{argv[1][2:]}")
+    return ids
+
+
 @pytest.mark.parametrize("argv,digest", README_REPORT_DIGESTS,
-                         ids=[argv[0] for argv, _ in README_REPORT_DIGESTS])
+                         ids=_digest_ids(README_REPORT_DIGESTS))
 def test_readme_reports_byte_identical(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("UILKIT_PREC_CAP", raising=False)
     code, out = run_cli(capsys, *argv)
@@ -328,6 +340,47 @@ def test_tower_depth_below_one_is_config_error(capsys, argv):
     # depth 0 used to mean the whole horizon in the long-branched verdict
     code, out = run_cli(capsys, "tower", *argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--eps-pow-min", "9", "--eps-pow-max", "2"),
+    ("--horizon", "50"),
+], ids=["empty-eps-grid", "horizon-below-length-target"])
+def test_persistence_claims_nothing_from_an_empty_search(capsys, argv):
+    # both used to report persistence evidence via pullback-search
+    code, out = run_cli(capsys, "persistence", "--slope", "9/5", *argv)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["search"]["status"] == "undetermined"
+    assert res["folding_equals_endpoints"]["status"] == "undetermined"
+
+
+@pytest.mark.parametrize("argv", [
+    ("persistence", "--eps-pow-min", "-2"),
+    ("persistence", "--length-target", "0"),
+    ("density", "--K", "-3"),
+    ("fmap", "--grid", "-5"),
+    ("fmap", "--grid", "0"),
+], ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
+def test_flag_below_its_least_value_exits_2(capsys, argv):
+    # a traceback with exit 1, a length-0 "reluctant" witness, a verdict at
+    # depth -3, no uniform samples
+    code, out = run_cli(capsys, *argv, "--slope", "9/5", "--horizon", "40")
+    assert code == 2 and out == ""
+
+
+def test_least_K_and_grid_are_honoured(capsys):
+    # --K 0 scans c_{S_0} = c_1 against the core ends; --grid 1 cuts the
+    # core into one piece, so only the per-cell samples remain
+    code, out = run_cli(capsys, "density", "--slope", "9/5", "--K", "0")
+    assert code == 0
+    assert json.loads(out)["results"]["eps_dense_at_horizon"]["depth"] == 0
+    samples = []
+    for grid in ("1", "2"):
+        code, out = run_cli(capsys, "fmap", "--slope", "9/5", "--grid", grid)
+        assert code == 0
+        samples.append(json.loads(out)["results"]["samples"])
+    assert 0 < samples[0] < samples[1]
 
 
 def test_one_parser_keeps_no_state_between_calls(capsys):

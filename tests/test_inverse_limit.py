@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uilkit
-from uilkit import verdicts as V
+from uilkit import inverse_limit, verdicts as V
 from uilkit.errors import DomainError, NoRecurrenceWitness, UnrealizableWord
 from uilkit.hofbauer import OrbitTable
 from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
@@ -323,6 +323,62 @@ def test_long_branched_bounded_q_reluctant():
     verdict = reluctance_search(slope, [Fraction(1, 64)], length_target=40,
                                 horizon=80, kd=cutting_data(nu))
     assert verdict.witness["kind"] == "reluctant"
+
+
+_CLOSED_FORM_EPS = [Fraction(1, 1 << k) for k in (6, 9, 12)] + \
+    [Fraction(1, 3), Fraction(1)]
+
+
+@pytest.mark.parametrize("name", ["9/5", "3/2", "2", "17/10", "fib:220"])
+def test_closed_form_prefix_matches_pull_back(name):
+    # eps 1 clamps the ball at both ends of [0, 1]; s = 2 has c_n = 0
+    slope = parse_slope(name)
+    horizon = 32
+    orbit = OrbitTable(slope)
+    closed = inverse_limit._closed_form_prefix(slope.s.value, horizon)
+    for eps in _CLOSED_FORM_EPS:
+        for n in range(horizon + 1):
+            center = orbit.value(n + 1).value
+            ball = (Scalar.exact(max(Fraction(0), center - eps)),
+                    Scalar.exact(min(Fraction(1), center + eps)))
+            segment = [orbit.value(n + 1 - k) for k in range(n + 1)]
+            chain = pull_back(ball, segment, slope, stop_on_nonmonotone=True)
+            assert closed(eps, n) == chain.monotone_prefix, (eps, n)
+
+
+@pytest.mark.parametrize("name,target,horizon", [
+    ("9/5", 16, 40), ("2", 16, 40), ("nonrec41:180", 24, 48),
+    ("ex35:130", 24, 48), ("fib:220", 16, 40), ("fib:220", 8, 24)])
+def test_reluctance_search_same_verdict_without_closed_form(
+        monkeypatch, name, target, horizon):
+    slope = parse_slope(name)
+    grid = [Fraction(1, 1 << k) for k in (5, 6, 7, 10)] + [Fraction(1, 3)]
+    closed = reluctance_search(slope, grid, target, horizon)
+    monkeypatch.setattr(inverse_limit, "_closed_form_prefix",
+                        lambda s, horizon: None)
+    assert closed.to_json() == \
+        reluctance_search(slope, grid, target, horizon).to_json()
+
+
+def test_reluctance_search_keeps_pull_back_for_eps_at_most_zero(monkeypatch):
+    # a negative eps reverses the ball, which the closed form does not model
+    slope = slope_exact(Fraction(9, 5))
+    grid = [Fraction(-1, 3), Fraction(0)]
+    searched = reluctance_search(slope, grid, 16, 40).to_json()
+    monkeypatch.setattr(inverse_limit, "_closed_form_prefix",
+                        lambda s, horizon: None)
+    assert searched == reluctance_search(slope, grid, 16, 40).to_json()
+
+
+def test_reluctance_search_over_nothing_is_undetermined():
+    slope = slope_exact(Fraction(9, 5))
+    for grid, target, horizon in (([], 64, 120),
+                                  ([Fraction(1, 64)], 64, 50)):
+        verdict = reluctance_search(slope, grid, target, horizon)
+        assert verdict.status == V.UNDETERMINED
+        assert verdict.depth == horizon and "kind" not in verdict.witness
+    with pytest.raises(DomainError, match="length target"):
+        reluctance_search(slope, [Fraction(1, 64)], 0, 40)
 
 
 # -- classification reports -----------------------------------------------------------
