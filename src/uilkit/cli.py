@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import verdicts as V
 from .errors import (ConfigError, InternalInconsistency, PrecisionExhausted,
@@ -106,12 +106,77 @@ def _resolve_inputs(args, need=("slope", "nu", "q")):
     return slope, nu, qs, kd, orbit
 
 
+def _json_text(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte.
+
+    Reports hold str keys and str, int, bool, None, dict, list and tuple
+    values; anything else raises ``TypeError``.  A tower report repeats each
+    exact c_n in several levels, so each distinct int is converted once.
+    """
+    parts = []
+    _write_json(report, "\n", parts.append, {})
+    return "".join(parts)
+
+
+def _write_json(value, pad, put, digits):
+    """Put the text of ``value``, indented after ``pad``, part by part.
+
+    A module function, not a closure: a recursive closure refers to itself
+    through its own cell, so the parts it held lived on until the cyclic
+    collector ran, which raised the peak memory of a pass.
+    """
+    kind = type(value)
+    if kind is str:
+        put(encode_basestring_ascii(value))
+    elif kind is int:
+        text = digits.get(value)
+        if text is None:
+            text = digits[value] = int.__repr__(value)
+        put(text)
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not "
+                                f"{type(key).__name__}")
+            put(sep)
+            put(encode_basestring_ascii(key))
+            put(": ")
+            _write_json(value[key], inner, put, digits)
+            sep = "," + inner
+        put(pad + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put, digits)
+            sep = "," + inner
+        put(pad + "]")
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                        f"serializable")
+
+
 def _emit(args, report):
     # exact report values may pass CPython's 4300-digit int-to-str limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
     if args.out:
@@ -182,6 +247,7 @@ def cmd_tower(args):
 
 
 def cmd_classify(args):
+    _at_least(args, 0, "--depth")
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
     if not args.itinerary:
         raise ConfigError("classify needs at least one --itinerary")
@@ -223,6 +289,8 @@ def cmd_persistence(args):
 
 
 def cmd_subcontinua(args):
+    _at_least(args, 0, "--max-chains")
+    _at_least(args, 1, "--cascade-min")
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
     strict = find_qcond_chains(qs, min(len(qs), args.horizon), variant="strict")
     relaxed = find_qcond_chains(qs, min(len(qs), args.horizon), variant="relaxed")
@@ -278,6 +346,7 @@ def cmd_density(args):
 
 def cmd_fmap(args):
     _at_least(args, 1, "--grid")
+    _at_least(args, 0, "--max-cell")
     slope, nu, qs, kd, orbit = _resolve_inputs(args, need=("slope",))
     zp = PrecriticalTable(slope, kd, orbit=orbit)
     rows = f_graph_data(slope, zp, grid=args.grid, max_cell=args.max_cell)

@@ -327,8 +327,11 @@ def nasty_cascade_rule(q, horizon: int, cascade_min: int = 3) -> V.Verdict:
     renormalization scan finds a nested cascade of at least ``cascade_min``
     windows; refuted(-leaning) when the scan refutes every candidate window;
     undetermined otherwise.  The witness reports the symbolic periods
-    S_{k-1} of the cascade levels.
+    S_{k-1} of the cascade levels.  A ``cascade_min`` below 1 raises
+    ``DomainError``: an empty cascade is no evidence of one.
     """
+    if cascade_min < 1:
+        raise DomainError(f"cascade_min must be >= 1, got {cascade_min}")
     qs = _materialize_q(q, horizon)[:horizon]
     scan = renorm_scan(qs, horizon)
     passing = scan["passing"]

@@ -5,9 +5,10 @@ For interpreters without pytest or hypothesis:
 
     PYTHONPATH=src python tests/stdlib_check.py
 
-It checks that ``Fraction`` takes the numerator and denominator of a
-``numbers.Rational`` as they are (the path the tent step builds its results
-through), and that three critical orbits, on an exact, an algebraic and a
+It checks that a ``Fraction`` built by setting its two slots (the path the
+tent step builds its results through, ``scalars._frac``) behaves as the
+``Fraction`` of the same pair in every use the toolkit makes of it, and
+that three critical orbits, on an exact, an algebraic and a
 decimal-interval slope, hash to the digest pinned below, which the
 ``Fraction`` implementation of the tent step gave.
 
@@ -48,8 +49,11 @@ recorded while those functions still took settable values that no caller
 set, and it calls them only with arguments both versions accept.
 """
 
+import copy
 import hashlib
 import itertools
+import operator
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -69,7 +73,7 @@ from uilkit.kneading import (KneadingPrefix, admissible_disjoint,
                              nonrecurrent_example_nu, nu_from_orbit,
                              nu_from_q, q_asymptotics, renorm_scan)
 from uilkit.presets import parse_slope
-from uilkit.scalars import (Scalar, _Coprime, critical_orbit, slope_exact,
+from uilkit.scalars import (Scalar, _frac, critical_orbit, slope_exact,
                             slope_for_prefix, slope_interval)
 from uilkit.seqgen import generate
 from uilkit.subcontinua import (build_chain, classify_chain,
@@ -89,6 +93,11 @@ REFUTED_WORDS = ("11", "100", "1001", "10000", "1011", "10010", "1000100",
                  "10011100", "1001110110", "1000101000", "10001011001")
 
 
+_FRACTION_OPS = (operator.add, operator.sub, operator.mul, operator.truediv,
+                 operator.lt, operator.le, operator.eq, operator.ne,
+                 operator.gt, operator.ge)
+
+
 def check_fraction_from_pair(pairs=3000, seed=5):
     rng = random.Random(seed)
     for _ in range(pairs):
@@ -98,11 +107,24 @@ def check_fraction_from_pair(pairs=3000, seed=5):
             rng.randrange(1, 1 << bits)
         g = gcd(n, d)
         n, d = n // g, d // g
-        f, ref = Fraction(_Coprime(n, d)), Fraction(n, d)
+        f, ref = _frac(n, d), Fraction(n, d)
         assert type(f) is Fraction, type(f)
         assert (f.numerator, f.denominator) == (ref.numerator, ref.denominator)
+        assert f == ref and hash(f) == hash(ref) and str(f) == str(ref)
+        for twin in (pickle.loads(pickle.dumps(f)), copy.copy(f),
+                     copy.deepcopy(f)):
+            assert type(twin) is Fraction and twin == ref
+            assert (twin.numerator, twin.denominator) == (n, d)
+        other = Fraction(rng.randrange(-99, 100), rng.randrange(1, 100))
+        for y in (other, other.numerator, _frac(other.numerator,
+                                                 other.denominator)):
+            for op in _FRACTION_OPS:
+                if op is not operator.truediv or y:
+                    assert op(f, y) == op(ref, y)
+                if op is not operator.truediv or f:
+                    assert op(y, f) == op(y, ref)
     # taken as is: no gcd runs on the pair
-    f = Fraction(_Coprime(6, 4))
+    f = _frac(6, 4)
     assert (f.numerator, f.denominator) == (6, 4)
 
 

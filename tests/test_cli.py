@@ -279,38 +279,106 @@ def test_commands_build_one_table_at_the_cap(capsys, monkeypatch, argv):
 # layers must keep every byte
 README_REPORT_DIGESTS = [
     (("knead", "--nu", "1.0.0.0.101"),
-     "4fe0b7e366fd75f082e71a0889e8fe4742c5706d60cfba499b8d08fd097c9a57"),
+     "4fe0b7e366fd75f082e71a0889e8fe4742c5706d60cfba499b8d08fd097c9a57", None),
     (("persistence", "--q", "fib", "--horizon", "100"),
-     "43aefde10c6d4b2871fac702ab29132c276f39d8cd86ab301ed17288bc9fbfd4"),
+     "43aefde10c6d4b2871fac702ab29132c276f39d8cd86ab301ed17288bc9fbfd4", None),
     (("subcontinua", "--q", "ex35", "--horizon", "40"),
-     "be4ddb45fad23492f94e81825cb186abb00146144af7b4586e321078429c9abc"),
+     "be4ddb45fad23492f94e81825cb186abb00146144af7b4586e321078429c9abc", None),
     (("genseq", "--length", "200", "--compat"),
-     "8082c4165b715172435a405e2253962b17ae044f33291913e77f5608604f4b64"),
+     "8082c4165b715172435a405e2253962b17ae044f33291913e77f5608604f4b64", None),
     (("classify", "--slope", "nonrec41:120", "--depth", "48",
       "--itinerary", "(1)^inf .1111", "--itinerary", "(0)^inf .0000"),
-     "2869a3db8170f306f5b888c839092478deea74e8bf9aa8a9f7a488f8f99a5586"),
+     "2869a3db8170f306f5b888c839092478deea74e8bf9aa8a9f7a488f8f99a5586", None),
     # recorded from the search that ran pull_back for every segment, the
     # oracle of the closed form that exact slopes now use
     (("persistence", "--slope", "fib:220", "--horizon", "120"),
-     "f1f1fb3cc7d71407b8fb6e027d30b81359f04994cc57118babf510761b79c2dc"),
+     "f1f1fb3cc7d71407b8fb6e027d30b81359f04994cc57118babf510761b79c2dc", None),
+    # the last four were recorded from the json.dumps encoder, the oracle of
+    # the report writer; the report echoes the CSV's file name
+    (("knead", "--slope", "1.9", "--horizon", "200"),
+     "b49da287a2045c8e700f663bd98931d4a2d857f38864404ac98ba39e839cfff6", None),
+    (("tower", "--slope", "fib:150", "--depth", "40", "--out-csv", "tower.csv"),
+     "23ee1e6f9bae0b77a13ab66ceb792200f1480869da628dbce759b542ea674226",
+     "ab52e435a2d008017edc11e036620b7e8bc717d5f0c81d0353c29a6dc9c35f56"),
+    (("density", "--slope", "9/5", "--K", "8", "--out-csv", "gaps.csv"),
+     "26dc21cb8c3da6c4a02ea325aa30e4864db50ace556f73498bc0e4ab263ba4c8",
+     "4c6b7cc6688c4859314c805bc6b6a68003b74128fbf8fd118676f68f040d313e"),
+    (("fmap", "--slope", "nonrec41:100", "--grid", "256",
+      "--out-csv", "fgraph.csv"),
+     "ad5c92cbb079fa9f8b3dba33434a8e19ed92b23ff5185e7073aae2748c29f2d9",
+     "4370683f794126e2a9ac071719110776b022dcca920e5fb5788ad1654988095f"),
 ]
 
 
 def _digest_ids(cases):
     """The command name, and its input flag too for a repeated command."""
     ids = []
-    for argv, _ in cases:
+    for argv, *_ in cases:
         ids.append(argv[0] if argv[0] not in ids else f"{argv[0]}-{argv[1][2:]}")
     return ids
 
 
-@pytest.mark.parametrize("argv,digest", README_REPORT_DIGESTS,
+@pytest.mark.parametrize("argv,digest,csv_digest", README_REPORT_DIGESTS,
                          ids=_digest_ids(README_REPORT_DIGESTS))
-def test_readme_reports_byte_identical(capsys, monkeypatch, argv, digest):
+def test_readme_reports_byte_identical(capsys, monkeypatch, tmp_path, argv,
+                                       digest, csv_digest):
     monkeypatch.delenv("UILKIT_PREC_CAP", raising=False)
+    monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if csv_digest is not None:
+        csv = (tmp_path / argv[argv.index("--out-csv") + 1]).read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == csv_digest
+
+
+# -- the report writer against json.dumps -----------------------------------------
+
+_huge = st.integers(10 ** 4300, 10 ** 4400)
+_json_strings = \
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | \
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600"])
+_json_leaves = (st.none() | st.booleans() | st.sampled_from([0, 1, -1])
+                | st.integers() | _huge | _huge.map(lambda n: -n) | _json_strings)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=24)
+
+
+def _both_texts(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return (cli._json_text(value),
+                json.dumps(value, sort_keys=True, indent=2))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_json_values)
+def test_report_writer_matches_json_dumps(value):
+    text, oracle = _both_texts(value)
+    assert text == oracle
+
+
+def test_report_writer_fixed_shapes():
+    for value in ({}, [], (), {"a": {}, "b": [], "c": ()}, [True, 1, False, 0],
+                  {"\u00e9": None, '"': [-(10 ** 5000)], "\n": "\x00"},
+                  {"b": 1, "a": [[], [{}]], "A": (True,)}):
+        text, oracle = _both_texts(value)
+        assert text == oracle
+
+
+@pytest.mark.parametrize("value", [
+    1.5, Fraction(1, 3), {1, 2}, {1: "a"}, {"a": [b"x"]}, {"a": (None, 0.0)},
+], ids=["float", "fraction", "set", "int-key", "bytes", "nested-float"])
+def test_report_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_tower_prints_numerators_past_the_int_str_limit(capsys):
@@ -361,10 +429,17 @@ def test_persistence_claims_nothing_from_an_empty_search(capsys, argv):
     ("density", "--K", "-3"),
     ("fmap", "--grid", "-5"),
     ("fmap", "--grid", "0"),
+    ("subcontinua", "--cascade-min", "0"),
+    ("subcontinua", "--cascade-min", "-5"),
+    ("subcontinua", "--max-chains", "-1"),
+    ("fmap", "--max-cell", "-2"),
+    ("classify", "--depth", "-2", "--itinerary", "(1)^inf .1111"),
 ], ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
 def test_flag_below_its_least_value_exits_2(capsys, argv):
     # a traceback with exit 1, a length-0 "reluctant" witness, a verdict at
-    # depth -3, no uniform samples
+    # depth -3, no uniform samples, nasty-endpoint evidence from an empty
+    # cascade, all chains but the last classified, no per-cell samples,
+    # verdicts at depth -2
     code, out = run_cli(capsys, *argv, "--slope", "9/5", "--horizon", "40")
     assert code == 2 and out == ""
 
@@ -381,6 +456,26 @@ def test_least_K_and_grid_are_honoured(capsys):
         assert code == 0
         samples.append(json.loads(out)["results"]["samples"])
     assert 0 < samples[0] < samples[1]
+
+
+def test_least_max_chains_max_cell_and_depth_are_honoured(capsys):
+    code, out = run_cli(capsys, "subcontinua", "--q", "ex35", "--horizon",
+                        "40", "--max-chains", "0")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["classified"] == [] and res["strict"]["chains"]
+    samples = []
+    for max_cell in ("0", "1"):
+        code, out = run_cli(capsys, "fmap", "--slope", "9/5", "--grid", "1",
+                            "--max-cell", max_cell)
+        assert code == 0
+        samples.append(json.loads(out)["results"]["samples"])
+    assert 0 < samples[0] < samples[1]
+    code, out = run_cli(capsys, "classify", "--slope", "9/5", "--horizon",
+                        "40", "--depth", "0", "--itinerary", "(1)^inf .1111")
+    assert code == 0
+    item = json.loads(out)["results"]["items"]["(1)^inf .1111"]
+    assert item["endpoint"]["depth"] == 0
 
 
 def test_one_parser_keeps_no_state_between_calls(capsys):

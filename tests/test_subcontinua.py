@@ -1,7 +1,7 @@
 import pytest
 
 from uilkit import subcontinua
-from uilkit.errors import ConditionViolated
+from uilkit.errors import ConditionViolated, DomainError
 from uilkit.hofbauer import OrbitTable, PrecriticalTable
 from uilkit.kneading import (_materialize_q, _q_lookup, cascade_q,
                              cutting_data, example35_q, fibonacci_q,
@@ -134,6 +134,15 @@ def test_nasty_cascade_rule():
     assert cascade.witness["periods"][:5] == [2, 4, 8, 16, 32]
     assert nasty_cascade_rule(example35_q, 30).is_refuted
     assert nasty_cascade_rule(fibonacci_q, 30).is_refuted
+
+
+@pytest.mark.parametrize("cascade_min", [0, -5])
+def test_nasty_cascade_rule_needs_a_cascade_of_at_least_one(cascade_min):
+    # an empty cascade used to pass len(passing) >= cascade_min: evidence
+    # of nasty endpoints where every window is refuted
+    with pytest.raises(DomainError, match="cascade_min"):
+        nasty_cascade_rule(example35_q, 40, cascade_min)
+    assert nasty_cascade_rule(example35_q, 40, 1).is_refuted
 
 
 def test_build_chain_levels_certified(ex35_slope, ex35_kd):
