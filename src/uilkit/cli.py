@@ -371,7 +371,11 @@ def build_parser():
         description="symbolic dynamics toolkit for tent-map inverse limits")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, horizon=10_000, depth=256):
+    def command(name, func, help, horizon=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if horizon is None:
+            return p
         p.add_argument("--slope", help="rational, decimal, interval:lo,hi, "
                        "or preset (fib, ex35, nonrec41, appendix, golden, "
                        "tribonacci), optionally name:depth")
@@ -379,27 +383,22 @@ def build_parser():
         p.add_argument("--q", help="kneading map: comma list or preset "
                        "(fib, ex35, cascade)")
         p.add_argument("--horizon", type=int, default=horizon)
-        p.add_argument("--depth", type=int, default=depth)
-        p.add_argument("--eps", default="0.00000095367431640625",
-                       help="tolerance (default 2^-20)")
         p.add_argument("--prec-cap", type=int, default=4096,
                        help="precision cap in bits, not below the slope's "
                        f"starting precision (128 or more); {PREC_CAP_ENV}, "
                        "when set, overrides it")
         p.add_argument("--out", help="write the JSON report here")
-
-    def command(name, func, help, horizon=None, depth=64):
-        p = sub.add_parser(name, help=help)
-        if horizon is not None:
-            common(p, horizon, depth)
-        p.set_defaults(func=func)
         return p
 
-    command("knead", cmd_knead, "kneading data and admissibility", 1000, 256)
+    command("knead", cmd_knead, "kneading data and admissibility", 1000)
     p = command("tower", cmd_tower, "Hofbauer tower levels", 256)
+    p.add_argument("--depth", type=int, default=64)
     p.add_argument("--out-csv")
 
     p = command("classify", cmd_classify, "classify itineraries", 256)
+    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--eps", default="0.00000095367431640625",
+                   help="tolerance (default 2^-20)")
     p.add_argument("--itinerary", action="append", default=[],
                    help="e.g. '(1)^inf 111.111' or '...100110.01'; repeatable")
 
@@ -421,6 +420,8 @@ def build_parser():
     p.add_argument("--out")
 
     p = command("density", cmd_density, "cutting-value gap scan", 512)
+    p.add_argument("--eps", default="0.00000095367431640625",
+                   help="tolerance (default 2^-20)")
     p.add_argument("--K", type=int, default=8)
     p.add_argument("--out-csv")
 

@@ -290,10 +290,9 @@ class PrecriticalTable:
 
     Those symbols and the cutting times S_{k-1}, S_k that fix Q(k) are read
     off nu_1 .. nu_{S_k}, which must be the slope's own: ``check_symbols``
-    holds them to its certified signs (``nu_from_orbit`` at the orbit
-    table's cap, read to at least twice the checked length at a time), and
-    a mismatch raises DomainError.  Symbols past the first sign that stays
-    unresolved at the cap cannot be checked and are taken as given.
+    takes a word ``nu_from_orbit`` certified for this slope object, and
+    holds any other to the orbit table's signs, up to the first sign
+    unresolved at the cap, with DomainError on a mismatch.
     """
 
     def __init__(self, slope: SlopeParam, kd: CuttingData,
@@ -302,8 +301,6 @@ class PrecriticalTable:
         self.kd = kd
         self.orbit = orbit_table(slope, orbit)
         self._natural = [branch_preimage_left(slope, Scalar.exact(C))]
-        self._signs = ""                # certified signs read so far
-        self._signs_final = False       # the next sign is unresolved at cap
 
     @property
     def max_k(self) -> int:
@@ -331,17 +328,11 @@ class PrecriticalTable:
     def check_symbols(self, k: int):
         """Raise DomainError unless nu_1 .. nu_{S_k} of the cutting data
         are the slope's certified signs, as far as they resolve."""
-        word = self.kd.nu.bits[:self.kd.S[k]]
-        if len(word) > len(self._signs) and not self._signs_final:
-            cap = self.orbit.prec_cap
-            n = min(max(len(word), 2 * len(self._signs)), len(self.kd.nu))
-            try:
-                self._signs = nu_from_orbit(self.slope, n, cap).bits
-            except PrecisionExhausted as exc:
-                self._signs_final = True
-                self._signs = nu_from_orbit(self.slope, exc.index - 1,
-                                            cap).bits if exc.index > 1 else ""
-        _check_word(word, self._signs, "the certified signs", self.slope)
+        if self.kd.nu.certified_for is not self.slope:
+            n = self.kd.S[k]
+            self.orbit.extend(n)
+            _check_word(self.kd.nu.bits[:n], self.orbit.word,
+                        "the certified signs", self.slope)
 
     def hat_natural(self, k: int) -> Scalar:
         return s_one_minus(self.natural(k))
@@ -567,6 +558,8 @@ def f_graph_data(slope: SlopeParam, zp: PrecriticalTable, grid: int = 256,
     """Sample rows (x_lo, x_hi, F_lo, F_hi, cell_k) for plotting Eq-style
     graphs of the accelerated map; cell-aware so each branch piece shows its
     affine structure (at least 3 interior points per piece)."""
+    if max_cell < 0:
+        raise DomainError(f"max_cell must be >= 0, got {max_cell}")
     c2 = zp.orbit.value(2)
     c1 = zp.orbit.value(1)
     samples = []

@@ -50,9 +50,11 @@ class KneadingPrefix:
     infinite critical orbit never produce eventually periodic kneading
     sequences, so the declaration is only honoured for literal inputs; it is
     what makes tail-pumping certificates possible in synthetic tests.
+    ``certified_for`` is the slope object that ``nu_from_orbit`` certified
+    the bits for, else None; equality and hashing read ``bits`` alone.
     """
 
-    __slots__ = ("bits", "source", "flags", "periodic_tail")
+    __slots__ = ("bits", "source", "flags", "periodic_tail", "certified_for")
 
     def __init__(self, bits: str, source: str = "literal", flags=(),
                  periodic_tail: Optional[tuple[int, int]] = None):
@@ -67,6 +69,7 @@ class KneadingPrefix:
         self.source = source
         self.flags = frozenset(flags)
         self.periodic_tail = periodic_tail
+        self.certified_for = None
 
     def __len__(self):
         return len(self.bits)
@@ -373,12 +376,14 @@ def nu_from_orbit(slope: SlopeParam, N: int,
     hands over to the orbit itself at the first sign it leaves undecided.
     An exact slope p/q reads nu_n = 1 off a_n > q^n in the integer
     recurrence when q < 2^32, and otherwise widens a ball until it decides
-    every sign.
+    every sign.  The prefix is ``certified_for`` this very object: an
+    interval with the ends of a bracketed slope certifies fewer signs.
     """
     bits = _critical_word(slope, N, prec_cap)
     flags = ("critical_orbit_finite",) if N >= 3 and slope.s.lo == 2 else ()
-    name = slope.name or "slope"
-    return KneadingPrefix(bits, source=f"slope:{name}", flags=flags)
+    nu = KneadingPrefix(bits, f"slope:{slope.name or 'slope'}", flags)
+    nu.certified_for = slope
+    return nu
 
 
 def renorm_scan(q, horizon: int):

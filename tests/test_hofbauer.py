@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import uilkit
-from uilkit import hofbauer
+from uilkit import hofbauer, kneading
 from uilkit.errors import DomainError, PrecisionExhausted
 from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
                              cutting_value_gaps, f_apply, f_graph_data,
@@ -166,6 +166,16 @@ def test_f_graph_affine_per_cell(fib_slope, fib_kd):
             d1 = (pts[1][1] - pts[0][1]) / (pts[1][0] - pts[0][0])
             d2 = (pts[2][1] - pts[1][1]) / (pts[2][0] - pts[1][0])
             assert abs(d1) == abs(d2) == s ** fib_kd.S[k]
+
+
+def test_f_graph_data_rejects_a_negative_max_cell():
+    # a negative max_cell used to drop the per-cell samples without a word
+    s = slope_exact(Fraction(9, 5))
+    zp = PrecriticalTable(s, cutting_data(nu_from_orbit(s, 64)))
+    for max_cell in (-1, -2):
+        with pytest.raises(DomainError, match="max_cell must be >= 0"):
+            f_graph_data(s, zp, grid=4, max_cell=max_cell)
+    assert len(f_graph_data(s, zp, grid=4, max_cell=0)) == 9
 
 
 def test_long_branched_dichotomy(fib_kd, nonrec_kd, fib_slope):
@@ -599,7 +609,7 @@ def test_word_of_another_slope_is_rejected():
             call()
 
 
-def test_precritical_table_rejects_another_slopes_word(monkeypatch):
+def test_precritical_table_rejects_another_slopes_word():
     # natural(k) reads nu_1 .. nu_{S_k}; cbrt6's word leaves sqrt3's at its
     # cutting time S_4 = 6, so z_0 .. z_3 are sqrt3's own and z_4 is refused
     sqrt3, cbrt6 = parse_slope("sqrt3"), parse_slope("cbrt6")
@@ -618,19 +628,63 @@ def test_precritical_table_rejects_another_slopes_word(monkeypatch):
         with pytest.raises(DomainError, match="disagrees with the certified "
                                               "signs of sqrt3 at nu_6$"):
             call()
-    # the signs are read ahead by doubling, so a walk up k makes few reads
-    reads = []
-    real = hofbauer.nu_from_orbit
 
-    def spy(slope, N, cap):
-        reads.append(N)
-        return real(slope, N, cap)
 
-    monkeypatch.setattr(hofbauer, "nu_from_orbit", spy)
-    table = PrecriticalTable(sqrt3, cutting_data(nu_from_orbit(sqrt3, 300)))
-    for k in range(table.max_k + 1):
-        table.natural(k)
-    assert len(reads) <= 10 and reads == sorted(reads)
+def _spy_sign_kernels(monkeypatch):
+    """Record the n of every OrbitTable.extend and every call of the
+    certified-word kernel behind nu_from_orbit."""
+    extends, words = [], []
+    extend, word = OrbitTable.extend, kneading._critical_word
+
+    def spy_extend(self, n):
+        extends.append(n)
+        return extend(self, n)
+
+    def spy_word(*args):
+        words.append(args)
+        return word(*args)
+
+    monkeypatch.setattr(OrbitTable, "extend", spy_extend)
+    monkeypatch.setattr(kneading, "_critical_word", spy_word)
+    return extends, words
+
+
+@pytest.mark.parametrize("make, N", [
+    (lambda: slope_exact(Fraction(9, 5)), 300),
+    (lambda: parse_slope("sqrt3"), 300),
+    (lambda: parse_slope("cbrt6"), 200),
+    (lambda: _narrow(Fraction(9, 5), 300), 140),
+], ids=["9/5", "sqrt3", "cbrt6", "interval"])
+def test_precritical_table_trusts_its_own_slopes_word(monkeypatch, make, N):
+    # nu_from_orbit certified the word for this very slope object, so a
+    # walk over every k reads no sign: the orbit is read only to c_2
+    slope = make()
+    table = PrecriticalTable(slope, cutting_data(nu_from_orbit(slope, N)))
+    extends, words = _spy_sign_kernels(monkeypatch)
+    for k in range(-1, table.max_k + 1):
+        table.pair(k)
+        table.check_symbols(max(k, 0))
+    assert table.max_k >= 8
+    assert words == [] and max(extends) <= 2
+
+
+def test_precritical_table_checks_an_equal_slopes_word(monkeypatch):
+    # an interval with sqrt3's ends certifies fewer signs than sqrt3, so a
+    # word certified for sqrt3 is held to the interval's orbit table
+    sqrt3 = parse_slope("sqrt3")
+    kd = cutting_data(nu_from_orbit(sqrt3, 100))
+    twin = slope_interval(sqrt3.s.lo, sqrt3.s.hi, sqrt3.s.precision_bits,
+                          name="sqrt3")
+    assert twin.bracket is None and kd.nu.certified_for is sqrt3
+    table = PrecriticalTable(twin, kd)
+    extends, _ = _spy_sign_kernels(monkeypatch)
+    table.natural(kd.max_k)
+    assert max(extends) == kd.S[kd.max_k]
+    assert table.orbit.word[:kd.S[kd.max_k]] == kd.nu.bits[:kd.S[kd.max_k]]
+    foreign = cutting_data(nu_from_orbit(parse_slope("cbrt6"), 100))
+    with pytest.raises(DomainError, match="disagrees with the certified "
+                                          "signs of sqrt3 at nu_6$"):
+        PrecriticalTable(twin, foreign).natural(4)
 
 
 def test_precritical_signs_stop_at_the_first_unresolved_sign():
