@@ -15,7 +15,11 @@ final state lists every such length, in O(|tail| + |nu|).  Past the known
 kneading data, the full occurrences of nu met on the way are the depths
 that no known symbol refutes.  This scan is the measured fastest for match
 sets: a Z-array or one ``kneading._lcp`` per position took two to four
-times as long on the workloads' tails.
+times as long on the workloads' tails.  There is one failure table per
+kneading word, kept with its prefix parities on the ``KneadingPrefix`` and
+built on only as far as a call reads: a border of nu[:l] depends on nu[:l]
+alone, so the table of nu[:m] is the first m + 1 entries of the word's.  A
+declared periodic continuation builds its unrolled word's tables per call.
 
 For a finite left word, the zero-th projections of all compatible points
 form an interval whose endpoints are critical-orbit values picked out by
@@ -205,22 +209,43 @@ class TauData:
                 "n_max": self.n_max}
 
 
-def _kmp_scan(pattern: str, text: str):
-    """Knuth-Morris-Pratt automaton of ``pattern`` run over ``text``.
+def _kmp_tables(word: str, fail: list, parity: list, m: int):
+    """Extend, in place, the KMP failure table ``fail`` (fail[l] is the
+    longest proper border of word[:l]) and the prefix parities ``parity``
+    (parity[l] is the number of 1s in word[:l], mod 2) of a nonempty word to
+    cover word[:m].  Both start as [0, 0] and [0, parity of word[0]]."""
+    n = len(fail) - 1
+    if m <= n:
+        return
+    k = fail[n]
+    for i in range(n, m):
+        while k and word[i] != word[k]:
+            k = fail[k]
+        if word[i] == word[k]:
+            k += 1
+        fail.append(k)
+    parity.extend(islice(accumulate(map("1".__eq__, word[n:m]), xor,
+                                    initial=parity[n]), 1, None))
+
+
+def _word_tables(nu: KneadingPrefix, m: int):
+    """The failure table and prefix parities of ``nu``, kept on the prefix
+    and built on to cover nu.bits[:m]; those of nu.bits[:m] are their first
+    m + 1 entries."""
+    if nu.match_tables is None:
+        nu.match_tables = ([0, 0], [0, 1])      # nu_1 = 1
+    _kmp_tables(nu.bits, *nu.match_tables, m)
+    return nu.match_tables
+
+
+def _kmp_scan(pattern: str, fail: list, m: int, text: str):
+    """Knuth-Morris-Pratt automaton of ``pattern[:m]`` run over ``text``,
+    with ``fail`` a failure table of ``pattern`` that covers pattern[:m].
 
     Returns the border chain of the final state (every length l, longest
     first down to 0, with ``text`` ending in ``pattern[:l]``) and the
     ascending end indices e of full occurrences (``text[:e]`` ends in it).
     """
-    m = len(pattern)
-    fail = [0] * (m + 1)
-    k = 0
-    for i in range(1, m):
-        while k and pattern[i] != pattern[k]:
-            k = fail[k]
-        if pattern[i] == pattern[k]:
-            k += 1
-        fail[i + 1] = k
     state, ends = 0, []
     for e, ch in enumerate(text, 1):
         if state == m:
@@ -238,11 +263,6 @@ def _kmp_scan(pattern: str, text: str):
     return chain, ends
 
 
-def _prefix_parity(word: str) -> list:
-    """parity[l] = number of 1s in word[:l], mod 2."""
-    return list(accumulate(map("1".__eq__, word), xor, initial=0))
-
-
 def tau_data(back: BackwardWord, nu: KneadingPrefix,
              depth: Optional[int] = None) -> TauData:
     """Exact match sets within the data, saturation flags at its boundary."""
@@ -256,9 +276,10 @@ def tau_data(back: BackwardWord, nu: KneadingPrefix,
     if back.is_periodic:
         chain, parity, certs = _periodic_tail_analysis(back, nu, n_max)
     else:
-        pattern = nu.bits[:max(n_max - 1, 0)]
-        chain, _ = _kmp_scan(pattern, back.unrolled(n_max - 1))
-        parity, certs = _prefix_parity(pattern), (False,) * 4 + (None,)
+        m = max(n_max - 1, 0)
+        fail, parity = _word_tables(nu, m)
+        chain, _ = _kmp_scan(nu.bits, fail, m, back.unrolled(n_max - 1))
+        certs = (False,) * 4 + (None,)
     cfL, cfR, ciL, ciR, pump = certs
 
     NL, NR = [], []
@@ -315,12 +336,17 @@ def _periodic_tail_analysis(back, nu, n_max):
         pattern = "".join(nu.symbol_at(i) for i in range(1, top))
     reach = top - 1
     bound = explicit + p + _lcp(pattern, 0, p)
-    if bound < len(pattern):
-        pattern, reach = pattern[:bound], bound
-    chain, ends = _kmp_scan(pattern, back.unrolled(reach))
-    parity = _prefix_parity(pattern)
+    m = len(pattern)
+    if bound < m:
+        m = reach = bound
+    if periodic_nu:
+        fail, parity = [0, 0], [0, 1]           # pattern[0] = nu_1 = 1
+        _kmp_tables(pattern, fail, parity, m)
+    else:
+        fail, parity = _word_tables(nu, m)
+    chain, ends = _kmp_scan(pattern, fail, m, back.unrolled(reach))
     unrefuted = {ell + 1 for ell in chain}
-    unrefuted.update(reach + 1 + len(pattern) - e for e in ends if e < reach)
+    unrefuted.update(reach + 1 + m - e for e in ends if e < reach)
 
     deeper = [n - 1 for n in unrefuted if n_max < n <= last]
     maybeL = any(ell > width or parity[ell] for ell in deeper)

@@ -15,6 +15,16 @@ It is one of three prefix primitives, each the measured fastest on its
 traffic, with ``inverse_limit._kmp_scan`` and ``scalars.parity_lex_cmp``.
 The kneading map Q is defined by S_k - S_{k-1} = S_{Q(k)} with Q(0) = 0.
 
+The scan of a word that extends an already scanned word resumes where
+that scan stopped (``_extend_cutting``), and the result is exact.  A word
+that scanned without a failure ended its cutting loop because rho ran off
+the word: a step n <= len with n > 2 * last would have refuted it.
+Wherever rho(j) is defined on the shorter word it has the same value on
+the longer one.  So every new cutting time lies past the shorter word and
+every old co-cutting time within it: S and Q resume at the last cutting
+time, the co-cutting orbit at the last co-cutting time (or afresh when
+there was none), and the beta table continues its last segment.
+
 Two independent admissibility checkers are provided and cross-validated:
 
 * ``admissible_q``        -- 0 <= Q(k) < k together with the lexicographic
@@ -51,10 +61,14 @@ class KneadingPrefix:
     sequences, so the declaration is only honoured for literal inputs; it is
     what makes tail-pumping certificates possible in synthetic tests.
     ``certified_for`` is the slope object that ``nu_from_orbit`` certified
-    the bits for, else None; equality and hashing read ``bits`` alone.
+    the bits for, else None.  ``match_tables`` is None until
+    ``inverse_limit.tau_data`` first reads the word, then the KMP failure
+    table and the prefix parities of ``bits``, as far as any call has read.
+    Equality and hashing read ``bits`` alone.
     """
 
-    __slots__ = ("bits", "source", "flags", "periodic_tail", "certified_for")
+    __slots__ = ("bits", "source", "flags", "periodic_tail", "certified_for",
+                 "match_tables")
 
     def __init__(self, bits: str, source: str = "literal", flags=(),
                  periodic_tail: Optional[tuple[int, int]] = None):
@@ -70,6 +84,7 @@ class KneadingPrefix:
         self.flags = frozenset(flags)
         self.periodic_tail = periodic_tail
         self.certified_for = None
+        self.match_tables = None
 
     def __len__(self):
         return len(self.bits)
@@ -139,15 +154,16 @@ def rho_step(bits: str, j: int) -> Optional[int]:
     return k if k <= len(bits) else None
 
 
-def _scan_structure(bits: str):
+def _scan_structure(bits: str, S=(1,), Q=(), cocut=()):
     """One pass over a word with nu_1 = 1 computing cutting data and
     structural failures: (S, Q, cocut, cocut_censored, refute_pos,
-    refute_reason), with S and Q filled up to the failure point."""
-    S = [1]
-    Q = []
-    s_index = {1: 0}
+    refute_reason), with S and Q filled up to the failure point.  Given the
+    S, Q and co-cutting times of a prefix of the word that scanned without
+    a failure, the pass resumes where that scan stopped."""
+    S, Q = list(S), list(Q)
+    s_index = {s: k for k, s in enumerate(S)}
     # the cutting times are the rho-orbit of 1
-    last = 1
+    last = S[-1]
     while (n := rho_step(bits, last)) is not None and n <= 2 * last:
         gap = n - last
         if gap not in s_index:
@@ -161,8 +177,8 @@ def _scan_structure(bits: str):
         return S, Q, [], False, 2 * last, (
             f"no cutting time in ({last}, {2 * last}]; the next gap "
             f"could not be a cutting time")
-    cocut = []
-    for j in _cocut_orbit(bits):
+    cocut = list(cocut)
+    for j in _cocut_orbit(bits, cocut[-1] if cocut else None):
         cocut.append(j)
         if j in s_index:
             return S, Q, cocut, False, j, (
@@ -170,9 +186,10 @@ def _scan_structure(bits: str):
     return S, Q, cocut, bool(cocut), None, None
 
 
-def _cocut_orbit(bits: str):
-    """The rho-orbit of the first 1 after position 1, until a step exits."""
-    j = bits.find("1", 1) + 1
+def _cocut_orbit(bits: str, after: Optional[int] = None):
+    """The rho-orbit of the first 1 after position 1, until a step exits;
+    given a co-cutting time ``after``, the orbit's part past it."""
+    j = bits.find("1", 1) + 1 if after is None else rho_step(bits, after) or 0
     while j:
         yield j
         j = rho_step(bits, j) or 0
@@ -221,15 +238,38 @@ def cutting_data(nu: KneadingPrefix) -> CuttingData:
     Raises NotAdmissible at the first position where the word cannot be a
     kneading sequence prefix.
     """
-    S, Q, cocut, censored, pos, reason = _scan_structure(nu.bits)
+    return _cutting_data(nu, [1], [], [], (0,))
+
+
+def _extend_cutting(kd: CuttingData, bits: str) -> CuttingData:
+    """``cutting_data(KneadingPrefix(bits))`` for a word ``bits`` that starts
+    with ``kd``'s word: the scan resumes where ``kd``'s stopped."""
+    if not bits.startswith(kd.nu.bits):
+        raise DomainError("the word does not extend the scanned word")
+    return _cutting_data(KneadingPrefix(bits), kd.S, kd.Q, kd.cocut, kd.beta)
+
+
+def _cutting_data(nu, S, Q, cocut, beta) -> CuttingData:
+    """Cutting data of ``nu`` from the scan state of a prefix of it: its
+    S, Q, co-cutting times and beta table (nu_1 alone: [1], [], [], (0,))."""
+    k0 = len(S) - 1
+    S, Q, cocut, censored, pos, reason = _scan_structure(nu.bits, S, Q, cocut)
     if pos is not None:
         raise NotAdmissible(pos, reason)
-    # beta(n) = n - S_{k-1} for S_{k-1} < n <= S_k, and past the last cut
-    beta = [0]
-    for prev, nxt in zip(S, S[1:] + [len(nu.bits)]):
-        beta.extend(range(1, nxt - prev + 1))
-    return CuttingData(tuple(S), tuple(Q), tuple(beta), tuple(cocut),
+    # beta(n) = n - S_{k-1} for S_{k-1} < n <= S_k, and past the last cut;
+    # the prefix's table ends inside its last cut's segment
+    tail = []
+    for prev, nxt in zip(S[k0:], S[k0 + 1:] + [len(nu.bits)]):
+        tail.extend(range(len(beta) + len(tail) + 1 - prev, nxt - prev + 1))
+    return CuttingData(tuple(S), tuple(Q), beta + tuple(tail), tuple(cocut),
                        censored, len(nu.bits), cocut[0] if cocut else None, nu)
+
+
+def _checked(kd: CuttingData, nu: KneadingPrefix) -> CuttingData:
+    """``kd``, when it is the cutting data of ``nu``'s word."""
+    if kd.nu.bits != nu.bits:
+        raise DomainError("the cutting data belong to another kneading word")
+    return kd
 
 
 def cocutting_times(nu: KneadingPrefix):
@@ -248,7 +288,8 @@ def admissible_disjoint(nu: KneadingPrefix,
     A given ``kd = cutting_data(nu)`` stands for a scan with no failure."""
     S, _, cocut, censored, pos, reason = (
         _scan_structure(nu.bits) if kd is None
-        else (kd.S, kd.Q, kd.cocut, kd.cocut_censored, None, None))
+        else (_checked(kd, nu).S, kd.Q, kd.cocut, kd.cocut_censored, None,
+              None))
     if pos is not None:
         return V.refuted(RULE_DISJOINT, depth=len(nu.bits), position=pos,
                          reason=reason)
@@ -573,5 +614,6 @@ def parse_dotted(text: str) -> KneadingPrefix:
 
 def emit_dotted(nu: KneadingPrefix, kd: Optional[CuttingData] = None) -> str:
     # a dot after every cutting time but the last symbol
-    cuts = [0] + [s for s in (kd or cutting_data(nu)).S if s < len(nu.bits)]
+    kd = cutting_data(nu) if kd is None else _checked(kd, nu)
+    cuts = [0] + [s for s in kd.S if s < len(nu.bits)]
     return ".".join(nu.bits[a:b] for a, b in zip(cuts, cuts[1:] + [None]))

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConstructionStuck, DomainError, NotAdmissible
-from .kneading import (CuttingData, KneadingPrefix, admissible_disjoint,
-                       admissible_q, cutting_data, emit_dotted)
+from .kneading import (CuttingData, KneadingPrefix, _extend_cutting,
+                       admissible_disjoint, admissible_q, cutting_data,
+                       emit_dotted)
 from .scalars import parity_lex_cmp
 
 SEED = "1000101"
@@ -75,13 +76,19 @@ class WordLedger:
     ``ends_at_cuts`` collects all subwords (up to ``len_cap``) whose last
     letter falls on a cutting time; ``paired`` holds the words w such that
     both w and its last-letter flip appear there.  The set is built from
-    the word alone, and again when the cap grows.
+    the word alone, and again when the cap grows.  A given ``kd`` must be
+    the word's cutting data, else the word is scanned.
     """
 
-    def __init__(self, nu_bits: str = SEED, len_cap: int = 8):
+    def __init__(self, nu_bits: str = SEED, len_cap: int = 8,
+                 kd: Optional[CuttingData] = None):
+        if kd is None:
+            kd = cutting_data(KneadingPrefix(nu_bits))
+        elif kd.nu.bits != nu_bits:
+            raise DomainError("the cutting data belong to another word")
         self.nu = nu_bits
         self.len_cap = len_cap
-        self.kd: CuttingData = cutting_data(KneadingPrefix(nu_bits))
+        self.kd: CuttingData = kd
         self._collect()
 
     def _collect(self):
@@ -98,10 +105,11 @@ class WordLedger:
         return word in self.ends_at_cuts and flip in self.ends_at_cuts
 
     def scratch_equal(self) -> bool:
-        """The set equals a fresh rebuild; by construction, as every ledger
-        and every raised cap builds it from the word."""
+        """The set and the cutting data equal a fresh rebuild from the word;
+        by construction for the set, as every ledger and every raised cap
+        builds it from the word."""
         fresh = WordLedger(self.nu, self.len_cap)
-        return fresh.ends_at_cuts == self.ends_at_cuts
+        return fresh.ends_at_cuts == self.ends_at_cuts and fresh.kd == self.kd
 
     def to_json(self):
         return {"nu": self.nu, "len_cap": self.len_cap,
@@ -162,12 +170,13 @@ def _block(nu: str, S, m: int) -> str:
     return _flip_last(nu[:S[m]])
 
 
-def _verify_admissible(bits: str, stage: str, state):
-    nu = KneadingPrefix(bits)
+def _verify_admissible(bits: str, stage: str, state, kd: CuttingData):
+    """Cutting data of ``bits``, resumed from ``kd``, that of a prefix of
+    ``bits``; ConstructionStuck when the word is inadmissible."""
     try:
-        kd = cutting_data(nu)
+        kd = _extend_cutting(kd, bits)
     except NotAdmissible:
-        verdict = str(admissible_disjoint(nu))
+        verdict = str(admissible_disjoint(KneadingPrefix(bits)))
         raise ConstructionStuck(stage, dict(state, verdict=verdict)) from None
     lex = admissible_q(list(kd.Q))
     if lex.is_refuted:
@@ -215,7 +224,7 @@ def extend_step(ledger: WordLedger, compat: bool = False):
         # the flipped stem only ends at the top cutting time: push one block
         pre_extension = _block(nu, S, k - 1)
         nu = nu + pre_extension
-        kd = _verify_admissible(nu, "pre-extension", state)
+        kd = _verify_admissible(nu, "pre-extension", state, kd)
         S, k = kd.S, kd.max_k
         n_prime = k - 1
     if n_prime is None:
@@ -225,12 +234,12 @@ def extend_step(ledger: WordLedger, compat: bool = False):
     q_top = kd.q_of(k)
     block_i = "".join(_block(nu, S, m) for m in range(q_top - 1, 1, -1))
     cur = nu + block_i
-    _verify_admissible(cur, "block-i", state)
+    kd_i = _verify_admissible(cur, "block-i", state, kd)
 
     def attach_completion(base, include_branch_block):
         body = "" if not include_branch_block else _block(nu, S, n_prime)
         candidate = base + body + u_flip
-        kd_c = _verify_admissible(candidate, "block-ii", state)
+        kd_c = _verify_admissible(candidate, "block-ii", state, kd_i)
         end = len(candidate)
         if end not in kd_c.S or not candidate.endswith(v_flip):
             return None
@@ -253,7 +262,8 @@ def extend_step(ledger: WordLedger, compat: bool = False):
     for r in range(2, kd_ii.max_k):
         candidate = cur + _block(nu, S, r) + block_iv
         try:
-            kd_fin = _verify_admissible(candidate, "block-iii", state)
+            kd_fin = _verify_admissible(candidate, "block-iii", state,
+                                        kd_ii)
         except ConstructionStuck:
             continue
         ok, _ = _segment_conditions(kd_fin, len(ledger.nu))
@@ -264,7 +274,7 @@ def extend_step(ledger: WordLedger, compat: bool = False):
         raise ConstructionStuck("block-iii", dict(state, cur_len=len(cur)))
     state["r"] = chosen_r
 
-    new_ledger = WordLedger(candidate, max(ledger.len_cap, len(v) + 1))
+    new_ledger = WordLedger(candidate, max(ledger.len_cap, len(v) + 1), kd_fin)
     if not (new_ledger.paired(v) and new_ledger.paired(v_flip)):
         raise ConstructionStuck("pair-not-realized", state)
     if len(u) not in new_ledger.kd.S or len(u) == 2:

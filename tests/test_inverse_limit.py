@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -18,8 +19,7 @@ from uilkit import inverse_limit, verdicts as V
 from uilkit.errors import DomainError, NoRecurrenceWitness, UnrealizableWord
 from uilkit.hofbauer import OrbitTable
 from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
-                                  TwoSidedItinerary, _kmp_scan,
-                                  _prefix_parity, backward_points,
+                                  TwoSidedItinerary, backward_points,
                                   basic_arc_interval, classification_report,
                                   endpoint_itinerary_gen, endpoint_verdict,
                                   folding_verdict, parse_itinerary, pull_back,
@@ -636,6 +636,51 @@ def test_tau_data_matches_oracle_on_pumping_and_long_words(fib_nu):
 # bounded: the automaton of the whole kneading word (or of its unrolled
 # declared continuation) runs over the tail unrolled to every checked depth.
 
+def _failure_table(pattern):
+    """fail[l] = the longest proper border of pattern[:l]."""
+    m = len(pattern)
+    fail = [0] * (m + 1)
+    k = 0
+    for i in range(1, m):
+        while k and pattern[i] != pattern[k]:
+            k = fail[k]
+        if pattern[i] == pattern[k]:
+            k += 1
+        fail[i + 1] = k
+    return fail
+
+
+def _kmp_scan(pattern, text):
+    """The KMP scan of ``pattern`` over ``text`` with a failure table built
+    for this call alone: the border chain of the final state and the end
+    indices of full occurrences."""
+    m = len(pattern)
+    fail = _failure_table(pattern)
+    state, ends = 0, []
+    for e, ch in enumerate(text, 1):
+        if state == m:
+            state = fail[state]
+        while state and pattern[state] != ch:
+            state = fail[state]
+        if state < m and pattern[state] == ch:
+            state += 1
+        if state == m:
+            ends.append(e)
+    chain = [state]
+    while state:
+        state = fail[state]
+        chain.append(state)
+    return chain, ends
+
+
+def _prefix_parity(word):
+    """parity[l] = the number of 1s in word[:l], mod 2."""
+    parity = [0]
+    for ch in word:
+        parity.append(parity[-1] ^ (ch == "1"))
+    return parity
+
+
 def _whole_word_periodic_tail_analysis(back, nu, n_max):
     p = len(back.periodic_block)
     width = len(nu)
@@ -788,6 +833,100 @@ def test_periodic_tail_tau_data_against_the_long_fibonacci_word():
             tau_data(back, nu, 64)
             times.append(time.perf_counter() - start)
         assert statistics.median(times[1:]) < 0.5e-3, back
+
+
+# -- one match table per kneading prefix against tables built per call -------
+#
+# The oracle builds the failure table and the parities for each call alone:
+# of nu[:n_max - 1] for a finite tail, of the whole word for a periodic one.
+
+def per_call_tau_data(back, nu, depth=None):
+    if back.is_periodic:
+        return whole_word_tau_data(back, nu, depth)
+    n_max = len(back.symbols) + 1
+    if depth is not None:
+        n_max = min(n_max, depth)
+    pattern = nu.bits[:max(n_max - 1, 0)]
+    chain, _ = _kmp_scan(pattern, back.unrolled(n_max - 1))
+    parity = _prefix_parity(pattern)
+    NL, NR = [], []
+    for ell in reversed(chain):
+        if ell < n_max:
+            (NR if parity[ell] == 0 else NL).append(ell + 1)
+    return TauData(tuple(NL), tuple(NR), NL[-1] if NL else None,
+                   NR[-1] if NR else None, bool(NL) and NL[-1] == n_max,
+                   bool(NR) and NR[-1] == n_max, n_max=n_max,
+                   word_len=len(back.symbols))
+
+
+def _assert_tau_fields_equal(back, nu, depth):
+    got, want = tau_data(back, nu, depth), per_call_tau_data(back, nu, depth)
+    for f in dataclasses.fields(TauData):
+        assert getattr(got, f.name) == getattr(want, f.name), \
+            (f.name, back, nu, depth)
+
+
+def _assert_tables_are_the_words(nu):
+    fail, parity = nu.match_tables
+    n = len(fail) - 1
+    assert len(parity) == n + 1 and n <= len(nu)
+    assert fail == _failure_table(nu.bits[:n])
+    assert parity == _prefix_parity(nu.bits[:n])
+
+
+def _backs_reading(nu, n, rng):
+    """Finite tails read to depth n + 1 and periodic tails cut from nu."""
+    bits = nu.bits
+    yield BackwardWord(bits[:n]), None
+    yield BackwardWord("".join(rng.choice("01") for _ in range(n))), None
+    yield BackwardWord(bits[:rng.randrange(n, len(bits) + 1)]), n + 1
+    start = rng.randrange(max(len(bits) - n, 0) + 1)
+    yield BackwardWord(bits[start:start + n]), None
+    yield BackwardWord(bits[:n % 13], bits[:n % 17 + 1]), n + 1
+    yield BackwardWord(bits[:rng.randrange(5)], bits[:rng.randrange(1, 9)]), \
+        None
+
+
+def test_one_prefix_table_serves_rising_falling_and_rising_depths(
+        fib_nu, nonrec_nu):
+    rng = random.Random(20261019)
+    rising = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200]
+    for bits in (fib_nu.bits, nonrec_nu.bits, METAMORPHIC_NUS["ex35"].bits,
+                 "1" + "".join(rng.choice("01") for _ in range(199))):
+        nu = KneadingPrefix(bits)        # a fresh object: no table yet
+        assert nu.match_tables is None
+        for n in rising + rising[::-1] + rising:
+            n = min(n, len(nu))
+            for back, depth in _backs_reading(nu, n, rng):
+                _assert_tau_fields_equal(back, nu, depth)
+                _assert_tables_are_the_words(nu)
+
+
+def test_prefix_tables_grow_only_as_far_as_a_call_reads():
+    nu = KneadingPrefix(nu_from_q(fibonacci_q, 300).bits)
+    read = 1
+    for n, depth in ((5, None), (40, 12), (3, None), (40, None), (90, 300)):
+        tau_data(BackwardWord(nu.bits[:n]), nu, depth)
+        read = max(read, min(n, (depth or n + 1) - 1))
+        assert len(nu.match_tables[0]) == read + 1
+        _assert_tables_are_the_words(nu)
+    # a declared periodic continuation keeps its tables to the call
+    periodic = KneadingPrefix("1011011011", periodic_tail=(1, 3))
+    _assert_tau_fields_equal(BackwardWord("", "011"), periodic, None)
+    assert periodic.match_tables is None
+    assert periodic == KneadingPrefix(periodic.bits)
+    assert hash(nu) == hash(KneadingPrefix(nu.bits))
+
+
+@settings(max_examples=300)
+@given(_tau_inputs(), st.lists(st.integers(1, 90), min_size=1, max_size=6))
+def test_prefix_tables_match_per_call_tables_on_short_words(args, depths):
+    # one prefix object read by the drawn tail, then at the drawn depths
+    back, nu, depth = args
+    for d in (depth, *depths):
+        _assert_tau_fields_equal(back, nu, d)
+        if nu.match_tables is not None:
+            _assert_tables_are_the_words(nu)
 
 
 # -- the chain generator against the one that expands a head per chain -----------

@@ -9,8 +9,8 @@ from uilkit import scalars, verdicts as V
 from uilkit.errors import (CriticalHit, DomainError, NotAdmissible,
                            PrecisionExhausted, UilkitError)
 from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
-                             KneadingPrefix, _lcp, _materialize_q,
-                             _scan_structure,
+                             KneadingPrefix, _extend_cutting, _lcp,
+                             _materialize_q, _scan_structure,
                              admissible_disjoint, admissible_q, cascade_q,
                              cocutting_times, cutting_data, emit_dotted,
                              example35_q, fibonacci_q, nonrecurrent_example_nu,
@@ -768,3 +768,109 @@ def test_exact_balls_match_the_integer_recurrence(name):
     want = "".join("1" if a > qn else "0"
                    for a, qn in islice(_exact_orbit(slope.s.value), 300))
     assert nu_from_orbit(slope, 300).bits == want
+
+
+# -- the resumed cutting scan against a scan from scratch -------------------
+
+
+def _scan_outcome(bits, base=None):
+    """Every CuttingData field of ``bits``, scanned from scratch or resumed
+    from ``base``; (position, reason, text) of a NotAdmissible."""
+    try:
+        kd = cutting_data(KneadingPrefix(bits)) if base is None \
+            else _extend_cutting(base, bits)
+    except NotAdmissible as err:
+        return err.position, err.reason, str(err)
+    return (kd.S, kd.Q, kd.beta, kd.cocut, kd.cocut_censored, kd.horizon,
+            kd.kappa, kd.nu.bits)
+
+
+def assert_resume_matches_scratch(bits, split):
+    base = cutting_data(KneadingPrefix(bits[:split]))
+    assert _scan_outcome(bits, base) == _scan_outcome(bits), \
+        (bits[:40], len(bits), split)
+
+
+def _resume_words():
+    import random
+    from uilkit import seqgen
+    rng = random.Random(20261019)
+    words = [nu_from_q(q, n).bits for q, n in (
+        (fibonacci_q, 3000), (example35_q, 3000), (cascade_q, 1024))]
+    words += [nu_from_q(lambda k, d=d: max(k - d, 0), 2000).bits
+              for d in (3, 5, 7)]
+    # dense cutting times: about one split per two symbols
+    words += [nu_from_q(lambda k, b=b: min(k - 1, b), 400).bits
+              for b in (1, 2)]
+    words.append(nonrecurrent_example_nu(400).bits)
+    words.append(seqgen.generate(200)[0].bits)
+    for _ in range(8):
+        q = rng.randrange(2, 1 << 12)
+        p = q + 1 + rng.randrange(q - 1)
+        words.append(nu_from_orbit(slope_exact(Fraction(p, q)), 300).bits)
+    return rng, words
+
+
+def test_resumed_scan_matches_a_scan_from_scratch():
+    # splits at every cutting time, on both sides of it, and at random
+    # positions; the extension is the word itself or a mutated copy
+    rng, words = _resume_words()
+    for bits in words:
+        S = cutting_data(KneadingPrefix(bits)).S
+        splits = {s + d for s in S for d in (-1, 0, 1)
+                  if 1 <= s + d <= len(bits)}
+        splits.update(rng.randrange(1, len(bits) + 1) for _ in range(20))
+        for split in sorted(splits):
+            assert_resume_matches_scratch(bits, split)
+            flips = list(bits)
+            for _ in range(rng.randrange(1, 4)):
+                i = rng.randrange(split, len(bits)) if split < len(bits) \
+                    else None
+                if i is not None:
+                    flips[i] = "1" if flips[i] == "0" else "0"
+            assert_resume_matches_scratch("".join(flips), split)
+
+
+def test_resumed_scan_matches_exhaustive_len11():
+    # every word up to 11 symbols and every admissible proper prefix of it,
+    # among them 10000 whose co-cutting orbit is still empty
+    assert cutting_data(KneadingPrefix("10000")).cocut == ()
+    for length in range(1, 12):
+        for idx in range(1 << (length - 1)):
+            bits = "1" + (format(idx, "b").zfill(length - 1)
+                          if length > 1 else "")
+            for split in range(1, length + 1):
+                if not _scan_structure(bits[:split])[4]:
+                    assert_resume_matches_scratch(bits, split)
+
+
+def test_resumed_scan_from_a_base_without_cocutting_times():
+    base = cutting_data(KneadingPrefix("10000"))
+    for tail in ("", "0", "1", "01", "11", "0100", "10001", "0101110"):
+        assert _scan_outcome("10000" + tail, base) == \
+            _scan_outcome("10000" + tail)
+    kd = _extend_cutting(base, "10000" + "1")
+    assert kd.cocut == (6,) and kd.kappa == 6
+
+
+def test_resumed_scan_rejects_a_word_that_does_not_extend_the_base():
+    base = cutting_data(KneadingPrefix("1000101"))
+    for bits in ("100010", "1000100", "1100101000"):
+        with pytest.raises(DomainError):
+            _extend_cutting(base, bits)
+
+
+def test_a_kd_of_another_word_is_refused():
+    # the parent trusted the given kd: "11" got evidence with cutting [1, 2]
+    # and "1001" printed as 1.0.0.1
+    with pytest.raises(DomainError):
+        admissible_disjoint(KneadingPrefix("11"),
+                            cutting_data(KneadingPrefix("10")))
+    with pytest.raises(DomainError):
+        emit_dotted(KneadingPrefix("1001"),
+                    cutting_data(KneadingPrefix("1000101")))
+    assert admissible_disjoint(KneadingPrefix("11")).is_refuted
+    nu = KneadingPrefix("1000101")
+    kd = cutting_data(KneadingPrefix(nu.bits))
+    assert emit_dotted(nu, kd) == "1.0.0.0.101"
+    assert admissible_disjoint(nu, kd) == admissible_disjoint(nu)

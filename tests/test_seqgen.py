@@ -1,8 +1,13 @@
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from uilkit import seqgen
 from uilkit.errors import ConstructionStuck, DomainError
-from uilkit.kneading import admissible_disjoint, admissible_q, cutting_data
+from uilkit.kneading import (KneadingPrefix, admissible_disjoint, admissible_q,
+                             cutting_data)
 from uilkit.seqgen import (FIRST_EXTENSION_REFERENCE, SEED, WordLedger,
                            coverage_report, dump_resume, extend_step, generate,
                            _verify_admissible, load_resume,
@@ -166,12 +171,47 @@ def test_coverage_modes_differ():
 def test_verify_admissible_reports_the_structural_verdict():
     # one scan for an admissible candidate; a refuted one still reports the
     # word-structure checker's verdict in the state dump
-    kd = _verify_admissible("10001011", "block-ii", {"k": 4})
+    seed_kd = cutting_data(KneadingPrefix(SEED))
+    kd = _verify_admissible("10001011", "block-ii", {"k": 4}, seed_kd)
     assert kd.S == (1, 2, 3, 4, 7)
     with pytest.raises(ConstructionStuck) as err:
-        _verify_admissible("1000101" + "0000", "block-ii", {"k": 4})
+        _verify_admissible("1000101" + "0000", "block-ii", {"k": 4}, seed_kd)
     assert err.value.stage == "block-ii"
     assert err.value.state == {"k": 4, "verdict": (
         "Verdict(refuted, rule=admissibility-cut-cocut-disjoint, depth=11, "
         "witness={'position': 11, 'reason': 'position 11 is both a cutting "
         "and a co-cutting time'})")}
+
+
+# sha256 of json.dumps([word, certificate, plans], sort_keys=True), recorded
+# with the scan that rescans every candidate word from its first symbol
+GENERATE_DIGESTS = {
+    200: "8811dd0e306760dd32ca0a4ba0af661fc03703cf5a0e0334c121d46b2f000528",
+    6773: "8811dd0e306760dd32ca0a4ba0af661fc03703cf5a0e0334c121d46b2f000528",
+    20000: "1e5045a869e4d6f166a51be88f528b7c2e5649f8c996f07cbb93678541ec21ea",
+    150000: "1e5045a869e4d6f166a51be88f528b7c2e5649f8c996f07cbb93678541ec21ea",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GENERATE_DIGESTS))
+def test_generate_output_is_pinned(n):
+    nu, cert, plans = generate(n)
+    text = json.dumps([nu.bits, cert, [p.to_json() for p in plans]],
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATE_DIGESTS[n]
+
+
+def test_ledger_refuses_cutting_data_of_another_word():
+    with pytest.raises(DomainError):
+        WordLedger(FIRST_EXTENSION_REFERENCE, 8, cutting_data(
+            KneadingPrefix(SEED)))
+    kd = cutting_data(KneadingPrefix(FIRST_EXTENSION_REFERENCE))
+    ledger = WordLedger(FIRST_EXTENSION_REFERENCE, 8, kd)
+    assert ledger.kd is kd and ledger.scratch_equal()
+
+
+def test_scratch_equal_compares_the_cutting_data():
+    ledger, _ = extend_step(WordLedger(SEED))
+    assert ledger.scratch_equal()
+    ledger.kd = replace(ledger.kd, cocut=ledger.kd.cocut[:-1])
+    assert not ledger.scratch_equal()
