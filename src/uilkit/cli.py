@@ -84,6 +84,7 @@ def _resolve_inputs(args, need=("slope", "nu", "q")):
     Returns the slope, the kneading word, the kneading map, the cutting data
     and, for a slope, the one orbit table of the run at the precision cap.
     """
+    _at_least(args, 1, "--horizon")
     given = [name for name in ("slope", "nu", "q") if getattr(args, name, None)]
     if len(given) != 1:
         raise ConfigError("exactly one of --slope / --nu / --q is required")

@@ -13,17 +13,17 @@ while the co-cutting times are the rho-orbit of the first 1 after position 1.
 slice comparisons; the kneading map's lexicographic check uses it on lists.
 It is one of three prefix primitives, each the measured fastest on its
 traffic, with ``inverse_limit._kmp_scan`` and ``scalars.parity_lex_cmp``.
-The kneading map Q is defined by S_k - S_{k-1} = S_{Q(k)} with Q(0) = 0.
+The kneading map Q is defined by S_k - S_{k-1} = S_{Q(k)} with Q(0) = 0,
+and beta(n) = n - S_{k-1} for S_{k-1} < n <= S_k is read off S.
 
-The scan of a word that extends an already scanned word resumes where
-that scan stopped (``_extend_cutting``), and the result is exact.  A word
-that scanned without a failure ended its cutting loop because rho ran off
-the word: a step n <= len with n > 2 * last would have refuted it.
-Wherever rho(j) is defined on the shorter word it has the same value on
-the longer one.  So every new cutting time lies past the shorter word and
-every old co-cutting time within it: S and Q resume at the last cutting
-time, the co-cutting orbit at the last co-cutting time (or afresh when
-there was none), and the beta table continues its last segment.
+The scan of a word that extends an already scanned word resumes where that
+scan stopped (``_extend_cutting``), and the result is exact.  A word that
+scanned without a failure ended its cutting loop because rho ran off the
+word: a step n <= len with n > 2 * last would have refuted it.  Wherever
+rho(j) is defined on the shorter word it has the same value on the longer
+one.  So every new cutting time lies past the shorter word and every old
+co-cutting time within it: S and Q resume at the last cutting time, the
+co-cutting orbit at the last co-cutting time (afresh if there was none).
 
 Two independent admissibility checkers are provided and cross-validated:
 
@@ -39,6 +39,7 @@ beyond the prefix yields evidence, never a certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -197,11 +198,10 @@ def _cocut_orbit(bits: str, after: Optional[int] = None):
 
 @dataclass(frozen=True)
 class CuttingData:
-    """Cutting times, kneading map, beta table and co-cutting times."""
+    """Cutting times, kneading map and co-cutting times; beta is read off S."""
 
     S: tuple
     Q: tuple
-    beta: tuple          # beta[n-1] for n = 1..horizon; beta(1) = 0 stands for c
     cocut: tuple
     cocut_censored: bool
     horizon: int
@@ -215,7 +215,10 @@ class CuttingData:
         return self.Q[k - 1]
 
     def beta_of(self, n: int) -> int:
-        return self.beta[n - 1]
+        """n - S_{k-1} for S_{k-1} < n <= S_k; beta(1) = 0 stands for c."""
+        if not 1 <= n <= self.horizon:
+            raise IndexError(n)
+        return n - self.S[bisect_left(self.S, n, 1) - 1]
 
     @property
     def max_k(self) -> int:
@@ -233,12 +236,12 @@ class CuttingData:
 
 
 def cutting_data(nu: KneadingPrefix) -> CuttingData:
-    """Cutting times S_k, kneading map Q, beta table and co-cutting times.
+    """Cutting times S_k, kneading map Q and co-cutting times.
 
     Raises NotAdmissible at the first position where the word cannot be a
     kneading sequence prefix.
     """
-    return _cutting_data(nu, [1], [], [], (0,))
+    return _cutting_data(nu, [1], [], [])
 
 
 def _extend_cutting(kd: CuttingData, bits: str) -> CuttingData:
@@ -246,23 +249,17 @@ def _extend_cutting(kd: CuttingData, bits: str) -> CuttingData:
     with ``kd``'s word: the scan resumes where ``kd``'s stopped."""
     if not bits.startswith(kd.nu.bits):
         raise DomainError("the word does not extend the scanned word")
-    return _cutting_data(KneadingPrefix(bits), kd.S, kd.Q, kd.cocut, kd.beta)
+    return _cutting_data(KneadingPrefix(bits), kd.S, kd.Q, kd.cocut)
 
 
-def _cutting_data(nu, S, Q, cocut, beta) -> CuttingData:
+def _cutting_data(nu, S, Q, cocut) -> CuttingData:
     """Cutting data of ``nu`` from the scan state of a prefix of it: its
-    S, Q, co-cutting times and beta table (nu_1 alone: [1], [], [], (0,))."""
-    k0 = len(S) - 1
+    S, Q and co-cutting times (nu_1 alone: [1], [], [])."""
     S, Q, cocut, censored, pos, reason = _scan_structure(nu.bits, S, Q, cocut)
     if pos is not None:
         raise NotAdmissible(pos, reason)
-    # beta(n) = n - S_{k-1} for S_{k-1} < n <= S_k, and past the last cut;
-    # the prefix's table ends inside its last cut's segment
-    tail = []
-    for prev, nxt in zip(S[k0:], S[k0 + 1:] + [len(nu.bits)]):
-        tail.extend(range(len(beta) + len(tail) + 1 - prev, nxt - prev + 1))
-    return CuttingData(tuple(S), tuple(Q), beta + tuple(tail), tuple(cocut),
-                       censored, len(nu.bits), cocut[0] if cocut else None, nu)
+    return CuttingData(tuple(S), tuple(Q), tuple(cocut), censored,
+                       len(nu.bits), cocut[0] if cocut else None, nu)
 
 
 def _checked(kd: CuttingData, nu: KneadingPrefix) -> CuttingData:

@@ -325,23 +325,25 @@ def nasty_cascade_rule(q, horizon: int, cascade_min: int = 3) -> V.Verdict:
 
     Evidence that every folding point is a nasty endpoint when the
     renormalization scan finds a nested cascade of at least ``cascade_min``
-    windows; refuted(-leaning) when the scan refutes every candidate window;
-    undetermined otherwise.  The witness reports the symbolic periods
-    S_{k-1} of the cascade levels.  A ``cascade_min`` below 1 raises
-    ``DomainError``: an empty cascade is no evidence of one.
+    windows; refuted(-leaning) when the scan sees a window and refutes every
+    one; undetermined otherwise.  The witness reports the symbolic periods
+    S_{k-1} of the cascade levels.  A ``cascade_min`` below 1 or a negative
+    horizon raises ``DomainError``: an empty cascade is no evidence of one.
     """
     if cascade_min < 1:
         raise DomainError(f"cascade_min must be >= 1, got {cascade_min}")
+    if horizon is not None and horizon < 0:
+        raise DomainError(f"horizon must be >= 0, got {horizon}")
     qs = _materialize_q(q, horizon)[:horizon]
-    scan = renorm_scan(qs, horizon)
-    passing = scan["passing"]
+    passing = renorm_scan(qs, horizon)["passing"]
     S = _cutting_times(qs)
     periods = [S[k - 1] for k in passing if k - 1 < len(S)]
     if len(passing) >= cascade_min:
         return V.evidence(RULE_NASTY, depth=horizon, cascade=passing,
                           periods=periods)
-    if not passing:
+    if not passing and len(qs) > 1:
         return V.refuted(RULE_NASTY, depth=horizon,
                          reason="every renormalization window refuted")
-    return V.undetermined(RULE_NASTY, "shallow cascade", depth=horizon,
+    reason = "shallow cascade" if passing else "no renormalization window"
+    return V.undetermined(RULE_NASTY, reason, depth=horizon,
                           cascade=passing, periods=periods)

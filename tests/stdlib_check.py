@@ -219,7 +219,8 @@ def kneading_digest(seed=11):
         except NotAdmissible as err:
             h.update(f"NA {err.position} {err}|".encode())
         else:
-            h.update(repr((kd.S, kd.Q, kd.beta, kd.cocut, kd.cocut_censored,
+            beta = tuple(map(kd.beta_of, range(1, kd.horizon + 1)))
+            h.update(repr((kd.S, kd.Q, beta, kd.cocut, kd.cocut_censored,
                            kd.horizon, kd.kappa)).encode())
             qs_of_words.append(kd.Q)
             h.update(repr(admissible_q(list(kd.Q)).to_json()).encode())

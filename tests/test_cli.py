@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from uilkit import cli, hofbauer
 from uilkit import verdicts as V
 from uilkit.cli import main
-from uilkit.kneading import cutting_data, emit_dotted, fibonacci_q, nu_from_q
+from uilkit.kneading import (cascade_q, cutting_data, emit_dotted, fibonacci_q,
+                              nu_from_q)
 
 
 def run_cli(capsys, *argv):
@@ -444,6 +445,19 @@ def test_flag_below_its_least_value_exits_2(capsys, argv):
     # verdicts at depth -2
     code, out = run_cli(capsys, *argv, "--slope", "9/5", "--horizon", "40")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("horizon", ["0", "-2"])
+@pytest.mark.parametrize("command", ["knead", "tower", "classify", "persistence",
+                                     "subcontinua", "density", "fmap"])
+def test_horizon_below_one_exits_2(capsys, command, horizon):
+    # a --nu input used to take it: knead reported the renormalization
+    # windows of Q with its last two values dropped, and subcontinua every
+    # window refuted after scanning none
+    word = nu_from_q(cascade_q, 32).bits
+    for inputs in (("--nu", word), ("--slope", "9/5"), ("--q", "cascade")):
+        code, out = run_cli(capsys, command, *inputs, "--horizon", horizon)
+        assert code == 2 and out == "", inputs
 
 
 def test_least_K_and_grid_are_honoured(capsys):

@@ -382,7 +382,8 @@ def assert_word_matches_oracle(bits):
     assert (kd.S, kd.Q, kd.cocut, kd.cocut_censored, kd.horizon, kd.kappa) == (
         tuple(S), tuple(Q), tuple(cocut), censored, len(bits),
         cocut[0] if cocut else None), bits
-    assert kd.beta == tuple(_beta_ref(bits, S)), bits
+    assert tuple(map(kd.beta_of, range(1, kd.horizon + 1))) == \
+        tuple(_beta_ref(bits, S)), bits
     want = V.evidence(RULE_DISJOINT, depth=len(bits), cutting=S,
                       cocutting=cocut, cocut_censored=censored)
     assert admissible_disjoint(nu) == want == admissible_disjoint(nu, kd)
@@ -781,8 +782,8 @@ def _scan_outcome(bits, base=None):
             else _extend_cutting(base, bits)
     except NotAdmissible as err:
         return err.position, err.reason, str(err)
-    return (kd.S, kd.Q, kd.beta, kd.cocut, kd.cocut_censored, kd.horizon,
-            kd.kappa, kd.nu.bits)
+    return (kd.S, kd.Q, tuple(map(kd.beta_of, range(1, kd.horizon + 1))),
+            kd.cocut, kd.cocut_censored, kd.horizon, kd.kappa, kd.nu.bits)
 
 
 def assert_resume_matches_scratch(bits, split):
@@ -874,3 +875,17 @@ def test_a_kd_of_another_word_is_refused():
     kd = cutting_data(KneadingPrefix(nu.bits))
     assert emit_dotted(nu, kd) == "1.0.0.0.101"
     assert admissible_disjoint(nu, kd) == admissible_disjoint(nu)
+
+
+def test_beta_of_is_defined_on_1_to_the_horizon_only():
+    # a negative n used to read the table from its end: beta_of(0) gave
+    # beta(19) = 8 and beta_of(-2) gave beta(17) = 6
+    bits = "1000101010110001011"
+    kd = cutting_data(KneadingPrefix(bits))
+    resumed = _extend_cutting(cutting_data(KneadingPrefix(bits[:9])), bits)
+    for got in (kd, resumed):
+        assert [got.beta_of(n) for n in (1, 4, 5, 11, 12, 19)] == \
+            [0, 1, 1, 3, 1, 8]
+        for n in (0, -2, 20):
+            with pytest.raises(IndexError):
+                got.beta_of(n)

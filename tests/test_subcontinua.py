@@ -145,6 +145,18 @@ def test_nasty_cascade_rule_needs_a_cascade_of_at_least_one(cascade_min):
     assert nasty_cascade_rule(example35_q, 40, 1).is_refuted
 
 
+def test_nasty_cascade_rule_refutes_nothing_from_no_window():
+    # a scan of fewer than two Q values used to refute every window of the
+    # period-doubling map
+    for q, horizon in ((cascade_q, 0), (cascade_q, 1), ([1], 40)):
+        verdict = nasty_cascade_rule(q, horizon)
+        assert verdict.status == "undetermined", (q, horizon)
+        assert verdict.witness["reason"] == "no renormalization window"
+    assert nasty_cascade_rule(cascade_q, 2).witness["cascade"] == [2]
+    with pytest.raises(DomainError, match="horizon"):
+        nasty_cascade_rule(cascade_q, -1)
+
+
 def test_build_chain_levels_certified(ex35_slope, ex35_kd):
     zp = PrecriticalTable(ex35_slope, ex35_kd)
     chain = build_chain(ex35_slope, (2, 5, 8, 11), zp, variant="strict",
