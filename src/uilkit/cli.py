@@ -16,8 +16,9 @@ fmap          graph data for the accelerated map on the precritical cells
 Exactly one of --slope / --nu / --q selects the input.  Reports are JSON
 with sorted keys and no volatile fields, so identical configurations give
 byte-identical output; CSV emitters cover the plottable series.  Exit
-codes: 0 ok, 2 configuration error, 3 precision exhausted, 4 internal
-consistency failure (cross-checker disagreement, always a bug).
+codes: 0 ok, 2 configuration error or an input too large for the memory at
+hand, 3 precision exhausted, 4 internal consistency failure (cross-checker
+disagreement, always a bug).  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -44,23 +45,11 @@ from .seqgen import generate
 from .subcontinua import classify_chain, find_qcond_chains, nasty_cascade_rule
 
 SCHEMA = "uilkit-report-v1"
-PREC_CAP_ENV = "UILKIT_PREC_CAP"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
-
-
-def _prec_cap(args) -> int:
-    """The precision cap; UILKIT_PREC_CAP, when set, overrides --prec-cap."""
-    env = os.environ.get(PREC_CAP_ENV)
-    if env is None:
-        return getattr(args, "prec_cap", None)
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"{PREC_CAP_ENV} must be an integer, got {env!r}")
 
 
 def _eps(args) -> Fraction:
@@ -94,7 +83,7 @@ def _resolve_inputs(args, need=("slope", "nu", "q")):
     slope = nu = qs = orbit = None
     if kind == "slope":
         slope = parse_slope(args.slope, depth=max(args.horizon, 64))
-        orbit = OrbitTable(slope, _prec_cap(args))
+        orbit = OrbitTable(slope, args.prec_cap)
         nu = nu_from_orbit(slope, args.horizon, prec_cap=orbit.prec_cap)
     elif kind == "nu":
         nu = parse_dotted(args.nu)
@@ -386,8 +375,7 @@ def build_parser():
         p.add_argument("--horizon", type=int, default=horizon)
         p.add_argument("--prec-cap", type=int, default=4096,
                        help="precision cap in bits, not below the slope's "
-                       f"starting precision (128 or more); {PREC_CAP_ENV}, "
-                       "when set, overrides it")
+                       "starting precision (128 or more)")
         p.add_argument("--out", help="write the JSON report here")
         return p
 
@@ -436,7 +424,6 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _prec_cap(args)     # every command rejects a malformed env cap
         args.func(args)
         return EXIT_OK
     except ConfigError as exc:
@@ -450,6 +437,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except UilkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("out of memory: the input needs more memory than the process "
+              "may use", file=sys.stderr)
         return EXIT_CONFIG
     except BrokenPipeError:
         return EXIT_OK

@@ -118,14 +118,6 @@ class BackwardWord:
         reps = -(-(depth - n) // len(self.periodic_block))
         return (self.periodic_block * reps)[n - depth:] + self.symbols
 
-    def __eq__(self, other):
-        return isinstance(other, BackwardWord) and \
-            self.symbols == other.symbols and \
-            self.periodic_block == other.periodic_block
-
-    def __hash__(self):
-        return hash((self.symbols, self.periodic_block))
-
     def __repr__(self):
         head = f"({self.periodic_block})^inf " if self.is_periodic else "..."
         return f"BackwardWord({head}{self.symbols})"
@@ -197,16 +189,6 @@ class TauData:
     n_max: int = 0
     word_len: Optional[int] = None
     pump_witness: Optional[tuple] = None
-
-    def to_json(self):
-        return {"NL": list(self.NL), "NR": list(self.NR),
-                "tauL": self.tauL, "tauR": self.tauR,
-                "saturatedL": self.saturatedL, "saturatedR": self.saturatedR,
-                "cert_finiteL": self.cert_finiteL,
-                "cert_finiteR": self.cert_finiteR,
-                "cert_infiniteL": self.cert_infiniteL,
-                "cert_infiniteR": self.cert_infiniteR,
-                "n_max": self.n_max}
 
 
 def _kmp_tables(word: str, fail: list, parity: list, m: int):

@@ -73,7 +73,6 @@ class KneadingPrefix:
 
     def __init__(self, bits: str, source: str = "literal", flags=(),
                  periodic_tail: Optional[tuple[int, int]] = None):
-        bits = "".join(bits.split("."))
         if not bits:
             raise NotAdmissible(1, "empty kneading prefix")
         if not set(bits) <= {"0", "1"}:
@@ -209,10 +208,10 @@ class CuttingData:
     nu: KneadingPrefix = field(repr=False)
 
     def q_of(self, k: int) -> int:
-        """Q(k) with the Q(0) = 0 convention."""
-        if k == 0:
-            return 0
-        return self.Q[k - 1]
+        """Q(k) with the Q(0) = 0 convention, for 0 <= k <= max_k."""
+        if not 0 <= k <= self.max_k:
+            raise IndexError(k)
+        return self.Q[k - 1] if k else 0
 
     def beta_of(self, n: int) -> int:
         """n - S_{k-1} for S_{k-1} < n <= S_k; beta(1) = 0 stands for c."""
@@ -223,16 +222,6 @@ class CuttingData:
     @property
     def max_k(self) -> int:
         return len(self.S) - 1
-
-    def to_json(self):
-        return {
-            "S": list(self.S),
-            "Q": list(self.Q),
-            "cocut": list(self.cocut),
-            "cocut_censored": self.cocut_censored,
-            "horizon": self.horizon,
-            "kappa": self.kappa,
-        }
 
 
 def cutting_data(nu: KneadingPrefix) -> CuttingData:

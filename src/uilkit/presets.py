@@ -198,7 +198,6 @@ def appendix_slope(depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
 
 _KNEADING_PRESETS = {
     "fib": fibonacci_slope,
-    "fibonacci": fibonacci_slope,
     "ex35": example35_slope,
     "nonrec41": nonrecurrent_slope,
     "appendix": appendix_slope,
@@ -207,7 +206,6 @@ _KNEADING_PRESETS = {
 _ALGEBRAIC_PRESETS = {
     "golden": golden_slope,
     "tribonacci": tribonacci_slope,
-    "trib": tribonacci_slope,
     "sqrt3": sqrt3_slope,
     "cbrt6": cbrt6_slope,
 }
@@ -250,8 +248,7 @@ def parse_slope(text: str, depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
 
 def parse_q(text: str, horizon: int):
     """Kneading-map inputs: preset names or a comma-separated list."""
-    named = {"fib": fibonacci_q, "fibonacci": fibonacci_q,
-             "ex35": example35_q, "cascade": cascade_q}
+    named = {"fib": fibonacci_q, "ex35": example35_q, "cascade": cascade_q}
     text = text.strip()
     if text in named:
         return _materialize_q(named[text], horizon), text

@@ -315,14 +315,13 @@ class SlopeParam:
     slope at least that fine; it is how an algebraic slope is refined.
     """
 
-    __slots__ = ("s", "family_tag", "name", "bracket")
+    __slots__ = ("s", "name", "bracket")
 
     def __init__(self, s: Scalar, name: str = "",
                  bracket: Optional[Callable[[int], Scalar]] = None):
         if not (s.lo > ONE and s.hi <= TWO):
             raise DomainError(f"slope not certified inside (1, 2]: [{s.lo}, {s.hi}]")
         self.s = s
-        self.family_tag = "tent"
         self.name = name
         self.bracket = bracket
 
@@ -348,9 +347,6 @@ class SlopeParam:
     def __repr__(self):
         label = self.name or "slope"
         return f"SlopeParam({label}, s={self.s!r})"
-
-    def to_json(self):
-        return {"family": self.family_tag, "name": self.name, "s": self.s.to_json()}
 
 
 def slope_exact(value, name="") -> SlopeParam:
@@ -682,7 +678,8 @@ def slope_for_prefix(target: str, name: str = "") -> SlopeParam:
     2 q^n - a_n) stays coprime to q for s = p/q in lowest terms, q > 1.
     The search runs on [5/4, 2] for at most 4 |target| + 96 halvings.
     """
-    target = "".join(target.split("."))
+    if not set(target) <= {"0", "1"}:
+        raise DomainError(f"kneading target must be over 0/1: {target[:20]!r}")
     if not target or target[0] != "1":
         raise DomainError("kneading target must start with 1")
     lo, hi = Fraction(5, 4), Fraction(2)

@@ -60,7 +60,7 @@ def word_admissible(word: str, nu_bits: str) -> bool:
     """
     if word in nu_bits:
         return True
-    sigma = nu_bits[1:]
+    sigma = nu_bits[1:len(word) + 1]    # no window is longer than the word
     for i in range(len(word)):
         window = word[i:]
         if parity_lex_cmp(window, nu_bits) > 0:

@@ -62,8 +62,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, Verdict):
-        return value.to_json()
     return value
 
 

@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from uilkit import cli, hofbauer
 from uilkit import verdicts as V
 from uilkit.cli import main
-from uilkit.kneading import (cascade_q, cutting_data, emit_dotted, fibonacci_q,
-                              nu_from_q)
+from uilkit.errors import InternalInconsistency
+from uilkit.kneading import (CuttingData, cascade_q, cutting_data, emit_dotted,
+                             fibonacci_q, nu_from_orbit, nu_from_q)
+from uilkit.scalars import slope_exact
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +42,11 @@ def test_exactly_one_input(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "knead")
     assert code == 2
+    # an input the command cannot use, and a batch with no item
+    assert main(["density", "--nu", "1.0.0.0.101"]) == 2
+    assert "--nu input not supported" in capsys.readouterr().err
+    assert main(["classify", "--slope", "9/5"]) == 2
+    assert "at least one --itinerary" in capsys.readouterr().err
 
 
 def test_bad_slope_is_config_error(capsys):
@@ -179,12 +188,6 @@ def test_determinism_byte_identical(capsys):
     assert outs[0] == outs[1]
 
 
-def test_env_prec_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("UILKIT_PREC_CAP", "256")
-    code, out = run_cli(capsys, "knead", "--nu", "1.0.0.0.101")
-    assert code == 0
-
-
 def test_report_written_atomically(tmp_path, capsys):
     out_path = str(tmp_path / "r.json")
     code, _ = run_cli(capsys, "knead", "--nu", "10", "--out", out_path)
@@ -201,15 +204,6 @@ def test_bad_eps_is_config_error(capsys):
     assert code == 2
 
 
-def test_bad_env_prec_cap_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("UILKIT_PREC_CAP", "abc")
-    code, _ = run_cli(capsys, "knead", "--slope", "9/5", "--horizon", "20")
-    assert code == 2
-    # also rejected by commands that never read the cap
-    code, _ = run_cli(capsys, "genseq", "--length", "10")
-    assert code == 2
-
-
 def test_negative_q_is_not_admissible(capsys):
     for q in ("-1", "0,-2"):
         assert main(["knead", "--q", q, "--horizon", "10"]) == 2, q
@@ -223,27 +217,59 @@ def test_bad_slope_numbers_are_config_errors(capsys):
         assert code == 2, slope
 
 
-def test_prec_cap_below_start_precision_is_config_error(capsys, monkeypatch):
+def test_prec_cap_below_start_precision_is_config_error(capsys):
     argv = ("knead", "--slope", "sqrt3", "--horizon", "100")
     assert run_cli(capsys, *argv, "--prec-cap", "1")[0] == 2
     assert run_cli(capsys, *argv, "--prec-cap", "-5")[0] == 2
     assert run_cli(capsys, *argv, "--prec-cap", "192")[0] == 0
-    monkeypatch.setenv("UILKIT_PREC_CAP", "64")
-    assert run_cli(capsys, *argv)[0] == 2
 
 
-def test_env_prec_cap_overrides_flag(capsys, monkeypatch):
+def test_precision_cap_comes_from_the_flag_alone(capsys, monkeypatch):
+    # the variable once overrode --prec-cap while config still named the flag
+    argv = ("tower", "--slope", "sqrt3", "--horizon", "250", "--depth", "250")
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("UILKIT_PREC_CAP", "300")
+    assert run_cli(capsys, *argv) == (0, plain)
     # c_146 of this slope needs 256 bits
     half = Fraction(1, 1 << 300)
     lo, hi = Fraction(9, 5) - half, Fraction(9, 5) + half
     argv = ("knead", "--slope", f"interval:{lo},{hi}", "--horizon", "200")
+    monkeypatch.setenv("UILKIT_PREC_CAP", "128")
     assert run_cli(capsys, *argv)[0] == 0
     assert run_cli(capsys, *argv, "--prec-cap", "128")[0] == 3
-    monkeypatch.setenv("UILKIT_PREC_CAP", "128")
-    assert run_cli(capsys, *argv)[0] == 3
-    assert run_cli(capsys, *argv, "--prec-cap", "4096")[0] == 3
-    monkeypatch.setenv("UILKIT_PREC_CAP", "4096")
-    assert run_cli(capsys, *argv, "--prec-cap", "128")[0] == 0
+
+
+def test_index_form_against_induction_failure_exits_4(capsys, monkeypatch):
+    # one level whose index form is off by one: the cross-check must fire
+    beta_of = CuttingData.beta_of
+    monkeypatch.setattr(CuttingData, "beta_of",
+                        lambda kd, n: beta_of(kd, n) + (n == 5))
+    kd = cutting_data(nu_from_orbit(slope_exact(Fraction(9, 5)), 40))
+    with pytest.raises(InternalInconsistency, match="^tower level 5: "):
+        hofbauer.tower_levels(kd, slope_exact(Fraction(9, 5)), 40)
+    code = main(["tower", "--slope", "9/5", "--horizon", "40", "--depth", "40"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: tower level 5")
+
+
+def test_out_of_memory_exits_2_without_a_traceback():
+    resource = pytest.importorskip("resource")
+    cap = 256 << 20
+
+    def limit():            # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    code = "import sys; from uilkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, "genseq", "--length",
+                          "8000000"], capture_output=True, text=True,
+                         timeout=60, preexec_fn=limit,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert out.stderr.startswith("out of memory: ")
+    assert out.stderr.count("\n") == 1 and out.stdout == ""
 
 
 TABLE_COMMANDS = [
@@ -270,9 +296,6 @@ def test_commands_build_one_table_at_the_cap(capsys, monkeypatch, argv):
     argv = argv + ("--slope", "9/5", "--horizon", "40")
     assert run_cli(capsys, *argv, "--prec-cap", "512")[0] == 0
     assert caps == [512]
-    monkeypatch.setenv("UILKIT_PREC_CAP", "768")
-    assert run_cli(capsys, *argv, "--prec-cap", "512")[0] == 0
-    assert caps == [512, 768]
 
 
 # sha256 of the stdout of README commands, recorded from the reports of the
@@ -325,7 +348,6 @@ def _digest_ids(cases):
                          ids=_digest_ids(README_REPORT_DIGESTS))
 def test_readme_reports_byte_identical(capsys, monkeypatch, tmp_path, argv,
                                        digest, csv_digest):
-    monkeypatch.delenv("UILKIT_PREC_CAP", raising=False)
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(capsys, *argv)
     assert code == 0

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uilkit import scalars, verdicts as V
-from uilkit.errors import (CriticalHit, DomainError, NotAdmissible,
-                           PrecisionExhausted, UilkitError)
+from uilkit.errors import (ConfigError, CriticalHit, DomainError,
+                           NotAdmissible, PrecisionExhausted, UilkitError)
 from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
                              KneadingPrefix, _extend_cutting, _lcp,
                              _materialize_q, _scan_structure,
@@ -859,6 +859,39 @@ def test_resumed_scan_rejects_a_word_that_does_not_extend_the_base():
     for bits in ("100010", "1000100", "1100101000"):
         with pytest.raises(DomainError):
             _extend_cutting(base, bits)
+
+
+def test_q_of_is_defined_on_0_to_max_k_only():
+    # a negative k used to read Q from its end: q_of(-1) and q_of(-3) both
+    # gave 2 on this word, whose Q is 0, 0, 0, 2, 0, 2, 5
+    bits = "1000101010110001011"
+    kd = cutting_data(KneadingPrefix(bits))
+    resumed = _extend_cutting(cutting_data(KneadingPrefix(bits[:9])), bits)
+    for got in (kd, resumed):
+        assert got.max_k == 7
+        assert [got.q_of(k) for k in range(8)] == [0, 0, 0, 0, 2, 0, 2, 5]
+        for k in (-1, -3, 8):
+            with pytest.raises(IndexError):
+                got.q_of(k)
+
+
+def test_a_dotted_word_is_read_by_parse_dotted_alone():
+    # the constructor used to drop the dots unchecked, so a word whose dots
+    # are not its cutting times became 10000101
+    for text in ("1.00.0.0101", "1.0.0.0.101"):
+        with pytest.raises(DomainError, match="over 0/1"):
+            KneadingPrefix(text)
+    assert parse_dotted("1.0.0.0.101").bits == "1000101"
+    with pytest.raises(NotAdmissible, match="dots do not match"):
+        parse_dotted("1.00.0.0101")
+
+
+def test_preset_aliases_are_unknown_names():
+    for text in ("trib", "fibonacci", "fibonacci:50"):
+        with pytest.raises(ConfigError):
+            parse_slope(text)
+    with pytest.raises(ConfigError):
+        parse_q("fibonacci", 5)
 
 
 def test_a_kd_of_another_word_is_refused():

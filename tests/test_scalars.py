@@ -412,6 +412,15 @@ def test_preset_bisections_match_the_integer_probe(monkeypatch, name, depth):
     assert _integer_probe(slope.s.value, target) == target
 
 
+def test_slope_for_prefix_reads_a_word_over_0_1_only():
+    # a dotted target was stripped unchecked; "10x1" ran every halving and
+    # then raised PrecisionExhausted
+    for target in ("1.0.0.0.101", "10x1", "1 0"):
+        with pytest.raises(DomainError, match="over 0/1"):
+            slope_for_prefix(target)
+    assert slope_for_prefix("1000101").s.is_exact
+
+
 @settings(max_examples=40, deadline=None)
 @given(q=st.integers(2, 1 << 32), data=st.data(), depth=st.integers(1, 60))
 def test_slope_for_prefix_matches_oracle_bisection(q, data, depth):

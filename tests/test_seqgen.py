@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from uilkit import seqgen
 from uilkit.errors import ConstructionStuck, DomainError
 from uilkit.kneading import (KneadingPrefix, admissible_disjoint, admissible_q,
                              cutting_data)
+from uilkit.scalars import parity_lex_cmp
 from uilkit.seqgen import (FIRST_EXTENSION_REFERENCE, SEED, WordLedger,
                            coverage_report, dump_resume, extend_step, generate,
                            _verify_admissible, load_resume,
@@ -103,6 +105,28 @@ def test_word_admissibility_channels():
     assert word_admissible("11", SEED)           # window channel
     assert word_admissible("100", SEED)          # substring channel
     assert not word_admissible("0000", FIRST_EXTENSION_REFERENCE)
+
+
+def test_word_admissible_reads_the_shift_only_as_far_as_the_word():
+    # the shift of the prefix was once copied whole on every call
+    def whole_shift(word, nu_bits):
+        if word in nu_bits:
+            return True
+        sigma = nu_bits[1:]
+        return all(parity_lex_cmp(word[i:], nu_bits) <= 0
+                   and parity_lex_cmp(sigma, word[i:]) <= 0
+                   for i in range(len(word)))
+
+    rng = random.Random(7)
+    prefix = generate(2000)[0].bits
+    verdicts = set()
+    for _ in range(3000):
+        nu_bits = prefix[:rng.choice((7, 19, 85, len(prefix)))]
+        word = "".join(rng.choice("01") for _ in range(rng.randint(1, 30)))
+        verdict = word_admissible(word, nu_bits)
+        assert verdict == whole_shift(word, nu_bits), (word, len(nu_bits))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_generate_small_targets():
