@@ -220,6 +220,7 @@ def cmd_knead(args):
 
 
 def cmd_tower(args):
+    _at_least(args, 1, "--depth")
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
     N = min(args.depth, kd.horizon)
     levels = tower_levels(kd, slope, N, orbit=orbit)

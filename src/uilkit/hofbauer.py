@@ -3,9 +3,13 @@
 Tower levels follow the inductive definition D_1 = [c, c_1] and
 D_{n+1} = [c_{n+1}, c_1] when c is in D_n, else T(D_n); the index form
 D_n = [c_n, c_beta(n)] (with c_0 standing for c) is computed independently
-from the cutting structure and cross-checked against the induction.  Both
-compare ends by cross-multiplying their integers (shifting dyadic ones) and
-subtract them by Fraction's two-gcd rule, to the same reduced Fractions.
+from the cutting structure and cross-checked against the induction.  For
+an interval slope both compare ends by cross-multiplying their integers
+(shifting dyadic ones) and subtract them by Fraction's two-gcd rule, to the
+same reduced Fractions.  For an exact slope p/q both run on the integer
+orbit c_m = a_m / (2 q^m): the induction carries integer pairs (a, m), the
+cross-check is integer equality, and one integer orders a level's ends and
+gives its reduced length with no gcd (``_exact_tower_levels``).
 
 Closest precritical points z_k < c < zhat_k = 1 - z_k satisfy
 T^{S_k}(z_k) = c with no earlier critical visit on [z_k, zhat_k]; they are
@@ -31,7 +35,7 @@ from .errors import (DomainError, InternalInconsistency, PrecisionExhausted,
                      UnresolvedComparison)
 from .kneading import CuttingData, cutting_data, nu_from_orbit, q_asymptotics
 from .scalars import (C, DEFAULT_PREC_CAP, DEFAULT_PRECISION, Scalar,
-                      SignRelC, SlopeParam, _SYMBOL, _diff,
+                      SignRelC, SlopeParam, _SYMBOL, _diff, _frac,
                       _exact_critical_orbit, _grid_ends, _lt, _scalar,
                       _start_precision, branch_preimage,
                       branch_preimage_left, certified_cmp, critical_orbit,
@@ -219,21 +223,22 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     orbit = orbit_table(slope, orbit)
     orbit.extend(N)
     orbit.check_word(kd.nu.bits)
+    if slope.is_exact:
+        return _exact_tower_levels(kd, slope, N, orbit, cuts)
     c1 = orbit.value(1)
     # The inductive level is carried as its two endpoint values; away from
     # cutting times c is outside the level, so T maps endpoints to endpoints.
     end_a, end_b = Scalar.exact(C), c1          # D_1 = [c, c_1]
     levels = []
     for n in range(1, N + 1):
+        beta = kd.beta_of(n)
         lo_idx = orbit.value(n)
-        hi_idx = orbit.value(kd.beta_of(n))
-        index_form = _scalar(*level_ends(orbit, kd, (n,)),
+        hi_idx = orbit.value(beta)
+        index_form = _scalar(*_hull(lo_idx, hi_idx),
                              min(lo_idx.precision_bits, hi_idx.precision_bits))
         inductive = _scalar(*_hull(end_a, end_b),
                             min(end_a.precision_bits, end_b.precision_bits))
-        if _lt(inductive.hi, index_form.lo) or _lt(index_form.hi, inductive.lo) \
-                or slope.is_exact and (index_form.lo != inductive.lo
-                                       or index_form.hi != inductive.hi):
+        if _lt(inductive.hi, index_form.lo) or _lt(index_form.hi, inductive.lo):
             raise InternalInconsistency(
                 f"tower level {n}: index form [{index_form.lo}, {index_form.hi}] "
                 f"!= induction [{inductive.lo}, {inductive.hi}]")
@@ -243,13 +248,76 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
                 low = _diff(low, _diff(x.hi, x.lo))
         length = _scalar(Fraction(0) if low.numerator < 0 else low, width,
                          DEFAULT_PRECISION)
-        levels.append(TowerLevel(n, kd.beta_of(n), (index_form, inductive),
-                                 length, n in cuts))
+        levels.append(TowerLevel(n, beta, (index_form, inductive), length,
+                                 n in cuts))
+        if n == N:
+            break
         if n in cuts:
-            end_a, end_b = orbit.value(n + 1) if n < N else \
-                tent_apply(slope, lo_idx), c1
+            end_a, end_b = orbit.value(n + 1), c1
         else:
             end_a, end_b = tent_apply(slope, end_a), tent_apply(slope, end_b)
+    return levels
+
+
+def _orbit_int(x: Fraction) -> int:
+    """a_m of c_m = a_m / (2 q^m), from the reduced Fraction c_m: a_m is
+    coprime to q, so 2 q^m keeps its factor 2 exactly when a_m is odd."""
+    d = x.denominator
+    return x.numerator << (d & 1)
+
+
+def _exact_tower_levels(kd: CuttingData, slope: SlopeParam, N: int,
+                        orbit: OrbitTable, cuts):
+    """``tower_levels`` of an exact slope s = p/q, on the integer orbit.
+
+    The induction carries each end of D_n as a pair (a, m) for a / (2 q^m),
+    with q^m beside it; one end is at m = n.  Off a cutting time T maps an
+    end to (p * min(a, 2 q^m - a), m + 1); at a cutting time n the level
+    restarts at (a_{n+1}, n + 1) and (a_1, 1).  The cross-check is then
+    integer equality of the two ends with (a_n, n) and (a_beta, beta),
+    beta = beta(n), the a read off the table's reduced Fractions.
+
+    One integer t = a_beta q^(n - beta) - a_n orders the ends and gives the
+    length |c_beta - c_n| = |t| / (2 q^n), with q^(n - beta) = q^(S_k) kept
+    from the last cutting time.  As n > beta and a_n is coprime to q, t is
+    coprime to q, so gcd(t, 2 q^n) = gcd(t, 2) and the reduced length is
+    (|t| / 2) / q^n for even t and |t| / (2 q^n) for odd t, with no gcd.
+    The two forms were just found equal, so one Scalar serves as both.
+    """
+    p, q = slope.s.lo.numerator, slope.s.lo.denominator
+    value = orbit.value
+    a1 = _orbit_int(value(1).lo)
+    # ends (a, q^n) at n and (b, mb, q^mb) at beta(n); D_1 = [c_0, c_1]
+    a, qn = a1, q
+    b, mb, qb = 1, 0, 1
+    gap = q                                     # q^(n - mb)
+    levels = []
+    for n in range(1, N + 1):
+        beta = kd.beta_of(n)
+        x, y = value(n), value(beta)
+        if mb != beta or a != _orbit_int(x.lo) or b != _orbit_int(y.lo):
+            lo, hi = _hull(x, y)
+            raise InternalInconsistency(
+                f"tower level {n}: index form [{lo}, {hi}] != induction "
+                f"[{Fraction(a, 2 * qn)} (c_{n}), {Fraction(b, 2 * qb)} "
+                f"(c_{mb})]")
+        t = b * gap - a
+        lo, hi = (y, x) if t < 0 else (x, y)
+        level = _scalar(lo.lo, hi.lo, min(x.precision_bits, y.precision_bits))
+        t = abs(t)
+        length = _frac(t, qn << 1) if t & 1 else _frac(t >> 1, qn)
+        levels.append(TowerLevel(n, beta, (level, level),
+                                 _scalar(length, length, DEFAULT_PRECISION),
+                                 n in cuts))
+        if n == N:
+            break
+        if n in cuts:
+            gap, qn = qn, qn * q
+            a = _orbit_int(value(n + 1).lo)
+            b, mb, qb = a1, 1, q
+        else:
+            a, qn = p * min(a, (qn << 1) - a), qn * q
+            b, mb, qb = p * min(b, (qb << 1) - b), mb + 1, qb * q
     return levels
 
 
@@ -476,9 +544,14 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
     decays below 2^-16, the verdict's epsilon, with a decreasing trend;
     evidence when the kneading map shows bounded evidence or the minimum is
     stable above it.  The witness always carries min |D_n| and its argmin
-    when a slope is available.  ``levels``, when given, must be
-    ``tower_levels(kd, slope, N, orbit=...)``; it saves recomputing them.
-    ``N`` defaults to the kneading horizon.
+    when a slope is available, argmin the smallest n on a tie.  ``levels``,
+    when given, must be ``tower_levels(kd, slope, N, orbit=...)``; it saves
+    recomputing them.  ``N`` defaults to the kneading horizon.
+
+    One pass over the levels, in order of n, keeps the minimum length of
+    each half (n <= N // 2 and n > N // 2) with its first argmin: the
+    trend compares the two, and the overall minimum is the smaller one,
+    the first half's on a tie.
     """
     N = kd.horizon if N is None else N
     if N < 1:
@@ -487,14 +560,19 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
     witness = {"q_bounded": qa.bounded.status, "q_max": qa.max_value}
     if slope is not None:
         levels = levels or tower_levels(kd, slope, N)
-        lengths = [(lv.length.hi, lv.n) for lv in levels]
-        min_len, argmin = min(lengths)
-        half = [l for l, n in lengths if n > N // 2]
-        first_half = [l for l, n in lengths if n <= N // 2]
-        decreasing = min(half) < min(first_half) if half and first_half else False
+        mins = [None, None]         # (min length, argmin) per half
+        for lv in levels:
+            x, late = lv.length.hi, lv.n > N // 2
+            best = mins[late]
+            if best is None or _lt(x, best[0]):
+                mins[late] = (x, lv.n)
+        first, second = mins
+        decreasing = first is not None and second is not None \
+            and _lt(second[0], first[0])
+        min_len, argmin = second if first is None or decreasing else first
         witness.update(min_length=V.approx(min_len), argmin=argmin,
                        decreasing=decreasing)
-        if min_len < _LONG_BRANCH_THRESHOLD and decreasing \
+        if _lt(min_len, _LONG_BRANCH_THRESHOLD) and decreasing \
                 and not qa.bounded.is_positive:
             return V.refuted(RULE_LONGBRANCH, depth=N,
                              epsilon=_LONG_BRANCH_THRESHOLD, **witness)

@@ -58,7 +58,7 @@ from .hofbauer import OrbitTable, level_ends, orbit_table, tower_levels
 from .kneading import (CuttingData, KneadingPrefix, _lcp, cutting_data,
                        q_asymptotics)
 from .scalars import (C, Scalar, SignRelC, SlopeParam, _exact_orbit,
-                      _grid_ends, branch_preimage, certified_cmp,
+                      _grid_ends, _lt, branch_preimage, certified_cmp,
                       parity_lex_cmp, sign_rel_c, tent_apply)
 
 RULE_TAU = "backward-word-prefix-matches"
@@ -68,6 +68,7 @@ RULE_FOLDING = "folding-orbit-closure-membership"
 RULE_PERSISTENCE = "monotone-pullback-search"
 RULE_CLASS = "folding-endpoint-classification"
 _DEGENERACY_THRESHOLD = Fraction(1, 1 << 20)
+_LONG_LEVEL = Fraction(1, 128)      # a witness level is longer than this
 
 
 # -- backward words and itineraries -------------------------------------------
@@ -951,7 +952,8 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     recurrence) makes the folding and endpoint sets expected to coincide and
     every folding arc degenerate; a non-divergent one yields a witness search
     for a folding point inside a non-degenerate arc (tails ...111 nu_1..nu_{n-1}
-    projecting onto long tower levels).
+    projecting onto tower levels D_n, n >= 3, whose length is certified
+    above 2^-7).
     """
     kd = kd or cutting_data(nu)
     endpoint = endpoint_verdict(it, nu, depth=depth)
@@ -982,7 +984,7 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
         levels = tower_levels(kd, slope, min(kd.horizon, 4 * depth),
                               orbit=orbit)
         for lv in levels[2:]:
-            if lv.length is not None and lv.length.lo > Fraction(1, 128):
+            if lv.length is not None and _lt(_LONG_LEVEL, lv.length.lo):
                 w = BackwardWord("111" + nu.bits[:lv.n - 1])
                 t = tau_data(w, nu)
                 if t.tauL and t.tauR and max(t.tauL, t.tauR) == lv.n:

@@ -32,8 +32,9 @@ The critical orbit of an exact slope s = p/q runs on one integer recurrence
 a_{n+1} = p * min(a_n, 2 q^n - a_n), so c_n > c exactly when a_n > q^n.
 For q > 1, a_n stays coprime to q, so c_n never equals c or repeats, and
 its one common factor with 2 q^n is a 2 when a_n is even; that gives the
-reduced ``Fraction`` with no gcd.  ``tent_apply`` serves interval slopes,
-set images and the tower's induction, which cross-checks these values.
+reduced ``Fraction`` with no gcd.  ``tent_apply`` serves interval slopes
+(their tower's induction among them) and set images; the tower of an exact
+slope reruns the recurrence on its own integer pairs to cross-check it.
 
 Kneading words need only signs, so ``_ball_signs`` carries c_n and s as
 integer balls [L, H] / 2^W, rounded outward at every step (the ball

@@ -47,6 +47,13 @@ in core mode, ``long_branched_evidence``, ``closest_precriticals``,
 ``build_chain``, ``generate``, ``slope_for_prefix`` and ``f_apply``.  It was
 recorded while those functions still took settable values that no caller
 set, and it calls them only with arguments both versions accept.
+
+A sixth digest covers the tower of an exact slope p/q at depth:
+``tower_levels`` (both level Scalars and ``length`` per level) and
+``long_branched_evidence`` on odd q (9/5), even q (7/4, 13/8), q = 1
+(s = 2) and a 64-bit q, at N = 0, small N, an N whose last level is a
+cutting time and N = 600.  It was recorded with the ``Fraction`` induction
+and ``_diff`` lengths that the integer-pair induction replaced.
 """
 
 import copy
@@ -88,6 +95,8 @@ TOWER_DIGEST = \
     "22dec4ba9d72d3ce5513006fe79a2bb2452d210ca2d69360cc1940ec0fd9d06b"
 SURFACE_DIGEST = \
     "8fa8ebc9ee9b6a48f7ea052b8596cec144c4d905bd5bb08f6445e855fdecf774"
+EXACT_TOWER_DIGEST = \
+    "4e89918ca3071f5bb543102b4757af2e8ccccb512adf003f5166362188cee368"
 PULLBACK_WORD = "110101101110101101011101101011"
 REFUTED_WORDS = ("11", "100", "1001", "10000", "1011", "10010", "1000100",
                  "10011100", "1001110110", "1000101000", "10001011001")
@@ -437,6 +446,28 @@ def surface_digest():
     return h.hexdigest()
 
 
+_Q64 = (1 << 64) - 59
+EXACT_TOWER_SLOPES = (Fraction(9, 5), Fraction(7, 4), Fraction(13, 8),
+                      Fraction(2), Fraction(_Q64 + 0x9E3779B97F4A7C15, _Q64))
+
+
+def exact_tower_digest(horizon=600):
+    h = hashlib.sha256()
+    for s in EXACT_TOWER_SLOPES:
+        slope = slope_exact(s)
+        kd = cutting_data(nu_from_orbit(slope, horizon))
+        last_cut = max(S for S in kd.S if S <= horizon)
+        for N in (0, 1, 2, 37, last_cut, horizon):
+            levels = tower_levels(kd, slope, N)
+            for lv in levels:
+                _feed(h, (lv.n, lv.beta_n, lv.contains_c))
+                for x in lv.numeric + (lv.length,):
+                    _feed(h, (x.lo, x.hi, x.precision_bits))
+            if N:
+                _feed_call(h, long_branched_evidence, kd, N, slope, levels)
+    return h.hexdigest()
+
+
 def main():
     check_fraction_from_pair()
     digest = orbit_digest()
@@ -445,6 +476,7 @@ def main():
     assert kneading_digest() == KNEADING_DIGEST, kneading_digest()
     assert tower_digest() == TOWER_DIGEST, tower_digest()
     assert surface_digest() == SURFACE_DIGEST, surface_digest()
+    assert exact_tower_digest() == EXACT_TOWER_DIGEST, exact_tower_digest()
     print("ok", digest[:16])
 
 

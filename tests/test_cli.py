@@ -431,8 +431,11 @@ def test_unclosed_periodic_block_is_config_error(capsys):
 ])
 def test_tower_depth_below_one_is_config_error(capsys, argv):
     # depth 0 used to mean the whole horizon in the long-branched verdict
-    code, out = run_cli(capsys, "tower", *argv)
-    assert code == 2 and out == ""
+    code = main(["tower", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip() == \
+        f"configuration error: --depth must be >= 1, got {argv[-1]}"
 
 
 @pytest.mark.parametrize("argv", [

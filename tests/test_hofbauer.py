@@ -25,6 +25,7 @@ from uilkit.scalars import (C, Scalar, SignRelC, SlopeParam, _SYMBOL,
                             slope_exact, slope_for_prefix, slope_interval,
                             tent_apply)
 from uilkit.subcontinua import classify_chain
+from uilkit.verdicts import approx
 
 
 def test_z0_full_tent():
@@ -130,6 +131,66 @@ def test_verify_zzz_boundary_and_interior(fib_slope, fib_kd):
         assert v.is_certified, (k, v)
         if k < 2:
             assert v.witness.get("boundary")
+
+
+def _inject_first_read(monkeypatch, n, x):
+    """The next read of c_n from an OrbitTable gives ``x``, once.
+
+    verify_zzz reads c_{S_k} before any cell edge, so the injected value is
+    its c_{S_k}; the edges keep the genuine orbit."""
+    value, pending = OrbitTable.value, [x]
+
+    def injected(self, m):
+        return pending.pop() if m == n and pending else value(self, m)
+
+    monkeypatch.setattr(OrbitTable, "value", injected)
+
+
+def test_verify_zzz_unresolved_cell_comparison_is_undetermined(monkeypatch):
+    # a seeded search over decimal interval slopes found no c_{S_k}, k >= 2,
+    # whose enclosure straddles a cell edge, so one is injected across z_Q
+    slope = slope_exact(Fraction(9, 5))
+    kd = cutting_data(nu_from_orbit(slope, 80))
+    zp = PrecriticalTable(slope, kd)
+    k = 4
+    q = kd.q_of(k + 1)
+    assert verify_zzz(slope, k, zp).is_certified
+    z, eps = zp.boundary(q), Fraction(1, 1 << 40)
+    _inject_first_read(monkeypatch, kd.S[k],
+                       Scalar.interval(z.lo - eps, z.hi + eps))
+    v = verify_zzz(slope, k, zp)
+    assert v.status == "undetermined"
+    assert v.witness == {"k": k, "q": q,
+                         "reason": "cell comparison unresolved"}
+
+
+def test_verify_zzz_value_in_another_cell_is_refuted(monkeypatch):
+    # the theorem puts c_{S_k} in Upsilon_{Q(k+1)}; a value in the next
+    # cell on the left is refuted
+    slope = slope_exact(Fraction(9, 5))
+    kd = cutting_data(nu_from_orbit(slope, 80))
+    zp = PrecriticalTable(slope, kd)
+    k = 4
+    q = kd.q_of(k + 1)
+    inner = (zp.boundary(q).value + zp.boundary(q + 1).value) / 2
+    _inject_first_read(monkeypatch, kd.S[k], Scalar.exact(inner))
+    v = verify_zzz(slope, k, zp)
+    assert v.is_refuted and v.witness == {"k": k, "q": q}
+
+
+@pytest.mark.parametrize("name, k", [("9/5", 0), ("9/5", 1), ("sqrt3", 0),
+                                     ("sqrt3", 1)])
+def test_verify_zzz_boundary_off_the_edge_is_refuted(monkeypatch, name, k):
+    # c_{S_0} = c_1 and c_{S_1} = c_2 are the edges themselves, so only an
+    # injected value reaches the exact and the enclosure refutations
+    slope = parse_slope(name)
+    kd = cutting_data(nu_from_orbit(slope, 40))
+    zp = PrecriticalTable(slope, kd)
+    assert verify_zzz(slope, k, zp).is_positive
+    _inject_first_read(monkeypatch, kd.S[k], zp.orbit.value(3))
+    v = verify_zzz(slope, k, zp)
+    assert v.is_refuted and v.witness == {"k": k, "q": kd.q_of(k + 1),
+                                          "boundary": True}
 
 
 def test_f_orbit_identity(fib_slope, fib_kd):
@@ -559,6 +620,73 @@ def test_tower_length_clamps_at_zero():
 def test_tower_levels_match_fraction_oracle_presets(name, N):
     # c_239 of sqrt3 escalates the orbit to 384 bits
     _assert_tower_matches_oracle(parse_slope(name), N)
+
+
+_Q64 = (1 << 64) - 59
+
+
+@pytest.mark.parametrize("s, N", [
+    (Fraction(9, 5), 1000), (Fraction(7, 4), 400), (Fraction(13, 8), 400),
+    (Fraction(2), 300), (Fraction(_Q64 + 0x9E3779B97F4A7C15, _Q64), 200),
+], ids=["9/5", "7/4", "13/8", "2", "q64"])
+def test_exact_tower_levels_match_fraction_oracle_at_depth(s, N):
+    # odd q, even q, q = 1 and a 64-bit q: the integer-pair induction and
+    # the gcd-free lengths against the Fraction induction and _diff
+    _assert_tower_matches_oracle(slope_exact(s), N)
+
+
+@pytest.mark.parametrize("s", [Fraction(9, 5), Fraction(13, 8), Fraction(2)])
+def test_exact_tower_ending_at_a_cutting_time_matches_oracle(s):
+    slope = slope_exact(s)
+    S = cutting_data(nu_from_orbit(slope, 200)).S
+    N = max(n for n in S if n <= 200)
+    assert N in cutting_data(nu_from_orbit(slope, N)).S
+    _assert_tower_matches_oracle(slope, N)
+    _assert_tower_matches_oracle(slope, N - 1)
+
+
+def _long_branched_witness_oracle(levels, N):
+    """min_length, argmin and decreasing of the three-min scan."""
+    lengths = [(lv.length.hi, lv.n) for lv in levels]
+    min_len, argmin = min(lengths)
+    half = [l for l, n in lengths if n > N // 2]
+    first_half = [l for l, n in lengths if n <= N // 2]
+    decreasing = min(half) < min(first_half) if half and first_half else False
+    return approx(min_len), argmin, decreasing
+
+
+def _assert_witness_matches_oracle(kd, slope, levels, N):
+    w = long_branched_evidence(kd, N, slope, levels).witness
+    assert (w["min_length"], w["argmin"], w["decreasing"]) == \
+        _long_branched_witness_oracle(levels, N)
+
+
+@settings(max_examples=300)
+@given(lengths=st.lists(st.sampled_from(
+    [Fraction(0), Fraction(1, 1 << 20), Fraction(1, 7), Fraction(1, 21),
+     Fraction(1, 3), Fraction(1, 2)]), min_size=1, max_size=12),
+       extra=st.integers(0, 3))
+def test_long_branched_witness_matches_three_min_scan(lengths, extra):
+    # few distinct values, so ties fall within a half and across the halves
+    slope = slope_exact(Fraction(9, 5))
+    kd = cutting_data(nu_from_orbit(slope, 40))
+    levels = [hofbauer.TowerLevel(n, 0, length=Scalar.exact(x))
+              for n, x in enumerate(lengths, 1)]
+    for N in {len(levels), len(levels) + extra}:
+        _assert_witness_matches_oracle(kd, slope, levels, N)
+
+
+@pytest.mark.parametrize("make, N", [
+    (lambda: slope_exact(Fraction(9, 5)), 1000),
+    (lambda: slope_exact(Fraction(13, 8)), 300),
+    (lambda: parse_slope("sqrt3"), 200),
+], ids=["9/5", "13/8", "sqrt3"])
+def test_long_branched_witness_matches_three_min_scan_on_towers(make, N):
+    slope = make()
+    kd = cutting_data(nu_from_orbit(slope, N))
+    levels = tower_levels(kd, slope, N)
+    for depth in (1, 2, 3, N // 3, N):
+        _assert_witness_matches_oracle(kd, slope, levels[:depth], depth)
 
 
 @pytest.mark.parametrize("name", ["9/5", "sqrt3", "nonrec41:120", "interval"])
