@@ -166,7 +166,7 @@ def parse_itinerary(text: str) -> TwoSidedItinerary:
 
 # -- match sets ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class TauData:
     """Match sets of a left tail against the kneading prefix.
 
@@ -744,11 +744,9 @@ def pull_back(J, along, slope: SlopeParam,
             complete = False
             break
         a_eff = a if a.lo >= 0 else zero
-        b_eff = c1 if reaches_peak else b
-        left = (branch_preimage(slope, a_eff, 0), branch_preimage(slope, b_eff, 0))
-        right = (branch_preimage(slope, b_eff, 1), branch_preimage(slope, a_eff, 1))
         if reaches_peak:
-            new = (left[0], right[1])
+            new = (branch_preimage(slope, a_eff, 0),
+                   branch_preimage(slope, a_eff, 1))
             joined = True
         else:
             if symbols is not None:
@@ -759,7 +757,9 @@ def pull_back(J, along, slope: SlopeParam,
                     raise UnresolvedComparison(
                         f"pull-back step {k + 1}: target straddles c")
                 side = "0" if sgn is SignRelC.BELOW else "1"
-            new = left if side == "0" else right
+            new = ((branch_preimage(slope, a_eff, 0), branch_preimage(slope, b, 0))
+                   if side == "0" else
+                   (branch_preimage(slope, b, 1), branch_preimage(slope, a_eff, 1)))
             joined = False
         intervals.append(new)
         joined_flags.append(joined)

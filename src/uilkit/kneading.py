@@ -418,19 +418,21 @@ def renorm_scan(q, horizon: int):
 
     Returns a dict with per-candidate verdicts and the ordered list of
     candidates passing at the horizon (a nested cascade when several pass).
+    One pass: Q(i) < k - 1 closes the open window k with j = i - k; the open
+    windows form a stack in increasing k and close from its top.
     """
     qs = _materialize_q(q, horizon)[:horizon]
     m = len(qs)
-    per_k = {}
-    passing = []
-    for k in range(2, m + 1):
-        j = next((j for j in range(m - k + 1) if qs[k + j - 1] < k - 1), None)
-        if j is None:
-            per_k[k] = V.evidence(RULE_RENORM, depth=m, k=k, checked_j=m - k)
-            passing.append(k)
-        else:
-            per_k[k] = V.refuted(RULE_RENORM, depth=m, k=k, j=j,
-                                 value=qs[k + j - 1])
+    per_k = dict.fromkeys(range(2, m + 1))
+    passing = []                                # the open windows
+    for i in range(2, m + 1):
+        passing.append(i)
+        while passing and qs[i - 1] < passing[-1] - 1:
+            k = passing.pop()
+            per_k[k] = V.refuted(RULE_RENORM, depth=m, k=k, j=i - k,
+                                 value=qs[i - 1])
+    for k in passing:
+        per_k[k] = V.evidence(RULE_RENORM, depth=m, k=k, checked_j=m - k)
     return {"per_k": per_k, "passing": passing, "horizon": m}
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import verdicts as V
@@ -46,16 +47,20 @@ _MAX_CHAINS = 64        # find_qcond_chains stops after this many chains
 _MIN_LEVELS = 3         # shortest chain classify_chain decides
 
 
-def _satisfies(q_of, variant, k_prev, k):
-    """The chain step condition from k_prev to k (``q_of`` from _q_lookup)."""
+def _prev_range(q_of, variant, k):
+    """The k_prev the chain step k_prev -> k allows (``q_of`` from _q_lookup).
+
+    With inner = Q(Q(k - 1) + 1), the relaxed step holds for k_prev in
+    [inner + 2, Q(k)]; the strict one also needs k_prev = Q(k).
+    """
     qk = q_of(k)
     inner = q_of(q_of(k - 1) + 1) if q_of(k - 1) is not None else None
     if qk is None or inner is None:
-        return False
+        return range(0)
     if variant == STRICT:
-        return qk == k_prev and inner < k_prev - 1
+        return range(max(qk, inner + 2), qk + 1)
     if variant == RELAXED:
-        return inner < k_prev - 1 < qk
+        return range(inner + 2, qk + 1)
     raise DomainError(f"unknown chain variant {variant!r}")
 
 
@@ -70,27 +75,23 @@ def find_qcond_chains(q, horizon: int, variant: str = STRICT):
     m = len(qs)
 
     q_of = _q_lookup(qs)
-    succ = {k_prev: [k for k in range(k_prev + 1, m + 1)
-                     if _satisfies(q_of, variant, k_prev, k)]
-            for k_prev in range(1, m + 1)}
-
-    chains = []
-
-    def extend(chain):
-        if len(chains) >= _MAX_CHAINS:
-            return
-        nexts = succ.get(chain[-1], [])
-        if not nexts:
-            if len(chain) >= _MIN_CHAIN_LEN:
-                chains.append(chain)
-            return
-        for k in nexts:
-            extend(chain + (k,))
+    succ = {k_prev: [] for k_prev in range(1, m + 1)}
+    for k in range(2, m + 1):
+        allowed = _prev_range(q_of, variant, k)
+        for k_prev in range(max(allowed.start, 1), min(allowed.stop, k)):
+            succ[k_prev].append(k)
 
     reached = {k for s in succ.values() for k in s}
     starts = [k for k in range(1, m + 1) if succ[k] and k not in reached]
-    for k0 in starts or range(1, m + 1):
-        extend((k0,))
+    chains = []
+    stack = [(k0,) for k0 in reversed(starts or range(1, m + 1))]
+    while stack and len(chains) < _MAX_CHAINS:  # depth first, smallest k first
+        chain = stack.pop()
+        nexts = succ[chain[-1]]
+        if nexts:
+            stack.extend(chain + (k,) for k in reversed(nexts))
+        elif len(chain) >= _MIN_CHAIN_LEN:
+            chains.append(chain)
     chains.sort()
 
     greedy, k_prev = [], 1          # the first step needs Q(k) > 0
@@ -194,15 +195,13 @@ def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
     if len(k_seq) < 2:
         raise DomainError("a chain needs at least two indices")
     for k_prev, k in zip(k_seq, k_seq[1:]):
-        if not _satisfies(q_of, variant, k_prev, k):
+        if k_prev not in _prev_range(q_of, variant, k):
             raise ConditionViolated(
                 k, f"chain condition ({variant}) fails at {k_prev} -> {k}")
     if variant == STRICT:
         n_seq = tuple(kd.S[k] for k in k_seq)
     else:
-        n_seq = (0,) + tuple(
-            sum(kd.S[k_seq[j] - 1] for j in range(1, i + 1))
-            for i in range(1, len(k_seq)))
+        n_seq = tuple(accumulate((kd.S[k - 1] for k in k_seq[1:]), initial=0))
 
     # The branch image of the level-(i+1) cell lies between c_{S_{Q(k_{i+1}-1)}}
     # and c, on the side given by the kneading bit at S_{Q(k_{i+1}-1)}; a_i
@@ -233,9 +232,8 @@ def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
         if variant == RELAXED and i + 1 < len(k_seq):
             # L_{n_i} = [c, c_{S_{k_{i+1}-1}}]; its S_{k_i-1} image must avoid c
             l_end = orbit.value(kd.S[k_seq[i + 1] - 1])
-            l_set = Scalar(min(Fraction(C), l_end.lo), max(Fraction(C), l_end.hi))
-            for _ in range(kd.S[m]):
-                l_set = tent_apply(slope, l_set)
+            l_set = _monotone_branch_image(slope, zp, m, Scalar(
+                min(Fraction(C), l_end.lo), max(Fraction(C), l_end.hi)))
             l_avoid = not (l_set.lo < C < l_set.hi)
         levels.append(ChainLevel(i, k_seq[i], n_seq[i], m, a_i, sides[i], onto,
                                  l_avoid))

@@ -16,7 +16,8 @@ from uilkit.cli import main
 from uilkit.errors import InternalInconsistency
 from uilkit.kneading import (CuttingData, cascade_q, cutting_data, emit_dotted,
                              fibonacci_q, nu_from_orbit, nu_from_q)
-from uilkit.scalars import slope_exact
+from uilkit.presets import parse_slope
+from uilkit.scalars import s_one_minus, slope_exact
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +253,41 @@ def test_index_form_against_induction_failure_exits_4(capsys, monkeypatch):
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("internal consistency failure: tower level 5")
+
+
+def test_interval_induction_failure_exits_4(capsys, monkeypatch):
+    # An interval slope's two forms of D_n both hold c_n, so an index form
+    # off in beta(n) still overlaps the induction: only a wrong induction
+    # step shows.  It is injected by mirroring the tower's tent map, 1 - T(x).
+    sqrt3 = parse_slope("sqrt3")
+    kd = cutting_data(nu_from_orbit(sqrt3, 40))
+    beta_of = CuttingData.beta_of
+    with monkeypatch.context() as m:
+        m.setattr(CuttingData, "beta_of",
+                  lambda kd, n: beta_of(kd, n) + (n == 5))
+        assert len(hofbauer.tower_levels(kd, sqrt3, 40)) == 40
+    tent_apply = hofbauer.tent_apply
+    monkeypatch.setattr(hofbauer, "tent_apply",
+                        lambda slope, x: s_one_minus(tent_apply(slope, x)))
+    with pytest.raises(InternalInconsistency, match="^tower level 7: "):
+        hofbauer.tower_levels(kd, sqrt3, 40)
+    code = main(["tower", "--slope", "sqrt3", "--horizon", "40",
+                 "--depth", "40"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: tower level 7")
+
+
+def test_wide_fractions_in_a_witness_are_approximated():
+    wide = Fraction(1, 3 ** 162)                # a 257-bit denominator
+    narrow = Fraction(1, 3 ** 161)              # 256 bits
+    out = V.evidence("r", epsilon=wide, x=wide, y=[narrow],
+                     z=-wide * 3 ** 400).to_json()
+    assert out["epsilon"] == {"approx": V.approx(wide)}
+    assert out["witness"] == {
+        "x": {"approx": V.approx(wide)},
+        "y": [{"num": 1, "den": 3 ** 161}],
+        "z": {"approx": V.approx(-wide * 3 ** 400)}}
 
 
 def test_out_of_memory_exits_2_without_a_traceback():

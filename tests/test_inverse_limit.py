@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import uilkit
 from uilkit import inverse_limit, verdicts as V
 from uilkit.errors import DomainError, NoRecurrenceWitness, UnrealizableWord
-from uilkit.hofbauer import OrbitTable
+from uilkit.hofbauer import OrbitTable, level_ends
 from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
                                   TwoSidedItinerary, backward_points,
                                   basic_arc_interval, classification_report,
@@ -402,6 +402,73 @@ def test_classification_fib_generated(fib_slope, fib_nu, fib_kd):
     rep = classification_report(it, fib_nu, fib_slope, fib_kd, depth=48)
     assert rep.endpoint.status == "evidence"
     assert rep.expectations["all_folding_arcs_degenerate"].is_positive
+
+
+def test_core_arc_of_nested_left_levels_is_degenerate(fib_slope, fib_nu,
+                                                      fib_kd):
+    # the tail nu_1 .. nu_21 matches on the left at depths 4 and 22, and the
+    # tower levels D_4 and D_22 meet in less than 2^-20
+    orbit = OrbitTable(fib_slope)
+    td = tau_data(BackwardWord(fib_nu.bits[:21]), fib_nu)
+    assert td.NL == (4, 22)
+    arc = basic_arc_interval(td, orbit, kd=fib_kd, mode="core")
+    lo, hi = level_ends(orbit, fib_kd, td.NL)
+    assert 0 < hi - lo <= Fraction(1, 1 << 20)
+    assert arc.degenerate_width == hi - lo
+    assert basic_arc_interval(td, orbit, mode="core").degenerate_width is None
+    # one left level alone is wide: no degeneracy
+    wide = tau_data(BackwardWord(fib_nu.bits[:22]), fib_nu)
+    assert wide.NL == (2,)
+    assert basic_arc_interval(wide, orbit, kd=fib_kd,
+                              mode="core").degenerate_width is None
+
+
+def test_classification_flags_a_degenerate_endpoint_candidate(
+        fib_slope, fib_nu, fib_kd):
+    tail = fib_nu.bits[:21]
+    rep = classification_report(TwoSidedItinerary(BackwardWord(tail)), fib_nu,
+                                fib_slope, fib_kd, depth=64)
+    assert rep.endpoint.status == "evidence"
+    assert rep.subclass_flags == ("degenerate-arc-evidence",
+                                  "degenerate-endpoint-candidate")
+    # the same arc under a tail whose endpoint test finds no certificate
+    rep = classification_report(
+        TwoSidedItinerary(BackwardWord(fib_nu.bits[:76])), fib_nu, fib_slope,
+        fib_kd, depth=64)
+    assert rep.endpoint.status == "undetermined"
+    assert rep.subclass_flags == ("degenerate-arc-evidence",)
+
+
+def test_classification_flags_a_flat_candidate(fib_slope, fib_nu, fib_kd,
+                                               monkeypatch):
+    # An exact arc needs both tail suprema unsaturated, and a positive
+    # endpoint verdict needs one saturated, so no consistent input reaches
+    # the flag: the endpoint verdict is injected.
+    it = TwoSidedItinerary(BackwardWord(fib_nu.bits[:21][::-1]))
+    rep = classification_report(it, fib_nu, fib_slope, fib_kd, depth=64)
+    assert rep.arc.exact and rep.endpoint.is_refuted
+    assert rep.subclass_flags == ()
+    monkeypatch.setattr(inverse_limit, "endpoint_verdict",
+                        lambda *a, **k: V.evidence(inverse_limit.RULE_ENDPOINT))
+    rep = classification_report(it, fib_nu, fib_slope, fib_kd, depth=64)
+    assert rep.subclass_flags == ("flat-candidate",)
+
+
+def test_classification_refutes_an_endpoint_that_is_not_folding(
+        fib_slope, fib_nu, fib_kd, monkeypatch):
+    # Endpoints are folding points, so a refuted folding verdict refutes a
+    # positive endpoint one.  A search over random fib and 9/5 tails found
+    # no positive endpoint verdict with a refuted folding one, so the
+    # folding verdict is injected.
+    it = TwoSidedItinerary(BackwardWord(fib_nu.bits[:21]))
+    monkeypatch.setattr(inverse_limit, "folding_verdict",
+                        lambda *a, **k: V.refuted(RULE_FOLDING))
+    rep = classification_report(it, fib_nu, fib_slope, fib_kd, depth=64)
+    assert rep.folding.is_refuted
+    assert rep.endpoint == V.refuted(
+        inverse_limit.RULE_ENDPOINT, depth=64,
+        reason="endpoints are folding points; folding refuted")
+    assert rep.subclass_flags == ("degenerate-arc-evidence",)
 
 
 def test_shift_preserves_endpoint_class(fib_nu, fib_slope):

@@ -1,14 +1,20 @@
+import json
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uilkit import subcontinua
+from uilkit.cli import main
 from uilkit.errors import ConditionViolated, DomainError
-from uilkit.hofbauer import OrbitTable, PrecriticalTable
+from uilkit.hofbauer import OrbitTable, PrecriticalTable, level_ends
 from uilkit.kneading import (_materialize_q, _q_lookup, cascade_q,
                              cutting_data, example35_q, fibonacci_q,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q)
 from uilkit.scalars import C, slope_for_prefix, tent_apply
-from uilkit.subcontinua import (_satisfies, build_chain, classify_chain,
+from uilkit.subcontinua import (build_chain, classify_chain,
                                 find_qcond_chains, nasty_cascade_rule)
+from uilkit.verdicts import approx
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +60,20 @@ def test_chain_finder_soundness():
                     assert inner < k_prev - 1
                 else:
                     assert inner < k_prev - 1 < qs[k - 1]
+
+
+def _satisfies(q_of, variant, k_prev, k):
+    """The chain step condition from k_prev to k, as the module docstring
+    states it, one pair at a time."""
+    qk = q_of(k)
+    inner = q_of(q_of(k - 1) + 1) if q_of(k - 1) is not None else None
+    if qk is None or inner is None:
+        return False
+    if variant == "strict":
+        return qk == k_prev and inner < k_prev - 1
+    if variant == "relaxed":
+        return inner < k_prev - 1 < qk
+    raise DomainError(f"unknown chain variant {variant!r}")
 
 
 def _old_find_qcond_chains(q, horizon, variant):
@@ -107,6 +127,61 @@ def test_chain_search_matches_the_code_it_replaced(q, variant):
     for horizon in (30, 40, 50, 60):
         assert find_qcond_chains(q, horizon, variant) == \
             _old_find_qcond_chains(q, horizon, variant)
+
+
+@pytest.mark.parametrize("variant", ["strict", "relaxed"])
+def test_fibonacci_chains_at_a_horizon_past_the_recursion_limit(variant):
+    # chains of 1050 steps, deeper than the interpreter's recursion limit
+    res = find_qcond_chains(fibonacci_q, 2100, variant)
+    assert res["chains"] == [tuple(range(2, 2101, 2)), tuple(range(3, 2100, 2))]
+
+
+def test_subcontinua_fib_at_horizon_2100_exits_0(capsys):
+    assert main(["subcontinua", "--q", "fib", "--horizon", "2100"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]
+
+
+def _q_lists(max_len):
+    """Q(1), Q(2), ... with Q(k) in -2 .. k + 1: mostly in range, sometimes
+    out of it on either side."""
+    return st.integers(0, max_len).flatmap(lambda m: st.tuples(
+        *[st.integers(-2, k + 1) for k in range(1, m + 1)]).map(list))
+
+
+@settings(max_examples=300)
+@given(qs=_q_lists(40), variant=st.sampled_from(["strict", "relaxed", "bogus"]))
+def test_chain_search_matches_the_pairwise_search(qs, variant):
+    # any list, in or out of range: the same chains, or the same error
+    def run(search):
+        try:
+            return search(qs, len(qs), variant)
+        except DomainError as exc:
+            return str(exc)
+    assert run(find_qcond_chains) == run(_old_find_qcond_chains)
+
+
+@settings(max_examples=200)
+@given(data=st.data(),
+       variant=st.sampled_from(["strict", "relaxed", "bogus"]))
+def test_build_chain_accepts_what_the_pairwise_condition_accepts(
+        ex35_slope, ex35_kd, data, variant):
+    zp = PrecriticalTable(ex35_slope, ex35_kd)
+    k = data.draw(st.integers(2, ex35_kd.max_k))
+    near_qk = st.integers(-2, 1).map(lambda d: ex35_kd.Q[k - 1] + d)
+    k_prev = data.draw(st.one_of(near_qk, st.integers(-3, ex35_kd.max_k + 3)))
+    try:
+        want = _satisfies(_q_lookup(ex35_kd.Q), variant, k_prev, k)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            build_chain(ex35_slope, (k_prev, k), zp, variant)
+        return
+    try:
+        build_chain(ex35_slope, (k_prev, k), zp, variant)
+        got = True
+    except ConditionViolated as exc:
+        assert "chain condition" in str(exc)
+        got = False
+    assert got == want, (k_prev, k)
 
 
 def test_classify_example35_direct_spiral():
@@ -183,6 +258,10 @@ def test_build_chain_relaxed_l_avoids_c(fib_slope, fib_kd):
                                variant="relaxed")["greedy"][:5]
     chain = build_chain(fib_slope, greedy, zp, variant="relaxed",
                         bisect_bits=40)
+    # n_i = S_{k_1 - 1} + ... + S_{k_i - 1}, with n_0 = 0
+    assert chain.n_seq == tuple(
+        sum(fib_kd.S[k - 1] for k in greedy[1:i + 1])
+        for i in range(len(greedy)))
     inner = [lv.l_image_avoids_c for lv in chain.levels[1:-1]]
     assert all(flag for flag in inner if flag is not None)
 
@@ -196,3 +275,53 @@ def test_direct_spiral_consistency_guard(ex35_slope, ex35_kd):
     fake_chain = (3, 5, 7, 9, 11, 13)
     cc = classify_chain(fake_chain, qs, kd=kd, orbit=orbit)
     assert cc.kind != "direct-spiral"
+
+
+# -- classify_chain's remaining returns ------------------------------------------
+
+def test_classify_chain_without_q_values_is_undetermined():
+    cc = classify_chain((2, 5, 8), [0, 1])
+    assert cc.kind == "undetermined"
+    assert cc.verdict.witness["reason"] == "Q(k_i + 1) not available"
+    assert cc.verdict.depth == 0
+    assert cc.to_json() == {"kind": "undetermined",
+                            "verdict": cc.verdict.to_json()}
+
+
+def test_classify_chain_mixed_tail_is_undetermined():
+    # Q(k_i + 1) = 1, 1, 1, 2, 2, 2: the tail rises above the head, but by
+    # less than the spiral rule asks, and no tail value is bounded by it
+    chain = (4, 8, 12, 16, 20, 24)
+    qs = [0] * 30
+    for i, k in enumerate(chain):
+        qs[k] = 1 if i < 3 else 2
+    cc = classify_chain(chain, qs)
+    assert cc.kind == "undetermined"
+    assert cc.verdict.witness == {"reason": "mixed Q(k_i+1) tail",
+                                  "q_values": [1, 1, 1, 2, 2, 2]}
+
+
+def test_divergent_q_without_level_decay_is_undetermined(nonrec_slope,
+                                                         nonrec_kd):
+    # the tower levels of a non-recurrent slope against a divergent Q given
+    # beside them: the symbolic rule says spiral, the levels do not shrink
+    orbit = OrbitTable(nonrec_slope)
+    chain = (3, 5, 7, 9, 11, 13)
+    qs = [k // 2 for k in range(1, 40)]
+    assert classify_chain(chain, qs).kind == "direct-spiral"
+    cc = classify_chain(chain, qs, kd=nonrec_kd, orbit=orbit)
+    assert cc.kind == "undetermined"
+    assert cc.verdict.witness == {
+        "reason": "symbolic divergence but no numeric decay",
+        "q_values": [2, 3, 4, 5, 6, 7]}
+
+
+def test_basic_sin_curve_reports_its_bar(nonrec_slope, nonrec_kd):
+    orbit = OrbitTable(nonrec_slope)
+    chain = (3, 5, 7, 9, 11, 13)
+    cc = classify_chain(chain, list(nonrec_kd.Q), kd=nonrec_kd, orbit=orbit)
+    assert cc.kind == "basic-sin-curve"
+    lo, hi = level_ends(orbit, nonrec_kd, [nonrec_kd.S[k] for k in chain])
+    assert cc.bar_enclosure == (lo, hi) and lo <= hi
+    assert cc.to_json()["bar"] == {"lo": approx(lo), "hi": approx(hi)}
+    assert classify_chain(chain, list(nonrec_kd.Q)).bar_enclosure is None
