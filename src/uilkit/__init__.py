@@ -14,7 +14,7 @@ from .errors import (ConditionViolated, ConfigError, ConstructionStuck,
                      UilkitError, UnrealizableWord, UnresolvedComparison)
 from .verdicts import Verdict
 from .scalars import (Scalar, SignRelC, SlopeParam, critical_orbit, refine,
-                      sign_rel_c, slope_decimal, slope_exact, slope_for_prefix,
+                      sign_rel_c, slope_exact, slope_for_prefix,
                       slope_interval, tent_apply)
 from .kneading import (CuttingData, KneadingPrefix, QAsymptotics,
                        admissible_disjoint, admissible_q, cocutting_times,
@@ -24,7 +24,7 @@ from .kneading import (CuttingData, KneadingPrefix, QAsymptotics,
 from .hofbauer import (OrbitTable, PrecriticalPair, PrecriticalTable,
                        TowerLevel, closest_precriticals, cutting_value_gaps,
                        f_apply, f_graph_data, long_branched_evidence,
-                       tower_level, tower_levels, upsilon_index, verify_zzz)
+                       tower_levels, upsilon_index, verify_zzz)
 from .inverse_limit import (ArcInterval, BackwardWord, PointClassification,
                             PullbackChain, TauData, TwoSidedItinerary,
                             basic_arc_interval, classification_report,

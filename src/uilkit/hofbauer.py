@@ -180,6 +180,20 @@ def level_ends(orbit: OrbitTable, kd: CuttingData, ns):
     return None if lo is None else (lo, hi)
 
 
+def level_bounds(x: Scalar, y: Scalar):
+    """(hull, length) of the level whose ends x and y enclose: the hull of
+    the two enclosures, and the level's length from the hull's width less
+    both enclosure widths, clamped at 0, up to the hull's width."""
+    lo, hi = _hull(x, y)
+    width = low = _diff(hi, lo)
+    for z in (x, y):
+        if z.lo is not z.hi:                    # an exact end has width 0
+            low = _diff(low, _diff(z.hi, z.lo))
+    return (_scalar(lo, hi, min(x.precision_bits, y.precision_bits)),
+            _scalar(Fraction(0) if low.numerator < 0 else low, width,
+                    DEFAULT_PRECISION))
+
+
 @dataclass(frozen=True)
 class TowerLevel:
     n: int
@@ -187,10 +201,6 @@ class TowerLevel:
     numeric: Optional[tuple] = None   # enclosures (index form, induction)
     length: Optional[Scalar] = None
     contains_c: bool = False
-
-    @property
-    def endpoint_indices(self):
-        return (self.n, self.beta_n)
 
     def to_json(self):
         out = {"n": self.n, "beta": self.beta_n, "is_cutting": self.contains_c}
@@ -206,8 +216,9 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     """Tower levels D_1 .. D_N with the induction cross-checked numerically.
 
     Without a slope only the index form is produced.  With one, the two
-    computations of every level must agree (exactly for exact slopes,
-    overlapping enclosures otherwise) or InternalInconsistency is raised.
+    computations of every level must agree (exactly for exact slopes;
+    otherwise the induction's end at c_n and its end at c_beta(n) each
+    overlap that orbit value) or InternalInconsistency is raised.
     ``N`` defaults to the kneading horizon; ``N = 0`` gives no levels.
     """
     N = kd.horizon if N is None else N
@@ -226,28 +237,23 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
     if slope.is_exact:
         return _exact_tower_levels(kd, slope, N, orbit, cuts)
     c1 = orbit.value(1)
-    # The inductive level is carried as its two endpoint values; away from
-    # cutting times c is outside the level, so T maps endpoints to endpoints.
-    end_a, end_b = Scalar.exact(C), c1          # D_1 = [c, c_1]
+    # The inductive level is carried as its two endpoint values, end_a at c_n
+    # and end_b at c_beta(n), each checked against its own orbit value; away
+    # from cutting times c is outside the level, so T maps ends to ends.
+    end_a, end_b = c1, Scalar.exact(C)          # D_1 = [c_1, c_0]
     levels = []
     for n in range(1, N + 1):
         beta = kd.beta_of(n)
         lo_idx = orbit.value(n)
         hi_idx = orbit.value(beta)
-        index_form = _scalar(*_hull(lo_idx, hi_idx),
-                             min(lo_idx.precision_bits, hi_idx.precision_bits))
+        index_form, length = level_bounds(lo_idx, hi_idx)
         inductive = _scalar(*_hull(end_a, end_b),
                             min(end_a.precision_bits, end_b.precision_bits))
-        if _lt(inductive.hi, index_form.lo) or _lt(index_form.hi, inductive.lo):
+        if _lt(end_a.hi, lo_idx.lo) or _lt(lo_idx.hi, end_a.lo) \
+                or _lt(end_b.hi, hi_idx.lo) or _lt(hi_idx.hi, end_b.lo):
             raise InternalInconsistency(
                 f"tower level {n}: index form [{index_form.lo}, {index_form.hi}] "
                 f"!= induction [{inductive.lo}, {inductive.hi}]")
-        width = low = _diff(index_form.hi, index_form.lo)
-        for x in (lo_idx, hi_idx):
-            if x.lo is not x.hi:                # an exact end has width 0
-                low = _diff(low, _diff(x.hi, x.lo))
-        length = _scalar(Fraction(0) if low.numerator < 0 else low, width,
-                         DEFAULT_PRECISION)
         levels.append(TowerLevel(n, beta, (index_form, inductive), length,
                                  n in cuts))
         if n == N:
@@ -319,12 +325,6 @@ def _exact_tower_levels(kd: CuttingData, slope: SlopeParam, N: int,
             a, qn = p * min(a, (qn << 1) - a), qn * q
             b, mb, qb = p * min(b, (qb << 1) - b), mb + 1, qb * q
     return levels
-
-
-def tower_level(kd: CuttingData, n: int) -> TowerLevel:
-    if n < 1:
-        raise DomainError(f"tower level index must be >= 1, got {n}")
-    return tower_levels(kd, None, n)[n - 1]
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 from . import verdicts as V
 from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
                      UnrealizableWord, UnresolvedComparison)
-from .hofbauer import OrbitTable, level_ends, orbit_table, tower_levels
+from .hofbauer import OrbitTable, level_bounds, level_ends, orbit_table
 from .kneading import (CuttingData, KneadingPrefix, _lcp, cutting_data,
                        q_asymptotics)
 from .scalars import (C, Scalar, SignRelC, SlopeParam, _exact_orbit,
@@ -69,6 +69,7 @@ RULE_PERSISTENCE = "monotone-pullback-search"
 RULE_CLASS = "folding-endpoint-classification"
 _DEGENERACY_THRESHOLD = Fraction(1, 1 << 20)
 _LONG_LEVEL = Fraction(1, 128)      # a witness level is longer than this
+_WINDOW = 24                        # symbols the folding test looks up in nu
 
 
 # -- backward words and itineraries -------------------------------------------
@@ -133,17 +134,6 @@ class TwoSidedItinerary:
     def __post_init__(self):
         if any(ch not in "01" for ch in self.forward):
             raise DomainError("forward word must be over 0/1")
-
-    def shifted(self, slope: Optional[SlopeParam] = None) -> "TwoSidedItinerary":
-        """One shift step: s_0 moves into the tail, the base point advances."""
-        if not self.forward:
-            raise DomainError("need a forward symbol to shift")
-        x0 = None
-        if slope is not None and self.x0 is not None:
-            x0 = tent_apply(slope, self.x0)
-        back = BackwardWord(self.backward.symbols + self.forward[0],
-                            self.backward.periodic_block)
-        return TwoSidedItinerary(back, self.forward[1:], x0)
 
 
 def parse_itinerary(text: str) -> TwoSidedItinerary:
@@ -516,7 +506,11 @@ def endpoint_verdict(it: TwoSidedItinerary, nu: KneadingPrefix,
     past a finite word, its matches sit strictly inside it; evidence when
     saturation persists as the depth grows.
     """
-    td = tau_data(it.backward, nu, depth)
+    return _endpoint_verdict(tau_data(it.backward, nu, depth))
+
+
+def _endpoint_verdict(td: TauData) -> V.Verdict:
+    """``endpoint_verdict`` of the tail whose match sets are ``td``."""
     if td.cert_infiniteL or td.cert_infiniteR:
         return V.certified(RULE_ENDPOINT, depth=td.n_max,
                            side="left" if td.cert_infiniteL else "right",
@@ -581,15 +575,14 @@ def backward_points(slope: SlopeParam, it: TwoSidedItinerary, depth: int):
 def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
                     nu: KneadingPrefix, depth: int = 64,
                     eps=Fraction(1, 1 << 20), proxy_len: int = 256,
-                    burn_in: Optional[int] = None, window: int = 24,
                     orbit: Optional[OrbitTable] = None) -> V.Verdict:
     """Two-channel finite test that all projections lie in omega(c).
 
     Numeric channel: every projection up to ``depth`` must come eps-close to
-    the orbit-tail proxy {c_j : burn_in <= j <= proxy_len}.  Symbolic
-    channel: the itinerary window starting at a far coordinate must occur in
-    the kneading prefix.  Refuted only when both channels fail; evidence
-    otherwise.
+    the orbit-tail proxy {c_j : proxy_len // 4 <= j <= proxy_len}.  Symbolic
+    channel: the itinerary window of ``_WINDOW`` symbols starting at a far
+    coordinate must occur in the kneading prefix.  Refuted only when both
+    channels fail; evidence otherwise.
 
     A projection [a, b] is far when every proxy interval is farther from it
     than eps + r + (b - a), r the widest proxy interval; one within eps of
@@ -601,15 +594,14 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
     running maximum of its high ends, that is one bisection.
     """
     eps = Fraction(eps)
-    burn_in = proxy_len // 4 if burn_in is None else burn_in
-    if burn_in > proxy_len:
-        raise DomainError(f"burn_in {burn_in} > proxy_len {proxy_len} "
-                          f"leaves the orbit-tail proxy empty")
+    if proxy_len < 0:
+        raise DomainError(f"proxy_len {proxy_len} < 0 leaves the orbit-tail "
+                          f"proxy empty")
     orbit = orbit_table(slope, orbit)
     orbit.extend(proxy_len)
     bits = max(64, (eps.denominator.bit_length() + 32))
     proxy = sorted(orbit.grid_ends(j, bits)
-                   for j in range(burn_in, proxy_len + 1))
+                   for j in range(proxy_len // 4, proxy_len + 1))
     resolution = max(p_hi - p_lo for p_lo, p_hi in proxy)
     lows, highs = zip(*proxy)
     max_high = list(accumulate(highs, max))
@@ -623,8 +615,8 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
     else:
         return V.evidence(RULE_FOLDING, depth=len(pts) - 1, epsilon=eps,
                           proxy_len=proxy_len)
-    piece = it.backward.unrolled(n + window)[:window] if n > 0 else \
-        (it.forward[:window] or it.backward.unrolled(window))
+    piece = it.backward.unrolled(n + _WINDOW)[:_WINDOW] if n > 0 else \
+        (it.forward[:_WINDOW] or it.backward.unrolled(_WINDOW))
     if piece and piece not in nu.bits:
         return V.refuted(RULE_FOLDING, depth=len(pts) - 1, epsilon=eps,
                          far_at=n, missing_word=piece)
@@ -951,12 +943,21 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     Expectations reported: a divergent kneading map (so persistent
     recurrence) makes the folding and endpoint sets expected to coincide and
     every folding arc degenerate; a non-divergent one yields a witness search
-    for a folding point inside a non-degenerate arc (tails ...111 nu_1..nu_{n-1}
-    projecting onto tower levels D_n, n >= 3, whose length is certified
-    above 2^-7).
+    for a folding point inside a non-degenerate arc: the first n in
+    3 .. min(horizon, 4 depth) whose tower level D_n = [c_n, c_beta(n)] is
+    certified longer than 2^-7 and whose tail ...111 nu_1..nu_{n-1} matches
+    on both sides, the deeper match at n.  The level's length is read off
+    the orbit table (``hofbauer.level_bounds``), with the table first
+    extended to the last n: an interval slope's table takes the precision
+    of its longest read, and later reports on the same table read that
+    precision.
+
+    The endpoint verdict and the core-mode arc share one ``tau_data`` of
+    the point's tail.
     """
     kd = kd or cutting_data(nu)
-    endpoint = endpoint_verdict(it, nu, depth=depth)
+    td = tau_data(it.backward, nu, depth)
+    endpoint = _endpoint_verdict(td)
     if slope is not None:
         orbit = orbit_table(slope, orbit)
         try:
@@ -972,7 +973,6 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
 
     arc = None
     if orbit is not None:
-        td = tau_data(it.backward, nu, depth)
         arc = basic_arc_interval(td, orbit, kd=kd, mode="core")
 
     qa = q_asymptotics(list(kd.Q))
@@ -981,14 +981,16 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
                            via="divergent-kneading-map")
     elif qa.to_infinity.is_refuted and slope is not None:
         witness = None
-        levels = tower_levels(kd, slope, min(kd.horizon, 4 * depth),
-                              orbit=orbit)
-        for lv in levels[2:]:
-            if lv.length is not None and _lt(_LONG_LEVEL, lv.length.lo):
-                w = BackwardWord("111" + nu.bits[:lv.n - 1])
-                t = tau_data(w, nu)
-                if t.tauL and t.tauR and max(t.tauL, t.tauR) == lv.n:
-                    witness = {"n": lv.n, "tail": "...111" + nu.bits[:lv.n - 1]}
+        N = min(kd.horizon, 4 * depth)
+        orbit.extend(N)
+        orbit.check_word(kd.nu.bits)
+        for n in range(3, N + 1):
+            _, length = level_bounds(orbit.value(n),
+                                     orbit.value(kd.beta_of(n)))
+            if _lt(_LONG_LEVEL, length.lo):
+                t = tau_data(BackwardWord("111" + nu.bits[:n - 1]), nu)
+                if t.tauL and t.tauR and max(t.tauL, t.tauR) == n:
+                    witness = {"n": n, "tail": "...111" + nu.bits[:n - 1]}
                     break
         nondeg = V.evidence(RULE_CLASS, depth=depth, witness_arc=witness) \
             if witness else V.undetermined(RULE_CLASS,
@@ -1008,8 +1010,6 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
         flags.append("degenerate-arc-evidence")
         if endpoint.is_positive:
             flags.append("degenerate-endpoint-candidate")
-    if arc is not None and arc.exact and endpoint.is_positive:
-        flags.append("flat-candidate")
     if folding.is_positive and endpoint.is_refuted:
         flags.append("non-end-folding")
     return PointClassification(folding, endpoint, arc, tuple(flags), expectations)

@@ -206,11 +206,6 @@ class Scalar:
     def interval(cls, lo, hi, precision_bits=DEFAULT_PRECISION) -> "Scalar":
         return cls(lo, hi, precision_bits)
 
-    @classmethod
-    def from_decimal(cls, text: str) -> "Scalar":
-        """Exact rational value of a decimal literal like ``"1.8393"``."""
-        return cls.exact(Fraction(text.strip()))
-
     @property
     def is_exact(self) -> bool:
         lo, hi = self.lo, self.hi       # both in lowest terms
@@ -333,15 +328,6 @@ class SlopeParam:
         return SlopeParam(self.bracket(bits), self.name, self.bracket)
 
     @property
-    def kappa_finite(self) -> bool:
-        """Whether the first return of the orbit above c is provably finite.
-
-        True exactly when s < 2 is certified; at s = 2 the critical orbit
-        collapses onto the fixed point 0 and never crosses c again.
-        """
-        return self.s.hi < TWO
-
-    @property
     def is_exact(self) -> bool:
         return self.s.is_exact
 
@@ -352,10 +338,6 @@ class SlopeParam:
 
 def slope_exact(value, name="") -> SlopeParam:
     return SlopeParam(Scalar.exact(Fraction(value)), name)
-
-
-def slope_decimal(text: str) -> SlopeParam:
-    return SlopeParam(Scalar.from_decimal(text), name=text.strip())
 
 
 def slope_interval(lo, hi, precision_bits=DEFAULT_PRECISION, name="") -> SlopeParam:

@@ -32,7 +32,6 @@ state dump and must never happen on admissible states.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,10 +109,6 @@ class WordLedger:
         builds it from the word."""
         fresh = WordLedger(self.nu, self.len_cap)
         return fresh.ends_at_cuts == self.ends_at_cuts and fresh.kd == self.kd
-
-    def to_json(self):
-        return {"nu": self.nu, "len_cap": self.len_cap,
-                "cuts": list(self.kd.S)}
 
 
 @dataclass
@@ -395,12 +390,3 @@ def generate(target_length: int, compat: bool = False):
     if disjoint.is_refuted or lex.is_refuted or not ok:
         raise ConstructionStuck("final-certificate", certificate)
     return nu, certificate, plans
-
-
-def dump_resume(ledger: WordLedger) -> str:
-    return json.dumps(ledger.to_json(), sort_keys=True)
-
-
-def load_resume(text: str) -> WordLedger:
-    data = json.loads(text)
-    return WordLedger(data["nu"], data["len_cap"])

@@ -256,26 +256,41 @@ def test_index_form_against_induction_failure_exits_4(capsys, monkeypatch):
 
 
 def test_interval_induction_failure_exits_4(capsys, monkeypatch):
-    # An interval slope's two forms of D_n both hold c_n, so an index form
-    # off in beta(n) still overlaps the induction: only a wrong induction
-    # step shows.  It is injected by mirroring the tower's tent map, 1 - T(x).
+    # An interval slope's induction carries D_n's end at c_n and its end at
+    # c_beta(n), and each must overlap its own orbit value: an index form
+    # off in beta(n) shows, and so does a wrong induction step, injected by
+    # mirroring the tower's tent map, 1 - T(x).
     sqrt3 = parse_slope("sqrt3")
     kd = cutting_data(nu_from_orbit(sqrt3, 40))
     beta_of = CuttingData.beta_of
     with monkeypatch.context() as m:
         m.setattr(CuttingData, "beta_of",
                   lambda kd, n: beta_of(kd, n) + (n == 5))
-        assert len(hofbauer.tower_levels(kd, sqrt3, 40)) == 40
+        with pytest.raises(InternalInconsistency, match="^tower level 5: "):
+            hofbauer.tower_levels(kd, sqrt3, 40)
     tent_apply = hofbauer.tent_apply
     monkeypatch.setattr(hofbauer, "tent_apply",
                         lambda slope, x: s_one_minus(tent_apply(slope, x)))
-    with pytest.raises(InternalInconsistency, match="^tower level 7: "):
+    with pytest.raises(InternalInconsistency, match="^tower level 5: "):
         hofbauer.tower_levels(kd, sqrt3, 40)
     code = main(["tower", "--slope", "sqrt3", "--horizon", "40",
                  "--depth", "40"])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal consistency failure: tower level 7")
+    assert err.startswith("internal consistency failure: tower level 5")
+
+
+@pytest.mark.parametrize("name", ["sqrt3", "cbrt6"])
+def test_interval_tower_catches_an_off_by_one_beta(name, monkeypatch):
+    # hull(c_n, c_beta(n)) and the induction's hull both hold c_n, so they
+    # overlap whatever beta(n) is; the end at c_beta(n) alone does not
+    slope = parse_slope(name)
+    kd = cutting_data(nu_from_orbit(slope, 40))
+    beta_of = CuttingData.beta_of
+    monkeypatch.setattr(CuttingData, "beta_of",
+                        lambda kd, n: beta_of(kd, n) + (n == 5))
+    with pytest.raises(InternalInconsistency, match="^tower level 5: "):
+        hofbauer.tower_levels(kd, slope, 40)
 
 
 def test_wide_fractions_in_a_witness_are_approximated():

@@ -11,7 +11,7 @@ from uilkit import hofbauer, kneading
 from uilkit.errors import DomainError, PrecisionExhausted
 from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
                              cutting_value_gaps, f_apply, f_graph_data,
-                             long_branched_evidence, tower_level, tower_levels,
+                             long_branched_evidence, tower_levels,
                              upsilon_index, verify_zzz)
 from uilkit.inverse_limit import (BackwardWord, basic_arc_interval,
                                   classification_report, folding_verdict,
@@ -72,10 +72,9 @@ def test_precritical_defining_property(fib_slope, fib_kd):
 def test_tower_seed_indices():
     nu = KneadingPrefix("1000101")
     kd = cutting_data(nu)
-    lv = tower_level(kd, 7)
-    assert lv.endpoint_indices == (7, 3)
-    lv1 = tower_level(kd, 1)
-    assert lv1.endpoint_indices == (1, 0)   # D_1 = [c_1, c]
+    levels = tower_levels(kd, None, 7)
+    assert (levels[6].n, levels[6].beta_n) == (7, 3)
+    assert (levels[0].n, levels[0].beta_n) == (1, 0)   # D_1 = [c_1, c]
 
 
 def test_tower_cross_check_and_decay(fib_slope, fib_kd):
@@ -419,13 +418,6 @@ def test_grid_ends_memo_is_cleared_by_a_rebuild():
     after = [table.grid_ends(n, 200) for n in ns]
     assert after == [_grid_ends(table.value(n), 200) for n in ns]
     assert after != before
-
-
-def test_tower_level_index_below_one_is_rejected(fib_kd):
-    for n in (0, -3):
-        with pytest.raises(DomainError, match="must be >= 1"):
-            tower_level(fib_kd, n)
-    assert tower_level(fib_kd, 1).n == 1
 
 
 def test_prec_cap_below_start_precision_is_rejected():

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import uilkit
 from uilkit import inverse_limit, verdicts as V
 from uilkit.errors import DomainError, NoRecurrenceWitness, UnrealizableWord
-from uilkit.hofbauer import OrbitTable, level_ends
+from uilkit.hofbauer import OrbitTable, level_ends, tower_levels
 from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
                                   TwoSidedItinerary, backward_points,
                                   basic_arc_interval, classification_report,
@@ -28,7 +28,8 @@ from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
                                   word_realizable)
 from uilkit.kneading import (KneadingPrefix, _lcp, admissible_disjoint,
                              cutting_data, example35_q, fibonacci_q,
-                             nonrecurrent_example_nu, nu_from_orbit, nu_from_q)
+                             nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
+                             q_asymptotics)
 from uilkit.presets import parse_slope
 from uilkit.seqgen import generate
 from uilkit.scalars import (C, Scalar, slope_exact, slope_for_prefix,
@@ -439,21 +440,6 @@ def test_classification_flags_a_degenerate_endpoint_candidate(
     assert rep.subclass_flags == ("degenerate-arc-evidence",)
 
 
-def test_classification_flags_a_flat_candidate(fib_slope, fib_nu, fib_kd,
-                                               monkeypatch):
-    # An exact arc needs both tail suprema unsaturated, and a positive
-    # endpoint verdict needs one saturated, so no consistent input reaches
-    # the flag: the endpoint verdict is injected.
-    it = TwoSidedItinerary(BackwardWord(fib_nu.bits[:21][::-1]))
-    rep = classification_report(it, fib_nu, fib_slope, fib_kd, depth=64)
-    assert rep.arc.exact and rep.endpoint.is_refuted
-    assert rep.subclass_flags == ()
-    monkeypatch.setattr(inverse_limit, "endpoint_verdict",
-                        lambda *a, **k: V.evidence(inverse_limit.RULE_ENDPOINT))
-    rep = classification_report(it, fib_nu, fib_slope, fib_kd, depth=64)
-    assert rep.subclass_flags == ("flat-candidate",)
-
-
 def test_classification_refutes_an_endpoint_that_is_not_folding(
         fib_slope, fib_nu, fib_kd, monkeypatch):
     # Endpoints are folding points, so a refuted folding verdict refutes a
@@ -471,12 +457,121 @@ def test_classification_refutes_an_endpoint_that_is_not_folding(
     assert rep.subclass_flags == ("degenerate-arc-evidence",)
 
 
-def test_shift_preserves_endpoint_class(fib_nu, fib_slope):
+def _tower_classification_oracle(it, nu, slope, kd, depth, orbit):
+    """classification_report composed from the public verdicts: its own
+    endpoint_verdict scan, and a witness search over a certified tower."""
+    IL = inverse_limit
+    endpoint = endpoint_verdict(it, nu, depth=depth)
+    try:
+        folding = folding_verdict(it, slope, nu, depth=depth, orbit=orbit)
+    except (DomainError, UnrealizableWord) as exc:
+        folding = V.undetermined(RULE_FOLDING, str(exc), depth=depth)
+    if endpoint.is_positive and folding.is_refuted:
+        endpoint = V.refuted(
+            IL.RULE_ENDPOINT, depth=depth,
+            reason="endpoints are folding points; folding refuted")
+    td = tau_data(it.backward, nu, depth)
+    arc = basic_arc_interval(td, orbit, kd=kd, mode="core")
+    qa = q_asymptotics(list(kd.Q))
+    if qa.to_infinity.is_positive:
+        nondeg = V.refuted(IL.RULE_CLASS, depth=kd.horizon,
+                           via="divergent-kneading-map")
+    elif qa.to_infinity.is_refuted:
+        witness = None
+        for lv in tower_levels(kd, slope, min(kd.horizon, 4 * depth),
+                               orbit=orbit)[2:]:
+            if lv.length.lo > Fraction(1, 128):
+                t = tau_data(BackwardWord("111" + nu.bits[:lv.n - 1]), nu)
+                if t.tauL and t.tauR and max(t.tauL, t.tauR) == lv.n:
+                    witness = {"n": lv.n,
+                               "tail": "...111" + nu.bits[:lv.n - 1]}
+                    break
+        nondeg = V.evidence(IL.RULE_CLASS, depth=depth, witness_arc=witness) \
+            if witness else V.undetermined(
+                IL.RULE_CLASS, "no long-level witness found", depth=depth)
+    else:
+        nondeg = V.undetermined(IL.RULE_CLASS, "kneading-map trend unclear",
+                                depth=kd.horizon)
+    flags = []
+    if arc.degenerate_width is not None:
+        flags.append("degenerate-arc-evidence")
+        if endpoint.is_positive:
+            flags.append("degenerate-endpoint-candidate")
+    if folding.is_positive and endpoint.is_refuted:
+        flags.append("non-end-folding")
+    return IL.PointClassification(folding, endpoint, arc, tuple(flags), {
+        "folding_set_equals_endpoints": qa.to_infinity,
+        "all_folding_arcs_degenerate": qa.to_infinity,
+        "exists_nondegenerate_folding_arc": nondeg})
+
+
+SURFACE_ITINERARIES = ("(1)^inf .1111", "(0)^inf .0000", "(01)^inf .0101",
+                       "...100110.01", "(110)^inf .11")
+
+
+@pytest.mark.parametrize("name", ["9/5", "nonrec41", "fib", "sqrt3", "cbrt6",
+                                  "sqrt3:256"])
+def test_classification_matches_the_tower_composition(name):
+    # Each side keeps one table over all its reports, as the CLI does: an
+    # interval table takes the precision of its longest read, so at
+    # sqrt3:256 the witness search's reach into the table shows in the
+    # later reports.
+    slope = parse_slope(name, depth=500)
+    nu = nu_from_orbit(slope, 500)
+    kd = cutting_data(nu)
+    got_orbit, want_orbit = OrbitTable(slope), OrbitTable(slope)
+    for depth in (0, 2, 12, 32, 125):
+        for text in SURFACE_ITINERARIES:
+            it = parse_itinerary(text)
+            got = classification_report(it, nu, slope, kd, depth=depth,
+                                        orbit=got_orbit)
+            want = _tower_classification_oracle(it, nu, slope, kd, depth,
+                                                want_orbit)
+            assert got.to_json() == want.to_json(), (depth, text)
+
+
+@pytest.mark.parametrize("name", ["nonrec41:120", "fib:120", "cbrt6"])
+def test_classification_scans_the_tail_once_and_builds_no_tower(
+        name, monkeypatch):
+    slope = parse_slope(name)
+    nu = nu_from_orbit(slope, 120)
+    kd = cutting_data(nu)
+    orbit = OrbitTable(slope)
+    tails = []
+
+    def spy(back, *args, **kwargs):
+        tails.append(back)
+        return tau_data(back, *args, **kwargs)
+
+    def no_tower(*args, **kwargs):
+        raise AssertionError("classification built a tower")
+
+    monkeypatch.setattr(inverse_limit, "tau_data", spy)
+    monkeypatch.setattr(uilkit.hofbauer, "tower_levels", no_tower)
+    assert not hasattr(inverse_limit, "tower_levels")
+    for text in SURFACE_ITINERARIES:
+        it = parse_itinerary(text)
+        tails.clear()
+        rep = classification_report(it, nu, slope, kd, depth=32, orbit=orbit)
+        assert sum(back is it.backward for back in tails) == 1
+        # any other scan is of a witness tail ...111 nu_1 .. nu_{n-1}
+        assert all(back.symbols.startswith("111") for back in tails
+                   if back is not it.backward)
+        # fib's kneading map diverges; the others' witness search succeeds
+        nondeg = rep.expectations["exists_nondegenerate_folding_arc"]
+        assert nondeg.status == ("refuted" if name.startswith("fib")
+                                 else "evidence")
+
+
+def test_shift_preserves_endpoint_class(fib_nu):
     word = endpoint_itinerary_gen(fib_nu, count=1, depth=20)[0]
-    it = TwoSidedItinerary(word, fib_nu.bits[len(word.symbols):
-                                             len(word.symbols) + 6])
-    before = endpoint_verdict(it, fib_nu).status
-    after = endpoint_verdict(it.shifted(fib_slope), fib_nu).status
+    forward = fib_nu.bits[len(word.symbols):len(word.symbols) + 6]
+    before = endpoint_verdict(TwoSidedItinerary(word, forward), fib_nu).status
+    # one shift step: s_0 moves into the tail
+    shifted = TwoSidedItinerary(
+        BackwardWord(word.symbols + forward[0], word.periodic_block),
+        forward[1:])
+    after = endpoint_verdict(shifted, fib_nu).status
     assert before == after == "evidence"
 
 
@@ -1171,11 +1266,11 @@ def test_word_image_interval_every_short_word():
 
 
 def _folding_oracle(it, slope, nu, depth=64, eps=Fraction(1, 1 << 20),
-                    proxy_len=256, burn_in=None, window=24):
+                    proxy_len=256):
     """folding_verdict of the Fraction code: every projection against every
     proxy value, on Scalars rounded onto the grid."""
     eps = Fraction(eps)
-    burn_in = proxy_len // 4 if burn_in is None else burn_in
+    burn_in, window = proxy_len // 4, 24
     orbit = OrbitTable(slope)
     orbit.extend(proxy_len)
     bits = max(64, (eps.denominator.bit_length() + 32))
@@ -1236,8 +1331,7 @@ def _folding_inputs(draw):
                          st.builds(Fraction, st.integers(-3, 1000),
                                    st.integers(1, 10 ** 6))))
     proxy_len = draw(st.integers(4, 80))
-    burn_in = draw(st.one_of(st.none(), st.integers(0, proxy_len)))
-    first = proxy_len // 4 if burn_in is None else burn_in
+    first = proxy_len // 4
     bits = max(64, eps.denominator.bit_length() + 32)
     one = 1 << bits
     e = math.floor(eps * one)
@@ -1270,8 +1364,7 @@ def _folding_inputs(draw):
     it = TwoSidedItinerary(back, draw(st.text(alphabet="01", max_size=6)),
                            x0=x0)
     return (it, slope, nu), dict(depth=draw(st.integers(0, 12)), eps=eps,
-                                 proxy_len=proxy_len, burn_in=burn_in,
-                                 window=draw(st.integers(1, 24)))
+                                 proxy_len=proxy_len)
 
 
 def _verdict_fields(v):
@@ -1310,11 +1403,12 @@ def test_folding_verdict_with_an_empty_proxy_is_a_domain_error():
     nu = nu_from_orbit(slope, 40)
     it = TwoSidedItinerary(BackwardWord("", "1"), "1" * 10,
                            x0=Scalar.exact(Fraction(9, 14)))
-    with pytest.raises(DomainError,
-                       match="burn_in 11 > proxy_len 10 leaves the orbit-tail"):
-        folding_verdict(it, slope, nu, proxy_len=10, burn_in=11)
-    # a proxy of one value is still a proxy
-    assert folding_verdict(it, slope, nu, proxy_len=10, burn_in=10).status \
+    for proxy_len in (-1, -2, -9):
+        with pytest.raises(DomainError, match=f"^proxy_len {proxy_len} < 0 "
+                                              f"leaves the orbit-tail proxy"):
+            folding_verdict(it, slope, nu, proxy_len=proxy_len)
+    # a proxy of one value, c_0, is still a proxy
+    assert folding_verdict(it, slope, nu, proxy_len=0).status \
         in ("evidence", "refuted")
 
 

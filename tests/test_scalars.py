@@ -17,9 +17,8 @@ from uilkit.scalars import (C, DEFAULT_PRECISION, TWO, Scalar, SignRelC,
                             branch_preimage, branch_preimage_left,
                             branch_preimage_right, certified_cmp,
                             critical_orbit, parity_lex_cmp, refine,
-                            s_one_minus, sign_rel_c, slope_decimal,
-                            slope_exact, slope_for_prefix, slope_interval,
-                            tent_apply)
+                            s_one_minus, sign_rel_c, slope_exact,
+                            slope_for_prefix, slope_interval, tent_apply)
 from uilkit.seqgen import generate
 
 
@@ -137,8 +136,6 @@ def test_slope_validation():
         slope_exact(1)
     with pytest.raises(DomainError):
         slope_exact(Fraction(5, 2))
-    assert slope_exact(2).kappa_finite is False
-    assert slope_decimal("1.8393").kappa_finite is True
 
 
 def test_critical_hit_detected():

@@ -11,9 +11,9 @@ from uilkit.kneading import (KneadingPrefix, admissible_disjoint, admissible_q,
                              cutting_data)
 from uilkit.scalars import parity_lex_cmp
 from uilkit.seqgen import (FIRST_EXTENSION_REFERENCE, SEED, WordLedger,
-                           coverage_report, dump_resume, extend_step, generate,
-                           _verify_admissible, load_resume,
-                           shortest_missing_pair, word_admissible)
+                           coverage_report, extend_step, generate,
+                           _verify_admissible, shortest_missing_pair,
+                           word_admissible)
 
 
 def test_seed_ledger_matches_reference_collection():
@@ -172,13 +172,6 @@ def test_u_length_is_cutting_time():
 def test_generate_rejects_tiny_target():
     with pytest.raises(DomainError):
         generate(3)
-
-
-def test_resume_roundtrip():
-    ledger, _ = extend_step(WordLedger(SEED))
-    again = load_resume(dump_resume(ledger))
-    assert again.nu == ledger.nu
-    assert again.ends_at_cuts == ledger.ends_at_cuts
 
 
 def test_coverage_modes_differ():
