@@ -16,10 +16,12 @@ kneading data, the full occurrences of nu met on the way are the depths
 that no known symbol refutes.  This scan is the measured fastest for match
 sets: a Z-array or one ``kneading._lcp`` per position took two to four
 times as long on the workloads' tails.  There is one failure table per
-kneading word, kept with its prefix parities on the ``KneadingPrefix`` and
-built on only as far as a call reads: a border of nu[:l] depends on nu[:l]
-alone, so the table of nu[:m] is the first m + 1 entries of the word's.  A
-declared periodic continuation builds its unrolled word's tables per call.
+kneading word, kept with its prefix parities and the first two children of
+each node of its failure tree on the ``KneadingPrefix`` and built on only as
+far as a call reads: a border of nu[:l] depends on nu[:l] alone, so the
+table of nu[:m] is the first m + 1 entries of the word's.  It serves both
+the match sets and the prefix-recurrence chains of the endpoint generator.
+A declared periodic continuation builds its unrolled word's tables per call.
 
 For a finite left word, the zero-th projections of all compatible points
 form an interval whose endpoints are critical-orbit values picked out by
@@ -202,12 +204,24 @@ def _kmp_tables(word: str, fail: list, parity: list, m: int):
 
 
 def _word_tables(nu: KneadingPrefix, m: int):
-    """The failure table and prefix parities of ``nu``, kept on the prefix
-    and built on to cover nu.bits[:m]; those of nu.bits[:m] are their first
-    m + 1 entries."""
+    """The failure table, the prefix parities and the first and second
+    children in the failure tree (0 for none) of ``nu``, kept on the prefix
+    and built on to cover nu.bits[:m].  The failure and parity tables of
+    nu.bits[:m] are their first m + 1 entries; children are filled in
+    ascending order as the table grows, so those of nu.bits[:m]'s tree are
+    the child entries up to m."""
     if nu.match_tables is None:
-        nu.match_tables = ([0, 0], [0, 1])      # nu_1 = 1
-    _kmp_tables(nu.bits, *nu.match_tables, m)
+        nu.match_tables = ([0, 0], [0, 1], [1, 0], [0, 0])      # nu_1 = 1
+    fail, parity, first, second = nu.match_tables
+    old = len(fail)
+    if m >= old:
+        _kmp_tables(nu.bits, fail, parity, m)
+        first.extend(repeat(0, m + 1 - old))
+        second.extend(repeat(0, m + 1 - old))
+        for e in range(old, m + 1):
+            p = fail[e]
+            if not second[p]:
+                (second if first[p] else first)[p] = e
     return nu.match_tables
 
 
@@ -238,7 +252,11 @@ def _kmp_scan(pattern: str, fail: list, m: int, text: str):
 
 def tau_data(back: BackwardWord, nu: KneadingPrefix,
              depth: Optional[int] = None) -> TauData:
-    """Exact match sets within the data, saturation flags at its boundary."""
+    """Exact match sets within the data, saturation flags at its boundary.
+
+    A negative ``depth`` raises ``DomainError``."""
+    if depth is not None and depth < 0:
+        raise DomainError(f"depth must be >= 0, got {depth}")
     avail = back.depth_available()
     if avail is not None and len(nu) < avail:
         raise DomainError("kneading prefix shorter than the backward word")
@@ -250,7 +268,7 @@ def tau_data(back: BackwardWord, nu: KneadingPrefix,
         chain, parity, certs = _periodic_tail_analysis(back, nu, n_max)
     else:
         m = max(n_max - 1, 0)
-        fail, parity = _word_tables(nu, m)
+        fail, parity, _, _ = _word_tables(nu, m)
         chain, _ = _kmp_scan(nu.bits, fail, m, back.unrolled(n_max - 1))
         certs = (False,) * 4 + (None,)
     cfL, cfR, ciL, ciR, pump = certs
@@ -316,7 +334,7 @@ def _periodic_tail_analysis(back, nu, n_max):
         fail, parity = [0, 0], [0, 1]           # pattern[0] = nu_1 = 1
         _kmp_tables(pattern, fail, parity, m)
     else:
-        fail, parity = _word_tables(nu, m)
+        fail, parity, _, _ = _word_tables(nu, m)
     chain, ends = _kmp_scan(pattern, fail, m, back.unrolled(reach))
     unrefuted = {ell + 1 for ell in chain}
     unrefuted.update(reach + 1 + m - e for e in ends if e < reach)
@@ -637,42 +655,45 @@ def endpoint_itinerary_gen(nu: KneadingPrefix, count: int = 2,
     at the word boundary.  Words are emitted only from chains still alive at
     the horizon (the final element recurs again); a non-recurrent word
     raises NoRecurrenceWitness with the deepest live chain element.  When
-    two non-nested continuations exist, both branches are explored.  The
-    continuations of n depend on n alone and chains strictly increase, so
-    the subtree of n is done before another copy of n pops: each n is
-    expanded once.
+    two non-nested continuations exist, both branches are explored.
+
+    The continuations are read off the failure tree of nu, whose nodes are
+    the lengths 0..|nu| and where parent(e) = fail[e] < e.  nu_1..nu_e ends
+    in nu_1..nu_n for some n < e exactly when n is a proper ancestor of e,
+    so the ends e > n of the occurrences of nu_1..nu_n after position 1 are
+    n's proper descendants; as parents are smaller than their children, a
+    subtree's least node is its root.  The first continuation is therefore
+    n's least child, and the second, the least end not nested in the first,
+    is n's second child, else (when every other occurrence is nested) the
+    first's least child.  That fallback is pushed only when the first is
+    emitted rather than expanded: otherwise the first pushes it as its own
+    first continuation, and it is expanded there before n's copy pops.  So
+    each node is pushed at most once, and the search is linear in |nu| even
+    on periodic words.  The table is the one ``tau_data`` reads, built on
+    in doubling steps only while a chain needs a child not met yet.
     """
     bits = nu.bits
+    fail, _, first, second = _word_tables(nu, 1)
 
-    def occurrences(m):                # ascending ends, after position 1
-        pref = bits[:m]
-        idx = bits.find(pref, 1)
-        while idx >= 0:
-            yield idx + m
-            idx = bits.find(pref, idx + 1)
+    def child(kids, n):                 # 0 when n has none
+        while not kids[n] and len(fail) <= len(bits):
+            _word_tables(nu, min(2 * len(fail), len(bits)))
+        return kids[n]
 
-    words, expanded, stack, best_live = [], set(), [1], 1
+    words, stack, best_live = [], [1], 1
     while stack and len(words) < count:
         n = stack.pop()
-        if n in expanded:
-            continue
-        expanded.add(n)
-        nexts = occurrences(n)
-        first = next(nexts, None)
-        if first is None:
+        head = child(first, n)
+        if not head:
             continue
         best_live = max(best_live, n)
         if n >= depth:
             words.append(BackwardWord(bits[:n]))
             continue
-        second = next(nexts, None)
-        if second is not None:
-            head = bits[:first]
-            if bits.endswith(head, 0, second):   # nested: find one that is not
-                second = next((cand for cand in nexts
-                               if not bits.endswith(head, 0, cand)), second)
-            stack.append(second)
-        stack.append(first)
+        other = child(second, n) or head >= depth and child(first, head)
+        if other:
+            stack.append(other)
+        stack.append(head)
     if not words:
         raise NoRecurrenceWitness(best_live)
     return words

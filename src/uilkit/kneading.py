@@ -63,8 +63,10 @@ class KneadingPrefix:
     what makes tail-pumping certificates possible in synthetic tests.
     ``certified_for`` is the slope object that ``nu_from_orbit`` certified
     the bits for, else None.  ``match_tables`` is None until
-    ``inverse_limit.tau_data`` first reads the word, then the KMP failure
-    table and the prefix parities of ``bits``, as far as any call has read.
+    ``inverse_limit.tau_data`` or ``inverse_limit.endpoint_itinerary_gen``
+    first reads the word, then the KMP failure table of ``bits``, its
+    prefix parities and the first and the second child (0 for none) of each
+    node of the failure tree, as far as any call has read.
     Equality and hashing read ``bits`` alone.
     """
 
@@ -286,12 +288,21 @@ def admissible_disjoint(nu: KneadingPrefix,
 
 def _materialize_q(q, upto: Optional[int]):
     """Q as a list: a callable read as Q(1)..Q(upto), a list read whole.
-    Every kneading-map consumer reads Q here and truncates after."""
+    Every kneading-map consumer reads Q here; those that scan Q to a
+    horizon cut it with ``_q_upto``."""
     if callable(q):
         if upto is None:
             raise DomainError("a callable Q needs an explicit horizon")
         return [q(k) for k in range(1, upto + 1)]
     return list(q)
+
+
+def _q_upto(q, horizon: Optional[int]):
+    """Q(1)..Q(horizon) as a list (a list Q read whole when ``horizon`` is
+    None); a negative horizon raises ``DomainError``."""
+    if horizon is not None and horizon < 0:
+        raise DomainError(f"horizon must be >= 0, got {horizon}")
+    return _materialize_q(q, horizon)[:horizon]
 
 
 def _q_lookup(qs):
@@ -421,7 +432,7 @@ def renorm_scan(q, horizon: int):
     One pass: Q(i) < k - 1 closes the open window k with j = i - k; the open
     windows form a stack in increasing k and close from its top.
     """
-    qs = _materialize_q(q, horizon)[:horizon]
+    qs = _q_upto(q, horizon)
     m = len(qs)
     per_k = dict.fromkeys(range(2, m + 1))
     passing = []                                # the open windows
@@ -468,7 +479,7 @@ def q_asymptotics(q, horizon: Optional[int] = None) -> QAsymptotics:
     the second half, boundedness evidence requires the maximum to be attained
     in the first half.  At most one of the two can hold.
     """
-    qs = _materialize_q(q, horizon)[:horizon]
+    qs = _q_upto(q, horizon)
     m = len(qs)
     if m < 8:
         und = V.undetermined(RULE_QASYMP, "horizon too short", depth=m)

@@ -31,7 +31,7 @@ from . import verdicts as V
 from .errors import ConditionViolated, DomainError, UnresolvedComparison
 from .hofbauer import OrbitTable, PrecriticalTable, level_ends
 from .kneading import (CuttingData, _cutting_times, _materialize_q,
-                       _q_lookup, renorm_scan)
+                       _q_lookup, _q_upto, renorm_scan)
 from .scalars import (C, Scalar, SlopeParam, certified_cmp,
                       s_one_minus, tent_apply)
 
@@ -71,7 +71,7 @@ def find_qcond_chains(q, horizon: int, variant: str = STRICT):
     (which satisfies the relaxed condition whenever Q(k) <= k - 2 holds on
     the tail); it is reported separately even when shorter than two.
     """
-    qs = _materialize_q(q, horizon)[:horizon]
+    qs = _q_upto(q, horizon)
     m = len(qs)
 
     q_of = _q_lookup(qs)
@@ -330,9 +330,7 @@ def nasty_cascade_rule(q, horizon: int, cascade_min: int = 3) -> V.Verdict:
     """
     if cascade_min < 1:
         raise DomainError(f"cascade_min must be >= 1, got {cascade_min}")
-    if horizon is not None and horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon}")
-    qs = _materialize_q(q, horizon)[:horizon]
+    qs = _q_upto(q, horizon)
     passing = renorm_scan(qs, horizon)["passing"]
     S = _cutting_times(qs)
     periods = [S[k - 1] for k in passing if k - 1 < len(S)]

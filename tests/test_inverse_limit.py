@@ -1029,11 +1029,18 @@ def _assert_tau_fields_equal(back, nu, depth):
 
 
 def _assert_tables_are_the_words(nu):
-    fail, parity = nu.match_tables
+    fail, parity, first, second = nu.match_tables
     n = len(fail) - 1
-    assert len(parity) == n + 1 and n <= len(nu)
+    assert len(parity) == len(first) == len(second) == n + 1
+    assert n <= len(nu)
     assert fail == _failure_table(nu.bits[:n])
     assert parity == _prefix_parity(nu.bits[:n])
+    # the first two children of each node of the failure tree, 0 for none
+    children = [[] for _ in range(n + 1)]
+    for e in range(1, n + 1):
+        children[fail[e]].append(e)
+    assert first == [(kids + [0])[0] for kids in children]
+    assert second == [(kids + [0, 0])[1] for kids in children]
 
 
 def _backs_reading(nu, n, rng):
@@ -1184,24 +1191,54 @@ def test_generator_matches_per_chain_expansion_on_benchmark_words():
                                   depth) == \
                     _generated(_per_chain_itinerary_gen, nu, count, depth,
                                found), (nu, count, depth)
+        _assert_tables_are_the_words(nu)      # the table tau_data reads
+
+
+def test_generator_matches_per_chain_expansion_on_longer_words():
+    # random, purely periodic and eventually periodic words of 11-200
+    # symbols; on a word of least period p the oracle's expansions grow
+    # about 1.6-fold per p symbols of depth, so depths stay within 16 p
+    rng = random.Random(20261020)
+    found = {}
+    for _ in range(60):
+        length = rng.randrange(11, 201)
+        block = "".join(rng.choice("01") for _ in range(rng.randrange(1, 9)))
+        preperiod = "1" + "".join(rng.choice("01")
+                                  for _ in range(rng.randrange(12)))
+        for bits in ("1" + "".join(rng.choice("01")
+                                   for _ in range(length - 1)),
+                     (("1" + block[1:]) * length)[:length],
+                     (preperiod + block * length)[:length]):
+            period = next(p for p in range(1, length + 1)
+                          if bits[p:] == bits[:length - p])
+            reach = min(length + 2, 16 * period)
+            nu = KneadingPrefix(bits)
+            for count in (1, 2, 3):
+                for depth in {1, 2, *range(3, reach + 1, 1 + reach // 9)}:
+                    assert _generated(endpoint_itinerary_gen, nu, count,
+                                      depth) == \
+                        _generated(_per_chain_itinerary_gen, nu, count,
+                                   depth, found), (nu, count, depth)
 
 
 def test_generator_expands_each_chain_head_once():
     # "1"*52: every head n continues at n + 1 and n + 2, so expanding a head
-    # once per chain that reaches it doubles the work at each level
+    # once per chain that reaches it doubles the work at each level;
+    # "1"*20000: a scan of every later occurrence of each head is cubic
     code = ("from uilkit.errors import NoRecurrenceWitness\n"
             "from uilkit.inverse_limit import endpoint_itinerary_gen\n"
             "from uilkit.kneading import KneadingPrefix\n"
-            "try:\n"
-            "    endpoint_itinerary_gen(KneadingPrefix('1' * 52), count=1,"
-            " depth=59)\n"
-            "except NoRecurrenceWitness as exc:\n"
-            "    print(exc.max_depth)\n")
+            "for n in (52, 20000):\n"
+            "    try:\n"
+            "        endpoint_itinerary_gen(KneadingPrefix('1' * n), count=1,"
+            " depth=n + 7)\n"
+            "    except NoRecurrenceWitness as exc:\n"
+            "        print(exc.max_depth)\n")
     src = str(Path(uilkit.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=20, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["51"]
+    assert out.stdout.split() == ["51", "19999"]
 
 
 # -- integer ends: differential tests against the Fraction code ----------------
@@ -1410,6 +1447,28 @@ def test_folding_verdict_with_an_empty_proxy_is_a_domain_error():
     # a proxy of one value, c_0, is still a proxy
     assert folding_verdict(it, slope, nu, proxy_len=0).status \
         in ("evidence", "refuted")
+
+
+def test_negative_depth_is_a_domain_error(nonrec_slope, nonrec_nu,
+                                          nonrec_kd):
+    # a negative depth used to reach the match sets and stamp the verdicts:
+    # classification_report gave an undetermined endpoint at depth -3
+    it = TwoSidedItinerary(BackwardWord("", "1"), "1" * 10,
+                           x0=Scalar.exact(nonrec_slope.s.value
+                                           / (1 + nonrec_slope.s.value)))
+    back = it.backward
+    for call in (lambda d: tau_data(back, nonrec_nu, d),
+                 lambda d: endpoint_verdict(it, nonrec_nu, d),
+                 lambda d: classification_report(it, nonrec_nu, nonrec_slope,
+                                                 nonrec_kd, depth=d)):
+        for depth in (-1, -3):
+            with pytest.raises(DomainError,
+                               match=f"^depth must be >= 0, got {depth}$"):
+                call(depth)
+    # depth 0 checks nothing, and None reads all the data
+    assert tau_data(back, nonrec_nu, 0).n_max == 0
+    assert endpoint_verdict(it, nonrec_nu, 0).depth == 0
+    assert tau_data(back, nonrec_nu, None).n_max == len(nonrec_nu) + 1
 
 
 @pytest.mark.parametrize("name", ["9/5", "nonrec41:120", "sqrt3"])

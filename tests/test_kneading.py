@@ -586,6 +586,30 @@ def test_parse_q_reads_a_preset_to_the_horizon():
     assert parse_q("fib", 5) == ([0, 0, 1, 2, 3], "fib")
 
 
+_CASCADE_LIST = [0, 1, 1, 2, 3, 3, 4]
+
+
+@pytest.mark.parametrize("scan, read", [
+    (renorm_scan, lambda out: (out["horizon"], out["per_k"])),
+    (q_asymptotics, lambda out: (out.horizon, out.to_json())),
+    (find_qcond_chains, lambda out: (out["horizon"], out["chains"])),
+    (nasty_cascade_rule, lambda out: (out.depth, out.witness))],
+    ids=["renorm_scan", "q_asymptotics", "find_qcond_chains",
+         "nasty_cascade_rule"])
+def test_negative_horizon_is_a_domain_error(scan, read):
+    # a negative horizon used to cut Q from its end: renorm_scan of this
+    # list at horizon -2 scanned 5 values and reported horizon 5
+    for q in (_CASCADE_LIST, cascade_q):
+        with pytest.raises(DomainError,
+                           match=r"^horizon must be >= 0, got -2$"):
+            scan(q, -2)
+    # None still reads a list whole, 0 reads nothing
+    assert read(scan(_CASCADE_LIST, None))[1] == \
+        read(scan(_CASCADE_LIST, len(_CASCADE_LIST)))[1]
+    assert read(scan(_CASCADE_LIST, 4))[0] == 4
+    assert read(scan(_CASCADE_LIST, 0))[0] == 0
+
+
 def test_callable_q_without_a_horizon_is_one_domain_error():
     text = "a callable Q needs an explicit horizon"
     for call in (lambda: _materialize_q(fibonacci_q, None),
