@@ -302,7 +302,7 @@ def cmd_subcontinua(args):
 
 
 def cmd_genseq(args):
-    nu, certificate, plans = generate(args.length, compat=args.compat)
+    nu, certificate, plans = generate(args.length)
     results = {
         "certificate": certificate,
         "nu": nu.bits if len(nu) <= 4096 else nu.bits[:4096],
@@ -404,8 +404,6 @@ def build_parser():
 
     p = command("genseq", cmd_genseq, "appendix-style word generator")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--compat", action="store_true",
-                   help="assert the first extension matches the reference")
     p.add_argument("--plans", action="store_true", help="include step plans")
     p.add_argument("--out")
 

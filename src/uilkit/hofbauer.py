@@ -12,8 +12,10 @@ cross-check is integer equality, and one integer orders a level's ends and
 gives its reduced length with no gcd (``_exact_tower_levels``).
 
 Closest precritical points z_k < c < zhat_k = 1 - z_k satisfy
-T^{S_k}(z_k) = c with no earlier critical visit on [z_k, zhat_k]; they are
-obtained exactly by composing inverse branches along the kneading symbols.
+T^{S_k}(z_k) = c with no earlier critical visit on [z_k, zhat_k].  T^n is
+monotone on [z_{k-1}, c] for n <= S_k, and one inverse of that branch
+(``PrecriticalTable.inverse``, the branch preimages along the kneading
+symbols) gives z_k exactly and the points of the chains in ``subcontinua``.
 The cells
 
     Upsilon_k = [z_{k-1}, z_k) u (zhat_k, zhat_{k-1}]
@@ -388,10 +390,26 @@ class PrecriticalTable:
             s_prev, q = self.kd.S[j - 1], self.kd.q_of(j)
             y = self.hat_natural(q) if nu[s_prev - 1] == "1" \
                 else self.natural(q)
-            for i in range(s_prev - 1, 0, -1):
-                y = branch_preimage(self.slope, y, int(nu[i - 1]))
-            self._natural.append(branch_preimage_left(self.slope, y))
+            self._natural.append(self.inverse(y, s_prev))
         return self._natural[k]
+
+    def inverse(self, y: Scalar, n: int) -> Scalar:
+        """The x in [z_{k-1}, c] with T^n(x) = y, for n <= S_k: the branch
+        preimages of y along nu_{n-1} .. nu_1, which every point of that
+        monotone branch follows, then the increasing one.  Exact for an
+        exact slope and y.  ``natural`` and ``boundary`` check the symbols.
+        """
+        nu = self.kd.nu.bits
+        for i in range(n - 1, 0, -1):
+            y = branch_preimage(self.slope, y, int(nu[i - 1]))
+        return branch_preimage_left(self.slope, y)
+
+    def image(self, x: Scalar, n: int) -> Scalar:
+        """T^n(x) by ``tent_apply``: the point image, or the set image of
+        an interval, which ``inverse`` undoes on [z_{k-1}, c]."""
+        for _ in range(n):
+            x = tent_apply(self.slope, x)
+        return x
 
     def check_symbols(self, k: int):
         """Raise DomainError unless nu_1 .. nu_{S_k} of the cutting data
@@ -406,26 +424,28 @@ class PrecriticalTable:
         return s_one_minus(self.natural(k))
 
     def pair(self, k: int) -> PrecriticalPair:
+        z = self.boundary(k)
         if k == -1:
-            c2 = self.orbit.value(2)
-            return PrecriticalPair(-1, c2, self.orbit.value(1), c2,
+            return PrecriticalPair(-1, z, self.boundary_hat(-1), z,
                                    ("boundary-convention",))
-        z = self.natural(k)
-        if k == 0 and self.kd.kappa == 3:
-            # only the left boundary is clamped into the core; the hat point
-            # keeps its dynamical meaning T(zhat_0) = c
-            z_adj = self.orbit.value(2)
-            return PrecriticalPair(0, z_adj, s_one_minus(z), z,
-                                   ("kappa3-clamped-to-c2",))
-        return PrecriticalPair(k, z, s_one_minus(z), z, ())
+        # only the left boundary is clamped into the core; the hat point
+        # keeps its dynamical meaning T(zhat_0) = c
+        clamped = k == 0 and self.kd.kappa == 3
+        return PrecriticalPair(k, z, self.hat_natural(k), self.natural(k),
+                               ("kappa3-clamped-to-c2",) if clamped else ())
 
     def boundary(self, k: int) -> Scalar:
-        """Left cell-boundary value of z_k (conventions included)."""
-        return self.pair(k).z
+        """Left cell-boundary value of z_k: c_2 for k = -1, and for k = 0
+        when kappa = 3."""
+        if k == -1 or (k == 0 and self.kd.kappa == 3):
+            return self.orbit.value(2)
+        return self.natural(k)
 
     def boundary_hat(self, k: int) -> Scalar:
         """Right cell-boundary value zhat_k (c_1 for k = -1)."""
-        return self.pair(k).zhat
+        if k == -1:
+            return self.orbit.value(1)
+        return self.hat_natural(k)
 
 
 def closest_precriticals(slope: SlopeParam, upto_k: int):
@@ -479,13 +499,11 @@ def f_apply(slope: SlopeParam, y: Scalar, zp: PrecriticalTable):
     """The accelerated map F(y) = T^{S_k}(y) for y in Upsilon_k.
 
     Returns (F(y), k).  Unresolved cell membership propagates from
-    upsilon_index.
+    upsilon_index.  A slope other than the table's raises DomainError.
     """
+    orbit_table(slope, zp.orbit)
     k = upsilon_index(y, zp)
-    out = y
-    for _ in range(zp.kd.S[k]):
-        out = tent_apply(slope, out)
-    return out, k
+    return zp.image(y, zp.kd.S[k]), k
 
 
 def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable) -> V.Verdict:

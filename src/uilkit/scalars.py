@@ -70,6 +70,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .errors import DomainError, PrecisionExhausted, UnresolvedComparison
+from .verdicts import approx
 
 C = Fraction(1, 2)
 ONE = Fraction(1)
@@ -594,6 +595,8 @@ def certified_cmp(a: Scalar, b: Scalar) -> int:
 
     Exact equal values compare as 0.  Nothing is refined here: a caller that
     needs a finer answer re-derives both values from ``slope.at(bits)``.
+    The message prints the four ends, or 64-digit decimals of them when an
+    integer is past the interpreter's int-to-str digit limit.
     """
     if _lt(a.hi, b.lo):
         return -1
@@ -601,8 +604,12 @@ def certified_cmp(a: Scalar, b: Scalar) -> int:
         return 1
     if a.is_exact and b.is_exact:
         return 0
-    raise UnresolvedComparison(
-        f"cannot order [{a.lo}, {a.hi}] against [{b.lo}, {b.hi}]")
+    try:
+        text = f"cannot order [{a.lo}, {a.hi}] against [{b.lo}, {b.hi}]"
+    except ValueError:
+        ends = [approx(x, 64) for x in (a.lo, a.hi, b.lo, b.hi)]
+        text = "cannot order ~[{}, {}] against ~[{}, {}]".format(*ends)
+    raise UnresolvedComparison(text)
 
 
 # -- slope from kneading data ------------------------------------------------

@@ -179,13 +179,8 @@ def _verify_admissible(bits: str, stage: str, state, kd: CuttingData):
     return kd
 
 
-def extend_step(ledger: WordLedger, compat: bool = False):
-    """One full extension round; returns (new ledger, ExtensionPlan).
-
-    ``compat`` additionally asserts that the very first round starting from
-    the seed reproduces the reference extension
-    1.0.0.0.101.0.101.10001011.
-    """
+def extend_step(ledger: WordLedger):
+    """One full extension round; returns (new ledger, ExtensionPlan)."""
     nu = ledger.nu
     kd = ledger.kd
     S = kd.S
@@ -276,10 +271,6 @@ def extend_step(ledger: WordLedger, compat: bool = False):
         raise ConstructionStuck(
             "u-length", dict(state, u_len=len(u),
                              reason="|u| must be a cutting time other than 2"))
-    if compat and ledger.nu == SEED and new_ledger.nu != FIRST_EXTENSION_REFERENCE:
-        raise ConstructionStuck(
-            "compat-first-extension",
-            dict(state, got=new_ledger.nu, want=FIRST_EXTENSION_REFERENCE))
     plan = ExtensionPlan(v, v_flip, w, u, u_flip, n_prime, chosen_r,
                          block_i, block_ii, _block(nu, S, chosen_r), block_iv,
                          pre_extension)
@@ -340,7 +331,7 @@ def coverage_goal(target_length: int) -> int:
     return 0
 
 
-def generate(target_length: int, compat: bool = False):
+def generate(target_length: int):
     """Extend the seed until the length target and the coverage goal hold.
 
     The certificate reports: the word-coverage depth (every admissible word
@@ -357,10 +348,9 @@ def generate(target_length: int, compat: bool = False):
     while len(ledger.nu) < target_length or coverage_report(ledger, goal)[0] < goal:
         if len(plans) >= _MAX_STEPS:
             raise ConstructionStuck("step-budget", {"len": len(ledger.nu)})
-        ledger, plan = extend_step(ledger, compat=compat and not plans)
+        ledger, plan = extend_step(ledger)
         if first_matches is None:
-            first_matches = ledger.nu.startswith(FIRST_EXTENSION_REFERENCE) \
-                or ledger.nu == FIRST_EXTENSION_REFERENCE
+            first_matches = ledger.nu.startswith(FIRST_EXTENSION_REFERENCE)
         plans.append(plan)
     nu = KneadingPrefix(ledger.nu, source="generator")
     ok, reason = _segment_conditions(ledger.kd, len(SEED))

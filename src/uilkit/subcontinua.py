@@ -9,8 +9,11 @@ condition is
 the relaxed variant replaces the equality by
 ``Q(Q(k_i-1)+1) < k_{i-1}-1 < Q(k_i)``.  Along a chain one chooses points
 a_i inside the open precritical cell of index k_i - 1 so that T^{S_{k_i-1}}
-maps [c, a_i] monotonically onto [c_{S_{k_i-1}}, a_{i-1}]; the nested levels
-then assemble into a subcontinuum which is a direct spiral when
+maps [c, a_i] monotonically onto [c_{S_{k_i-1}}, a_{i-1}]; ``build_chain``
+reads each a_i off the inverse of that branch that also gives the closest
+precritical points (``PrecriticalTable.inverse``), exactly for an exact
+slope, and certifies it inside its cell.  The nested levels then assemble
+into a subcontinuum which is a direct spiral when
 Q(k_i + 1) -> oo (the central tower levels shrink to a point) and a basic
 sin(1/x)-continuum when Q(k_i + 1) stays bounded along a subsequence (the
 levels' intersection is the bar).  A separate symbolic rule detects
@@ -29,11 +32,10 @@ from typing import Optional, Sequence
 
 from . import verdicts as V
 from .errors import ConditionViolated, DomainError, UnresolvedComparison
-from .hofbauer import OrbitTable, PrecriticalTable, level_ends
+from .hofbauer import OrbitTable, PrecriticalTable, level_ends, orbit_table
 from .kneading import (CuttingData, _cutting_times, _materialize_q,
                        _q_lookup, _q_upto, renorm_scan)
-from .scalars import (C, Scalar, SlopeParam, certified_cmp,
-                      s_one_minus, tent_apply)
+from .scalars import C, Scalar, SlopeParam, certified_cmp, s_one_minus
 
 RULE_CHAIN = "critical-projection-chain-search"
 RULE_BUILD = "chain-level-construction"
@@ -134,61 +136,23 @@ class CriticalProjectionChain:
                 "levels": [lv.to_json() for lv in self.levels]}
 
 
-def _monotone_branch_image(slope, zp, m, x):
-    """T^{S_m} of a point in the cell piece of index m (exact iterate)."""
-    y = x
-    for _ in range(zp.kd.S[m]):
-        y = tent_apply(slope, y)
-    return y
-
-
-def _bisect_preimage(slope, zp, m, target, side, bits):
-    """Point a in the open piece of Upsilon_m with T^{S_m}(a) = target.
-
-    T^{S_m} is monotone on each piece; certified bisection on the piece.
-    """
-    lo = zp.boundary(m - 1)
-    hi = zp.boundary(m)
-    if side == "right":
-        lo, hi = s_one_minus(hi), s_one_minus(lo)
-    a, b = lo.hi, hi.lo                     # inner dyadic-ish bracket
-    fa = _monotone_branch_image(slope, zp, m, Scalar.exact(a))
-    fb = _monotone_branch_image(slope, zp, m, Scalar.exact(b))
-    try:
-        increasing = certified_cmp(fa, fb) < 0
-        lo_v, hi_v = (fa, fb) if increasing else (fb, fa)
-        if not (certified_cmp(target, lo_v) > 0
-                and certified_cmp(target, hi_v) < 0):
-            raise ConditionViolated(
-                m, "target not inside the branch image of the cell piece")
-    except UnresolvedComparison:
-        raise ConditionViolated(m, "branch image comparison unresolved")
-    for _ in range(bits):
-        mid = (a + b) / 2
-        fm = _monotone_branch_image(slope, zp, m, Scalar.exact(mid))
-        try:
-            cmp = certified_cmp(fm, target)
-        except UnresolvedComparison:
-            break
-        if cmp == 0:
-            return Scalar.exact(mid)
-        if (cmp < 0) == increasing:
-            a = mid
-        else:
-            b = mid
-    return Scalar(a, b)
-
-
 def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
-                variant: str = STRICT,
-                bisect_bits: int = 64) -> CriticalProjectionChain:
-    """Realize a chain numerically: certified a_i with monotone-onto levels,
-    each a_i on the side of c the next level maps onto (the last on the left).
+                variant: str = STRICT) -> CriticalProjectionChain:
+    """Realize a chain: certified a_i with monotone-onto levels, each a_i
+    on the side of c the next level maps onto (the last on the left).
 
-    Aborts with ConditionViolated when the containment
-    T^{S_{k_i - 1}}(open cell) contains a_{i-1} fails, which would falsify
-    the verified chain condition (used as a self-test).
+    a_1 is the midpoint of its cell piece.  For i >= 2, with m = k_i - 1,
+    a_i is the point of the open piece of Upsilon_m with
+    T^{S_m}(a_i) = a_{i-1}: ``zp.inverse(a_{i-1}, S_m)`` on the left piece,
+    its reflection 1 - x on the right one, as T(1 - x) = T(x).  For an
+    exact slope every a_i is exact and T^{S_m}(a_i) equals a_{i-1}.
+
+    Aborts with ConditionViolated when a_i is not certified strictly inside
+    the open piece, i.e. a_{i-1} is not in the branch image of the open
+    cell, which would falsify the verified chain condition (used as a
+    self-test).  A slope other than the table's raises DomainError.
     """
+    orbit_table(slope, zp.orbit)
     kd = zp.kd
     q_of = _q_lookup(kd.Q)
     k_seq = tuple(k_seq)
@@ -225,15 +189,26 @@ def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
     levels.append(ChainLevel(1, k_seq[1], n_seq[1], m1, a_prev, sides[1], True))
     for i in range(2, len(k_seq)):
         m = k_seq[i] - 1
-        a_i = _bisect_preimage(slope, zp, m, a_prev, sides[i], bisect_bits)
-        img = _monotone_branch_image(slope, zp, m, a_i)
-        onto = img.overlaps(a_prev)
+        n = kd.S[m]
+        lo = zp.boundary(m - 1)
+        hi = zp.boundary(m)
+        a_i = zp.inverse(a_prev, n)
+        try:
+            inside = certified_cmp(lo, a_i) < 0 and certified_cmp(a_i, hi) < 0
+        except UnresolvedComparison:
+            raise ConditionViolated(m, "branch image comparison unresolved")
+        if not inside:
+            raise ConditionViolated(
+                m, "target not inside the branch image of the cell piece")
+        if sides[i] == "right":
+            a_i = s_one_minus(a_i)
+        onto = zp.image(a_i, n).overlaps(a_prev)
         l_avoid = None
         if variant == RELAXED and i + 1 < len(k_seq):
             # L_{n_i} = [c, c_{S_{k_{i+1}-1}}]; its S_{k_i-1} image must avoid c
             l_end = orbit.value(kd.S[k_seq[i + 1] - 1])
-            l_set = _monotone_branch_image(slope, zp, m, Scalar(
-                min(Fraction(C), l_end.lo), max(Fraction(C), l_end.hi)))
+            l_set = zp.image(Scalar(min(Fraction(C), l_end.lo),
+                                    max(Fraction(C), l_end.hi)), n)
             l_avoid = not (l_set.lo < C < l_set.hi)
         levels.append(ChainLevel(i, k_seq[i], n_seq[i], m, a_i, sides[i], onto,
                                  l_avoid))
@@ -325,8 +300,9 @@ def nasty_cascade_rule(q, horizon: int, cascade_min: int = 3) -> V.Verdict:
     renormalization scan finds a nested cascade of at least ``cascade_min``
     windows; refuted(-leaning) when the scan sees a window and refutes every
     one; undetermined otherwise.  The witness reports the symbolic periods
-    S_{k-1} of the cascade levels.  A ``cascade_min`` below 1 or a negative
-    horizon raises ``DomainError``: an empty cascade is no evidence of one.
+    S_{k-1} of the cascade levels, and the depth is the number of Q values
+    read.  A ``cascade_min`` below 1 or a negative horizon raises
+    ``DomainError``: an empty cascade is no evidence of one.
     """
     if cascade_min < 1:
         raise DomainError(f"cascade_min must be >= 1, got {cascade_min}")
@@ -335,11 +311,11 @@ def nasty_cascade_rule(q, horizon: int, cascade_min: int = 3) -> V.Verdict:
     S = _cutting_times(qs)
     periods = [S[k - 1] for k in passing if k - 1 < len(S)]
     if len(passing) >= cascade_min:
-        return V.evidence(RULE_NASTY, depth=horizon, cascade=passing,
+        return V.evidence(RULE_NASTY, depth=len(qs), cascade=passing,
                           periods=periods)
     if not passing and len(qs) > 1:
-        return V.refuted(RULE_NASTY, depth=horizon,
+        return V.refuted(RULE_NASTY, depth=len(qs),
                          reason="every renormalization window refuted")
     reason = "shallow cascade" if passing else "no renormalization window"
-    return V.undetermined(RULE_NASTY, reason, depth=horizon,
+    return V.undetermined(RULE_NASTY, reason, depth=len(qs),
                           cascade=passing, periods=periods)

@@ -46,7 +46,10 @@ in core mode, ``long_branched_evidence``, ``closest_precriticals``,
 ``q_asymptotics``, ``admissible_q``, ``nu_from_q``) on callables and lists,
 ``build_chain``, ``generate``, ``slope_for_prefix`` and ``f_apply``.  It was
 recorded while those functions still took settable values that no caller
-set, and it calls them only with arguments both versions accept.
+set, and it calls them only with arguments both versions accept.  It was
+re-recorded when ``build_chain`` took its points from the exact inverse
+branch instead of a bisection: with ``build_chain`` replaced by a stub
+returning "stub", the digest is 82de2573...9f9f before and after.
 
 A sixth digest covers the tower of an exact slope p/q at depth:
 ``tower_levels`` (both level Scalars and ``length`` per level) and
@@ -94,7 +97,7 @@ KNEADING_DIGEST = \
 TOWER_DIGEST = \
     "22dec4ba9d72d3ce5513006fe79a2bb2452d210ca2d69360cc1940ec0fd9d06b"
 SURFACE_DIGEST = \
-    "8fa8ebc9ee9b6a48f7ea052b8596cec144c4d905bd5bb08f6445e855fdecf774"
+    "bcb356aeee0ceac397f68343a3c3a3631f9ab53edda183539c7d265b202cd72a"
 EXACT_TOWER_DIGEST = \
     "4e89918ca3071f5bb543102b4757af2e8ccccb512adf003f5166362188cee368"
 PULLBACK_WORD = "110101101110101101011101101011"
@@ -417,19 +420,17 @@ def surface_digest():
     for slope, upto_k in ((fib_slope, 6), (slope_exact(Fraction(9, 5)), 4),
                           (sqrt3, 5), (slope_exact(2), 0)):
         _feed_call(h, closest_precriticals, slope, upto_k)
-    # chains realized numerically, strict and relaxed
+    # chains realized by the inverse branch, strict and relaxed
     ex35 = slope_for_prefix(nu_from_q(example35_q, 120).bits)
     ex35_kd = cutting_data(nu_from_orbit(ex35, 120))
     zp = PrecriticalTable(ex35, ex35_kd)
-    _feed_call(h, build_chain, ex35, (2, 5, 8, 11), zp, variant="strict",
-               bisect_bits=48)
+    _feed_call(h, build_chain, ex35, (2, 5, 8, 11), zp, variant="strict")
     _feed_call(h, build_chain, ex35, (2, 5, 9), zp, variant="strict")
     _feed_call(h, build_chain, ex35, (2,), zp)
     zp = PrecriticalTable(fib_slope, fib_kd)
     greedy = find_qcond_chains(fibonacci_q, fib_kd.max_k,
                                variant="relaxed")["greedy"][:5]
-    _feed_call(h, build_chain, fib_slope, greedy, zp, variant="relaxed",
-               bisect_bits=40)
+    _feed_call(h, build_chain, fib_slope, greedy, zp, variant="relaxed")
     orbit = zp.orbit
     points = [orbit.value(fib_kd.S[k]) for k in range(6)]
     points += [Scalar.exact(orbit.value(2).value + (orbit.value(1).value

@@ -324,10 +324,12 @@ def test_criterion_10_generator_certificate():
     ledger = WordLedger(SEED)
     steps = 0
     while len(ledger.nu) < 200 or steps < 4:
-        ledger, _ = extend_step(ledger, compat=steps == 0)
+        ledger, _ = extend_step(ledger)
         assert ledger.scratch_equal()
+        if steps == 0:
+            assert ledger.nu == FIRST_EXTENSION_REFERENCE
         steps += 1
-    nu, cert, plans = generate(200, compat=True)
+    nu, cert, plans = generate(200)
     assert cert["length"] >= 200
     assert cert["coverage_length"] >= 4          # every admissible word occurs
     assert cert["coverage_length_at_cuts"] >= 3  # and ends at cuts up to len 3
@@ -349,7 +351,7 @@ DETERMINISM_COMMANDS = [
     ["knead", "--q", "ex35", "--horizon", "64"],
     ["persistence", "--q", "fib", "--horizon", "100"],
     ["subcontinua", "--q", "ex35", "--horizon", "40"],
-    ["genseq", "--length", "200", "--compat"],
+    ["genseq", "--length", "200"],
     ["density", "--slope", "9/5", "--K", "6", "--horizon", "64"],
     ["fmap", "--slope", "nonrec41:80", "--horizon", "64", "--grid", "16",
      "--max-cell", "2"],

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import uilkit
 from uilkit import hofbauer, kneading
-from uilkit.errors import DomainError, PrecisionExhausted
+from uilkit.errors import (DomainError, PrecisionExhausted,
+                           UnresolvedComparison)
 from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
                              cutting_value_gaps, f_apply, f_graph_data,
                              long_branched_evidence, tower_levels,
@@ -52,6 +53,50 @@ def test_kappa3_clamp():
     assert pair.zhat.value == 1 - pair.z_natural.value
     assert pair.z_natural.value < pair.z.value
     assert tent_apply(s, pair.zhat).value == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("s", [Fraction(6, 5), Fraction(9, 5)])
+def test_cell_edges_are_read_without_building_pairs(monkeypatch, s):
+    # boundary and boundary_hat return the convention values themselves;
+    # pair(k) is assembled from them
+    slope = slope_exact(s)
+    kd = cutting_data(nu_from_orbit(slope, 60))
+    table = PrecriticalTable(slope, kd)
+    pairs = [table.pair(k) for k in range(-1, kd.max_k + 1)]
+    monkeypatch.setattr(hofbauer, "PrecriticalPair", None)
+    orbit = table.orbit
+    for pair in pairs:
+        z, zhat = table.boundary(pair.k), table.boundary_hat(pair.k)
+        assert (z.lo, z.hi, zhat.lo, zhat.hi) == \
+            (pair.z.lo, pair.z.hi, pair.zhat.lo, pair.zhat.hi)
+    assert table.boundary(-1).value == orbit.value(2).value
+    assert table.boundary_hat(-1).value == orbit.value(1).value
+    clamped = kd.kappa == 3
+    assert (table.boundary(0).value == orbit.value(2).value) == clamped
+    assert table.boundary_hat(0).value == 1 - table.natural(0).value
+    for k in range(2, kd.max_k):
+        verify_zzz(slope, k, table)
+        upsilon_index(orbit.value(kd.S[k]), table)
+
+
+def test_cell_of_a_point_straddling_a_deep_boundary_is_unresolved():
+    # z_8 of fib:400 has a denominator of 20 174 bits: the comparison's
+    # error text printed it in decimal and raised ValueError past the
+    # interpreter's 4300-digit limit
+    slope = parse_slope("fib:400")
+    zp = PrecriticalTable(slope, cutting_data(nu_from_orbit(slope, 400)))
+    z8 = zp.natural(8).value
+    x = Scalar(z8 - Fraction(1, 10 ** 60), z8 + Fraction(1, 10 ** 60))
+    with pytest.raises(UnresolvedComparison, match=r"^cannot order ~\["):
+        upsilon_index(x, zp)
+    with pytest.raises(UnresolvedComparison, match=r"^cannot order ~\["):
+        f_apply(slope, x, zp)
+
+
+def test_f_apply_rejects_another_slope(fib_slope, fib_kd):
+    zp = PrecriticalTable(fib_slope, fib_kd)
+    with pytest.raises(DomainError, match="another slope"):
+        f_apply(slope_exact(Fraction(9, 5)), zp.orbit.value(3), zp)
 
 
 def test_precritical_defining_property(fib_slope, fib_kd):

@@ -4,10 +4,8 @@ import itertools
 import math
 import os
 import random
-import statistics
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -985,16 +983,26 @@ def test_bounded_scan_matches_whole_word_scan_on_fixture_words(
     _assert_tau_like_whole_word(data.draw(_tails_from(nu.bits)), nu)
 
 
-def test_periodic_tail_tau_data_against_the_long_fibonacci_word():
+def test_periodic_tail_tau_data_against_the_long_fibonacci_word(monkeypatch):
+    # a periodic tail with m explicit symbols and period p reads the first
+    # m + p + z symbols of the word (z the common prefix of the word and
+    # its p-shift), not its 10 000, and the word's table covers no more
     nu = nu_from_q(fibonacci_q, 10000)
-    for back in (BackwardWord("", "1"), BackwardWord("0110", "10"),
-                 BackwardWord(nu.bits[:89], nu.bits[:55])):
-        times = []
-        for _ in range(21):
-            start = time.perf_counter()
-            tau_data(back, nu, 64)
-            times.append(time.perf_counter() - start)
-        assert statistics.median(times[1:]) < 0.5e-3, back
+    reads = []
+    scan = inverse_limit._kmp_scan
+
+    def spy(pattern, fail, m, text):
+        reads.append(m)
+        return scan(pattern, fail, m, text)
+
+    monkeypatch.setattr(inverse_limit, "_kmp_scan", spy)
+    for back, read in ((BackwardWord("", "1"), 1),
+                       (BackwardWord("0110", "10"), 6),
+                       (BackwardWord(nu.bits[:89], nu.bits[:55]), 177)):
+        reads.clear()
+        tau_data(back, nu, 64)
+        assert reads == [read], back
+        assert len(nu.match_tables[0]) - 1 <= read, back
 
 
 # -- one match table per kneading prefix against tables built per call -------

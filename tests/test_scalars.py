@@ -131,6 +131,20 @@ def test_certified_cmp_only_compares(monkeypatch):
     assert certified_cmp(Scalar.exact(C), Scalar.exact(Fraction(2, 4))) == 0
 
 
+def test_certified_cmp_past_the_digit_limit_is_unresolved():
+    # an end of more than 4300 decimal digits has no str(); the message
+    # falls back to 64-digit decimals, and is unchanged below the limit
+    tiny = Fraction(1, 3 ** 10000)
+    with pytest.raises(UnresolvedComparison) as err:
+        certified_cmp(Scalar(C - tiny, C + tiny), Scalar.exact(C))
+    assert str(err.value).startswith("cannot order ~[4.99999")
+    half = "5." + "0" * 64 + "e-1"
+    assert str(err.value).endswith(f" against ~[{half}, {half}]")
+    with pytest.raises(UnresolvedComparison) as err:
+        certified_cmp(Scalar(Fraction(1, 3), C), Scalar.exact(Fraction(2, 5)))
+    assert str(err.value) == "cannot order [1/3, 1/2] against [2/5, 2/5]"
+
+
 def test_slope_validation():
     with pytest.raises(DomainError):
         slope_exact(1)

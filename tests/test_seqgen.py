@@ -27,8 +27,9 @@ def test_shortest_missing_pair_is_10_11():
 
 
 def test_first_extension_matches_reference():
-    ledger, plan = extend_step(WordLedger(SEED), compat=True)
+    ledger, plan = extend_step(WordLedger(SEED))
     assert ledger.nu == FIRST_EXTENSION_REFERENCE
+    assert generate(25)[1]["first_extension_matches_reference"]
     assert (plan.v, plan.v_flip) == ("11", "10")
     kd = ledger.kd
     assert kd.S == (1, 2, 3, 4, 7, 8, 11, 19)
@@ -87,8 +88,8 @@ def test_ledger_built_from_the_word_equals_the_incremental_update(monkeypatch):
     rounds = []
     real = seqgen.extend_step
 
-    def checked(ledger, compat=False):
-        new_ledger, plan = real(ledger, compat)
+    def checked(ledger):
+        new_ledger, plan = real(ledger)
         cap = max(ledger.len_cap, len(plan.v) + 1)
         assert new_ledger.len_cap == cap
         assert new_ledger.ends_at_cuts == _extended(
@@ -138,7 +139,7 @@ def test_generate_small_targets():
 
 
 def test_generate_certificate_200():
-    nu, cert, plans = generate(200, compat=True)
+    nu, cert, plans = generate(200)
     assert cert["length"] >= 200
     assert cert["coverage_length"] >= 4
     assert cert["coverage_length_at_cuts"] >= 3

@@ -1,18 +1,25 @@
+import itertools
 import json
+import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uilkit import subcontinua
 from uilkit.cli import main
-from uilkit.errors import ConditionViolated, DomainError
+from uilkit.errors import (ConditionViolated, DomainError, UilkitError,
+                           UnresolvedComparison)
 from uilkit.hofbauer import OrbitTable, PrecriticalTable, level_ends
 from uilkit.kneading import (_materialize_q, _q_lookup, cascade_q,
                              cutting_data, example35_q, fibonacci_q,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q)
-from uilkit.scalars import C, slope_for_prefix, tent_apply
-from uilkit.subcontinua import (build_chain, classify_chain,
+from uilkit.presets import parse_slope
+from uilkit.scalars import (C, Scalar, certified_cmp, s_one_minus,
+                            slope_for_prefix, slope_interval, tent_apply)
+from uilkit.subcontinua import (ChainLevel, CriticalProjectionChain,
+                                build_chain, classify_chain,
                                 find_qcond_chains, nasty_cascade_rule)
 from uilkit.verdicts import approx
 
@@ -234,16 +241,15 @@ def test_nasty_cascade_rule_refutes_nothing_from_no_window():
 
 def test_build_chain_levels_certified(ex35_slope, ex35_kd):
     zp = PrecriticalTable(ex35_slope, ex35_kd)
-    chain = build_chain(ex35_slope, (2, 5, 8, 11), zp, variant="strict",
-                        bisect_bits=48)
+    chain = build_chain(ex35_slope, (2, 5, 8, 11), zp, variant="strict")
     assert chain.n_seq == tuple(ex35_kd.S[k] for k in (2, 5, 8, 11))
     assert all(lv.image_onto for lv in chain.levels)
-    # level identity: T^{S_{k_i - 1}}(a_i) recovers a_{i-1} within enclosures
+    # level identity: T^{S_{k_i - 1}}(a_i) recovers a_{i-1} exactly
     for prev, lv in zip(chain.levels, chain.levels[1:]):
         y = lv.a
         for _ in range(ex35_kd.S[lv.k - 1]):
             y = tent_apply(ex35_slope, y)
-        assert y.overlaps(prev.a)
+        assert y.value == prev.a.value
 
 
 def test_build_chain_rejects_corruption(ex35_slope, ex35_kd):
@@ -256,8 +262,7 @@ def test_build_chain_relaxed_l_avoids_c(fib_slope, fib_kd):
     zp = PrecriticalTable(fib_slope, fib_kd)
     greedy = find_qcond_chains(fibonacci_q, fib_kd.max_k,
                                variant="relaxed")["greedy"][:5]
-    chain = build_chain(fib_slope, greedy, zp, variant="relaxed",
-                        bisect_bits=40)
+    chain = build_chain(fib_slope, greedy, zp, variant="relaxed")
     # n_i = S_{k_1 - 1} + ... + S_{k_i - 1}, with n_0 = 0
     assert chain.n_seq == tuple(
         sum(fib_kd.S[k - 1] for k in greedy[1:i + 1])
@@ -325,3 +330,259 @@ def test_basic_sin_curve_reports_its_bar(nonrec_slope, nonrec_kd):
     assert cc.bar_enclosure == (lo, hi) and lo <= hi
     assert cc.to_json()["bar"] == {"lo": approx(lo), "hi": approx(hi)}
     assert classify_chain(chain, list(nonrec_kd.Q)).bar_enclosure is None
+
+
+# -- the exact inverse branch against the bisection it replaced --------------
+#
+# The oracle is build_chain as it was: each a_i (i >= 2) bracketed by 64
+# certified halvings of its cell piece under T^{S_m}, m = k_i - 1.  The
+# exact inverse must land in every bracket, and raise the same error type
+# and text wherever the bisection raised one.
+
+def _branch_image(slope, zp, m, x):
+    for _ in range(zp.kd.S[m]):
+        x = tent_apply(slope, x)
+    return x
+
+
+def _bisect_preimage(slope, zp, m, target, side, bits):
+    lo = zp.boundary(m - 1)
+    hi = zp.boundary(m)
+    if side == "right":
+        lo, hi = s_one_minus(hi), s_one_minus(lo)
+    a, b = lo.hi, hi.lo
+    fa = _branch_image(slope, zp, m, Scalar.exact(a))
+    fb = _branch_image(slope, zp, m, Scalar.exact(b))
+    try:
+        increasing = certified_cmp(fa, fb) < 0
+        lo_v, hi_v = (fa, fb) if increasing else (fb, fa)
+        if not (certified_cmp(target, lo_v) > 0
+                and certified_cmp(target, hi_v) < 0):
+            raise ConditionViolated(
+                m, "target not inside the branch image of the cell piece")
+    except UnresolvedComparison:
+        raise ConditionViolated(m, "branch image comparison unresolved")
+    for _ in range(bits):
+        mid = (a + b) / 2
+        fm = _branch_image(slope, zp, m, Scalar.exact(mid))
+        try:
+            cmp = certified_cmp(fm, target)
+        except UnresolvedComparison:
+            break
+        if cmp == 0:
+            return Scalar.exact(mid)
+        if (cmp < 0) == increasing:
+            a = mid
+        else:
+            b = mid
+    return Scalar(a, b)
+
+
+def bisection_chain(slope, k_seq, zp, variant="strict", bits=64):
+    kd = zp.kd
+    q_of = _q_lookup(kd.Q)
+    k_seq = tuple(k_seq)
+    if len(k_seq) < 2:
+        raise DomainError("a chain needs at least two indices")
+    for k_prev, k in zip(k_seq, k_seq[1:]):
+        if k_prev not in subcontinua._prev_range(q_of, variant, k):
+            raise ConditionViolated(
+                k, f"chain condition ({variant}) fails at {k_prev} -> {k}")
+    if variant == "strict":
+        n_seq = tuple(kd.S[k] for k in k_seq)
+    else:
+        n_seq = tuple(itertools.accumulate(
+            (kd.S[k - 1] for k in k_seq[1:]), initial=0))
+    sides = {len(k_seq) - 1: "left"}
+    for i in range(1, len(k_seq) - 1):
+        s_val = kd.S[kd.q_of(k_seq[i + 1] - 1)]
+        sides[i] = "right" if kd.nu.bits[s_val - 1] == "1" else "left"
+    m1 = k_seq[1] - 1
+    lo, hi = zp.boundary(m1 - 1), zp.boundary(m1)
+    a_prev = Scalar.exact((lo.hi + hi.lo) / 2)
+    if sides[1] == "right":
+        a_prev = s_one_minus(a_prev)
+    levels = [ChainLevel(1, k_seq[1], n_seq[1], m1, a_prev, sides[1], True)]
+    for i in range(2, len(k_seq)):
+        m = k_seq[i] - 1
+        a_i = _bisect_preimage(slope, zp, m, a_prev, sides[i], bits)
+        onto = _branch_image(slope, zp, m, a_i).overlaps(a_prev)
+        l_avoid = None
+        if variant == "relaxed" and i + 1 < len(k_seq):
+            l_end = zp.orbit.value(kd.S[k_seq[i + 1] - 1])
+            l_set = _branch_image(slope, zp, m, Scalar(
+                min(Fraction(C), l_end.lo), max(Fraction(C), l_end.hi)))
+            l_avoid = not (l_set.lo < C < l_set.hi)
+        levels.append(ChainLevel(i, k_seq[i], n_seq[i], m, a_i, sides[i],
+                                 onto, l_avoid))
+        if not onto:
+            raise ConditionViolated(i, "level image does not meet a_{i-1}")
+        a_prev = a_i
+    return CriticalProjectionChain(k_seq, n_seq, levels, variant)
+
+
+def _assert_chain_matches_bisection(slope, k_seq, zp, variant):
+    """The levels of build_chain against the oracle's; returns the outcome
+    kind, for counting."""
+    try:
+        want = bisection_chain(slope, k_seq, zp, variant)
+    except UilkitError as err:
+        with pytest.raises(UilkitError) as got:
+            build_chain(slope, k_seq, zp, variant)
+        assert (type(got.value), str(got.value)) == (type(err), str(err)), \
+            k_seq
+        return f"{type(err).__name__}: {err}"
+    got = build_chain(slope, k_seq, zp, variant)
+    assert (got.k_seq, got.n_seq, got.variant) == \
+        (want.k_seq, want.n_seq, want.variant)
+    assert len(got.levels) == len(want.levels)
+    for g, w in zip(got.levels, want.levels):
+        assert (g.i, g.k, g.n, g.cell, g.side, g.image_onto,
+                g.l_image_avoids_c) == (w.i, w.k, w.n, w.cell, w.side,
+                                        w.image_onto, w.l_image_avoids_c)
+        assert w.a.lo <= g.a.lo and g.a.hi <= w.a.hi, (k_seq, g.i)
+        assert g.a.is_exact == (slope.is_exact or g.i == 1)
+    if slope.is_exact:      # T^{S_m}(a_i) = a_{i-1} exactly
+        for prev, lv in zip(got.levels, got.levels[1:]):
+            assert zp.image(lv.a, zp.kd.S[lv.cell]).value == prev.a.value
+    return "ok"
+
+
+@pytest.fixture(scope="module")
+def stdlib_tables():
+    """The ex35 and fib tables that tests/stdlib_check.py builds chains on."""
+    out = {}
+    for name, q in (("ex35", example35_q), ("fib", fibonacci_q)):
+        slope = slope_for_prefix(nu_from_q(q, 120).bits)
+        out[name] = slope, PrecriticalTable(
+            slope, cutting_data(nu_from_orbit(slope, 120)))
+    return out
+
+
+def test_build_chain_matches_the_bisection_on_the_tested_chains(
+        ex35_slope, ex35_kd, fib_slope, fib_kd, stdlib_tables):
+    ex35_zp = PrecriticalTable(ex35_slope, ex35_kd)
+    fib_zp = PrecriticalTable(fib_slope, fib_kd)
+    greedy = find_qcond_chains(fibonacci_q, fib_kd.max_k,
+                               variant="relaxed")["greedy"][:5]
+    slope, zp = stdlib_tables["ex35"]
+    cases = [(ex35_slope, ex35_zp, chain, "strict")
+             for chain in ((2, 5, 8, 11), (2, 5, 9), (2,))]
+    cases += [(slope, zp, chain, "strict")
+              for chain in ((2, 5, 8, 11), (2, 5, 9), (2,))]
+    cases.append((fib_slope, fib_zp, greedy, "relaxed"))
+    slope, zp = stdlib_tables["fib"]
+    cases.append((slope, zp, find_qcond_chains(
+        fibonacci_q, zp.kd.max_k, variant="relaxed")["greedy"][:5],
+        "relaxed"))
+    outcomes = [_assert_chain_matches_bisection(slope, chain, zp, variant)
+                for slope, zp, chain, variant in cases]
+    violated = "ConditionViolated: chain condition violated at level 9: " \
+        "chain condition (strict) fails at 5 -> 9"
+    short = "DomainError: a chain needs at least two indices"
+    assert outcomes == ["ok", violated, short] * 2 + ["ok", "ok"]
+
+
+def _sweep_chains(kd, variant, rng, count):
+    """The chains of find_qcond_chains and its greedy chain, random
+    stretches of them, and random walks along the allowed steps."""
+    res = find_qcond_chains(list(kd.Q), kd.max_k, variant)
+    found = res["chains"] + [res["greedy"]]
+    q_of = _q_lookup(kd.Q)
+    succ = {k: [] for k in range(1, kd.max_k + 1)}
+    for k in range(2, kd.max_k + 1):
+        for k_prev in subcontinua._prev_range(q_of, variant, k):
+            if 1 <= k_prev < k:
+                succ[k_prev].append(k)
+    starts = [k for k in succ if succ[k]]
+    chains = list(found)
+    for _ in range(count):
+        chain = rng.choice(found)
+        i = rng.randrange(len(chain))
+        chains.append(chain[i:rng.randrange(i + 1, len(chain) + 1)])
+        walk = [rng.choice(starts)]
+        while succ[walk[-1]] and rng.random() < 0.9:
+            walk.append(rng.choice(succ[walk[-1]]))
+        chains.append(tuple(walk))
+    return chains
+
+
+@pytest.fixture(scope="module")
+def sweep_tables(ex35_slope, ex35_kd, stdlib_tables):
+    """ex35 and fib (exact), sqrt3 (algebraic) and an interval 2 * 10^-60
+    wide around the ex35 slope."""
+    sqrt3 = parse_slope("sqrt3")
+    half = Fraction(1, 10 ** 60)
+    interval = slope_interval(ex35_slope.s.lo - half, ex35_slope.s.lo + half)
+    tables = [(ex35_slope, ex35_kd),
+              (sqrt3, cutting_data(nu_from_orbit(sqrt3, 200))),
+              (interval, cutting_data(nu_from_orbit(interval, 130)))]
+    return [(slope, PrecriticalTable(slope, kd)) for slope, kd in tables] \
+        + [stdlib_tables["fib"]]
+
+
+@pytest.mark.parametrize("variant", ["strict", "relaxed"])
+def test_build_chain_matches_the_bisection_on_admissible_chains(
+        sweep_tables, variant):
+    rng = random.Random(26)
+    deepest = []            # levels of the longest chain realized, per slope
+    for slope, zp in sweep_tables:
+        levels = 0
+        for chain in _sweep_chains(zp.kd, variant, rng, 12):
+            outcome = _assert_chain_matches_bisection(slope, chain, zp,
+                                                      variant)
+            if outcome == "ok":
+                levels = max(levels, len(chain) - 1)
+        deepest.append(levels)
+    # sqrt3 has no chain of three indices at this horizon
+    assert deepest[1] == 1 and min(deepest[:1] + deepest[2:]) >= 3
+
+
+def test_build_chain_matches_the_bisection_past_the_chain_condition(
+        sweep_tables, monkeypatch):
+    # with every step allowed, index sets that are no chain reach the
+    # inverse, and some of their points fall outside their cell pieces
+    monkeypatch.setattr(subcontinua, "_prev_range",
+                        lambda q_of, variant, k: range(-k, k))
+    rng = random.Random(27)
+    outcomes = set()
+    for slope, zp in sweep_tables:
+        top = min(zp.kd.max_k, 12)
+        for _ in range(15):
+            chain = sorted(rng.sample(range(1, top + 1), rng.randrange(2, 6)))
+            variant = rng.choice(("strict", "relaxed"))
+            outcomes.add(_assert_chain_matches_bisection(slope, chain, zp,
+                                                         variant))
+    assert "ok" in outcomes
+    assert any(o.endswith("target not inside the branch image of the cell "
+                          "piece") for o in outcomes), outcomes
+
+
+def test_fib400_relaxed_chain_has_exact_levels():
+    # the bisection's comparison printed a c-value of more than 4300 digits
+    # into its error text and raised ValueError here
+    slope = parse_slope("fib:400")
+    zp = PrecriticalTable(slope, cutting_data(nu_from_orbit(slope, 400)))
+    chain = build_chain(slope, (3, 5, 7, 9, 11), zp, "relaxed")
+    assert len(chain.levels) == 4
+    assert all(lv.a.is_exact and lv.image_onto for lv in chain.levels)
+    for prev, lv in zip(chain.levels, chain.levels[1:]):
+        assert zp.image(lv.a, zp.kd.S[lv.cell]).value == prev.a.value
+    assert chain.levels[-1].a.value.denominator.bit_length() > 4300 * 3
+
+
+def test_nasty_cascade_rule_depth_is_the_number_of_values_read():
+    # one list per verdict: undetermined, evidence, refuted
+    for qs, status in (([0, 1, 1, 2, 3, 3, 4], "undetermined"),
+                       ([cascade_q(k) for k in range(1, 41)], "evidence"),
+                       ([example35_q(k) for k in range(1, 31)], "refuted")):
+        for horizon in (None, 50):
+            verdict = nasty_cascade_rule(qs, horizon)
+            assert (verdict.status, verdict.depth) == (status, len(qs)), \
+                horizon
+
+
+def test_build_chain_rejects_another_slope(ex35_slope, ex35_kd):
+    zp = PrecriticalTable(ex35_slope, ex35_kd)
+    with pytest.raises(DomainError, match="another slope"):
+        build_chain(slope_for_prefix("1001"), (2, 5, 8, 11), zp)
