@@ -35,7 +35,8 @@ from typing import Optional
 from . import verdicts as V
 from .errors import (DomainError, InternalInconsistency, PrecisionExhausted,
                      UnresolvedComparison)
-from .kneading import CuttingData, cutting_data, nu_from_orbit, q_asymptotics
+from .kneading import (CuttingData, KneadingPrefix, cutting_data,
+                       nu_from_orbit, q_asymptotics)
 from .scalars import (C, DEFAULT_PREC_CAP, DEFAULT_PRECISION, Scalar,
                       SignRelC, SlopeParam, _SYMBOL, _diff, _frac,
                       _exact_critical_orbit, _grid_ends, _lt, _scalar,
@@ -131,32 +132,37 @@ class OrbitTable:
             ends = memo[n] = _grid_ends(x, bits)
         return ends
 
-    def check_word(self, word: str):
-        """Raise DomainError when ``word`` and ``self.word`` differ within
-        their common length: ``word`` is then another slope's."""
-        _check_word(word, self.word, "the orbit table", self.slope)
+    def check_word(self, nu: KneadingPrefix):
+        """DomainError unless ``nu`` is this slope's word: a prefix that
+        ``nu_from_orbit`` certified for this slope object passes unread, any
+        other is held whole to ``word``, the table first read to len(nu)."""
+        if nu.certified_for is self.slope:
+            return
+        if len(self._values) <= len(nu.bits):
+            self.extend(len(nu.bits))
+        word, signs = nu.bits, self.word
+        if word[:len(signs)] != signs[:len(word)]:
+            n = next(i for i, (a, b) in enumerate(zip(word, signs), 1)
+                     if a != b)
+            raise DomainError(f"kneading word disagrees with the orbit table "
+                              f"of {self.slope.name or 'its slope'} at nu_{n}")
 
 
-def _check_word(word: str, signs: str, source: str, slope: SlopeParam):
-    """DomainError naming ``source`` when ``word`` and the certified
-    ``signs`` of ``slope`` differ within their common length."""
-    if word[:len(signs)] != signs[:len(word)]:
-        n = next(i for i, (a, b) in enumerate(zip(word, signs), 1) if a != b)
-        raise DomainError(f"kneading word disagrees with {source} of "
-                          f"{slope.name or 'its slope'} at nu_{n}")
-
-
-def orbit_table(slope: SlopeParam,
-                orbit: Optional[OrbitTable] = None) -> OrbitTable:
-    """``orbit``, or a table for ``slope`` at the default cap.
+def orbit_table(slope: SlopeParam, orbit: Optional[OrbitTable] = None,
+                nu: Optional[KneadingPrefix] = None) -> OrbitTable:
+    """``orbit``, or a table for ``slope`` at the default cap, with ``nu``
+    held to it (``OrbitTable.check_word``): the one gate between a kneading
+    word and the orbit it is read beside.
 
     A caller sets the precision cap by building the table itself.  A table
     built for a slope with other ends is rejected.
     """
     if orbit is None:
-        return OrbitTable(slope)
-    if orbit.slope.s.lo != slope.s.lo or orbit.slope.s.hi != slope.s.hi:
+        orbit = OrbitTable(slope)
+    elif orbit.slope.s.lo != slope.s.lo or orbit.slope.s.hi != slope.s.hi:
         raise DomainError("orbit table built for another slope")
+    if nu is not None:
+        orbit.check_word(nu)
     return orbit
 
 
@@ -233,9 +239,8 @@ def tower_levels(kd: CuttingData, slope: Optional[SlopeParam] = None,
         return [TowerLevel(n, kd.beta_of(n), contains_c=n in cuts)
                 for n in range(1, N + 1)]
 
-    orbit = orbit_table(slope, orbit)
-    orbit.extend(N)
-    orbit.check_word(kd.nu.bits)
+    orbit = orbit_table(slope, orbit, kd.nu)
+    orbit.extend(N)                 # one precision for every level
     if slope.is_exact:
         return _exact_tower_levels(kd, slope, N, orbit, cuts)
     c1 = orbit.value(1)
@@ -359,17 +364,15 @@ class PrecriticalTable:
     off from the kneading bit at S_{k-1}.
 
     Those symbols and the cutting times S_{k-1}, S_k that fix Q(k) are read
-    off nu_1 .. nu_{S_k}, which must be the slope's own: ``check_symbols``
-    takes a word ``nu_from_orbit`` certified for this slope object, and
-    holds any other to the orbit table's signs, up to the first sign
-    unresolved at the cap, with DomainError on a mismatch.
+    off the word of ``kd``, which ``orbit_table`` holds to the slope's
+    orbit table when the table is built.
     """
 
     def __init__(self, slope: SlopeParam, kd: CuttingData,
                  orbit: Optional[OrbitTable] = None):
         self.slope = slope
         self.kd = kd
-        self.orbit = orbit_table(slope, orbit)
+        self.orbit = orbit_table(slope, orbit, kd.nu)
         self._natural = [branch_preimage_left(slope, Scalar.exact(C))]
 
     @property
@@ -383,8 +386,6 @@ class PrecriticalTable:
             raise DomainError(
                 f"z_{k} needs cutting data to S_{k} (have {self.kd.max_k})")
         nu = self.kd.nu.bits
-        if len(self._natural) <= k:
-            self.check_symbols(k)
         while len(self._natural) <= k:
             j = len(self._natural)
             s_prev, q = self.kd.S[j - 1], self.kd.q_of(j)
@@ -397,7 +398,7 @@ class PrecriticalTable:
         """The x in [z_{k-1}, c] with T^n(x) = y, for n <= S_k: the branch
         preimages of y along nu_{n-1} .. nu_1, which every point of that
         monotone branch follows, then the increasing one.  Exact for an
-        exact slope and y.  ``natural`` and ``boundary`` check the symbols.
+        exact slope and y.
         """
         nu = self.kd.nu.bits
         for i in range(n - 1, 0, -1):
@@ -410,15 +411,6 @@ class PrecriticalTable:
         for _ in range(n):
             x = tent_apply(self.slope, x)
         return x
-
-    def check_symbols(self, k: int):
-        """Raise DomainError unless nu_1 .. nu_{S_k} of the cutting data
-        are the slope's certified signs, as far as they resolve."""
-        if self.kd.nu.certified_for is not self.slope:
-            n = self.kd.S[k]
-            self.orbit.extend(n)
-            _check_word(self.kd.nu.bits[:n], self.orbit.word,
-                        "the certified signs", self.slope)
 
     def hat_natural(self, k: int) -> Scalar:
         return s_one_minus(self.natural(k))
@@ -511,12 +503,12 @@ def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable) -> V.Verdict:
 
     For k = 0 and k = 1 the membership is on the boundary: c_1 = zhat_{-1}
     and c_2 equals the left cell edge (z_{-1}, or the clamped z_0 when
-    kappa = 3).
+    kappa = 3).  A slope other than the table's raises DomainError.
     """
     kd = zp.kd
     if k + 1 > kd.max_k:
         raise DomainError(f"need cutting data to S_{k + 1}")
-    zp.check_symbols(k + 1)
+    orbit_table(slope, zp.orbit)
     q = kd.q_of(k + 1)
     val = zp.orbit.value(kd.S[k])
     if k >= 2:
@@ -611,9 +603,9 @@ def cutting_value_gaps(slope: SlopeParam, K: int, eps, kd: CuttingData,
     The verdict is about eps-density at this horizon only.
     """
     eps = Fraction(eps)
-    orbit = orbit_table(slope, orbit)
     if kd.max_k < K:
         raise DomainError(f"cutting data only reaches S_{kd.max_k}")
+    orbit = orbit_table(slope, orbit, kd.nu)
 
     def gap_report(ks):
         pts = [(orbit.value(kd.S[k]), kd.S[k]) for k in ks]

@@ -57,8 +57,8 @@ from . import verdicts as V
 from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
                      UnrealizableWord, UnresolvedComparison)
 from .hofbauer import OrbitTable, level_bounds, level_ends, orbit_table
-from .kneading import (CuttingData, KneadingPrefix, _lcp, cutting_data,
-                       q_asymptotics)
+from .kneading import (CuttingData, KneadingPrefix, _checked, _lcp,
+                       cutting_data, q_asymptotics)
 from .scalars import (C, Scalar, SignRelC, SlopeParam, _exact_orbit,
                       _grid_ends, _lt, branch_preimage, certified_cmp,
                       parity_lex_cmp, sign_rel_c, tent_apply)
@@ -462,8 +462,11 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
     (including saturated full-word ones) as one-sided bounds with the trivial
     floor c_2; with finite unsaturated matches on both sides the interval is
     exact and is checked to be the tower level D_{max(tauL, tauR)}; with
-    ``kd``, left-match levels nested within 2^-20 mark it degenerate.
+    ``kd``, whose word must be the table's slope's, left-match levels
+    nested within 2^-20 mark it degenerate.
     """
+    if kd is not None:
+        orbit.check_word(kd.nu)
     exact, identity, degen = True, None, None
     if mode == "unit":
         if td.word_len is None:
@@ -507,8 +510,6 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
             degen = max(Fraction(0), ends[1] - ends[0])
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    if kd is not None:
-        orbit.check_word(kd.nu.bits)
     return ArcInterval(lo, hi, lo_n, hi_n, exact, identity, degen)
 
 
@@ -615,7 +616,7 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
     if proxy_len < 0:
         raise DomainError(f"proxy_len {proxy_len} < 0 leaves the orbit-tail "
                           f"proxy empty")
-    orbit = orbit_table(slope, orbit)
+    orbit = orbit_table(slope, orbit, nu)
     orbit.extend(proxy_len)
     bits = max(64, (eps.denominator.bit_length() + 32))
     proxy = sorted(orbit.grid_ends(j, bits)
@@ -896,7 +897,7 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
         return V.undetermined(
             RULE_PERSISTENCE, f"horizon {horizon} below the length target "
             f"{length_target}: no segment to search", depth=horizon)
-    orbit = orbit_table(slope, orbit)
+    orbit = orbit_table(slope, orbit, None if kd is None else kd.nu)
     orbit.extend(horizon + 2)
     rec_gap = min(max(abs(x.hi - C), abs(C - x.lo))
                   for x in map(orbit.value, range(1, horizon + 1)))
@@ -968,19 +969,18 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     3 .. min(horizon, 4 depth) whose tower level D_n = [c_n, c_beta(n)] is
     certified longer than 2^-7 and whose tail ...111 nu_1..nu_{n-1} matches
     on both sides, the deeper match at n.  The level's length is read off
-    the orbit table (``hofbauer.level_bounds``), with the table first
-    extended to the last n: an interval slope's table takes the precision
-    of its longest read, and later reports on the same table read that
-    precision.
+    the orbit table (``hofbauer.level_bounds``), an interval slope's table
+    first extended to the last n: it takes the precision of its longest
+    read, and later reports on the same table read that precision.
 
     The endpoint verdict and the core-mode arc share one ``tau_data`` of
     the point's tail.
     """
-    kd = kd or cutting_data(nu)
+    kd = cutting_data(nu) if kd is None else _checked(kd, nu)
     td = tau_data(it.backward, nu, depth)
     endpoint = _endpoint_verdict(td)
     if slope is not None:
-        orbit = orbit_table(slope, orbit)
+        orbit = orbit_table(slope, orbit, nu)
         try:
             folding = folding_verdict(it, slope, nu, depth=depth, eps=eps,
                                       orbit=orbit)
@@ -1003,8 +1003,8 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     elif qa.to_infinity.is_refuted and slope is not None:
         witness = None
         N = min(kd.horizon, 4 * depth)
-        orbit.extend(N)
-        orbit.check_word(kd.nu.bits)
+        if not slope.is_exact:
+            orbit.extend(N)
         for n in range(3, N + 1):
             _, length = level_bounds(orbit.value(n),
                                      orbit.value(kd.beta_of(n)))

@@ -241,14 +241,23 @@ def classify_chain(k_seq: Sequence[int], q,
     spiral (the central tower levels |D_{S_{k_i}}| shrink to a point); a
     bounded subsequence witness classifies a basic sin(1/x)-continuum, whose
     bar projection is enclosed by the intersection of the available levels.
-    Chains shorter than three levels stay undetermined.
+    Chains shorter than three levels stay undetermined.  Levels are read
+    only with both ``kd`` and ``orbit``; ``kd`` must then carry the table's
+    slope's word and agree with ``q`` where both are defined (DomainError).
     """
+    tabled = kd is not None and orbit is not None
+    if tabled:
+        orbit.check_word(kd.nu)
     k_seq = tuple(k_seq)
     if len(k_seq) < _MIN_LEVELS:
         return ChainClass("undetermined",
                           V.undetermined(RULE_CLASSIFY, "chain too short",
                                          depth=len(k_seq)))
     qs = _materialize_q(q, max(k_seq) + 2)
+    if tabled and qs[:len(kd.Q)] != list(kd.Q[:len(qs)]):
+        j = next(j for j, (a, b) in enumerate(zip(qs, kd.Q), 1) if a != b)
+        raise DomainError(f"kneading map disagrees with the cutting data at "
+                          f"Q({j})")
     vals = []
     for k in k_seq:
         if k + 1 <= len(qs):
@@ -261,13 +270,11 @@ def classify_chain(k_seq: Sequence[int], q,
     half = len(vals) // 2
     head, tail = vals[:half], vals[half:]
     decay = None
-    tabled = kd is not None and orbit is not None
     if tabled:
         level_ns = [kd.S[k] for k in k_seq
                     if k <= kd.max_k and kd.S[k] <= kd.horizon]
         lengths = [hi - lo for lo, hi in (level_ends(orbit, kd, (n,))
                                           for n in level_ns)]
-        orbit.check_word(kd.nu.bits)
         if len(lengths) >= _MIN_LEVELS:
             decay = all(y < x for x, y in zip(lengths, lengths[1:]))
     if min(tail) > max(head) and vals[-1] >= vals[0] + len(vals) // 2:

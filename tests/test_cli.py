@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -408,6 +409,24 @@ def test_readme_reports_byte_identical(capsys, monkeypatch, tmp_path, argv,
     if csv_digest is not None:
         csv = (tmp_path / argv[argv.index("--out-csv") + 1]).read_bytes()
         assert hashlib.sha256(csv).hexdigest() == csv_digest
+
+
+def test_readme_library_sketch_runs():
+    # the README's python block, statement by statement; its comments say
+    # that verify_zzz certifies and that the search returns evidence
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S)[1]
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value),
+                                       "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                 namespace)
+    zzz, search = values
+    assert zzz.is_certified
+    assert search.status == "evidence"
 
 
 # -- the report writer against json.dumps -----------------------------------------

@@ -14,9 +14,10 @@ from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
                              cutting_value_gaps, f_apply, f_graph_data,
                              long_branched_evidence, tower_levels,
                              upsilon_index, verify_zzz)
-from uilkit.inverse_limit import (BackwardWord, basic_arc_interval,
-                                  classification_report, folding_verdict,
-                                  parse_itinerary, reluctance_search, tau_data)
+from uilkit.inverse_limit import (BackwardWord, TwoSidedItinerary,
+                                  basic_arc_interval, classification_report,
+                                  folding_verdict, parse_itinerary,
+                                  reluctance_search, tau_data)
 from uilkit.kneading import (KneadingPrefix, cutting_data,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                              cascade_q, fibonacci_q)
@@ -776,23 +777,69 @@ def test_word_of_another_slope_is_rejected():
 
 def test_precritical_table_rejects_another_slopes_word():
     # natural(k) reads nu_1 .. nu_{S_k}; cbrt6's word leaves sqrt3's at its
-    # cutting time S_4 = 6, so z_0 .. z_3 are sqrt3's own and z_4 is refused
+    # cutting time S_4 = 6, and the table holds the whole word to sqrt3's
+    # orbit when it is built, whatever its cap
     sqrt3, cbrt6 = parse_slope("sqrt3"), parse_slope("cbrt6")
-    own = PrecriticalTable(sqrt3, cutting_data(nu_from_orbit(sqrt3, 100)))
     kd = cutting_data(nu_from_orbit(cbrt6, 100))
     assert (kd.S[3], kd.S[4]) == (5, 6)
-    table = PrecriticalTable(sqrt3, kd)
-    for k in range(4):
-        z, want = table.natural(k), own.natural(k)
-        assert (z.lo, z.hi) == (want.lo, want.hi)
-    calls = [lambda: table.natural(4),
-             lambda: PrecriticalTable(sqrt3, kd).natural(7),
-             lambda: PrecriticalTable(sqrt3, kd).pair(5),
-             lambda: verify_zzz(sqrt3, 4, PrecriticalTable(sqrt3, kd))]
+    calls = [lambda: PrecriticalTable(sqrt3, kd),
+             lambda: PrecriticalTable(sqrt3, kd, OrbitTable(sqrt3, 512))]
     for call in calls:
-        with pytest.raises(DomainError, match="disagrees with the certified "
-                                              "signs of sqrt3 at nu_6$"):
+        with pytest.raises(DomainError, match="disagrees with the orbit "
+                                              "table of sqrt3 at nu_6$"):
             call()
+
+
+def _word_pairs():
+    """Per entry point, a call with the word or cutting data of 3/2 beside
+    the slope 9/5 (or the slope 3/2 beside a table of 9/5), the error text
+    it must raise, and the same call with 9/5's own inputs."""
+    s, t = slope_exact(Fraction(9, 5)), slope_exact(Fraction(3, 2))
+    own, foreign = (cutting_data(nu_from_orbit(x, 60)) for x in (s, t))
+    it = parse_itinerary("...100110.01")
+    zp = PrecriticalTable(s, own)
+    word = "disagrees with the orbit table of its slope at nu_3$"
+
+    def each(call):
+        return (lambda: call(foreign, t), lambda: call(own, s))
+    return {
+        "tower_levels": (word, *each(lambda kd, x: tower_levels(kd, s, 20))),
+        "PrecriticalTable": (word, *each(
+            lambda kd, x: PrecriticalTable(s, kd))),
+        "cutting_value_gaps": (word, *each(lambda kd, x: cutting_value_gaps(
+            s, 5, Fraction(1, 64), kd))),
+        "folding_verdict": (word, *each(lambda kd, x: folding_verdict(
+            it, s, kd.nu, depth=6))),
+        "reluctance_search": (word, *each(lambda kd, x: reluctance_search(
+            s, [Fraction(1, 64)], 32, 80, kd=kd))),
+        "classification_report": (word, *each(
+            lambda kd, x: classification_report(it, kd.nu, s, kd, depth=12))),
+        "classification_report-kd": (
+            "cutting data belong to another kneading word", *each(
+                lambda kd, x: classification_report(it, kd.nu, s, own,
+                                                    depth=12))),
+        "basic_arc_interval": (word, *each(lambda kd, x: basic_arc_interval(
+            tau_data(it.backward, kd.nu, 12), OrbitTable(s), kd=kd,
+            mode="core"))),
+        "classify_chain": (word, *each(lambda kd, x: classify_chain(
+            (2, 3, 4), kd.Q, kd=kd, orbit=OrbitTable(s)))),
+        "verify_zzz": ("orbit table built for another slope", *each(
+            lambda kd, x: verify_zzz(x, 4, zp))),
+        "f_apply": ("orbit table built for another slope", *each(
+            lambda kd, x: f_apply(x, zp.orbit.value(own.S[4]), zp))),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_word_pairs()))
+def test_entry_point_rejects_another_slopes_word(entry):
+    # the word of 3/2 leaves that of 9/5 at nu_3.  Unchecked, it turned
+    # cutting_value_gaps and folding_verdict refuted, and beside 9/5's
+    # cutting data it refuted classification_report's folding verdict with
+    # the arc (3, 1), where 9/5's own word gives evidence and (7, 1)
+    text, foreign, own = _word_pairs()[entry]
+    with pytest.raises(DomainError, match=text):
+        foreign()
+    own()
 
 
 def _spy_sign_kernels(monkeypatch):
@@ -824,32 +871,78 @@ def test_precritical_table_trusts_its_own_slopes_word(monkeypatch, make, N):
     # nu_from_orbit certified the word for this very slope object, so a
     # walk over every k reads no sign: the orbit is read only to c_2
     slope = make()
-    table = PrecriticalTable(slope, cutting_data(nu_from_orbit(slope, N)))
+    kd = cutting_data(nu_from_orbit(slope, N))
     extends, words = _spy_sign_kernels(monkeypatch)
+    table = PrecriticalTable(slope, kd)
     for k in range(-1, table.max_k + 1):
         table.pair(k)
-        table.check_symbols(max(k, 0))
     assert table.max_k >= 8
     assert words == [] and max(extends) <= 2
 
 
+def _entry_point_calls(slope, nu, kd, orbit):
+    """One call of each entry point that reads ``nu`` beside ``orbit``, each
+    reading the orbit itself no further than c_256."""
+    it = TwoSidedItinerary(BackwardWord("100110"), "01",
+                           x0=Scalar.exact(Fraction(1, 3)))
+    zp = PrecriticalTable(slope, kd, orbit)
+    return [
+        lambda: tower_levels(kd, slope, 20, orbit=orbit),
+        lambda: zp.natural(4),
+        lambda: verify_zzz(slope, 4, zp),
+        lambda: cutting_value_gaps(slope, 5, Fraction(1, 64), kd, orbit),
+        lambda: folding_verdict(it, slope, nu, depth=6, orbit=orbit),
+        lambda: reluctance_search(slope, [Fraction(1, 64)], 8, 20, kd=kd,
+                                  orbit=orbit),
+        lambda: classification_report(it, nu, slope, kd, depth=12,
+                                      orbit=orbit),
+        lambda: basic_arc_interval(tau_data(it.backward, nu, 12), orbit,
+                                   kd=kd, mode="core"),
+        lambda: classify_chain((2, 3, 4), kd.Q, kd=kd, orbit=orbit),
+    ]
+
+
+@pytest.mark.parametrize("make", [lambda: slope_exact(Fraction(9, 5)),
+                                  lambda: parse_slope("sqrt3")],
+                         ids=["9/5", "sqrt3"])
+def test_a_certified_word_reads_no_sign_at_any_entry_point(monkeypatch,
+                                                            make):
+    # the word is certified for this slope object, so no entry point reads
+    # the orbit past what it computes with; an uncertified copy of the same
+    # word is held whole to the table, which reads it to nu_300
+    slope = make()
+    nu = nu_from_orbit(slope, 300)
+    kd = cutting_data(nu)
+    copy = KneadingPrefix(nu.bits)
+    extends, words = _spy_sign_kernels(monkeypatch)
+    for call in _entry_point_calls(slope, nu, kd, OrbitTable(slope)):
+        del extends[:]
+        call()
+        assert words == [] and max(extends, default=0) <= 256
+    for call in _entry_point_calls(slope, copy, cutting_data(copy),
+                                   OrbitTable(slope)):
+        call()
+    assert words == [] and max(extends) == 300
+
+
 def test_precritical_table_checks_an_equal_slopes_word(monkeypatch):
     # an interval with sqrt3's ends certifies fewer signs than sqrt3, so a
-    # word certified for sqrt3 is held to the interval's orbit table
+    # word certified for sqrt3 is held whole to the interval's orbit table
     sqrt3 = parse_slope("sqrt3")
     kd = cutting_data(nu_from_orbit(sqrt3, 100))
     twin = slope_interval(sqrt3.s.lo, sqrt3.s.hi, sqrt3.s.precision_bits,
                           name="sqrt3")
     assert twin.bracket is None and kd.nu.certified_for is sqrt3
-    table = PrecriticalTable(twin, kd)
     extends, _ = _spy_sign_kernels(monkeypatch)
+    table = PrecriticalTable(twin, kd)
+    assert extends == [len(kd.nu)]
+    assert table.orbit.word == kd.nu.bits
     table.natural(kd.max_k)
-    assert max(extends) == kd.S[kd.max_k]
-    assert table.orbit.word[:kd.S[kd.max_k]] == kd.nu.bits[:kd.S[kd.max_k]]
+    assert extends == [len(kd.nu)]
     foreign = cutting_data(nu_from_orbit(parse_slope("cbrt6"), 100))
-    with pytest.raises(DomainError, match="disagrees with the certified "
-                                          "signs of sqrt3 at nu_6$"):
-        PrecriticalTable(twin, foreign).natural(4)
+    with pytest.raises(DomainError, match="disagrees with the orbit table "
+                                          "of sqrt3 at nu_6$"):
+        PrecriticalTable(twin, foreign)
 
 
 def test_precritical_signs_stop_at_the_first_unresolved_sign():
@@ -869,10 +962,10 @@ def test_table_word_stops_at_the_first_unresolved_sign():
     table.extend(40)
     assert table.word == "10"
     for word in ("1", "10", "1001", "1011101"):
-        table.check_word(word)
-    for word in ("11", "0110"):
+        table.check_word(KneadingPrefix(word))
+    for word in ("11", "1100110"):
         with pytest.raises(DomainError, match="at nu_[12]$"):
-            table.check_word(word)
+            table.check_word(KneadingPrefix(word))
 
 
 def _resolved_prefix(orbit):

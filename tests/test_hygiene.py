@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every private module-level name is read somewhere in the package.
 
-``__init__.py`` is skipped, since its imports are the package's re-exports.
+``__init__.py`` is skipped by the import check, since its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,8 +12,8 @@ import pytest
 
 import uilkit
 
-MODULES = sorted(p for p in Path(uilkit.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(uilkit.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -39,3 +41,67 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _bound(stmt) -> set:
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def orphaned_private_names(sources: dict) -> list:
+    """(module, name) of each private module-level function, class or
+    constant of ``sources`` (module name -> source) that no statement reads
+    but the one that binds it.  A read of a bare name is the reading
+    module's own name, or the one it imported from a sibling module
+    (``from .b import _x``); ``M._x`` reads ``_x`` of the module imported
+    as ``M`` (``from . import b as M``)."""
+    defined, reads = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        origin, aliases = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if node.module:
+                        origin[name] = (node.module, alias.name)
+                    else:
+                        aliases[name] = alias.name
+        for stmt in tree.body:
+            bound = _bound(stmt)
+            defined |= {(module, name) for name in bound if _private(name)}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id not in bound \
+                        and isinstance(node.ctx, ast.Load):
+                    reads.add(origin.get(node.id, (module, node.id)))
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.value, ast.Name) and \
+                        node.value.id in aliases:
+                    reads.add((aliases[node.value.id], node.attr))
+    return sorted(defined - reads)
+
+
+def test_orphaned_private_names_are_found():
+    sources = {
+        "a": ("from .b import _used\nfrom . import c as C\n"
+              "_KEPT, _LOST = 1, 2\n"
+              "def _rec(n):\n    return _rec(n - 1) + _KEPT + _used + C._x\n"),
+        "b": "def _used():\n    pass\nclass _Spare:\n    pass\n",
+        "c": "_x = 0\n_y: int = _x\n",
+    }
+    assert orphaned_private_names(sources) == [
+        ("a", "_LOST"), ("a", "_rec"), ("b", "_Spare"), ("c", "_y")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert orphaned_private_names(sources) == []

@@ -561,6 +561,30 @@ def test_classification_scans_the_tail_once_and_builds_no_tower(
                                  else "evidence")
 
 
+@pytest.mark.parametrize("name, extended", [("nonrec41:600", False),
+                                             ("cbrt6", True)])
+def test_classification_extends_only_an_interval_table(name, extended,
+                                                       monkeypatch):
+    # the witness walk reads levels to n <= N = min(horizon, 4 depth) = 400;
+    # an interval table is first read to N, so every level has one
+    # precision, while an exact table's values do not depend on its length
+    slope = parse_slope(name)
+    nu = nu_from_orbit(slope, 400)
+    kd = cutting_data(nu)
+    reads = []
+    extend = OrbitTable.extend
+
+    def spy(self, n):
+        reads.append(n)
+        return extend(self, n)
+
+    monkeypatch.setattr(OrbitTable, "extend", spy)
+    rep = classification_report(parse_itinerary("(1)^inf .1111"), nu, slope,
+                                kd, depth=100)
+    assert rep.expectations["exists_nondegenerate_folding_arc"].is_positive
+    assert (max(reads) == 400) == extended
+
+
 def test_shift_preserves_endpoint_class(fib_nu):
     word = endpoint_itinerary_gen(fib_nu, count=1, depth=20)[0]
     forward = fib_nu.bits[len(word.symbols):len(word.symbols) + 6]

@@ -306,19 +306,35 @@ def test_classify_chain_mixed_tail_is_undetermined():
                                   "q_values": [1, 1, 1, 2, 2, 2]}
 
 
-def test_divergent_q_without_level_decay_is_undetermined(nonrec_slope,
-                                                         nonrec_kd):
-    # the tower levels of a non-recurrent slope against a divergent Q given
-    # beside them: the symbolic rule says spiral, the levels do not shrink
-    orbit = OrbitTable(nonrec_slope)
-    chain = (3, 5, 7, 9, 11, 13)
-    qs = [k // 2 for k in range(1, 40)]
+def test_divergent_q_without_level_decay_is_undetermined(ex35_slope,
+                                                         ex35_kd):
+    # Q(k_i + 1) = 4, 2, 5, 7 diverges along the chain by the symbolic rule,
+    # while the levels |D_{S_k}| of ex35's own tower do not shrink
+    chain = (5, 6, 7, 8)
+    qs = list(ex35_kd.Q)
     assert classify_chain(chain, qs).kind == "direct-spiral"
-    cc = classify_chain(chain, qs, kd=nonrec_kd, orbit=orbit)
+    cc = classify_chain(chain, qs, kd=ex35_kd, orbit=OrbitTable(ex35_slope))
     assert cc.kind == "undetermined"
     assert cc.verdict.witness == {
         "reason": "symbolic divergence but no numeric decay",
-        "q_values": [2, 3, 4, 5, 6, 7]}
+        "q_values": [4, 2, 5, 7]}
+
+
+def test_kneading_map_is_held_to_the_cutting_data(ex35_slope, ex35_kd):
+    # Fibonacci's Q beside ex35's cutting data and tower would read the
+    # levels of one word against the map of another; they part at Q(4)
+    chain = (2, 5, 8, 11, 14)
+    assert list(ex35_kd.Q[:4]) == [0, 0, 1, 0] and fibonacci_q(4) == 2
+    with pytest.raises(DomainError, match=r"kneading map disagrees with the "
+                                          r"cutting data at Q\(4\)$"):
+        classify_chain(chain, fibonacci_q, kd=ex35_kd,
+                       orbit=OrbitTable(ex35_slope))
+    cc = classify_chain(chain, example35_q, kd=ex35_kd,
+                        orbit=OrbitTable(ex35_slope))
+    assert cc.kind == "direct-spiral"
+    assert cc.verdict.witness == {"q_values": [1, 4, 7, 10, 13],
+                                  "level_decay": True}
+    assert classify_chain(chain, fibonacci_q).kind == "direct-spiral"
 
 
 def test_basic_sin_curve_reports_its_bar(nonrec_slope, nonrec_kd):
