@@ -5,11 +5,12 @@ D_{n+1} = [c_{n+1}, c_1] when c is in D_n, else T(D_n); the index form
 D_n = [c_n, c_beta(n)] (with c_0 standing for c) is computed independently
 from the cutting structure and cross-checked against the induction.  For
 an interval slope both compare ends by cross-multiplying their integers
-(shifting dyadic ones) and subtract them by Fraction's two-gcd rule, to the
-same reduced Fractions.  For an exact slope p/q both run on the integer
-orbit c_m = a_m / (2 q^m): the induction carries integer pairs (a, m), the
-cross-check is integer equality, and one integer orders a level's ends and
-gives its reduced length with no gcd (``_exact_tower_levels``).
+and subtract them by Fraction's two-gcd rule, dyadic ones by shifts, to
+the same reduced Fractions.  For an exact slope p/q both run on the
+integer orbit c_m = a_m / (2 q^m): the induction carries integer pairs
+(a, m), the cross-check is integer equality, and one integer orders a
+level's ends and gives its reduced length with no gcd
+(``_exact_tower_levels``).
 
 Closest precritical points z_k < c < zhat_k = 1 - z_k satisfy
 T^{S_k}(z_k) = c with no earlier critical visit on [z_k, zhat_k].  T^n is

@@ -20,12 +20,13 @@ carries its root bracket, and ``SlopeParam.at(bits)`` encloses the root at
 (intersected with the old enclosure, so refinement never widens).
 
 The tent step, the branch preimages, the sign test against c, the
-reflection ``1 - x`` and the grid rounding work on the endpoints' integer
-numerators and denominators: a product of two fractions in lowest terms is
-reduced by the two cross gcds, which against a power-of-two denominator are
-trailing-zero counts, and rounding onto the 2^-bits grid of a dyadic end is
-a shift.  The results are the same reduced ``Fraction``s that ``Fraction``
-arithmetic gives, built without a renormalising gcd.
+reflection ``1 - x``, the grid rounding and ``_diff`` work on the endpoints'
+integer numerators and denominators: a product of two fractions in lowest
+terms is reduced by the two cross gcds, a difference by ``Fraction``'s two
+gcds, and a power of two in either enters by shifts (a dyadic end's
+numerator is odd unless it is an integer), as does rounding onto the
+2^-bits grid.  The results are the same reduced ``Fraction``s that
+``Fraction`` arithmetic gives, built without a renormalising gcd.
 
 The critical orbit of an exact slope s = p/q runs on one integer recurrence
 (``_exact_orbit``): c_n = a_n / (2 q^n) with a_0 = 1 and
@@ -116,8 +117,27 @@ def _gcd(n: int, d: int) -> int:
     return min(n & -n or d, d)
 
 
+def _shed(n: int, e: int):
+    """n / 2^e in lowest terms: a shift by the trailing zeros of n."""
+    if not n:
+        return 0, 1
+    t = min((n & -n).bit_length() - 1, e)
+    return n >> t, 1 << (e - t)
+
+
 def _mul(n1: int, d1: int, n2: int, d2: int):
-    """(n1/d1) * (n2/d2) in lowest terms, from two factors in lowest terms."""
+    """(n1/d1) * (n2/d2) in lowest terms, from two factors in lowest terms.
+    Two dyadic factors shed only their product's trailing zeros, and
+    (n1/2^a) * (2^b/d2) only gcd(n1, d2) and a power of two."""
+    if not d1 & (d1 - 1):
+        if not d2 & (d2 - 1):
+            return _shed(n1 * n2, d1.bit_length() + d2.bit_length() - 2)
+        if n2 > 0 and not n2 & (n2 - 1):
+            g = math.gcd(n1, d2)
+            if g != 1:
+                n1, d2 = n1 // g, d2 // g
+            shift = n2.bit_length() - d1.bit_length()
+            return (n1 << shift, d2) if shift >= 0 else (n1, d2 << -shift)
     g1 = _gcd(n1, d2)
     g2 = _gcd(n2, d1)
     if g1 != 1:
@@ -130,20 +150,32 @@ def _mul(n1: int, d1: int, n2: int, d2: int):
 
 
 def _lt(x: Fraction, y: Fraction) -> bool:
-    """x < y: one cross-multiplication, or a shift for two dyadic ends."""
+    """x < y: one cross-multiplication, or a shift for two dyadic ends.  For
+    positive ends, bit lengths decide when they differ by two or more, since
+    2^(m + n - 2) <= u * v < 2^(m + n) for m- and n-bit u and v."""
     a, b = x.numerator, x.denominator
     c, d = y.numerator, y.denominator
     if b & (b - 1) or d & (d - 1):
+        k = a.bit_length() + d.bit_length() - c.bit_length() - b.bit_length()
+        if a > 0 and c > 0 and abs(k) > 1:
+            return k < 0
         return a * d < c * b
     shift = d.bit_length() - b.bit_length()
     return a << shift < c if shift >= 0 else a < c << -shift
 
 
 def _diff(x: Fraction, y: Fraction) -> Fraction:
-    """x - y in lowest terms by the two-gcd subtraction of ``Fraction``,
-    whose gcds against power-of-two denominators are trailing-zero counts."""
+    """x - y in lowest terms by the two-gcd subtraction of ``Fraction``, or
+    on the finer denominator for two dyadic ends."""
     na, da = x.numerator, x.denominator
     nb, db = y.numerator, y.denominator
+    if not (da & (da - 1) or db & (db - 1)):
+        shift = da.bit_length() - db.bit_length()
+        if shift > 0:       # the finer end has an odd numerator, so has x - y
+            return _frac(na - (nb << shift), da)
+        if shift < 0:
+            return _frac((na << -shift) - nb, db)
+        return _frac(*_shed(na - nb, da.bit_length() - 1))
     g = _gcd(da, db)
     s = da // g
     t = na * (db // g) - nb * s
@@ -174,11 +206,7 @@ def _grid_ends(x: "Scalar", bits: int):
 
 def _grid(n: int, d: int, bits: int, up: bool):
     """n/d rounded down (or up) onto the 2^-bits grid, in lowest terms."""
-    k = _grid_num(n, d, bits, up)
-    if not k:
-        return 0, 1
-    tz = min((k & -k).bit_length() - 1, bits)
-    return k >> tz, 1 << (bits - tz)
+    return _shed(_grid_num(n, d, bits, up), bits)
 
 
 class Scalar:

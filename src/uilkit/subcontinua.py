@@ -35,7 +35,8 @@ from .errors import ConditionViolated, DomainError, UnresolvedComparison
 from .hofbauer import OrbitTable, PrecriticalTable, level_ends, orbit_table
 from .kneading import (CuttingData, _cutting_times, _materialize_q,
                        _q_lookup, _q_upto, renorm_scan)
-from .scalars import C, Scalar, SlopeParam, certified_cmp, s_one_minus
+from .scalars import (C, Scalar, SlopeParam, _diff, certified_cmp,
+                      s_one_minus)
 
 RULE_CHAIN = "critical-projection-chain-search"
 RULE_BUILD = "chain-level-construction"
@@ -241,12 +242,14 @@ def classify_chain(k_seq: Sequence[int], q,
     spiral (the central tower levels |D_{S_{k_i}}| shrink to a point); a
     bounded subsequence witness classifies a basic sin(1/x)-continuum, whose
     bar projection is enclosed by the intersection of the available levels.
-    Chains shorter than three levels stay undetermined.  Levels are read
-    only with both ``kd`` and ``orbit``; ``kd`` must then carry the table's
-    slope's word and agree with ``q`` where both are defined (DomainError).
+    Chains shorter than three levels stay undetermined.  ``kd`` must agree
+    with ``q`` where both are defined; levels are read from ``orbit``, which
+    needs ``kd`` and must carry its word (DomainError otherwise).
     """
-    tabled = kd is not None and orbit is not None
+    tabled = orbit is not None
     if tabled:
+        if kd is None:
+            raise DomainError("an orbit table needs its word's cutting data")
         orbit.check_word(kd.nu)
     k_seq = tuple(k_seq)
     if len(k_seq) < _MIN_LEVELS:
@@ -254,7 +257,7 @@ def classify_chain(k_seq: Sequence[int], q,
                           V.undetermined(RULE_CLASSIFY, "chain too short",
                                          depth=len(k_seq)))
     qs = _materialize_q(q, max(k_seq) + 2)
-    if tabled and qs[:len(kd.Q)] != list(kd.Q[:len(qs)]):
+    if kd is not None and qs[:len(kd.Q)] != list(kd.Q[:len(qs)]):
         j = next(j for j, (a, b) in enumerate(zip(qs, kd.Q), 1) if a != b)
         raise DomainError(f"kneading map disagrees with the cutting data at "
                           f"Q({j})")
@@ -273,8 +276,8 @@ def classify_chain(k_seq: Sequence[int], q,
     if tabled:
         level_ns = [kd.S[k] for k in k_seq
                     if k <= kd.max_k and kd.S[k] <= kd.horizon]
-        lengths = [hi - lo for lo, hi in (level_ends(orbit, kd, (n,))
-                                          for n in level_ns)]
+        lengths = [_diff(hi, lo) for lo, hi in (level_ends(orbit, kd, (n,))
+                                                for n in level_ns)]
         if len(lengths) >= _MIN_LEVELS:
             decay = all(y < x for x, y in zip(lengths, lengths[1:]))
     if min(tail) > max(head) and vals[-1] >= vals[0] + len(vals) // 2:

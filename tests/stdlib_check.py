@@ -7,7 +7,10 @@ For interpreters without pytest or hypothesis:
 
 It checks that a ``Fraction`` built by setting its two slots (the path the
 tent step builds its results through, ``scalars._frac``) behaves as the
-``Fraction`` of the same pair in every use the toolkit makes of it, and
+``Fraction`` of the same pair in every use the toolkit makes of it, that
+the products and differences that ``scalars._mul`` and ``scalars._diff``
+build through it, on seeded dyadic and mixed pairs up to 4096 bits, have
+the slots, ``==``, ``hash`` and ``str`` of ``Fraction`` arithmetic, and
 that three critical orbits, on an exact, an algebraic and a
 decimal-interval slope, hash to the digest pinned below, which the
 ``Fraction`` implementation of the tent step gave.
@@ -57,6 +60,13 @@ A sixth digest covers the tower of an exact slope p/q at depth:
 (s = 2) and a 64-bit q, at N = 0, small N, an N whose last level is a
 cutting time and N = 600.  It was recorded with the ``Fraction`` induction
 and ``_diff`` lengths that the integer-pair induction replaced.
+
+A seventh digest covers dyadic ends past 192 bits: ``tower_levels`` (both
+level Scalars and ``length`` per level), ``PrecriticalTable.natural`` and
+``f_apply`` on interval slopes p/2^20 +- 2^-h at precision h, for h = 256,
+1024 and 2048 at horizons 200, 300 and 400, the shapes of the benchmark's
+enclosure jobs.  It was recorded with the two-gcd ``_mul`` and ``_diff``
+that the shifts on power-of-two operands replaced.
 """
 
 import copy
@@ -83,8 +93,8 @@ from uilkit.kneading import (KneadingPrefix, admissible_disjoint,
                              nonrecurrent_example_nu, nu_from_orbit,
                              nu_from_q, q_asymptotics, renorm_scan)
 from uilkit.presets import parse_slope
-from uilkit.scalars import (Scalar, _frac, critical_orbit, slope_exact,
-                            slope_for_prefix, slope_interval)
+from uilkit.scalars import (Scalar, _diff, _frac, _mul, critical_orbit,
+                            slope_exact, slope_for_prefix, slope_interval)
 from uilkit.seqgen import generate
 from uilkit.subcontinua import (build_chain, classify_chain,
                                 find_qcond_chains, nasty_cascade_rule)
@@ -100,6 +110,8 @@ SURFACE_DIGEST = \
     "bcb356aeee0ceac397f68343a3c3a3631f9ab53edda183539c7d265b202cd72a"
 EXACT_TOWER_DIGEST = \
     "4e89918ca3071f5bb543102b4757af2e8ccccb512adf003f5166362188cee368"
+DYADIC_TOWER_DIGEST = \
+    "6024f6ae291b55497d09d875c1e076d22c10205bccf6aef9ae3ef5255db35292"
 PULLBACK_WORD = "110101101110101101011101101011"
 REFUTED_WORDS = ("11", "100", "1001", "10000", "1011", "10010", "1000100",
                  "10011100", "1001110110", "1000101000", "10001011001")
@@ -135,9 +147,46 @@ def check_fraction_from_pair(pairs=3000, seed=5):
                     assert op(f, y) == op(ref, y)
                 if op is not operator.truediv or f:
                     assert op(y, f) == op(y, ref)
+    # the products and differences the kernel builds through _frac, shifts
+    # on dyadic operands among them
+    for _ in range(pairs // 3):
+        x, y = _kernel_pair(rng)
+        for a, b in ((x, y), (y, x)):
+            for got, want in ((_frac(*_mul(a.numerator, a.denominator,
+                                           b.numerator, b.denominator)),
+                               a * b), (_diff(a, b), a - b)):
+                assert type(got) is Fraction, type(got)
+                assert (got.numerator, got.denominator) == \
+                    (want.numerator, want.denominator), (a, b)
+                assert got == want and hash(got) == hash(want)
+                assert str(got) == str(want)
     # taken as is: no gcd runs on the pair
     f = _frac(6, 4)
     assert (f.numerator, f.denominator) == (6, 4)
+
+
+def _kernel_pair(rng):
+    """A dyadic fraction and a dyadic, 2^k/odd, generic or zero one, or a
+    second dyadic one with the same denominator, up to 4096 bits."""
+    bits = rng.choice((8, 64, 512, 2048, 4096))
+    x = Fraction(rng.randrange(-(1 << bits), 1 << bits),
+                 1 << rng.randrange(bits + 1))
+    kind = rng.choice(("dyadic", "dyadic", "pow2", "generic", "zero", "same"))
+    if kind == "dyadic":
+        y = Fraction(rng.randrange(-(1 << bits), 1 << bits),
+                     1 << rng.randrange(bits + 1))
+    elif kind == "pow2":
+        y = Fraction(1 << rng.randrange(bits), 2 * rng.randrange(1 << bits) + 1)
+    elif kind == "generic":
+        y = Fraction(rng.randrange(-(1 << bits), 1 << bits),
+                     rng.randrange(1, 1 << bits))
+    elif kind == "zero":
+        y = Fraction(0)
+    else:           # the difference sheds trailing zeros, or is 0
+        d = x.denominator
+        odd = rng.choice((0, 2 * rng.randrange(1 << 64) + 1))
+        y = x - Fraction(odd << rng.randrange(d.bit_length()), d)
+    return x, y
 
 
 def _interval_slope():
@@ -469,6 +518,42 @@ def exact_tower_digest(horizon=600):
     return h.hexdigest()
 
 
+# (h, horizon): the benchmark's enclosure cells, slopes p/2^20 +- 2^-h
+DYADIC_CELLS = ((256, 200), (1024, 300), (2048, 400))
+
+
+def dyadic_tower_digest(seed=17, variants=3):
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for bits, horizon in DYADIC_CELLS:
+        for _ in range(variants):
+            mid = Fraction(rng.randrange(int(1.45 * 2 ** 20),
+                                         int(1.95 * 2 ** 20)), 1 << 20)
+            half = Fraction(1, 1 << bits)
+            slope = slope_interval(mid - half, mid + half, bits)
+            _feed(h, (mid, bits, horizon))
+            try:
+                kd = cutting_data(nu_from_orbit(slope, horizon))
+            except UilkitError as err:
+                _feed(h, f"{type(err).__name__}: {err}")
+                continue
+            for lv in tower_levels(kd, slope, kd.horizon):
+                _feed(h, (lv.n, lv.beta_n, lv.contains_c))
+                for x in lv.numeric + (lv.length,):
+                    _feed(h, (x.lo, x.hi, x.precision_bits))
+            zp = PrecriticalTable(slope, kd)
+            for k in range(min(12, kd.max_k) + 1):
+                x = _feed_call(h, zp.natural, k)
+                if isinstance(x, Scalar):
+                    _feed(h, (x.lo, x.hi, x.precision_bits))
+            for k in range(2, min(12, kd.max_k - 1)):
+                out = _feed_call(h, f_apply, slope, zp.orbit.value(kd.S[k]),
+                                 zp)
+                if isinstance(out, tuple):
+                    _feed(h, (out[0].lo, out[0].hi, out[0].precision_bits))
+    return h.hexdigest()
+
+
 def main():
     check_fraction_from_pair()
     digest = orbit_digest()
@@ -478,6 +563,7 @@ def main():
     assert tower_digest() == TOWER_DIGEST, tower_digest()
     assert surface_digest() == SURFACE_DIGEST, surface_digest()
     assert exact_tower_digest() == EXACT_TOWER_DIGEST, exact_tower_digest()
+    assert dyadic_tower_digest() == DYADIC_TOWER_DIGEST, dyadic_tower_digest()
     print("ok", digest[:16])
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import runpy
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,8 @@ from uilkit.errors import DomainError, PrecisionExhausted, UnresolvedComparison
 from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q)
 from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
-from uilkit import scalars
+from uilkit import hofbauer, scalars
+from uilkit.hofbauer import level_bounds
 from uilkit.scalars import (C, DEFAULT_PRECISION, TWO, Scalar, SignRelC,
                             SlopeParam, _SYMBOL, _diff, _frac, _gcd, _grid,
                             _grid_ends, _kneading_probe, _lt,
@@ -731,6 +733,194 @@ def test_lt_and_diff_match_fraction(x, y, same):
         assert type(got) is Fraction
         assert (got.numerator, got.denominator) == \
             (want.numerator, want.denominator)
+
+
+@st.composite
+def _near_ratios(draw):
+    """Non-dyadic ends whose cross products have bit lengths that differ by
+    0 to 3, the edge of the bit-length test in ``_lt``; one end may be 0."""
+    a = draw(st.one_of(st.just(0), st.integers(1, 1 << 3000)))
+    b = draw(st.integers(1, 1 << 3000).map(lambda v: 3 * v))
+    c = (a << draw(st.integers(0, 3))) + draw(st.integers(-2, 2))
+    d = (b << draw(st.integers(0, 3))) + draw(st.integers(-2, 2))
+    return Fraction(a, b), Fraction(max(c, 1), max(d, 1))
+
+
+@settings(max_examples=500)
+@given(pair=_near_ratios(), swap=st.booleans())
+def test_lt_by_bit_lengths_matches_fraction(pair, swap):
+    x, y = pair[::-1] if swap else pair
+    assert _lt(x, y) == (x < y)
+    assert _lt(y, x) == (y < x)
+    assert not _lt(x, x)
+
+
+# -- the shift paths against the two-gcd kernel they took over from ----------------
+
+def _two_gcd_mul(n1, d1, n2, d2):
+    """``scalars._mul`` before dyadic operands took shifts."""
+    g1 = _gcd(n1, d2)
+    g2 = _gcd(n2, d1)
+    if g1 != 1:
+        n1 //= g1
+        d2 //= g1
+    if g2 != 1:
+        n2 //= g2
+        d1 //= g2
+    return n1 * n2, d1 * d2
+
+
+def _two_gcd_diff(x, y):
+    """``scalars._diff`` before dyadic operands took shifts."""
+    na, da = x.numerator, x.denominator
+    nb, db = y.numerator, y.denominator
+    g = _gcd(da, db)
+    s = da // g
+    t = na * (db // g) - nb * s
+    g2 = _gcd(t, g)
+    return _frac(t // g2, s * (db // g2))
+
+
+@st.composite
+def _kernel_operand(draw, bits=4096):
+    """A signed fraction in lowest terms up to ``bits`` bits: dyadic, a power
+    of two over an odd number (an inverted dyadic slope), decimal, generic,
+    an integer, zero or small."""
+    kind = draw(st.sampled_from(["dyadic", "dyadic", "pow2_over", "decimal",
+                                 "generic", "integer", "zero", "small"]))
+    n = draw(st.integers(-(1 << bits), 1 << bits))
+    if kind == "dyadic":
+        return Fraction(n, 1 << draw(st.integers(0, bits)))
+    if kind == "pow2_over":
+        odd = 2 * draw(st.integers(0, 1 << bits)) + 1
+        return Fraction(1 << draw(st.integers(0, bits)), odd)
+    if kind == "decimal":
+        return Fraction(n, 10 ** draw(st.integers(0, bits // 4)))
+    if kind == "generic":
+        return Fraction(n, draw(st.integers(1, 1 << bits)))
+    if kind == "integer":
+        return Fraction(n)
+    if kind == "zero":
+        return Fraction(0)
+    return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+
+
+@st.composite
+def _diff_pair(draw):
+    """Two operands, the second often sharing the first's denominator: equal,
+    off by an odd multiple of a power of two (trailing zeros to shed), or
+    with its own numerator."""
+    x = draw(_kernel_operand())
+    how = draw(st.sampled_from(["free", "equal", "zeros", "same_den"]))
+    if how == "free":
+        return x, draw(_kernel_operand())
+    if how == "equal":
+        return x, Fraction(x.numerator, x.denominator)
+    if how == "zeros":
+        odd = 2 * draw(st.integers(0, 1 << 64)) + 1
+        z = draw(st.integers(0, x.denominator.bit_length()))
+        return x, x - Fraction(odd << z, x.denominator)
+    return x, Fraction(draw(st.integers(-(1 << 4096), 1 << 4096)),
+                       x.denominator)
+
+
+@settings(max_examples=800)
+@given(x=_kernel_operand(), y=_kernel_operand())
+def test_mul_matches_the_two_gcd_rule(x, y):
+    for a, b in ((x, y), (y, x)):
+        got = scalars._mul(a.numerator, a.denominator,
+                           b.numerator, b.denominator)
+        want = a * b
+        assert got == _two_gcd_mul(a.numerator, a.denominator,
+                                   b.numerator, b.denominator)
+        assert got == (want.numerator, want.denominator)
+
+
+@settings(max_examples=800)
+@given(pair=_diff_pair(), swap=st.booleans())
+def test_diff_matches_the_two_gcd_rule(pair, swap):
+    x, y = pair[::-1] if swap else pair
+    got, oracle, want = _diff(x, y), _two_gcd_diff(x, y), x - y
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == \
+        (oracle.numerator, oracle.denominator) == \
+        (want.numerator, want.denominator)
+
+
+def _kernel_call(fn, *args):
+    """The ends of fn(*args), one Scalar or a tuple of them, or the text of
+    its ValueError."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return [_ends(x) for x in (out if isinstance(out, tuple) else (out,))]
+
+
+def _on_the_two_gcd_kernel(fn, *args):
+    """``_kernel_call`` with ``_mul`` and ``_diff`` swapped for the two-gcd
+    code."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_mul", _two_gcd_mul)
+        mp.setattr(scalars, "_diff", _two_gcd_diff)
+        mp.setattr(hofbauer, "_diff", _two_gcd_diff)
+        return _kernel_call(fn, *args)
+
+
+@st.composite
+def _dyadic_slope(draw):
+    """p/2^20 +- 2^-h at precision h, the shape of the benchmark's interval
+    slopes, or an algebraic preset's dyadic bracket."""
+    if draw(st.booleans()):
+        return parse_slope(draw(st.sampled_from(["sqrt3", "cbrt6"]))).at(
+            draw(st.sampled_from([128, 256, 1024, 2048])))
+    h = draw(st.integers(64, 2048))
+    mid = Fraction(draw(st.integers(int(1.45 * 2 ** 20), int(1.95 * 2 ** 20))),
+                   1 << 20)
+    half = Fraction(1, 1 << h)
+    return slope_interval(mid - half, mid + half, h)
+
+
+dyadic_ends = st.one_of(
+    dyadic_interval(), dyadic_interval(Fraction(-1), Fraction(0)),
+    st.sampled_from([(Fraction(0), Fraction(0)), (C, C), (Fraction(1),) * 2,
+                     (Fraction(0), Fraction(1))]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(slope=_dyadic_slope(), x=dyadic_ends, y=dyadic_ends,
+       bits=st.sampled_from([64, 200, 1024, 2048, 4096]))
+def test_kernel_outputs_match_the_two_gcd_kernel(slope, x, y, bits):
+    xs, ys = Scalar(*x, bits), Scalar(*y, bits)
+    calls = [(branch_preimage_left, slope, xs),
+             (branch_preimage_right, slope, xs),
+             (level_bounds, xs, ys), (level_bounds, xs, xs)]
+    if x[0] >= 0:
+        calls.append((tent_apply, slope, xs))
+    for fn, *args in calls:
+        assert _kernel_call(fn, *args) == _on_the_two_gcd_kernel(fn, *args)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orbits_and_levels_match_the_two_gcd_kernel(seed):
+    # seeded dyadic orbits to horizon 300: each step, its preimages and the
+    # level of each pair of consecutive values, on both kernels
+    rng = random.Random(seed)
+    h = rng.choice([256, 1024, 1722, 2048])
+    mid = Fraction(rng.randrange(int(1.45 * 2 ** 20), int(1.95 * 2 ** 20)),
+                   1 << 20)
+    slope = slope_interval(mid - Fraction(1, 1 << h), mid + Fraction(1, 1 << h),
+                           h)
+    x = prev = Scalar.exact(C)
+    for _ in range(300):
+        for fn, *args in ((tent_apply, slope, x),
+                          (branch_preimage_left, slope, x),
+                          (branch_preimage_right, slope, x),
+                          (level_bounds, x, prev)):
+            assert _kernel_call(fn, *args) == _on_the_two_gcd_kernel(fn, *args)
+        if sign_rel_c(x) is SignRelC.UNRESOLVED:
+            break
+        prev, x = x, tent_apply(slope, x)
 
 
 @settings(max_examples=300)

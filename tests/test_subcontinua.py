@@ -337,6 +337,28 @@ def test_kneading_map_is_held_to_the_cutting_data(ex35_slope, ex35_kd):
     assert classify_chain(chain, fibonacci_q).kind == "direct-spiral"
 
 
+def test_kneading_map_is_held_to_the_cutting_data_without_a_table(
+        ex35_slope, ex35_kd):
+    # ex35's cutting data without a table still hold the map: fib's Q parts
+    # from them at Q(4), and ex35's own Q is read as before
+    chain = (2, 5, 8, 11, 14)
+    with pytest.raises(DomainError, match=r"kneading map disagrees with the "
+                                          r"cutting data at Q\(4\)$"):
+        classify_chain(chain, fibonacci_q, kd=ex35_kd)
+    cc = classify_chain(chain, example35_q, kd=ex35_kd)
+    assert cc.kind == "direct-spiral"
+    assert cc.verdict.witness == {"q_values": [1, 4, 7, 10, 13],
+                                  "level_decay": None}
+
+
+def test_classify_chain_rejects_a_table_without_cutting_data(ex35_slope):
+    # a table alone gives no word to hold it to, so its levels are not read
+    with pytest.raises(DomainError, match="orbit table needs its word's "
+                                          "cutting data"):
+        classify_chain((2, 5, 8, 11, 14), example35_q,
+                       orbit=OrbitTable(ex35_slope))
+
+
 def test_basic_sin_curve_reports_its_bar(nonrec_slope, nonrec_kd):
     orbit = OrbitTable(nonrec_slope)
     chain = (3, 5, 7, 9, 11, 13)
