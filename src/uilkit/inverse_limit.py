@@ -59,9 +59,9 @@ from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
 from .hofbauer import OrbitTable, level_bounds, level_ends, orbit_table
 from .kneading import (CuttingData, KneadingPrefix, _checked, _lcp,
                        cutting_data, q_asymptotics)
-from .scalars import (C, Scalar, SignRelC, SlopeParam, _exact_orbit,
-                      _grid_ends, _lt, branch_preimage, certified_cmp,
-                      parity_lex_cmp, sign_rel_c, tent_apply)
+from .scalars import (C, Scalar, SignRelC, SlopeParam, _BINARY,
+                      _exact_orbit, _grid_ends, _lt, branch_preimage,
+                      certified_cmp, parity_lex_cmp, sign_rel_c, tent_apply)
 
 RULE_TAU = "backward-word-prefix-matches"
 RULE_ARC = "arc-projection-from-matches"
@@ -87,10 +87,10 @@ class BackwardWord:
     __slots__ = ("symbols", "periodic_block")
 
     def __init__(self, symbols: str, periodic_block: Optional[str] = None):
-        if any(ch not in "01" for ch in symbols):
+        if not _BINARY(symbols):
             raise DomainError("backward word must be over 0/1")
         if periodic_block is not None and (
-                not periodic_block or any(ch not in "01" for ch in periodic_block)):
+                not periodic_block or not _BINARY(periodic_block)):
             raise DomainError("periodic block must be a nonempty 0/1 word")
         self.symbols = symbols
         self.periodic_block = periodic_block
@@ -134,7 +134,7 @@ class TwoSidedItinerary:
     x0: Optional[Scalar] = None
 
     def __post_init__(self):
-        if any(ch not in "01" for ch in self.forward):
+        if not _BINARY(self.forward):
             raise DomainError("forward word must be over 0/1")
 
 
@@ -880,16 +880,19 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
     shortcut "divergent kneading map implies persistent recurrence" and the
     recurrence of c within the horizon are reported alongside.  A search
     over no eps, or over no n (a horizon below the length target), is
-    ``undetermined``; a length target below 1 is rejected.
+    ``undetermined``; a length target below 1 is rejected, and so is an
+    eps <= 0, whose ball is a point or an inverted interval.
 
-    For an exact slope and eps > 0, each pull-back's length comes from the
-    closed form of ``_closed_form_prefix`` on integers; interval slopes,
-    and eps <= 0, run ``pull_back``, which the closed form is tested
-    against.
+    For an exact slope, each pull-back's length comes from the closed form
+    of ``_closed_form_prefix`` on integers; interval slopes run
+    ``pull_back``, which the closed form is tested against.
     """
     if length_target < 1:
         raise DomainError(f"length target must be >= 1, got {length_target}")
     eps_grid = [Fraction(eps) for eps in eps_grid]
+    for eps in eps_grid:
+        if eps <= 0:
+            raise DomainError(f"eps must be > 0, got {eps}")
     if not eps_grid:
         return V.undetermined(RULE_PERSISTENCE, "empty eps grid",
                               depth=horizon)
@@ -909,12 +912,10 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
         if qa.to_infinity.is_positive:
             q_shortcut = "kneading-map-divergence-implies-persistent"
 
-    closed = _closed_form_prefix(slope.s.value, horizon) \
-        if slope.is_exact else None
-    by_pull_back = _pull_back_prefix(slope, orbit)
+    prefix = (_closed_form_prefix(slope.s.value, horizon)
+              if slope.is_exact else None) or _pull_back_prefix(slope, orbit)
     per_eps = {}
     for eps in eps_grid:
-        prefix = closed if closed is not None and eps > 0 else by_pull_back
         best_len, best_n = 0, None
         for n in range(length_target, horizon + 1):
             length = prefix(eps, n)

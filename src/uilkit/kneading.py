@@ -45,7 +45,7 @@ from typing import Optional
 
 from . import verdicts as V
 from .errors import DomainError, NotAdmissible
-from .scalars import DEFAULT_PREC_CAP, SlopeParam, _critical_word
+from .scalars import DEFAULT_PREC_CAP, SlopeParam, _BINARY, _critical_word
 
 RULE_Q = "admissibility-kneading-map-lex"
 RULE_DISJOINT = "admissibility-cut-cocut-disjoint"
@@ -77,7 +77,7 @@ class KneadingPrefix:
                  periodic_tail: Optional[tuple[int, int]] = None):
         if not bits:
             raise NotAdmissible(1, "empty kneading prefix")
-        if not set(bits) <= {"0", "1"}:
+        if not _BINARY(bits):
             raise DomainError(f"kneading prefix must be over 0/1: {bits[:20]!r}")
         if bits[0] != "1":
             raise NotAdmissible(1, "nu_1 must be 1 (c_1 > c for every slope)")

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional
@@ -81,6 +82,11 @@ DEFAULT_PRECISION = 128
 DEFAULT_PREC_CAP = 4096
 
 _new_object = object.__new__
+
+# The one check that a word is over 0/1, matched in C with no copy; a
+# non-str raises TypeError.  ``*`` compiles to MAXREPEAT, which ``_sre``
+# treats as no bound, so a word longer than 2^32 symbols is matched whole.
+_BINARY = re.compile("[01]*").fullmatch
 
 
 class SignRelC(enum.Enum):
@@ -696,7 +702,7 @@ def slope_for_prefix(target: str, name: str = "") -> SlopeParam:
     2 q^n - a_n) stays coprime to q for s = p/q in lowest terms, q > 1.
     The search runs on [5/4, 2] for at most 4 |target| + 96 halvings.
     """
-    if not set(target) <= {"0", "1"}:
+    if not _BINARY(target):
         raise DomainError(f"kneading target must be over 0/1: {target[:20]!r}")
     if not target or target[0] != "1":
         raise DomainError("kneading target must start with 1")

@@ -50,15 +50,16 @@ _MAX_STEPS = 64         # extension rounds generate runs before giving up
 
 
 def word_admissible(word: str, nu_bits: str) -> bool:
-    """Two-channel admissibility of a word against the current prefix.
+    """Admissibility of a word against an admissible kneading prefix.
 
-    A word that occurs in the prefix is realizable outright.  Otherwise
-    every shifted window must sit parity-lexicographically at or below the
+    Every shifted window must sit parity-lexicographically at or below the
     prefix and at or above its shift (the itineraries of the two core
-    endpoints); comparisons that run off the data pass.
+    endpoints); comparisons that run off the data pass.  A word that
+    occurs in the prefix needs no channel of its own: a kneading sequence
+    is shift-maximal and its shifts stay at or above its first shift
+    (Milnor and Thurston, LNM 1342, 1988), so every window of an occurring
+    word passes, and no search of the prefix is made.
     """
-    if word in nu_bits:
-        return True
     sigma = nu_bits[1:len(word) + 1]    # no window is longer than the word
     for i in range(len(word)):
         window = word[i:]
@@ -300,6 +301,11 @@ def coverage_report(ledger: WordLedger, max_len: int = 6,
     whose last-letter flip is itself admissible -- for example 0001 occurs
     but can never end at a cutting time because 0000 is not an admissible
     word of these maps.
+
+    Each word takes three tests in turn: one in ``ledger.ends_at_cuts``
+    occurs, so it is covered with no window test; otherwise an
+    inadmissible word is skipped; otherwise the word is missing, except in
+    ``occurs`` mode when it occurs in the word.
     """
     ledger.ensure_cap(max(ledger.len_cap, max_len))
     covered_to = 0
@@ -308,11 +314,10 @@ def coverage_report(ledger: WordLedger, max_len: int = 6,
         all_in = True
         for idx in range(1 << L):
             word = format(idx, f"0{L}b")
-            if not word_admissible(word, ledger.nu):
+            if word in ledger.ends_at_cuts or \
+                    not word_admissible(word, ledger.nu):
                 continue
-            hit = word in ledger.nu if mode == "occurs" \
-                else word in ledger.ends_at_cuts
-            if not hit:
+            if mode != "occurs" or word not in ledger.nu:
                 all_in = False
                 missing = word
                 break

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every private module-level name is read somewhere in the package.
+"""Source hygiene: every name a module imports is used in that module,
+every private module-level name is read somewhere in the package, and one
+check decides whether a word is over 0/1.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -105,3 +106,48 @@ def test_orphaned_private_names_are_found():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert orphaned_private_names(sources) == []
+
+
+def _alphabet_literal(node) -> bool:
+    """The 0/1 alphabet written out: "01" or "10", or the set {"0", "1"}."""
+    if isinstance(node, ast.Constant):
+        return node.value in ("01", "10")
+    return isinstance(node, ast.Set) and all(
+        isinstance(e, ast.Constant) for e in node.elts) and \
+        {e.value for e in node.elts} == {"0", "1"}
+
+
+def binary_word_checks(source: str) -> list:
+    """(line, enclosing function) of each comparison against the 0/1
+    alphabet written out, such as ``ch not in "01"`` or
+    ``set(w) <= {"0", "1"}``: a check of a word's alphabet by hand."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                    map(_alphabet_literal, [child.left, *child.comparators])):
+                found.append((child.lineno, function))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_binary_word_checks_are_found():
+    src = ('def parse_dotted(t):\n    return [c in "01" for c in t]\n'
+           'def f(w):\n    return set(w) <= {"1", "0"}\n'
+           'class K:\n    def g(self, w):\n'
+           '        return any(ch not in "10" for ch in w)\n'
+           'ok = w in ("01", "10") or "0" in w or {"0"} <= set(w)\n')
+    assert binary_word_checks(src) == [(2, "parse_dotted"), (4, "f"),
+                                       (7, "g")]
+
+
+def test_one_check_for_a_binary_word():
+    # scalars._BINARY is the check; parse_dotted's loop reads the symbols
+    # one by one, since it finds the dots and names the bad character
+    found = [(p.name, function) for p in PACKAGE
+             for _, function in binary_word_checks(p.read_text())]
+    assert found == [("kneading.py", "parse_dotted")]

@@ -359,14 +359,16 @@ def test_reluctance_search_same_verdict_without_closed_form(
         reluctance_search(slope, grid, target, horizon).to_json()
 
 
-def test_reluctance_search_keeps_pull_back_for_eps_at_most_zero(monkeypatch):
-    # a negative eps reverses the ball, which the closed form does not model
-    slope = slope_exact(Fraction(9, 5))
-    grid = [Fraction(-1, 3), Fraction(0)]
-    searched = reluctance_search(slope, grid, 16, 40).to_json()
-    monkeypatch.setattr(inverse_limit, "_closed_form_prefix",
-                        lambda s, horizon: None)
-    assert searched == reluctance_search(slope, grid, 16, 40).to_json()
+def test_reluctance_search_rejects_eps_at_most_zero():
+    # a ball of radius <= 0 is a point or an inverted interval; such grids
+    # once returned reluctant (0, -1/64) or persistent (-1/3) evidence
+    exact, interval = slope_exact(Fraction(9, 5)), parse_slope("sqrt3")
+    for eps in (Fraction(0), Fraction(-1, 64), Fraction(-1, 3)):
+        for grid in ([eps], [Fraction(1, 64), eps], [eps, Fraction(1, 64)]):
+            with pytest.raises(DomainError, match="eps must be > 0"):
+                reluctance_search(exact, grid, 16, 40)
+        with pytest.raises(DomainError, match="eps must be > 0"):
+            reluctance_search(interval, [eps], 8, 20)
 
 
 def test_reluctance_search_over_nothing_is_undetermined():

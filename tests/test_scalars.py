@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uilkit.errors import DomainError, PrecisionExhausted, UnresolvedComparison
-from uilkit.kneading import (example35_q, fibonacci_q, nonrecurrent_example_nu,
-                             nu_from_orbit, nu_from_q)
+from uilkit.errors import (DomainError, NotAdmissible, PrecisionExhausted,
+                           UnresolvedComparison)
+from uilkit.kneading import (KneadingPrefix, example35_q, fibonacci_q,
+                             nonrecurrent_example_nu, nu_from_orbit, nu_from_q)
 from uilkit.presets import golden_slope, parse_slope, tribonacci_slope
-from uilkit import hofbauer, scalars
+from uilkit import hofbauer, inverse_limit, kneading, scalars
 from uilkit.hofbauer import level_bounds
+from uilkit.inverse_limit import BackwardWord, TwoSidedItinerary
 from uilkit.scalars import (C, DEFAULT_PRECISION, TWO, Scalar, SignRelC,
                             SlopeParam, _SYMBOL, _diff, _frac, _gcd, _grid,
                             _grid_ends, _kneading_probe, _lt,
@@ -1007,3 +1009,78 @@ def test_ball_at_the_orbit_precision_contains_the_tent_chain(slope, bits, N):
         assert Fraction(ball["lo"], 1 << bits) <= x.lo
         assert x.hi <= Fraction(ball["hi"], 1 << bits)
         assert symbol == _SYMBOL[sign_rel_c(x)]
+
+
+
+# -- the one 0/1 check ------------------------------------------------------------
+
+# the idioms each entry used before it called ``scalars._BINARY``
+def _set_idiom(word):
+    return set(word) <= {"0", "1"}
+
+
+def _any_idiom(word):
+    return not any(ch not in "01" for ch in word)
+
+
+class _Probed(Exception):
+    """Raised in place of the bisection once a target has passed entry."""
+
+
+def _no_bisection(mid, target):
+    raise _Probed
+
+
+# (module holding the check, idiom it replaced, entry) for each entry that
+# checks a word over 0/1
+_ENTRIES = [
+    (kneading, _set_idiom, KneadingPrefix),
+    (inverse_limit, _any_idiom, BackwardWord),
+    (inverse_limit, _any_idiom, lambda w: BackwardWord("", w)),
+    (inverse_limit, _any_idiom,
+     lambda w: TwoSidedItinerary(BackwardWord("1"), w)),
+    (scalars, _set_idiom, slope_for_prefix),
+]
+
+
+def _outcome(entry, word):
+    try:
+        entry(word)
+    except Exception as exc:      # the type and text are what is compared
+        return type(exc), str(exc)
+    return "accepted"
+
+
+def _entry_words():
+    rng = random.Random(29)
+    words = ["", "1", "0", "10", "01", "2", " ", "1\n", "\n1", "0.1", "1.0",
+             "\uff11\uff10", "1\uff10", "10x1", "\x00", "1" * 1000, "0" * 1000]
+    for _ in range(60):
+        word = "".join(rng.choice("01") for _ in range(rng.randint(1, 400)))
+        i = rng.randrange(len(word) + 1)
+        words += [word, word[:i] + rng.choice("2 .\n\t\u0660\u00b9x") + word[i:]]
+    return words
+
+
+def test_binary_check_matches_the_idioms_it_replaced(monkeypatch):
+    # for a str, every entry keeps the parent's acceptance, exception type
+    # and text; slope_for_prefix stops where its bisection would begin
+    monkeypatch.setattr(scalars, "_kneading_probe", _no_bisection)
+    seen = set()
+    for module, idiom, entry in _ENTRIES:
+        for word in _entry_words():
+            now = _outcome(entry, word)
+            with monkeypatch.context() as m:
+                m.setattr(module, "_BINARY", idiom)
+                assert _outcome(entry, word) == now, (entry, word[:40])
+            seen.add(now if now == "accepted" else now[0])
+    assert seen == {"accepted", _Probed, DomainError, NotAdmissible}
+
+
+def test_a_word_that_is_not_a_str_is_refused():
+    # a list of symbols was once taken as a word, and slope_for_prefix ran
+    # its whole bisection on ["1", "0", "0"] to raise PrecisionExhausted
+    for _, _, entry in _ENTRIES:
+        with pytest.raises(TypeError):
+            entry(["1", "0", "0"])
+    assert slope_for_prefix("100").is_exact

@@ -2,14 +2,16 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from uilkit import seqgen
 from uilkit.errors import ConstructionStuck, DomainError
 from uilkit.kneading import (KneadingPrefix, admissible_disjoint, admissible_q,
-                             cutting_data)
-from uilkit.scalars import parity_lex_cmp
+                             cutting_data, nu_from_orbit)
+from uilkit.presets import parse_slope
+from uilkit.scalars import parity_lex_cmp, slope_exact
 from uilkit.seqgen import (FIRST_EXTENSION_REFERENCE, SEED, WordLedger,
                            coverage_report, extend_step, generate,
                            _verify_admissible, shortest_missing_pair,
@@ -104,8 +106,99 @@ def test_ledger_built_from_the_word_equals_the_incremental_update(monkeypatch):
 
 def test_word_admissibility_channels():
     assert word_admissible("11", SEED)           # window channel
-    assert word_admissible("100", SEED)          # substring channel
+    # occurs in the seed, and passes the window test as every occurring
+    # word of an admissible prefix does: no substring channel decides it
+    assert word_admissible("100", SEED)
     assert not word_admissible("0000", FIRST_EXTENSION_REFERENCE)
+
+
+def _parent_word_admissible(word, nu_bits):
+    """``word_admissible`` as it was, with a substring channel in front."""
+    if word in nu_bits:
+        return True
+    sigma = nu_bits[1:len(word) + 1]
+    return all(parity_lex_cmp(word[i:], nu_bits) <= 0
+               and parity_lex_cmp(sigma, word[i:]) <= 0
+               for i in range(len(word)))
+
+
+def _parent_coverage_report(ledger, max_len=6, mode="occurs"):
+    """``coverage_report`` as it was: admissibility first, then the hit."""
+    ledger.ensure_cap(max(ledger.len_cap, max_len))
+    covered_to, missing = 0, None
+    for L in range(1, max_len + 1):
+        for idx in range(1 << L):
+            word = format(idx, f"0{L}b")
+            if not _parent_word_admissible(word, ledger.nu):
+                continue
+            hit = word in ledger.nu if mode == "occurs" \
+                else word in ledger.ends_at_cuts
+            if not hit:
+                return covered_to, word
+        covered_to = L
+    return covered_to, missing
+
+
+def test_generator_calls_agree_with_the_substring_channel(monkeypatch):
+    # every word_admissible and coverage_report call of generate(150000)
+    real_admissible, real_coverage = word_admissible, coverage_report
+    calls = {"admissible": 0, "coverage": 0}
+
+    def admissible(word, nu_bits):
+        calls["admissible"] += 1
+        verdict = real_admissible(word, nu_bits)
+        assert verdict == _parent_word_admissible(word, nu_bits), \
+            (word, len(nu_bits))
+        return verdict
+
+    def coverage(ledger, max_len=6, mode="occurs"):
+        calls["coverage"] += 1
+        expected = _parent_coverage_report(ledger, max_len, mode)
+        assert real_coverage(ledger, max_len, mode) == expected
+        return expected
+
+    monkeypatch.setattr(seqgen, "word_admissible", admissible)
+    monkeypatch.setattr(seqgen, "coverage_report", coverage)
+    nu, _, plans = generate(150000)
+    assert len(nu) == 159261 and len(plans) == 5
+    # the while test reads coverage once the length is reached, then the
+    # certificate reads both modes
+    assert calls["admissible"] >= 30 and calls["coverage"] == 3
+
+
+def test_coverage_report_agrees_with_the_substring_channel():
+    ledger = WordLedger(SEED)
+    reports = set()
+    for _ in range(6):
+        for mode in ("occurs", "at_cuts"):
+            report = coverage_report(ledger, 8, mode)
+            assert report == _parent_coverage_report(ledger, 8, mode)
+            reports.add(report)
+        if len(ledger.nu) < 150000:
+            ledger, _ = extend_step(ledger)
+    assert len(reports) > 2
+
+
+def test_every_occurring_word_passes_the_window_test():
+    # why word_admissible needs no substring channel: in an admissible
+    # prefix, each window of an occurring word lies between the shift and
+    # the prefix in the parity-lexicographic order
+    words = [nu_from_orbit(parse_slope(name), 400).bits
+             for name in ("fib:400", "ex35:400", "nonrec41:400")]
+    words.append(generate(20000)[0].bits)
+    rng = random.Random(29)
+    while len(words) < 24:
+        q = rng.randrange(5, 400)
+        words.append(nu_from_orbit(
+            slope_exact(Fraction(rng.randrange(q + 1, 2 * q + 1), q)),
+            300).bits)
+    checked = 0
+    for bits in words:
+        occurring = {bits[i:i + L] for L in range(1, 13)
+                     for i in range(len(bits) - L + 1)}
+        assert all(word_admissible(w, bits) for w in occurring)
+        checked += len(occurring)
+    assert checked > 10000
 
 
 def test_word_admissible_reads_the_shift_only_as_far_as_the_word():
