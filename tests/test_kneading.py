@@ -554,7 +554,8 @@ def _canon(out):
 
 
 # consumer -> (call with a kneading map and a horizon, how many values of a
-# callable it reads at that horizon)
+# callable it reads at most at that horizon; admissible_q and nu_from_q
+# read on demand up to that many)
 Q_CONSUMERS = {
     "admissible_q": (lambda q, h: admissible_q(q, horizon=h),
                      lambda h: 2 * h + 4),
@@ -629,6 +630,140 @@ def test_nu_from_q_without_a_horizon_is_a_domain_error():
     for q in (fibonacci_q, [0, 0, 1, 2, 3]):
         with pytest.raises(DomainError, match="^horizon must be >= 1$"):
             nu_from_q(q, None)
+
+
+# -- a callable Q read on demand --------------------------------------------------
+
+class _CountingQ:
+    """A kneading map that records every k it is called at."""
+
+    def __init__(self, q):
+        self.q, self.called = q, []
+
+    def __call__(self, k):
+        self.called.append(k)
+        return self.q(k)
+
+
+def _nu_from_q_read_everything(q, horizon):
+    """nu_from_q as it read a callable: Q(1) .. Q(2 * horizon + 4), each
+    range-checked, before the word is built.  The word, or (position,
+    reason) of the NotAdmissible it raises."""
+    qs = _materialize_q(q, 2 * horizon + 4)
+    for k, qk in enumerate(qs, start=1):
+        if not 0 <= qk < k:
+            return k, f"Q({k}) = {qk} " + (f">= {k}" if qk >= k else "< 0")
+    S = [1]
+    for qk in qs:
+        if S[-1] >= horizon:
+            break
+        S.append(S[-1] + S[qk])
+    bits = "1"
+    for prev, s_new in zip(S, S[1:]):
+        gap = s_new - prev
+        bits += bits[:gap - 1] + ("1" if bits[gap - 1] == "0" else "0")
+    bits *= -(-horizon // len(bits))
+    check = admissible_q(qs, horizon=len(S) - 1)
+    if check.is_refuted:
+        return check.witness["k"], check.witness["reason"]
+    return bits[:horizon]
+
+
+def test_nu_from_q_reads_fib_only_as_far_as_its_word():
+    # S_24 = 121393 is fib's first cutting time >= 10**5; reading every
+    # value up to 2 * horizon + 4 made 200004 calls
+    q = _CountingQ(fibonacci_q)
+    nu = nu_from_q(q, 10 ** 5)
+    assert len(q.called) <= 64
+    assert q.called == list(range(1, len(q.called) + 1))
+    assert nu.bits == _nu_from_q_read_everything(fibonacci_q, 10 ** 5)
+
+
+def test_a_value_out_of_range_past_the_read_raises_nothing():
+    # Q(60) = 60 lies past fib's word and its lexicographic lookahead at
+    # this horizon; the read-everything body raised on it
+    def q(k):
+        return max(k - 2, 0) if k < 60 else k
+    assert _nu_from_q_read_everything(q, 10 ** 5) == (60, "Q(60) = 60 >= 60")
+    assert nu_from_q(q, 10 ** 5).bits == nu_from_q(fibonacci_q, 10 ** 5).bits
+    # a value the word uses still raises
+    with pytest.raises(NotAdmissible, match=r"^.*Q\(20\) = 20 >= 20$"):
+        nu_from_q(lambda k: max(k - 2, 0) if k < 20 else k, 10 ** 5)
+
+
+def test_a_list_q_is_range_checked_whole():
+    # Q(6) lies past the word of horizon 3 (S_2 = 3), yet a list is read
+    # and range-checked whole
+    for bad, reason in ((9, "Q(6) = 9 >= 6"), (-1, "Q(6) = -1 < 0")):
+        with pytest.raises(NotAdmissible) as err:
+            nu_from_q([0, 0, 1, 2, 3, bad], 3)
+        assert (err.value.position, err.value.reason) == (6, reason)
+    assert nu_from_q([0, 0, 1, 2, 3], 3).bits == "100"
+
+
+def _random_callable_q(rng):
+    """Up to 60 values, about 5 % of them out of range, continued by 0,
+    k - 1, k - 2 or periodically."""
+    qs = _random_admissible_q(rng, rng.randrange(1, 61), 10 ** 9)
+    qs = [rng.choice((-1, k, k + 3)) if rng.random() < 0.05 else qk
+          for k, qk in enumerate(qs, start=1)]
+    n = len(qs)
+    tail = rng.choice((lambda k: 0, cascade_q, fibonacci_q,
+                       lambda k: qs[(k - 1) % n]))
+    return lambda k: qs[k - 1] if k <= n else tail(k)
+
+
+def test_nu_from_q_matches_the_read_everything_body():
+    import random
+    rng = random.Random(30)
+    kinds = {"word": 0, "raised": 0, "range past the read": 0}
+    for _ in range(1500):
+        q = _random_callable_q(rng)
+        horizon = rng.choice((rng.randrange(1, 40), rng.randrange(1, 600)))
+        counted = _CountingQ(q)
+        try:
+            got = nu_from_q(counted, horizon).bits
+        except NotAdmissible as err:
+            got = err.position, err.reason
+        want = _nu_from_q_read_everything(q, horizon)
+        assert len(counted.called) <= 2 * horizon + 4
+        if got != want:
+            # the one difference: a value out of range that is never read
+            k, reason = want
+            assert reason.startswith(f"Q({k}) = "), (got, want)
+            assert max(counted.called, default=0) < k, (got, want)
+            kinds["range past the read"] += 1
+        else:
+            kinds["word" if isinstance(got, str) else "raised"] += 1
+        limit = rng.randrange(0, horizon + 2)
+        assert admissible_q(q, horizon=limit) == _admissible_q_ref(
+            [q(k) for k in range(1, 2 * limit + 5)], limit)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_cutting_data_and_admissible_disjoint_scan_a_word_once(monkeypatch):
+    import uilkit.kneading as kneading
+    calls = []
+
+    def counted(bits, *args):
+        calls.append(bits)
+        return _scan_structure(bits, *args)
+    monkeypatch.setattr(kneading, "_scan_structure", counted)
+    # the word of a bounded Q (Q(k) = min(k - 1, 2)), two short admissible
+    # words (10000 has no co-cutting time) and two refuted ones
+    for bits in (nu_from_q(lambda k: min(k - 1, 2), 2000).bits,
+                 "1000101010110001011", "10000", "1101", "11"):
+        calls.clear()
+        nu = KneadingPrefix(bits)
+        try:
+            cutting_data(nu)
+        except NotAdmissible:
+            pass
+        verdict = admissible_disjoint(nu)
+        assert calls == [bits]
+        assert nu.scan == _scan_structure(bits)
+        assert verdict == admissible_disjoint(KneadingPrefix(bits))
+        assert len(calls) == 2
 
 
 # -- nu_from_orbit against the code it replaced ----------------------------------

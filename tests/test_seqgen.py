@@ -9,11 +9,13 @@ import pytest
 from uilkit import seqgen
 from uilkit.errors import ConstructionStuck, DomainError
 from uilkit.kneading import (KneadingPrefix, admissible_disjoint, admissible_q,
-                             cutting_data, nu_from_orbit)
+                             cutting_data, fibonacci_q, nu_from_orbit,
+                             nu_from_q)
 from uilkit.presets import parse_slope
 from uilkit.scalars import parity_lex_cmp, slope_exact
 from uilkit.seqgen import (FIRST_EXTENSION_REFERENCE, SEED, WordLedger,
-                           coverage_report, extend_step, generate,
+                           _segment_conditions, coverage_report, extend_step,
+                           generate,
                            _verify_admissible, shortest_missing_pair,
                            word_admissible)
 
@@ -292,6 +294,19 @@ def test_verify_admissible_reports_the_structural_verdict():
         "Verdict(refuted, rule=admissibility-cut-cocut-disjoint, depth=11, "
         "witness={'position': 11, 'reason': 'position 11 is both a cutting "
         "and a co-cutting time'})")}
+
+
+def test_segment_conditions_name_the_first_failing_cutting_time():
+    # Q(3) = 1 sits at S_3 = 5, inside the seed, so fib's map passes; past
+    # the seed Q(5) = 1 breaks Q(j) != 1 and Q(5) = 4 breaks Q(j) <= j - 2
+    seed_len = len(SEED)
+    assert _segment_conditions(cutting_data(nu_from_q(fibonacci_q, 100)),
+                               seed_len) == (True, "")
+    for qs, horizon, reason in (([0, 0, 1, 2, 1], 10, "Q(5) = 1 at S_5 = 10"),
+                                ([0, 0, 1, 2, 4], 16, "Q(5) = 4 > 5 - 2")):
+        kd = cutting_data(nu_from_q(qs, horizon))
+        assert kd.Q == tuple(qs)
+        assert _segment_conditions(kd, seed_len) == (False, reason)
 
 
 # sha256 of json.dumps([word, certificate, plans], sort_keys=True), recorded
