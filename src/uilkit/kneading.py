@@ -24,8 +24,6 @@ rho(j) is defined on the shorter word it has the same value on the longer
 one.  So every new cutting time lies past the shorter word and every old
 co-cutting time within it: S and Q resume at the last cutting time, the
 co-cutting orbit at the last co-cutting time (afresh if there was none).
-A word is scanned from scratch once: its ``KneadingPrefix`` keeps the
-result in ``scan``, which ``cutting_data`` and ``admissible_disjoint`` read.
 
 Two independent admissibility checkers are provided and cross-validated:
 
@@ -68,14 +66,12 @@ class KneadingPrefix:
     ``inverse_limit.tau_data`` or ``inverse_limit.endpoint_itinerary_gen``
     first reads the word, then the KMP failure table of ``bits``, its
     prefix parities and the first and the second child (0 for none) of each
-    node of the failure tree, as far as any call has read.  ``scan`` is
-    None until ``cutting_data`` or ``admissible_disjoint`` first scans the
-    word, then the tuple that ``_scan_structure(bits)`` returned.
+    node of the failure tree, as far as any call has read.
     Equality and hashing read ``bits`` alone.
     """
 
     __slots__ = ("bits", "source", "flags", "periodic_tail", "certified_for",
-                 "match_tables", "scan")
+                 "match_tables")
 
     def __init__(self, bits: str, source: str = "literal", flags=(),
                  periodic_tail: Optional[tuple[int, int]] = None):
@@ -91,7 +87,6 @@ class KneadingPrefix:
         self.periodic_tail = periodic_tail
         self.certified_for = None
         self.match_tables = None
-        self.scan = None
 
     def __len__(self):
         return len(self.bits)
@@ -237,15 +232,7 @@ def cutting_data(nu: KneadingPrefix) -> CuttingData:
     Raises NotAdmissible at the first position where the word cannot be a
     kneading sequence prefix.
     """
-    return _cutting_data(nu, _scan(nu))
-
-
-def _scan(nu: KneadingPrefix):
-    """``_scan_structure(nu.bits)``, made on the first call and kept in
-    ``nu.scan``."""
-    if nu.scan is None:
-        nu.scan = _scan_structure(nu.bits)
-    return nu.scan
+    return _cutting_data(nu, [1], [], [])
 
 
 def _extend_cutting(kd: CuttingData, bits: str) -> CuttingData:
@@ -253,13 +240,13 @@ def _extend_cutting(kd: CuttingData, bits: str) -> CuttingData:
     with ``kd``'s word: the scan resumes where ``kd``'s stopped."""
     if not bits.startswith(kd.nu.bits):
         raise DomainError("the word does not extend the scanned word")
-    return _cutting_data(KneadingPrefix(bits),
-                         _scan_structure(bits, kd.S, kd.Q, kd.cocut))
+    return _cutting_data(KneadingPrefix(bits), kd.S, kd.Q, kd.cocut)
 
 
-def _cutting_data(nu, scan) -> CuttingData:
-    """Cutting data of ``nu`` from a scan of its word."""
-    S, Q, cocut, censored, pos, reason = scan
+def _cutting_data(nu, S, Q, cocut) -> CuttingData:
+    """Cutting data of ``nu`` from the scan state of a prefix of it: its
+    S, Q and co-cutting times (nu_1 alone: [1], [], [])."""
+    S, Q, cocut, censored, pos, reason = _scan_structure(nu.bits, S, Q, cocut)
     if pos is not None:
         raise NotAdmissible(pos, reason)
     return CuttingData(tuple(S), tuple(Q), tuple(cocut), censored,
@@ -288,7 +275,7 @@ def admissible_disjoint(nu: KneadingPrefix,
     """Word-structure admissibility: gaps recurse and cut/co-cut are disjoint.
     A given ``kd = cutting_data(nu)`` stands for a scan with no failure."""
     S, _, cocut, censored, pos, reason = (
-        _scan(nu) if kd is None
+        _scan_structure(nu.bits) if kd is None
         else (_checked(kd, nu).S, kd.Q, kd.cocut, kd.cocut_censored, None,
               None))
     if pos is not None:
@@ -301,39 +288,37 @@ def admissible_disjoint(nu: KneadingPrefix,
 
 def _materialize_q(q, upto: Optional[int]):
     """Q as a list: a callable read as Q(1)..Q(upto), a list read whole.
-    Every kneading-map consumer reads Q here, or through ``_q_reader`` when
-    its scan may stop early; those that scan Q to a horizon cut it with
-    ``_q_upto``."""
-    qs, more = _q_reader(q, upto)
-    more(upto or 0)
-    return qs
+    Every kneading-map consumer reads Q here, or on demand through
+    ``_QRead`` when its scan may stop early; those that scan Q to a horizon
+    cut it with ``_q_upto``."""
+    if callable(q):
+        if upto is None:
+            raise DomainError("a callable Q needs an explicit horizon")
+        return [q(k) for k in range(1, upto + 1)]
+    return list(q)
 
 
-def _q_reader(q, upto: Optional[int], checked: bool = False):
-    """Q read on demand: the list Q(1), Q(2), ... read so far and
-    ``more(n)``, which tells whether the list holds n values.  A list Q is
-    read whole at once; a callable is read on by ``more(n)`` to n values,
-    at least twice what the list held, but never past Q(upto).  With
-    ``checked`` every value is range-checked as it is read: NotAdmissible
-    at the first k with Q(k) outside [0, k)."""
-    if not callable(q):
-        qs = list(q)
-        if checked:
-            _check_range(qs, 0)
-        return qs, lambda n: n <= len(qs)
-    if upto is None:
-        raise DomainError("a callable Q needs an explicit horizon")
-    qs = []
+class _QRead(list):
+    """Q(1), Q(2), ... as read so far, each value range-checked as it is
+    read: NotAdmissible at the first k with Q(k) outside [0, k).  A list Q
+    is read whole at once; ``more(n)`` reads a callable on to n values, at
+    least twice as many as before but never past Q(upto), and tells whether
+    n values are read."""
 
-    def more(n):
-        start = len(qs)
-        if n > start:
-            stop = min(upto, max(n, 2 * start))
-            qs.extend(map(q, range(start + 1, stop + 1)))
-            if checked:
-                _check_range(qs, start)
-        return n <= len(qs)
-    return qs, more
+    __slots__ = ("q", "upto")
+
+    def __init__(self, q, upto: int):
+        super().__init__(() if callable(q) else q)
+        self.q, self.upto = (q if callable(q) else None), upto
+        _check_range(self, 0)
+
+    def more(self, n: int) -> bool:
+        start = len(self)
+        if n > start and self.q is not None:
+            stop = min(self.upto, max(n, 2 * start))
+            self.extend(map(self.q, range(start + 1, stop + 1)))
+            _check_range(self, start)
+        return n <= len(self)
 
 
 def _check_range(qs, start: int):
@@ -367,11 +352,12 @@ def _q_out_of_range(k: int, qk: int) -> str:
     return f"Q({k}) = {qk} " + (f">= {k}" if qk >= k else "< 0")
 
 
-def _cutting_times(qs) -> list:
-    """S_0 = 1 and S_k = S_{k-1} + S_{Q(k)}, while 0 <= Q(k) < k."""
+def _cutting_times(qs, horizon: Optional[int] = None) -> list:
+    """S_0 = 1 and S_k = S_{k-1} + S_{Q(k)}, while 0 <= Q(k) < k and (with a
+    horizon) until the first S_k >= horizon."""
     S = [1]
     for qk in qs:
-        if not 0 <= qk < len(S):
+        if not 0 <= qk < len(S) or horizon is not None and S[-1] >= horizon:
             break
         S.append(S[-1] + S[qk])
     return S
@@ -385,21 +371,14 @@ def admissible_q(q, horizon: Optional[int] = None) -> V.Verdict:
     j >= 1; comparisons truncate at the available data.  ``horizon`` bounds
     the k that must resolve for a certificate; by default all k are examined
     and the verdict is at best evidence (the last k can never resolve).
-    A list Q is read whole.  A callable is read on demand, only as far as
-    k <= horizon and its comparisons reach, and no further than
-    Q(2 * horizon + 4): the verdict is the one for the list of those
-    2 * horizon + 4 values.
+    A list Q is read whole, a callable as Q(1) .. Q(2 * horizon + 4).
+    ``nu_from_q`` passes its ``_QRead``, which is read on only where a
+    comparison runs off the values read so far.
     """
-    qs, more = _q_reader(q, None if horizon is None else 2 * horizon + 4)
-    return _lex_verdict(qs, len(qs) if horizon is None else horizon, more)
-
-
-def _lex_verdict(qs, limit: int, more) -> V.Verdict:
-    """``admissible_q``'s verdict for k <= limit over the list qs of
-    ``_q_reader``, read on with ``more`` to Q(limit) and wherever a
-    comparison runs off it."""
-    more(limit)
+    qs = q if isinstance(q, _QRead) else _materialize_q(
+        q, None if horizon is None else 2 * horizon + 4)
     m = len(qs)
+    limit = horizon if horizon is not None else m
     first_unresolved = None
     for k in range(1, min(limit, m) + 1):
         qk = qs[k - 1]
@@ -419,7 +398,7 @@ def _lex_verdict(qs, limit: int, more) -> V.Verdict:
                                              f"Q({qq + j}) = {a} > "
                                              f"Q({k + j}) = {b}"))
                 break
-            if not more(m + 1):
+            if not isinstance(qs, _QRead) or not qs.more(m + 1):
                 if first_unresolved is None:
                     first_unresolved = k
                 break
@@ -440,21 +419,19 @@ def nu_from_q(q, horizon: int) -> KneadingPrefix:
     within the horizon.
 
     A list Q is read and range-checked whole.  A callable is read on
-    demand, in blocks that double, and each value range-checked as it is
-    read: Q(1), Q(2), ... until S_m >= horizon, then on only where the
+    demand, in blocks that double, each value range-checked as it is read:
+    Q(1), Q(2), ... until S_m >= horizon, then on only where the
     lexicographic check of some k <= m runs off the values read, and no
-    further than Q(2 * horizon + 4).  A value out of range past what is
-    read raises nothing.
+    further than Q(2 * horizon + 4).  A Q(k) out of range past what is
+    read raises nothing: the word is returned, or the lexicographic
+    violation that the values read show.
     """
     if horizon is None or horizon < 1:
         raise DomainError("horizon must be >= 1")
-    qs, more = _q_reader(q, 2 * horizon + 4, checked=True)
-    S = [1]
-    while S[-1] < horizon and more(len(S)):
-        for qk in qs[len(S) - 1:]:
-            S.append(S[-1] + S[qk])
-            if S[-1] >= horizon:
-                break
+    qs = _QRead(q, 2 * horizon + 4)
+    S = _cutting_times(qs, horizon)
+    while S[-1] < horizon and qs.more(len(S)):
+        S = _cutting_times(qs, horizon)
     bits = "1"
     for prev, s_new in zip(S, S[1:]):
         # nu_{S_{k-1}+1} .. nu_{S_k} copy nu_1 .. nu_{S_{Q(k)}}, with the
@@ -464,7 +441,7 @@ def nu_from_q(q, horizon: int) -> KneadingPrefix:
     # when Q runs out before the horizon the word has period S_k, its length
     bits *= -(-horizon // len(bits))
     # the k loop ascends, so checking the k used finds the same first failure
-    check = _lex_verdict(qs, len(S) - 1, more)
+    check = admissible_q(qs, horizon=len(S) - 1)
     if check.is_refuted:
         raise NotAdmissible(check.witness["k"], check.witness["reason"])
     return KneadingPrefix(bits[:horizon], source="from_q")

@@ -554,8 +554,8 @@ def _canon(out):
 
 
 # consumer -> (call with a kneading map and a horizon, how many values of a
-# callable it reads at most at that horizon; admissible_q and nu_from_q
-# read on demand up to that many)
+# callable it reads at most at that horizon; nu_from_q reads on demand up
+# to that many)
 Q_CONSUMERS = {
     "admissible_q": (lambda q, h: admissible_q(q, horizon=h),
                      lambda h: 2 * h + 4),
@@ -677,6 +677,10 @@ def test_nu_from_q_reads_fib_only_as_far_as_its_word():
     assert len(q.called) <= 64
     assert q.called == list(range(1, len(q.called) + 1))
     assert nu.bits == _nu_from_q_read_everything(fibonacci_q, 10 ** 5)
+    # admissible_q still reads a callable whole
+    q = _CountingQ(fibonacci_q)
+    assert admissible_q(q, horizon=50).is_certified
+    assert q.called == list(range(1, 105))
 
 
 def test_a_value_out_of_range_past_the_read_raises_nothing():
@@ -739,31 +743,6 @@ def test_nu_from_q_matches_the_read_everything_body():
         assert admissible_q(q, horizon=limit) == _admissible_q_ref(
             [q(k) for k in range(1, 2 * limit + 5)], limit)
     assert min(kinds.values()) >= 20, kinds
-
-
-def test_cutting_data_and_admissible_disjoint_scan_a_word_once(monkeypatch):
-    import uilkit.kneading as kneading
-    calls = []
-
-    def counted(bits, *args):
-        calls.append(bits)
-        return _scan_structure(bits, *args)
-    monkeypatch.setattr(kneading, "_scan_structure", counted)
-    # the word of a bounded Q (Q(k) = min(k - 1, 2)), two short admissible
-    # words (10000 has no co-cutting time) and two refuted ones
-    for bits in (nu_from_q(lambda k: min(k - 1, 2), 2000).bits,
-                 "1000101010110001011", "10000", "1101", "11"):
-        calls.clear()
-        nu = KneadingPrefix(bits)
-        try:
-            cutting_data(nu)
-        except NotAdmissible:
-            pass
-        verdict = admissible_disjoint(nu)
-        assert calls == [bits]
-        assert nu.scan == _scan_structure(bits)
-        assert verdict == admissible_disjoint(KneadingPrefix(bits))
-        assert len(calls) == 2
 
 
 # -- nu_from_orbit against the code it replaced ----------------------------------
