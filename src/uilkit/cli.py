@@ -33,8 +33,9 @@ from json.encoder import encode_basestring_ascii
 from . import verdicts as V
 from .errors import (ConfigError, InternalInconsistency, PrecisionExhausted,
                      UilkitError)
-from .hofbauer import (OrbitTable, PrecriticalTable, cutting_value_gaps,
-                       f_graph_data, long_branched_evidence, tower_levels)
+from .hofbauer import (OrbitTable, PrecriticalTable, _tolerance,
+                       cutting_value_gaps, f_graph_data,
+                       long_branched_evidence, tower_levels)
 from .inverse_limit import (classification_report, parse_itinerary,
                             reluctance_search)
 from .kneading import (admissible_disjoint, admissible_q, cutting_data,
@@ -54,7 +55,7 @@ EXIT_INTERNAL = 4
 
 def _eps(args) -> Fraction:
     try:
-        return Fraction(args.eps)
+        return _tolerance(args.eps)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse --eps {args.eps!r}")
 
@@ -203,7 +204,7 @@ def cmd_knead(args):
     qa = q_asymptotics(qs)
     scan = renorm_scan(qs, min(len(qs), args.horizon))
     results = {
-        "nu_dotted": emit_dotted(nu, kd) if len(nu) <= 512 else None,
+        "nu_dotted": emit_dotted(kd) if len(nu) <= 512 else None,
         "nu_length": len(nu),
         "cutting_times": list(kd.S),
         "kneading_map": list(kd.Q),
@@ -224,7 +225,7 @@ def cmd_tower(args):
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
     N = min(args.depth, kd.horizon)
     levels = tower_levels(kd, slope, N, orbit=orbit)
-    lb = long_branched_evidence(kd, N, slope, levels=levels)
+    lb = long_branched_evidence(kd, N, levels)
     if args.out_csv:
         rows = [(lv.n, V.approx(lv.length.lo), V.approx(lv.length.hi))
                 if lv.length is not None else (lv.n, "", "") for lv in levels]
@@ -242,11 +243,12 @@ def cmd_classify(args):
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
     if not args.itinerary:
         raise ConfigError("classify needs at least one --itinerary")
+    eps = _eps(args)
     items = {}
     for text in args.itinerary:
         it = parse_itinerary(text)
         rep = classification_report(it, nu, slope, kd, depth=args.depth,
-                                    eps=_eps(args), orbit=orbit)
+                                    eps=eps, orbit=orbit)
         items[text] = rep.to_json()
     _emit(args, _report(args, "classify", {"items": items}))
 
@@ -283,11 +285,12 @@ def cmd_subcontinua(args):
     _at_least(args, 0, "--max-chains")
     _at_least(args, 1, "--cascade-min")
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
+    zp = None if slope is None else PrecriticalTable(slope, kd, orbit)
     strict = find_qcond_chains(qs, min(len(qs), args.horizon), variant="strict")
     relaxed = find_qcond_chains(qs, min(len(qs), args.horizon), variant="relaxed")
     chains_out = []
     for ch in strict["chains"][: args.max_chains]:
-        cc = classify_chain(ch, qs, kd=kd, orbit=orbit)
+        cc = classify_chain(ch, qs, zp)
         chains_out.append({"k_seq": list(ch), "class": cc.to_json()})
     results = {
         "strict": {"chains": [list(c) for c in strict["chains"]],
@@ -315,7 +318,8 @@ def cmd_density(args):
     _at_least(args, 0, "--K")
     slope, nu, qs, kd, orbit = _resolve_inputs(args, need=("slope",))
     K = min(args.K, kd.max_k)
-    report = cutting_value_gaps(slope, K, _eps(args), kd, orbit=orbit)
+    report = cutting_value_gaps(PrecriticalTable(slope, kd, orbit), K,
+                                _eps(args))
     if args.out_csv:
         pair = tuple(report["max_gap_pair"] or ())
         rows = [(r["from_n"], r["to_n"], r["gap_hi"],
@@ -339,8 +343,8 @@ def cmd_fmap(args):
     _at_least(args, 1, "--grid")
     _at_least(args, 0, "--max-cell")
     slope, nu, qs, kd, orbit = _resolve_inputs(args, need=("slope",))
-    zp = PrecriticalTable(slope, kd, orbit=orbit)
-    rows = f_graph_data(slope, zp, grid=args.grid, max_cell=args.max_cell)
+    zp = PrecriticalTable(slope, kd, orbit)
+    rows = f_graph_data(zp, grid=args.grid, max_cell=args.max_cell)
     out_rows = [(V.approx(a), V.approx(b), V.approx(c), V.approx(d), k)
                 for a, b, c, d, k in rows]
     if args.out_csv:

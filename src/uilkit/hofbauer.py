@@ -547,17 +547,17 @@ def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable) -> V.Verdict:
 
 
 def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
-                           slope: Optional[SlopeParam] = None,
                            levels: Optional[list] = None) -> V.Verdict:
     """Finite-horizon verdict for inf_n |D_n| > 0.
 
     Refuted-style evidence (status ``refuted``) when the minimum level length
     decays below 2^-16, the verdict's epsilon, with a decreasing trend;
     evidence when the kneading map shows bounded evidence or the minimum is
-    stable above it.  The witness always carries min |D_n| and its argmin
-    when a slope is available, argmin the smallest n on a tie.  ``levels``,
-    when given, must be ``tower_levels(kd, slope, N, orbit=...)``; it saves
-    recomputing them.  ``N`` defaults to the kneading horizon.
+    stable above it.  ``levels`` with lengths, ``tower_levels(kd, slope,
+    N)`` for the word's slope, select the numeric rule: the witness then
+    carries min |D_n| and its argmin, the smallest n on a tie.  Without
+    them (none, or the index form's, which has no lengths) the rule reads
+    the kneading map alone.  ``N`` defaults to the kneading horizon.
 
     One pass over the levels, in order of n, keeps the minimum length of
     each half (n <= N // 2 and n > N // 2) with its first argmin: the
@@ -569,8 +569,8 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
         raise DomainError(f"long-branched depth must be >= 1, got {N}")
     qa = q_asymptotics(list(kd.Q))
     witness = {"q_bounded": qa.bounded.status, "q_max": qa.max_value}
-    if slope is not None:
-        levels = levels or tower_levels(kd, slope, N)
+    numeric = bool(levels) and levels[0].length is not None
+    if numeric:
         mins = [None, None]         # (min length, argmin) per half
         for lv in levels:
             x, late = lv.length.hi, lv.n > N // 2
@@ -589,24 +589,32 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
                              epsilon=_LONG_BRANCH_THRESHOLD, **witness)
     if qa.bounded.is_positive:
         return V.evidence(RULE_LONGBRANCH, depth=N, **witness)
-    if slope is not None and witness.get("decreasing") is False:
+    if numeric and witness.get("decreasing") is False:
         return V.evidence(RULE_LONGBRANCH, depth=N, **witness)
-    if slope is None and qa.to_infinity.is_positive:
+    if not numeric and qa.to_infinity.is_positive:
         return V.refuted(RULE_LONGBRANCH, depth=N, **witness)
     return V.undetermined(RULE_LONGBRANCH, "no stable trend", depth=N, **witness)
 
 
-def cutting_value_gaps(slope: SlopeParam, K: int, eps, kd: CuttingData,
-                       orbit: Optional[OrbitTable] = None):
-    """Largest gap in {c_{S_k} : k <= K} (plus core endpoints), and the
-    sub-report restricted to k with Q(k) <= 1.
-
-    The verdict is about eps-density at this horizon only.
-    """
+def _tolerance(eps) -> Fraction:
+    """``eps`` as a Fraction; DomainError unless it is > 0."""
     eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError(f"eps must be > 0, got {eps}")
+    return eps
+
+
+def cutting_value_gaps(zp: PrecriticalTable, K: int, eps):
+    """Largest gap in {c_{S_k} : k <= K} (plus core endpoints), and the
+    sub-report restricted to k with Q(k) <= 1, from the table's cutting
+    data and orbit.
+
+    The verdict is about eps-density at this horizon only; eps must be > 0.
+    """
+    eps = _tolerance(eps)
+    kd, orbit = zp.kd, zp.orbit
     if kd.max_k < K:
         raise DomainError(f"cutting data only reaches S_{kd.max_k}")
-    orbit = orbit_table(slope, orbit, kd.nu)
 
     def gap_report(ks):
         pts = [(orbit.value(kd.S[k]), kd.S[k]) for k in ks]
@@ -642,8 +650,7 @@ def cutting_value_gaps(slope: SlopeParam, K: int, eps, kd: CuttingData,
     }
 
 
-def f_graph_data(slope: SlopeParam, zp: PrecriticalTable, grid: int = 256,
-                 max_cell: int = 8):
+def f_graph_data(zp: PrecriticalTable, grid: int = 256, max_cell: int = 8):
     """Sample rows (x_lo, x_hi, F_lo, F_hi, cell_k) for plotting Eq-style
     graphs of the accelerated map; cell-aware so each branch piece shows its
     affine structure (at least 3 interior points per piece)."""
@@ -670,7 +677,7 @@ def f_graph_data(slope: SlopeParam, zp: PrecriticalTable, grid: int = 256,
     rows = []
     for x in samples:
         try:
-            y, k = f_apply(slope, x, zp)
+            y, k = f_apply(zp.slope, x, zp)
         except (UnresolvedComparison, DomainError, PrecisionExhausted):
             continue
         rows.append((x.lo, x.hi, y.lo, y.hi, k))

@@ -56,7 +56,8 @@ from typing import Optional, Sequence
 from . import verdicts as V
 from .errors import (DomainError, NoRecurrenceWitness, PrecisionExhausted,
                      UnrealizableWord, UnresolvedComparison)
-from .hofbauer import OrbitTable, level_bounds, level_ends, orbit_table
+from .hofbauer import (OrbitTable, _tolerance, level_bounds, level_ends,
+                       orbit_table)
 from .kneading import (CuttingData, KneadingPrefix, _checked, _lcp,
                        cutting_data, q_asymptotics)
 from .scalars import (C, Scalar, SignRelC, SlopeParam, _BINARY,
@@ -610,9 +611,10 @@ def folding_verdict(it: TwoSidedItinerary, slope: SlopeParam,
     k/2^bits, so gaps are integers and the bound may be floored: [a, b] is
     far when t = floor(eps 2^bits) + r + (b - a) is negative or no proxy
     interval meets [a - t, b + t].  With the proxy sorted by low end and a
-    running maximum of its high ends, that is one bisection.
+    running maximum of its high ends, that is one bisection.  eps must be
+    > 0.
     """
-    eps = Fraction(eps)
+    eps = _tolerance(eps)
     if proxy_len < 0:
         raise DomainError(f"proxy_len {proxy_len} < 0 leaves the orbit-tail "
                           f"proxy empty")
@@ -751,11 +753,12 @@ def pull_back(J, along, slope: SlopeParam,
         a, b = intervals[-1]
         try:
             reaches_peak = certified_cmp(b, c1) >= 0
-            if certified_cmp(a, c1) > 0:
-                complete = False      # no preimage at all
-                break
+            a_vs_c1 = certified_cmp(a, c1)
         except UnresolvedComparison:
             complete = False
+            break
+        if a_vs_c1 > 0:
+            complete = False          # no preimage at all
             break
         a_eff = a if a.lo >= 0 else zero
         if reaches_peak:
@@ -777,15 +780,12 @@ def pull_back(J, along, slope: SlopeParam,
             joined = False
         intervals.append(new)
         joined_flags.append(joined)
-        if joined and first_interior is None:
-            try:
-                pinched = certified_cmp(a_eff, c1) == 0
-            except UnresolvedComparison:
-                pinched = False
-            if not pinched:
-                first_interior = k + 1
-                if stop_on_nonmonotone:
-                    break
+        # the join is pinched (c not interior) exactly when a = c_1; when
+        # a_eff = 0 differs from a, both lie below c_1
+        if joined and first_interior is None and a_vs_c1:
+            first_interior = k + 1
+            if stop_on_nonmonotone:
+                break
     length = len(intervals) - 1
     monotone_prefix = length if first_interior is None else first_interior - 1
     return PullbackChain(intervals, joined_flags, monotone_prefix, complete)
@@ -889,10 +889,7 @@ def reluctance_search(slope: SlopeParam, eps_grid: Sequence,
     """
     if length_target < 1:
         raise DomainError(f"length target must be >= 1, got {length_target}")
-    eps_grid = [Fraction(eps) for eps in eps_grid]
-    for eps in eps_grid:
-        if eps <= 0:
-            raise DomainError(f"eps must be > 0, got {eps}")
+    eps_grid = [_tolerance(eps) for eps in eps_grid]
     if not eps_grid:
         return V.undetermined(RULE_PERSISTENCE, "empty eps grid",
                               depth=horizon)
@@ -982,6 +979,7 @@ def classification_report(it: TwoSidedItinerary, nu: KneadingPrefix,
     endpoint = _endpoint_verdict(td)
     if slope is not None:
         orbit = orbit_table(slope, orbit, nu)
+        eps = _tolerance(eps)       # raised, not turned into undetermined
         try:
             folding = folding_verdict(it, slope, nu, depth=depth, eps=eps,
                                       orbit=orbit)

@@ -659,8 +659,8 @@ def parse_dotted(text: str) -> KneadingPrefix:
     return nu
 
 
-def emit_dotted(nu: KneadingPrefix, kd: Optional[CuttingData] = None) -> str:
-    # a dot after every cutting time but the last symbol
-    kd = cutting_data(nu) if kd is None else _checked(kd, nu)
-    cuts = [0] + [s for s in kd.S if s < len(nu.bits)]
-    return ".".join(nu.bits[a:b] for a, b in zip(cuts, cuts[1:] + [None]))
+def emit_dotted(kd: CuttingData) -> str:
+    # the word of kd, a dot after every cutting time but the last symbol
+    bits = kd.nu.bits
+    cuts = [0] + [s for s in kd.S if s < len(bits)]
+    return ".".join(bits[a:b] for a, b in zip(cuts, cuts[1:] + [None]))

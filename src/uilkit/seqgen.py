@@ -76,17 +76,12 @@ class WordLedger:
     ``ends_at_cuts`` collects all subwords (up to ``len_cap``) whose last
     letter falls on a cutting time; ``paired`` holds the words w such that
     both w and its last-letter flip appear there.  The set is built from
-    the word alone, and again when the cap grows.  A given ``kd`` must be
-    the word's cutting data, else the word is scanned.
+    the word alone, and again when the cap grows.  The word is that of the
+    cutting data ``kd``.
     """
 
-    def __init__(self, nu_bits: str = SEED, len_cap: int = 8,
-                 kd: Optional[CuttingData] = None):
-        if kd is None:
-            kd = cutting_data(KneadingPrefix(nu_bits))
-        elif kd.nu.bits != nu_bits:
-            raise DomainError("the cutting data belong to another word")
-        self.nu = nu_bits
+    def __init__(self, kd: CuttingData, len_cap: int = 8):
+        self.nu = kd.nu.bits
         self.len_cap = len_cap
         self.kd: CuttingData = kd
         self._collect()
@@ -108,7 +103,7 @@ class WordLedger:
         """The set and the cutting data equal a fresh rebuild from the word;
         by construction for the set, as every ledger and every raised cap
         builds it from the word."""
-        fresh = WordLedger(self.nu, self.len_cap)
+        fresh = WordLedger(cutting_data(KneadingPrefix(self.nu)), self.len_cap)
         return fresh.ends_at_cuts == self.ends_at_cuts and fresh.kd == self.kd
 
 
@@ -265,7 +260,7 @@ def extend_step(ledger: WordLedger):
         raise ConstructionStuck("block-iii", dict(state, cur_len=len(cur)))
     state["r"] = chosen_r
 
-    new_ledger = WordLedger(candidate, max(ledger.len_cap, len(v) + 1), kd_fin)
+    new_ledger = WordLedger(kd_fin, max(ledger.len_cap, len(v) + 1))
     if not (new_ledger.paired(v) and new_ledger.paired(v_flip)):
         raise ConstructionStuck("pair-not-realized", state)
     if len(u) not in new_ledger.kd.S or len(u) == 2:
@@ -347,7 +342,7 @@ def generate(target_length: int):
     if target_length < len(SEED):
         raise DomainError(f"target length must be >= {len(SEED)}")
     goal = coverage_goal(target_length)
-    ledger = WordLedger(SEED)
+    ledger = WordLedger(cutting_data(KneadingPrefix(SEED)))
     plans = []
     first_matches = None
     while len(ledger.nu) < target_length or coverage_report(ledger, goal)[0] < goal:
@@ -378,7 +373,7 @@ def generate(target_length: int):
         "admissible_disjoint": disjoint.status,
         "admissible_q": lex.status,
         "first_extension_matches_reference": bool(first_matches),
-        "dotted_prefix": emit_dotted(nu, ledger.kd) if len(ledger.nu) <= 256
+        "dotted_prefix": emit_dotted(ledger.kd) if len(ledger.nu) <= 256
         else None,
         "rule": RULE_CERT,
     }

@@ -32,11 +32,10 @@ from typing import Optional, Sequence
 
 from . import verdicts as V
 from .errors import ConditionViolated, DomainError, UnresolvedComparison
-from .hofbauer import OrbitTable, PrecriticalTable, level_ends, orbit_table
-from .kneading import (CuttingData, _cutting_times, _materialize_q,
-                       _q_lookup, _q_upto, renorm_scan)
-from .scalars import (C, Scalar, SlopeParam, _diff, certified_cmp,
-                      s_one_minus)
+from .hofbauer import PrecriticalTable, level_ends
+from .kneading import (_cutting_times, _materialize_q, _q_lookup, _q_upto,
+                       renorm_scan)
+from .scalars import C, Scalar, _diff, certified_cmp, s_one_minus
 
 RULE_CHAIN = "critical-projection-chain-search"
 RULE_BUILD = "chain-level-construction"
@@ -137,7 +136,7 @@ class CriticalProjectionChain:
                 "levels": [lv.to_json() for lv in self.levels]}
 
 
-def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
+def build_chain(k_seq: Sequence[int], zp: PrecriticalTable,
                 variant: str = STRICT) -> CriticalProjectionChain:
     """Realize a chain: certified a_i with monotone-onto levels, each a_i
     on the side of c the next level maps onto (the last on the left).
@@ -151,9 +150,8 @@ def build_chain(slope: SlopeParam, k_seq: Sequence[int], zp: PrecriticalTable,
     Aborts with ConditionViolated when a_i is not certified strictly inside
     the open piece, i.e. a_{i-1} is not in the branch image of the open
     cell, which would falsify the verified chain condition (used as a
-    self-test).  A slope other than the table's raises DomainError.
+    self-test).  The slope, word and cutting data are the table's.
     """
-    orbit_table(slope, zp.orbit)
     kd = zp.kd
     q_of = _q_lookup(kd.Q)
     k_seq = tuple(k_seq)
@@ -234,29 +232,24 @@ class ChainClass:
 
 
 def classify_chain(k_seq: Sequence[int], q,
-                   kd: Optional[CuttingData] = None,
-                   orbit: Optional[OrbitTable] = None) -> ChainClass:
+                   zp: Optional[PrecriticalTable] = None) -> ChainClass:
     """Direct spiral versus basic sin(1/x) from the tail of Q(k_i + 1).
 
     Divergence evidence of Q(k_i + 1) along the chain classifies a direct
     spiral (the central tower levels |D_{S_{k_i}}| shrink to a point); a
     bounded subsequence witness classifies a basic sin(1/x)-continuum, whose
     bar projection is enclosed by the intersection of the available levels.
-    Chains shorter than three levels stay undetermined.  ``kd`` must agree
-    with ``q`` where both are defined; levels are read from ``orbit``, which
-    needs ``kd`` and must carry its word (DomainError otherwise).
+    Chains shorter than three levels stay undetermined.  Levels are read
+    from the table ``zp``, whose cutting data must agree with ``q`` where
+    both are defined (DomainError otherwise).
     """
-    tabled = orbit is not None
-    if tabled:
-        if kd is None:
-            raise DomainError("an orbit table needs its word's cutting data")
-        orbit.check_word(kd.nu)
     k_seq = tuple(k_seq)
     if len(k_seq) < _MIN_LEVELS:
         return ChainClass("undetermined",
                           V.undetermined(RULE_CLASSIFY, "chain too short",
                                          depth=len(k_seq)))
     qs = _materialize_q(q, max(k_seq) + 2)
+    kd = None if zp is None else zp.kd
     if kd is not None and qs[:len(kd.Q)] != list(kd.Q[:len(qs)]):
         j = next(j for j, (a, b) in enumerate(zip(qs, kd.Q), 1) if a != b)
         raise DomainError(f"kneading map disagrees with the cutting data at "
@@ -273,11 +266,11 @@ def classify_chain(k_seq: Sequence[int], q,
     half = len(vals) // 2
     head, tail = vals[:half], vals[half:]
     decay = None
-    if tabled:
+    if kd is not None:
         level_ns = [kd.S[k] for k in k_seq
                     if k <= kd.max_k and kd.S[k] <= kd.horizon]
-        lengths = [_diff(hi, lo) for lo, hi in (level_ends(orbit, kd, (n,))
-                                                for n in level_ns)]
+        lengths = [_diff(hi, lo) for lo, hi in
+                   (level_ends(zp.orbit, kd, (n,)) for n in level_ns)]
         if len(lengths) >= _MIN_LEVELS:
             decay = all(y < x for x, y in zip(lengths, lengths[1:]))
     if min(tail) > max(head) and vals[-1] >= vals[0] + len(vals) // 2:
@@ -291,7 +284,7 @@ def classify_chain(k_seq: Sequence[int], q,
     bound = max(head)
     witnesses = [k for k, v in zip(k_seq, vals) if v <= bound]
     if len([v for v in tail if v <= bound]) >= 1 and len(witnesses) >= 2:
-        ends = level_ends(orbit, kd, level_ns) if tabled else None
+        ends = level_ends(zp.orbit, kd, level_ns) if kd is not None else None
         bar = ends if ends is not None and ends[0] <= ends[1] else None
         return ChainClass("basic-sin-curve",
                           V.evidence(RULE_CLASSIFY, depth=len(vals),

@@ -34,11 +34,13 @@ per-symbol scans that the common-prefix primitive ``kneading._lcp`` replaced.
 A fourth digest covers the layers above the kernel: ``tower_levels`` (both
 level Scalars and ``length`` per level) on 9/5, sqrt3, cbrt6 and a
 10^-40-wide interval, the criterion-8 folding battery's verdicts on exact,
-algebraic and interval slopes at several ``eps`` (zero and negative among
-them), and ``word_image_interval`` on every word up to 8 symbols and seeded
-longer ones, in both domains.  It was recorded with the ``Fraction``
-versions of ``level_ends``, ``tower_levels``, ``folding_verdict`` and
-``word_image_interval`` that the integer ones replaced.
+algebraic and interval slopes at three ``eps``, and ``word_image_interval``
+on every word up to 8 symbols and seeded longer ones, in both domains.  It
+was recorded with the ``Fraction`` versions of ``level_ends``,
+``tower_levels``, ``folding_verdict`` and ``word_image_interval`` that the
+integer ones replaced.  It was re-recorded when ``folding_verdict`` began to
+refuse an eps <= 0: without the zero and negative eps the battery had run
+at, the digest is 21fc65ae...5070 on the code before that change and after.
 
 A fifth digest covers the library surface that the classification reaches
 users through: ``endpoint_verdict`` and ``classification_report`` on the
@@ -105,7 +107,7 @@ PRECRITICAL_DIGEST = \
 KNEADING_DIGEST = \
     "99cb070f664af0baa8aaacc4ea3b09b0bce023634d9f56ab61dc180f27335e1b"
 TOWER_DIGEST = \
-    "22dec4ba9d72d3ce5513006fe79a2bb2452d210ca2d69360cc1940ec0fd9d06b"
+    "21fc65ae9044222fefc0c9c03213037d103a980009c363280584300d822d5070"
 SURFACE_DIGEST = \
     "bcb356aeee0ceac397f68343a3c3a3631f9ab53edda183539c7d265b202cd72a"
 EXACT_TOWER_DIGEST = \
@@ -329,7 +331,7 @@ def tower_digest(seed=13):
         nu = nu_from_orbit(slope, 120)
         for it in _folding_battery(slope):
             for eps in (Fraction(1, 256), Fraction(1, 1000),
-                        Fraction(1, 1 << 20), Fraction(0), Fraction(-1, 256)):
+                        Fraction(1, 1 << 20)):
                 for depth, proxy_len in ((64, 120), (16, 40)):
                     v = folding_verdict(it, slope, nu, depth=depth, eps=eps,
                                         proxy_len=proxy_len)
@@ -462,10 +464,12 @@ def surface_digest():
     for kd in (fib_kd, nonrec_kd, cascade_kd, sqrt3_kd):
         _feed_call(h, long_branched_evidence, kd)
     for slope, kd in ((fib_slope, fib_kd), (sqrt3, sqrt3_kd)):
-        _feed_call(h, long_branched_evidence, kd, 60, slope)
+        _feed_call(h, long_branched_evidence, kd, 60,
+                   tower_levels(kd, slope, 60))
+        zp = PrecriticalTable(slope, kd)
         for K, eps in ((1, Fraction(1, 20)), (8, Fraction(1, 20)),
                        (8, Fraction(1, 2))):
-            _feed_call(h, cutting_value_gaps, slope, K, eps, kd)
+            _feed_call(h, cutting_value_gaps, zp, K, eps)
     for slope, upto_k in ((fib_slope, 6), (slope_exact(Fraction(9, 5)), 4),
                           (sqrt3, 5), (slope_exact(2), 0)):
         _feed_call(h, closest_precriticals, slope, upto_k)
@@ -473,13 +477,13 @@ def surface_digest():
     ex35 = slope_for_prefix(nu_from_q(example35_q, 120).bits)
     ex35_kd = cutting_data(nu_from_orbit(ex35, 120))
     zp = PrecriticalTable(ex35, ex35_kd)
-    _feed_call(h, build_chain, ex35, (2, 5, 8, 11), zp, variant="strict")
-    _feed_call(h, build_chain, ex35, (2, 5, 9), zp, variant="strict")
-    _feed_call(h, build_chain, ex35, (2,), zp)
+    _feed_call(h, build_chain, (2, 5, 8, 11), zp, variant="strict")
+    _feed_call(h, build_chain, (2, 5, 9), zp, variant="strict")
+    _feed_call(h, build_chain, (2,), zp)
     zp = PrecriticalTable(fib_slope, fib_kd)
     greedy = find_qcond_chains(fibonacci_q, fib_kd.max_k,
                                variant="relaxed")["greedy"][:5]
-    _feed_call(h, build_chain, fib_slope, greedy, zp, variant="relaxed")
+    _feed_call(h, build_chain, greedy, zp, variant="relaxed")
     orbit = zp.orbit
     points = [orbit.value(fib_kd.S[k]) for k in range(6)]
     points += [Scalar.exact(orbit.value(2).value + (orbit.value(1).value
@@ -514,7 +518,7 @@ def exact_tower_digest(horizon=600):
                 for x in lv.numeric + (lv.length,):
                     _feed(h, (x.lo, x.hi, x.precision_bits))
             if N:
-                _feed_call(h, long_branched_evidence, kd, N, slope, levels)
+                _feed_call(h, long_branched_evidence, kd, N, levels)
     return h.hexdigest()
 
 

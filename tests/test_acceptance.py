@@ -321,7 +321,7 @@ def test_criterion_9_persistence_dichotomy(fib_slope, fib_kd, nonrec_slope,
 def test_criterion_10_generator_certificate():
     t0 = time.time()
     # per-step ledger soundness
-    ledger = WordLedger(SEED)
+    ledger = WordLedger(cutting_data(KneadingPrefix(SEED)))
     steps = 0
     while len(ledger.nu) < 200 or steps < 4:
         ledger, _ = extend_step(ledger)

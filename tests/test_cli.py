@@ -206,6 +206,18 @@ def test_bad_eps_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("eps", ["0", "-1", "-1/256"])
+def test_a_tolerance_at_or_below_zero_exits_2(capsys, eps):
+    # classify gave folding evidence and density a refuted eps-density
+    # verdict at epsilon -1, both with exit 0
+    for argv in (("classify", "--itinerary", "...100110.01"),
+                 ("density", "--K", "4")):
+        code = main([*argv, "--slope", "9/5", f"--eps={eps}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.strip() == f"error: eps must be > 0, got {eps}"
+
+
 def test_negative_q_is_not_admissible(capsys):
     for q in ("-1", "0,-2"):
         assert main(["knead", "--q", q, "--horizon", "10"]) == 2, q
@@ -625,4 +637,4 @@ def test_bare_preset_slope_takes_the_horizon(capsys):
     assert code == 0
     fib = nu_from_q(fibonacci_q, 400)
     assert json.loads(out)["results"]["nu_dotted"] == \
-        emit_dotted(fib, cutting_data(fib))
+        emit_dotted(cutting_data(fib))

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 from fractions import Fraction
 
 import pytest
@@ -139,7 +140,8 @@ def test_tower_depth_zero_is_no_levels_not_the_horizon(fib_slope, fib_kd):
         tower_levels(fib_kd, fib_slope, -1)
     for N in (0, -1):
         with pytest.raises(DomainError):
-            long_branched_evidence(fib_kd, N, fib_slope)
+            long_branched_evidence(fib_kd, N, tower_levels(fib_kd, fib_slope,
+                                                           5))
         with pytest.raises(DomainError):
             long_branched_evidence(fib_kd, N)
 
@@ -258,7 +260,7 @@ def test_f_first_cell_is_plain_tent(fib_slope, fib_kd):
 
 def test_f_graph_affine_per_cell(fib_slope, fib_kd):
     zp = PrecriticalTable(fib_slope, fib_kd)
-    rows = f_graph_data(fib_slope, zp, grid=48, max_cell=4)
+    rows = f_graph_data(zp, grid=48, max_cell=4)
     assert rows == sorted(rows, key=lambda r: (r[0], r[4]))
     from collections import defaultdict
     per_cell = defaultdict(list)
@@ -280,13 +282,110 @@ def test_f_graph_data_rejects_a_negative_max_cell():
     zp = PrecriticalTable(s, cutting_data(nu_from_orbit(s, 64)))
     for max_cell in (-1, -2):
         with pytest.raises(DomainError, match="max_cell must be >= 0"):
-            f_graph_data(s, zp, grid=4, max_cell=max_cell)
-    assert len(f_graph_data(s, zp, grid=4, max_cell=0)) == 9
+            f_graph_data(zp, grid=4, max_cell=max_cell)
+    assert len(f_graph_data(zp, grid=4, max_cell=0)) == 9
+
+
+# -- refusals, each with its type and text --------------------------------------
+
+@pytest.fixture(scope="module")
+def zp_9_5():
+    s = slope_exact(Fraction(9, 5))
+    return PrecriticalTable(s, cutting_data(nu_from_orbit(s, 24)))
+
+
+def test_orbit_table_refuses_a_negative_index():
+    with pytest.raises(DomainError, match=r"^orbit index must be >= 0$"):
+        OrbitTable(slope_exact(Fraction(9, 5))).value(-1)
+
+
+def test_tower_depth_past_the_kneading_horizon_is_refused(zp_9_5):
+    kd = zp_9_5.kd
+    for slope in (zp_9_5.slope, None):
+        with pytest.raises(DomainError, match=r"^tower depth exceeds the "
+                                              r"kneading horizon$"):
+            tower_levels(kd, slope, kd.horizon + 1)
+
+
+def test_natural_is_defined_from_0_to_max_k(zp_9_5):
+    k = zp_9_5.max_k
+    with pytest.raises(DomainError, match=r"^natural precritical index must "
+                                          r"be >= 0$"):
+        zp_9_5.natural(-1)
+    with pytest.raises(DomainError, match=rf"^z_{k + 1} needs cutting data to "
+                                          rf"S_{k + 1} \(have {k}\)$"):
+        zp_9_5.natural(k + 1)
+    assert zp_9_5.natural(k).is_exact
+
+
+def test_upsilon_index_refusals(zp_9_5):
+    c2, c1 = zp_9_5.orbit.value(2).value, zp_9_5.orbit.value(1).value
+    d = Fraction(1, 100)
+    # certified outside the core, or overlapping an end and reaching past it
+    for x in (Scalar.exact(c2 - d), Scalar.exact(c1 + d),
+              Scalar.interval(c2 - d, c2 + d), Scalar.interval(c1 - d, c1 + d)):
+        with pytest.raises(DomainError, match=r"^x not certified inside the "
+                                              r"core \[c_2, c_1\]$"):
+            upsilon_index(x, zp_9_5)
+    assert upsilon_index(Scalar.interval(c2, c2 + d), zp_9_5) == 0
+    with pytest.raises(UnresolvedComparison, match=r"^x straddles the "
+                                                   r"critical point$"):
+        upsilon_index(Scalar.interval(C - d, C + d), zp_9_5)
+    k = zp_9_5.max_k
+    with pytest.raises(PrecisionExhausted, match=rf"^x closer to c than z_{k}; "
+                                                 rf"extend the kneading "
+                                                 rf"horizon$"):
+        upsilon_index(Scalar.exact(C - Fraction(1, 1 << 400)), zp_9_5)
+
+
+def test_cutting_data_bounds_are_refused(zp_9_5):
+    k = zp_9_5.max_k
+    with pytest.raises(DomainError, match=rf"^need cutting data to "
+                                          rf"S_{k + 1}$"):
+        verify_zzz(zp_9_5.slope, k, zp_9_5)
+    with pytest.raises(DomainError, match=rf"^cutting data only reaches "
+                                          rf"S_{k}$"):
+        cutting_value_gaps(zp_9_5, k + 1, Fraction(1, 20))
+
+
+def test_f_graph_data_stops_at_the_last_cell(zp_9_5):
+    # cells past max_k have no boundary; their samples are the grid's
+    k = zp_9_5.max_k
+    assert f_graph_data(zp_9_5, grid=4, max_cell=k + 3) == \
+        f_graph_data(zp_9_5, grid=4, max_cell=k)
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1),
+                                 Fraction(-1, 256)], ids=str)
+def test_a_tolerance_at_or_below_zero_is_refused(zp_9_5, eps):
+    # folding_verdict gave evidence and cutting_value_gaps an eps-density
+    # verdict at these eps, and classification_report turned the refusal
+    # into an undetermined folding verdict
+    s, kd = zp_9_5.slope, zp_9_5.kd
+    it = parse_itinerary("...100110.01")
+    calls = [
+        lambda: folding_verdict(it, s, kd.nu, depth=8, eps=eps),
+        lambda: cutting_value_gaps(zp_9_5, 4, eps),
+        lambda: reluctance_search(s, [Fraction(1, 64), eps], 8, 20),
+        lambda: classification_report(it, kd.nu, s, kd, depth=8, eps=eps),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError,
+                           match=f"^eps must be > 0, got {re.escape(str(eps))}$"):
+            call()
 
 
 def test_long_branched_dichotomy(fib_kd, nonrec_kd, fib_slope):
     assert long_branched_evidence(nonrec_kd).is_positive
-    assert long_branched_evidence(fib_kd, 60, fib_slope).is_refuted
+    assert long_branched_evidence(
+        fib_kd, 60, tower_levels(fib_kd, fib_slope, 60)).is_refuted
+
+
+def test_index_form_levels_select_the_kneading_map_rule(fib_kd):
+    # the index form carries no lengths, so it is read as no levels
+    for N in (20, 60):
+        assert long_branched_evidence(fib_kd, N, tower_levels(fib_kd, None, N)) \
+            == long_branched_evidence(fib_kd, N)
 
 
 def test_long_branched_cascade_symbolic():
@@ -297,11 +396,12 @@ def test_long_branched_cascade_symbolic():
 
 
 def test_cutting_value_gaps(fib_slope, fib_kd):
-    rep = cutting_value_gaps(fib_slope, 8, Fraction(1, 20), fib_kd)
+    zp = PrecriticalTable(fib_slope, fib_kd)
+    rep = cutting_value_gaps(zp, 8, Fraction(1, 20))
     assert rep["eps_dense_at_horizon"].is_refuted
     assert rep["max_gap"] > Fraction(1, 20)
     assert set(rep["restricted_q_le_1"]["ks"]) <= set(range(0, 9))
-    tiny = cutting_value_gaps(fib_slope, 1, Fraction(1, 20), fib_kd)
+    tiny = cutting_value_gaps(zp, 1, Fraction(1, 20))
     assert len(tiny["rows"]) >= 2
 
 
@@ -310,9 +410,10 @@ def test_gap_decay_on_appendix_sequence():
     nu, _, _ = generate(200)
     slope = slope_for_prefix(nu.bits[:160], name="appendix")
     kd = cutting_data(nu_from_orbit(slope, 160))
+    zp = PrecriticalTable(slope, kd)
     gaps = []
     for K in (4, 8, kd.max_k):
-        gaps.append(cutting_value_gaps(slope, K, Fraction(1, 20), kd)["max_gap"])
+        gaps.append(cutting_value_gaps(zp, K, Fraction(1, 20))["max_gap"])
     assert gaps[2] <= gaps[0]
 
 
@@ -489,8 +590,9 @@ def test_table_for_another_slope_is_rejected():
         calls = [
             lambda: tower_levels(kd, sqrt3, 20, orbit=foreign),
             lambda: PrecriticalTable(sqrt3, kd, orbit=foreign),
-            lambda: cutting_value_gaps(sqrt3, 3, Fraction(1, 4), kd,
-                                       orbit=foreign),
+            lambda: cutting_value_gaps(
+                PrecriticalTable(sqrt3, kd, orbit=foreign), 3,
+                Fraction(1, 4)),
             lambda: folding_verdict(it, sqrt3, kd.nu, orbit=foreign),
             lambda: reluctance_search(sqrt3, [Fraction(1, 64)], 8, 20,
                                       orbit=foreign),
@@ -693,8 +795,8 @@ def _long_branched_witness_oracle(levels, N):
     return approx(min_len), argmin, decreasing
 
 
-def _assert_witness_matches_oracle(kd, slope, levels, N):
-    w = long_branched_evidence(kd, N, slope, levels).witness
+def _assert_witness_matches_oracle(kd, levels, N):
+    w = long_branched_evidence(kd, N, levels).witness
     assert (w["min_length"], w["argmin"], w["decreasing"]) == \
         _long_branched_witness_oracle(levels, N)
 
@@ -711,7 +813,7 @@ def test_long_branched_witness_matches_three_min_scan(lengths, extra):
     levels = [hofbauer.TowerLevel(n, 0, length=Scalar.exact(x))
               for n, x in enumerate(lengths, 1)]
     for N in {len(levels), len(levels) + extra}:
-        _assert_witness_matches_oracle(kd, slope, levels, N)
+        _assert_witness_matches_oracle(kd, levels, N)
 
 
 @pytest.mark.parametrize("make, N", [
@@ -724,7 +826,7 @@ def test_long_branched_witness_matches_three_min_scan_on_towers(make, N):
     kd = cutting_data(nu_from_orbit(slope, N))
     levels = tower_levels(kd, slope, N)
     for depth in (1, 2, 3, N // 3, N):
-        _assert_witness_matches_oracle(kd, slope, levels[:depth], depth)
+        _assert_witness_matches_oracle(kd, levels[:depth], depth)
 
 
 @pytest.mark.parametrize("name", ["9/5", "sqrt3", "nonrec41:120", "interval"])
@@ -757,7 +859,7 @@ def test_word_of_another_slope_is_rejected():
     genuine = basic_arc_interval(td, OrbitTable(sqrt3), kd=kd, mode="core")
     assert (round(float(genuine.lo.lo), 3), round(float(genuine.hi.hi), 3)) \
         == (0.232, 0.311)
-    bar = classify_chain(chain, kd.Q, kd=kd, orbit=OrbitTable(sqrt3))
+    bar = classify_chain(chain, kd.Q, PrecriticalTable(sqrt3, kd))
     assert [round(float(x), 3) for x in bar.bar_enclosure] == [0.402, 0.524]
     word = kd.nu.bits[:8]
     unit = tau_data(BackwardWord(word), kd.nu)
@@ -767,7 +869,7 @@ def test_word_of_another_slope_is_rejected():
     calls = [
         lambda: basic_arc_interval(td, OrbitTable(cbrt6), kd=kd, mode="core"),
         lambda: basic_arc_interval(unit, shared, word, kd=kd, mode="unit"),
-        lambda: classify_chain(chain, kd.Q, kd=kd, orbit=OrbitTable(cbrt6)),
+        lambda: classify_chain(chain, kd.Q, PrecriticalTable(cbrt6, kd)),
     ] + [lambda N=N: tower_levels(cbrt6_kd, sqrt3, N) for N in (10, 30, 100)]
     for call in calls:
         with pytest.raises(DomainError, match="disagrees with the orbit "
@@ -807,7 +909,7 @@ def _word_pairs():
         "PrecriticalTable": (word, *each(
             lambda kd, x: PrecriticalTable(s, kd))),
         "cutting_value_gaps": (word, *each(lambda kd, x: cutting_value_gaps(
-            s, 5, Fraction(1, 64), kd))),
+            PrecriticalTable(s, kd), 5, Fraction(1, 64)))),
         "folding_verdict": (word, *each(lambda kd, x: folding_verdict(
             it, s, kd.nu, depth=6))),
         "reluctance_search": (word, *each(lambda kd, x: reluctance_search(
@@ -822,7 +924,7 @@ def _word_pairs():
             tau_data(it.backward, kd.nu, 12), OrbitTable(s), kd=kd,
             mode="core"))),
         "classify_chain": (word, *each(lambda kd, x: classify_chain(
-            (2, 3, 4), kd.Q, kd=kd, orbit=OrbitTable(s)))),
+            (2, 3, 4), kd.Q, PrecriticalTable(s, kd)))),
         "verify_zzz": ("orbit table built for another slope", *each(
             lambda kd, x: verify_zzz(x, 4, zp))),
         "f_apply": ("orbit table built for another slope", *each(
@@ -890,7 +992,7 @@ def _entry_point_calls(slope, nu, kd, orbit):
         lambda: tower_levels(kd, slope, 20, orbit=orbit),
         lambda: zp.natural(4),
         lambda: verify_zzz(slope, 4, zp),
-        lambda: cutting_value_gaps(slope, 5, Fraction(1, 64), kd, orbit),
+        lambda: cutting_value_gaps(zp, 5, Fraction(1, 64)),
         lambda: folding_verdict(it, slope, nu, depth=6, orbit=orbit),
         lambda: reluctance_search(slope, [Fraction(1, 64)], 8, 20, kd=kd,
                                   orbit=orbit),
@@ -898,7 +1000,7 @@ def _entry_point_calls(slope, nu, kd, orbit):
                                       orbit=orbit),
         lambda: basic_arc_interval(tau_data(it.backward, nu, 12), orbit,
                                    kd=kd, mode="core"),
-        lambda: classify_chain((2, 3, 4), kd.Q, kd=kd, orbit=orbit),
+        lambda: classify_chain((2, 3, 4), kd.Q, zp),
     ]
 
 
@@ -1005,7 +1107,7 @@ def test_long_branched_verdict_holds_as_n_grows(request, kd_name, horizon,
     for N in range(20, horizon + 1, 20):
         levels = tower_levels(kd, slope, N, orbit=table) if with_slope \
             else None
-        statuses[N] = long_branched_evidence(kd, N, slope, levels).status
+        statuses[N] = long_branched_evidence(kd, N, levels).status
     decided = [N for N, status in statuses.items() if status != "undetermined"]
     assert decided and all(statuses[N] == statuses[decided[0]]
                            for N in statuses if N >= decided[0])

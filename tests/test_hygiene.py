@@ -151,3 +151,54 @@ def test_one_check_for_a_binary_word():
     found = [(p.name, function) for p in PACKAGE
              for _, function in binary_word_checks(p.read_text())]
     assert found == [("kneading.py", "parse_dotted")]
+
+
+# Entry points that take one checked context (a precritical table, or the
+# cutting data that carry their word): a mismatch between the inputs they
+# read cannot be expressed, so they read no gate and raise no mismatch text.
+CONTEXT_ENTRY_POINTS = ("build_chain", "classify_chain", "cutting_value_gaps",
+                        "f_graph_data", "long_branched_evidence",
+                        "emit_dotted", "WordLedger")
+GATES = ("orbit_table", "check_word", "_checked")
+DELETED_TEXTS = ("an orbit table needs its word's cutting data",
+                 "the cutting data belong to another word")
+
+
+def gate_calls(source: str, names) -> list:
+    """(definition, gate) for each call of a gate inside the function or
+    class definitions of ``source`` named in ``names``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.name in names:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    f = call.func
+                    name = f.id if isinstance(f, ast.Name) else \
+                        f.attr if isinstance(f, ast.Attribute) else None
+                    if name in GATES:
+                        found.append((node.name, name))
+    return found
+
+
+def test_gate_calls_are_found():
+    src = ("def build_chain(zp):\n    orbit_table(zp.slope, zp.orbit)\n"
+           "class WordLedger:\n    def f(self, kd):\n"
+           "        return _checked(kd, self.nu).S\n"
+           "def other(t, nu):\n    t.check_word(nu)\n")
+    assert gate_calls(src, CONTEXT_ENTRY_POINTS) == [
+        ("build_chain", "orbit_table"), ("WordLedger", "_checked")]
+
+
+def test_context_entry_points_read_no_gate():
+    found = [(p.name, hit) for p in PACKAGE
+             for hit in gate_calls(p.read_text(), CONTEXT_ENTRY_POINTS)]
+    assert found == []
+
+
+def test_deleted_mismatch_texts_have_no_raise_site():
+    texts = [(p.name, node.value) for p in PACKAGE
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(t in node.value for t in DELETED_TEXTS)]
+    assert texts == []

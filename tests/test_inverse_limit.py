@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import uilkit
 from uilkit import inverse_limit, verdicts as V
-from uilkit.errors import DomainError, NoRecurrenceWitness, UnrealizableWord
+from uilkit.errors import (DomainError, NoRecurrenceWitness, UnrealizableWord,
+                           UnresolvedComparison)
 from uilkit.hofbauer import OrbitTable, level_ends, tower_levels
 from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
                                   TwoSidedItinerary, backward_points,
@@ -31,7 +32,7 @@ from uilkit.kneading import (KneadingPrefix, _lcp, admissible_disjoint,
 from uilkit.presets import parse_slope
 from uilkit.seqgen import generate
 from uilkit.scalars import (C, Scalar, slope_exact, slope_for_prefix,
-                            slope_interval)
+                            slope_interval, tent_apply)
 
 
 # -- words, itineraries, match sets ---------------------------------------------
@@ -294,6 +295,68 @@ def test_pull_back_maximality():
     lo, hi = a.value, b.value
     s = Fraction(9, 5)
     assert s * (1 - hi) == Fraction(3, 20) and s * (1 - lo) == Fraction(17, 100)
+
+
+def _narrow_9_5():
+    """An interval slope 2^-80 about 9/5, working at 64 bits: c_1 is an
+    enclosure, so an end placed on 9/10 cannot be ordered against it."""
+    half = Fraction(1, 1 << 80)
+    return slope_interval(Fraction(9, 5) - half, Fraction(9, 5) + half,
+                          precision_bits=64)
+
+
+def test_pull_back_stops_where_an_end_cannot_be_ordered_against_c1():
+    slope = _narrow_9_5()
+    on_c1 = Scalar.exact(Fraction(9, 10))
+    for J in ((Scalar.exact(Fraction(1, 4)), on_c1),     # does J reach c_1?
+              (on_c1, Scalar.exact(1))):                 # is J above c_1?
+        chain = pull_back(J, "00", slope)
+        assert (chain.length, chain.complete, chain.monotone) == \
+            (0, False, False)
+
+
+def test_pull_back_refuses_a_target_that_straddles_c():
+    J = (Scalar.exact(Fraction(1, 10)), Scalar.exact(Fraction(1, 5)))
+    points = [Scalar.exact(Fraction(3, 20)),
+              Scalar.interval(Fraction(49, 100), Fraction(51, 100))]
+    with pytest.raises(UnresolvedComparison,
+                       match=r"^pull-back step 1: target straddles c$"):
+        pull_back(J, points, _narrow_9_5())
+
+
+def test_verify_monotone_refuses_an_end_it_cannot_order_against_c():
+    # an end 2^-300 below c_1 pulls back to within the 2^-64 grid of c, and
+    # rounding outward puts the end of J_1 on c itself
+    slope = _narrow_9_5()
+    c1 = tent_apply(slope, Scalar.exact(C))
+    J = (Scalar.exact(Fraction(1, 4)),
+         Scalar.exact(c1.lo - Fraction(1, 1 << 300)))
+    chain = pull_back(J, "0", slope)
+    assert chain.monotone and chain.length == 1
+    end = chain.intervals[1][1]
+    assert end.lo < C == end.hi
+    assert not verify_monotone(chain)
+
+
+def test_verify_monotone_refuses_c_inside_the_monotone_prefix():
+    # a join around c_1 has c interior to J_1; counting J_1 in the monotone
+    # prefix is the error the recheck exists to catch
+    slope = _narrow_9_5()
+    J = (Scalar.exact(Fraction(22, 25)), Scalar.exact(Fraction(23, 25)))
+    chain = pull_back(J, "0", slope)
+    assert chain.joined[1] and chain.monotone_prefix == 0
+    assert verify_monotone(chain)
+    assert not verify_monotone(dataclasses.replace(chain, monotone_prefix=1))
+
+
+def test_a_join_pinched_at_c1_stays_monotone():
+    # J = [c_1, 1] pulls back through c to the point [c, c]
+    slope = slope_exact(Fraction(9, 5))
+    chain = pull_back((Scalar.exact(Fraction(9, 10)), Scalar.exact(1)), "0",
+                      slope)
+    assert chain.joined[1] and chain.monotone and chain.complete
+    assert chain.intervals[1][0].value == chain.intervals[1][1].value == C
+    assert verify_monotone(chain)
 
 
 def test_persistence_dichotomy(fib_slope, fib_kd, nonrec_slope, nonrec_kd):
@@ -626,7 +689,6 @@ def test_endpoint_demoted_when_folding_refuted(fib_slope, fib_nu, fib_kd):
 
 
 def test_pull_back_forward_containment():
-    from uilkit.scalars import tent_apply
     slope = slope_exact(Fraction(9, 5))
     J = (Scalar.exact(Fraction(1, 5)), Scalar.exact(Fraction(3, 10)))
     chain = pull_back(J, "011", slope)
@@ -1339,8 +1401,10 @@ def test_word_image_interval_every_short_word():
 def _folding_oracle(it, slope, nu, depth=64, eps=Fraction(1, 1 << 20),
                     proxy_len=256):
     """folding_verdict of the Fraction code: every projection against every
-    proxy value, on Scalars rounded onto the grid."""
+    proxy value, on Scalars rounded onto the grid; an eps <= 0 is refused."""
     eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError(f"eps must be > 0, got {eps}")
     burn_in, window = proxy_len // 4, 24
     orbit = OrbitTable(slope)
     orbit.extend(proxy_len)
@@ -1412,8 +1476,8 @@ def _folding_inputs(draw):
     ends = [orbit.value(j).rounded(bits) for j in range(first, proxy_len + 1)]
     ends = [(int(p.lo * one), int(p.hi * one)) for p in ends]
     resolution = max(hi - lo for lo, hi in ends)
-    # a negative eps leaves t = e + resolution + width < 0 for a point about
-    # as wide as -e, with proxy values inside it
+    # a negative eps, which both refuse, once left t = e + resolution +
+    # width < 0 for a point about as wide as -e, with proxy values inside it
     width = draw(st.sampled_from([0, 0, 1, 2, resolution, -e * 4 // 5]))
     lo, hi = draw(st.sampled_from(ends))
     kind = draw(st.sampled_from(["tie", "tie", "around", "random"]))
@@ -1438,7 +1502,12 @@ def _folding_inputs(draw):
                                  proxy_len=proxy_len)
 
 
-def _verdict_fields(v):
+def _verdict_fields(folding, *args, **kw):
+    """The verdict's fields, or the type and text of the DomainError."""
+    try:
+        v = folding(*args, **kw)
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
     return (v.status, v.rule, v.depth, v.epsilon, v.witness, v.to_json())
 
 
@@ -1446,8 +1515,8 @@ def _verdict_fields(v):
 @given(_folding_inputs())
 def test_folding_verdict_matches_fraction_oracle(args):
     (it, slope, nu), kw = args
-    assert _verdict_fields(folding_verdict(it, slope, nu, **kw)) == \
-        _verdict_fields(_folding_oracle(it, slope, nu, **kw))
+    assert _verdict_fields(folding_verdict, it, slope, nu, **kw) == \
+        _verdict_fields(_folding_oracle, it, slope, nu, **kw)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 256), Fraction(0),
@@ -1463,10 +1532,10 @@ def test_folding_battery_matches_fraction_oracle(eps, nonrec_slope,
                TwoSidedItinerary(BackwardWord("", "01"), "01" * 5,
                                  x0=Scalar.exact(s / (1 + s * s)))):
         kw = dict(depth=64, eps=eps, proxy_len=170)
-        assert _verdict_fields(folding_verdict(it, nonrec_slope, nonrec_nu,
-                                               **kw)) == \
-            _verdict_fields(_folding_oracle(it, nonrec_slope, nonrec_nu,
-                                            **kw))
+        assert _verdict_fields(folding_verdict, it, nonrec_slope, nonrec_nu,
+                               **kw) == \
+            _verdict_fields(_folding_oracle, it, nonrec_slope, nonrec_nu,
+                            **kw)
 
 
 def test_folding_verdict_with_an_empty_proxy_is_a_domain_error():

@@ -46,7 +46,7 @@ def test_appendix_seed():
     assert kd.Q == (0, 0, 0, 2)
     assert kd.cocut == (5, 6) and kd.cocut_censored
     assert kd.kappa == 5
-    assert emit_dotted(kd.nu, kd) == "1.0.0.0.101"
+    assert emit_dotted(kd) == "1.0.0.0.101"
 
 
 def test_dotted_validation():
@@ -65,7 +65,7 @@ def slope_kneading_words(draw):
 @settings(max_examples=150, deadline=None)
 @given(nu=slope_kneading_words())
 def test_dotted_round_trip_on_slope_words(nu):
-    assert parse_dotted(emit_dotted(nu)).bits == nu.bits
+    assert parse_dotted(emit_dotted(cutting_data(nu))).bits == nu.bits
 
 
 def test_nonrecurrent_pattern_cuts():
@@ -387,7 +387,7 @@ def assert_word_matches_oracle(bits):
     want = V.evidence(RULE_DISJOINT, depth=len(bits), cutting=S,
                       cocutting=cocut, cocut_censored=censored)
     assert admissible_disjoint(nu) == want == admissible_disjoint(nu, kd)
-    assert emit_dotted(nu, kd) == _emit_dotted_ref(bits, set(S)), bits
+    assert emit_dotted(kd) == _emit_dotted_ref(bits, set(S)), bits
 
 
 def assert_q_matches_oracle(qs):
@@ -1033,18 +1033,13 @@ def test_preset_aliases_are_unknown_names():
 
 
 def test_a_kd_of_another_word_is_refused():
-    # the parent trusted the given kd: "11" got evidence with cutting [1, 2]
-    # and "1001" printed as 1.0.0.1
+    # a kd taken on trust once gave "11" evidence with cutting [1, 2]
     with pytest.raises(DomainError):
         admissible_disjoint(KneadingPrefix("11"),
                             cutting_data(KneadingPrefix("10")))
-    with pytest.raises(DomainError):
-        emit_dotted(KneadingPrefix("1001"),
-                    cutting_data(KneadingPrefix("1000101")))
     assert admissible_disjoint(KneadingPrefix("11")).is_refuted
     nu = KneadingPrefix("1000101")
     kd = cutting_data(KneadingPrefix(nu.bits))
-    assert emit_dotted(nu, kd) == "1.0.0.0.101"
     assert admissible_disjoint(nu, kd) == admissible_disjoint(nu)
 
 

@@ -20,18 +20,22 @@ from uilkit.seqgen import (FIRST_EXTENSION_REFERENCE, SEED, WordLedger,
                            word_admissible)
 
 
+def _seed_ledger():
+    return WordLedger(cutting_data(KneadingPrefix(SEED)))
+
+
 def test_seed_ledger_matches_reference_collection():
-    ledger = WordLedger(SEED)
+    ledger = _seed_ledger()
     short = {w for w in ledger.ends_at_cuts if len(w) <= 3 and ledger.paired(w)}
     assert short == {"0", "1", "00", "01", "100", "101"}
 
 
 def test_shortest_missing_pair_is_10_11():
-    assert shortest_missing_pair(WordLedger(SEED)) == ("10", "11")
+    assert shortest_missing_pair(_seed_ledger()) == ("10", "11")
 
 
 def test_first_extension_matches_reference():
-    ledger, plan = extend_step(WordLedger(SEED))
+    ledger, plan = extend_step(_seed_ledger())
     assert ledger.nu == FIRST_EXTENSION_REFERENCE
     assert generate(25)[1]["first_extension_matches_reference"]
     assert (plan.v, plan.v_flip) == ("11", "10")
@@ -41,7 +45,7 @@ def test_first_extension_matches_reference():
 
 
 def test_second_step_postconditions():
-    ledger, _ = extend_step(WordLedger(SEED))
+    ledger, _ = extend_step(_seed_ledger())
     ledger2, plan = extend_step(ledger)
     assert {plan.v, plan.v_flip} == {"000", "001"}
     assert plan.u_flip.count("1") % 2 == 0
@@ -54,14 +58,14 @@ def test_second_step_postconditions():
 
 
 def test_u_parity_swap_logged():
-    _, plan = extend_step(WordLedger(SEED))
+    _, plan = extend_step(_seed_ledger())
     # the even-ones completion went to the flip side
     assert plan.u_flip.count("1") % 2 == 0
     assert plan.u.count("1") % 2 == 1
 
 
 def test_ledger_soundness_incremental_vs_scratch():
-    ledger = WordLedger(SEED)
+    ledger = _seed_ledger()
     for _ in range(3):
         ledger, _ = extend_step(ledger)
         assert ledger.scratch_equal()
@@ -169,7 +173,7 @@ def test_generator_calls_agree_with_the_substring_channel(monkeypatch):
 
 
 def test_coverage_report_agrees_with_the_substring_channel():
-    ledger = WordLedger(SEED)
+    ledger = _seed_ledger()
     reports = set()
     for _ in range(6):
         for mode in ("occurs", "at_cuts"):
@@ -257,7 +261,7 @@ def test_generate_certificate_500():
 
 
 def test_u_length_is_cutting_time():
-    ledger = WordLedger(SEED)
+    ledger = _seed_ledger()
     for _ in range(3):
         new_ledger, plan = extend_step(ledger)
         assert len(plan.u) in new_ledger.kd.S
@@ -271,7 +275,7 @@ def test_generate_rejects_tiny_target():
 
 
 def test_coverage_modes_differ():
-    ledger = WordLedger(SEED)
+    ledger = _seed_ledger()
     for _ in range(4):
         ledger, _ = extend_step(ledger)
     occurs, _ = coverage_report(ledger, 4, mode="occurs")
@@ -309,6 +313,34 @@ def test_segment_conditions_name_the_first_failing_cutting_time():
         assert _segment_conditions(kd, seed_len) == (False, reason)
 
 
+def test_final_certificate_refuses_a_word_that_breaks_a_q_clause(
+        monkeypatch):
+    # only the last check, the certificate's, reads the seed's own cutting
+    # times, where Q(1) = 0 > 1 - 2: every round passes as before, and the
+    # finished word is refused with its certificate
+    real, rounds = seqgen._segment_conditions, []
+
+    def step(ledger):
+        rounds.append(True)
+        try:
+            return extend_step(ledger)
+        finally:
+            rounds.pop()
+
+    monkeypatch.setattr(seqgen, "extend_step", step)
+    monkeypatch.setattr(seqgen, "_segment_conditions", lambda kd, seed_len: (
+        real(kd, seed_len if rounds else 0)))
+    with pytest.raises(ConstructionStuck) as err:
+        generate(25)
+    assert err.value.stage == "final-certificate"
+    certificate = err.value.state
+    assert certificate["q_ne_1_and_le_k_minus_2_beyond_seed"] is False
+    assert certificate["segment_condition_failure"] == "Q(1) = 0 > 1 - 2"
+    assert certificate["admissible_disjoint"] != "refuted"
+    assert certificate["admissible_q"] != "refuted"
+    assert certificate["length"] >= 25
+
+
 # sha256 of json.dumps([word, certificate, plans], sort_keys=True), recorded
 # with the scan that rescans every candidate word from its first symbol
 GENERATE_DIGESTS = {
@@ -327,17 +359,16 @@ def test_generate_output_is_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATE_DIGESTS[n]
 
 
-def test_ledger_refuses_cutting_data_of_another_word():
-    with pytest.raises(DomainError):
-        WordLedger(FIRST_EXTENSION_REFERENCE, 8, cutting_data(
-            KneadingPrefix(SEED)))
+def test_ledger_reads_its_word_off_the_cutting_data():
+    # the word and its cutting data come as one, so they cannot disagree
     kd = cutting_data(KneadingPrefix(FIRST_EXTENSION_REFERENCE))
-    ledger = WordLedger(FIRST_EXTENSION_REFERENCE, 8, kd)
+    ledger = WordLedger(kd, 8)
+    assert ledger.nu == FIRST_EXTENSION_REFERENCE
     assert ledger.kd is kd and ledger.scratch_equal()
 
 
 def test_scratch_equal_compares_the_cutting_data():
-    ledger, _ = extend_step(WordLedger(SEED))
+    ledger, _ = extend_step(_seed_ledger())
     assert ledger.scratch_equal()
     ledger.kd = replace(ledger.kd, cocut=ledger.kd.cocut[:-1])
     assert not ledger.scratch_equal()

@@ -11,7 +11,7 @@ from uilkit import subcontinua
 from uilkit.cli import main
 from uilkit.errors import (ConditionViolated, DomainError, UilkitError,
                            UnresolvedComparison)
-from uilkit.hofbauer import OrbitTable, PrecriticalTable, level_ends
+from uilkit.hofbauer import PrecriticalTable, level_ends
 from uilkit.kneading import (_materialize_q, _q_lookup, cascade_q,
                              cutting_data, example35_q, fibonacci_q,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q)
@@ -180,10 +180,10 @@ def test_build_chain_accepts_what_the_pairwise_condition_accepts(
         want = _satisfies(_q_lookup(ex35_kd.Q), variant, k_prev, k)
     except DomainError as exc:
         with pytest.raises(DomainError, match=re.escape(str(exc))):
-            build_chain(ex35_slope, (k_prev, k), zp, variant)
+            build_chain((k_prev, k), zp, variant)
         return
     try:
-        build_chain(ex35_slope, (k_prev, k), zp, variant)
+        build_chain((k_prev, k), zp, variant)
         got = True
     except ConditionViolated as exc:
         assert "chain condition" in str(exc)
@@ -241,7 +241,7 @@ def test_nasty_cascade_rule_refutes_nothing_from_no_window():
 
 def test_build_chain_levels_certified(ex35_slope, ex35_kd):
     zp = PrecriticalTable(ex35_slope, ex35_kd)
-    chain = build_chain(ex35_slope, (2, 5, 8, 11), zp, variant="strict")
+    chain = build_chain((2, 5, 8, 11), zp, variant="strict")
     assert chain.n_seq == tuple(ex35_kd.S[k] for k in (2, 5, 8, 11))
     assert all(lv.image_onto for lv in chain.levels)
     # level identity: T^{S_{k_i - 1}}(a_i) recovers a_{i-1} exactly
@@ -255,14 +255,14 @@ def test_build_chain_levels_certified(ex35_slope, ex35_kd):
 def test_build_chain_rejects_corruption(ex35_slope, ex35_kd):
     zp = PrecriticalTable(ex35_slope, ex35_kd)
     with pytest.raises(ConditionViolated):
-        build_chain(ex35_slope, (2, 5, 9), zp, variant="strict")
+        build_chain((2, 5, 9), zp, variant="strict")
 
 
 def test_build_chain_relaxed_l_avoids_c(fib_slope, fib_kd):
     zp = PrecriticalTable(fib_slope, fib_kd)
     greedy = find_qcond_chains(fibonacci_q, fib_kd.max_k,
                                variant="relaxed")["greedy"][:5]
-    chain = build_chain(fib_slope, greedy, zp, variant="relaxed")
+    chain = build_chain(greedy, zp, variant="relaxed")
     # n_i = S_{k_1 - 1} + ... + S_{k_i - 1}, with n_0 = 0
     assert chain.n_seq == tuple(
         sum(fib_kd.S[k - 1] for k in greedy[1:i + 1])
@@ -275,10 +275,11 @@ def test_direct_spiral_consistency_guard(ex35_slope, ex35_kd):
     # classification never reports a spiral when levels stabilize: feed a
     # bounded-Q chain through the numeric path and expect no spiral
     kd = cutting_data(nonrecurrent_example_nu(200))
-    orbit = OrbitTable(slope_for_prefix(nonrecurrent_example_nu(200).bits))
+    zp = PrecriticalTable(
+        slope_for_prefix(nonrecurrent_example_nu(200).bits), kd)
     qs = list(kd.Q)
     fake_chain = (3, 5, 7, 9, 11, 13)
-    cc = classify_chain(fake_chain, qs, kd=kd, orbit=orbit)
+    cc = classify_chain(fake_chain, qs, zp)
     assert cc.kind != "direct-spiral"
 
 
@@ -313,7 +314,7 @@ def test_divergent_q_without_level_decay_is_undetermined(ex35_slope,
     chain = (5, 6, 7, 8)
     qs = list(ex35_kd.Q)
     assert classify_chain(chain, qs).kind == "direct-spiral"
-    cc = classify_chain(chain, qs, kd=ex35_kd, orbit=OrbitTable(ex35_slope))
+    cc = classify_chain(chain, qs, PrecriticalTable(ex35_slope, ex35_kd))
     assert cc.kind == "undetermined"
     assert cc.verdict.witness == {
         "reason": "symbolic divergence but no numeric decay",
@@ -327,44 +328,22 @@ def test_kneading_map_is_held_to_the_cutting_data(ex35_slope, ex35_kd):
     assert list(ex35_kd.Q[:4]) == [0, 0, 1, 0] and fibonacci_q(4) == 2
     with pytest.raises(DomainError, match=r"kneading map disagrees with the "
                                           r"cutting data at Q\(4\)$"):
-        classify_chain(chain, fibonacci_q, kd=ex35_kd,
-                       orbit=OrbitTable(ex35_slope))
-    cc = classify_chain(chain, example35_q, kd=ex35_kd,
-                        orbit=OrbitTable(ex35_slope))
+        classify_chain(chain, fibonacci_q,
+                       PrecriticalTable(ex35_slope, ex35_kd))
+    cc = classify_chain(chain, example35_q,
+                        PrecriticalTable(ex35_slope, ex35_kd))
     assert cc.kind == "direct-spiral"
     assert cc.verdict.witness == {"q_values": [1, 4, 7, 10, 13],
                                   "level_decay": True}
     assert classify_chain(chain, fibonacci_q).kind == "direct-spiral"
 
 
-def test_kneading_map_is_held_to_the_cutting_data_without_a_table(
-        ex35_slope, ex35_kd):
-    # ex35's cutting data without a table still hold the map: fib's Q parts
-    # from them at Q(4), and ex35's own Q is read as before
-    chain = (2, 5, 8, 11, 14)
-    with pytest.raises(DomainError, match=r"kneading map disagrees with the "
-                                          r"cutting data at Q\(4\)$"):
-        classify_chain(chain, fibonacci_q, kd=ex35_kd)
-    cc = classify_chain(chain, example35_q, kd=ex35_kd)
-    assert cc.kind == "direct-spiral"
-    assert cc.verdict.witness == {"q_values": [1, 4, 7, 10, 13],
-                                  "level_decay": None}
-
-
-def test_classify_chain_rejects_a_table_without_cutting_data(ex35_slope):
-    # a table alone gives no word to hold it to, so its levels are not read
-    with pytest.raises(DomainError, match="orbit table needs its word's "
-                                          "cutting data"):
-        classify_chain((2, 5, 8, 11, 14), example35_q,
-                       orbit=OrbitTable(ex35_slope))
-
-
 def test_basic_sin_curve_reports_its_bar(nonrec_slope, nonrec_kd):
-    orbit = OrbitTable(nonrec_slope)
+    zp = PrecriticalTable(nonrec_slope, nonrec_kd)
     chain = (3, 5, 7, 9, 11, 13)
-    cc = classify_chain(chain, list(nonrec_kd.Q), kd=nonrec_kd, orbit=orbit)
+    cc = classify_chain(chain, list(nonrec_kd.Q), zp)
     assert cc.kind == "basic-sin-curve"
-    lo, hi = level_ends(orbit, nonrec_kd, [nonrec_kd.S[k] for k in chain])
+    lo, hi = level_ends(zp.orbit, nonrec_kd, [nonrec_kd.S[k] for k in chain])
     assert cc.bar_enclosure == (lo, hi) and lo <= hi
     assert cc.to_json()["bar"] == {"lo": approx(lo), "hi": approx(hi)}
     assert classify_chain(chain, list(nonrec_kd.Q)).bar_enclosure is None
@@ -466,11 +445,11 @@ def _assert_chain_matches_bisection(slope, k_seq, zp, variant):
         want = bisection_chain(slope, k_seq, zp, variant)
     except UilkitError as err:
         with pytest.raises(UilkitError) as got:
-            build_chain(slope, k_seq, zp, variant)
+            build_chain(k_seq, zp, variant)
         assert (type(got.value), str(got.value)) == (type(err), str(err)), \
             k_seq
         return f"{type(err).__name__}: {err}"
-    got = build_chain(slope, k_seq, zp, variant)
+    got = build_chain(k_seq, zp, variant)
     assert (got.k_seq, got.n_seq, got.variant) == \
         (want.k_seq, want.n_seq, want.variant)
     assert len(got.levels) == len(want.levels)
@@ -601,7 +580,7 @@ def test_fib400_relaxed_chain_has_exact_levels():
     # into its error text and raised ValueError here
     slope = parse_slope("fib:400")
     zp = PrecriticalTable(slope, cutting_data(nu_from_orbit(slope, 400)))
-    chain = build_chain(slope, (3, 5, 7, 9, 11), zp, "relaxed")
+    chain = build_chain((3, 5, 7, 9, 11), zp, "relaxed")
     assert len(chain.levels) == 4
     assert all(lv.a.is_exact and lv.image_onto for lv in chain.levels)
     for prev, lv in zip(chain.levels, chain.levels[1:]):
@@ -620,7 +599,9 @@ def test_nasty_cascade_rule_depth_is_the_number_of_values_read():
                 horizon
 
 
-def test_build_chain_rejects_another_slope(ex35_slope, ex35_kd):
-    zp = PrecriticalTable(ex35_slope, ex35_kd)
-    with pytest.raises(DomainError, match="another slope"):
-        build_chain(slope_for_prefix("1001"), (2, 5, 8, 11), zp)
+def test_build_chain_rejects_another_slope(ex35_kd):
+    # the chain's slope is its table's, and a table refuses another
+    # slope's word when it is built
+    with pytest.raises(DomainError, match="disagrees with the orbit table"):
+        build_chain((2, 5, 8, 11),
+                    PrecriticalTable(slope_for_prefix("1001"), ex35_kd))
