@@ -225,13 +225,13 @@ def cmd_tower(args):
     slope, nu, qs, kd, orbit = _resolve_inputs(args)
     N = min(args.depth, kd.horizon)
     levels = tower_levels(kd, slope, N, orbit=orbit)
-    lb = long_branched_evidence(kd, N, levels)
+    lb = long_branched_evidence(kd, levels)
     if args.out_csv:
         rows = [(lv.n, V.approx(lv.length.lo), V.approx(lv.length.hi))
                 if lv.length is not None else (lv.n, "", "") for lv in levels]
         _emit_csv(args.out_csv, ("n", "len_lo", "len_hi"), rows)
     results = {
-        "levels": [lv.to_json() for lv in levels[: args.depth]],
+        "levels": [lv.to_json() for lv in levels],
         "long_branched": lb.to_json(),
         "csv": args.out_csv,
     }

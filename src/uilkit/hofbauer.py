@@ -546,7 +546,7 @@ def verify_zzz(slope: SlopeParam, k: int, zp: PrecriticalTable) -> V.Verdict:
     return V.refuted(RULE_ZZZ, depth=k, k=k, q=q, boundary=True)
 
 
-def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
+def long_branched_evidence(kd: CuttingData,
                            levels: Optional[list] = None) -> V.Verdict:
     """Finite-horizon verdict for inf_n |D_n| > 0.
 
@@ -557,19 +557,20 @@ def long_branched_evidence(kd: CuttingData, N: Optional[int] = None,
     N)`` for the word's slope, select the numeric rule: the witness then
     carries min |D_n| and its argmin, the smallest n on a tie.  Without
     them (none, or the index form's, which has no lengths) the rule reads
-    the kneading map alone.  ``N`` defaults to the kneading horizon.
+    the kneading map alone.  The depth N is the number of levels given,
+    else the kneading horizon.
 
     One pass over the levels, in order of n, keeps the minimum length of
     each half (n <= N // 2 and n > N // 2) with its first argmin: the
     trend compares the two, and the overall minimum is the smaller one,
     the first half's on a tie.
     """
-    N = kd.horizon if N is None else N
+    N = kd.horizon if levels is None else len(levels)
     if N < 1:
         raise DomainError(f"long-branched depth must be >= 1, got {N}")
     qa = q_asymptotics(list(kd.Q))
     witness = {"q_bounded": qa.bounded.status, "q_max": qa.max_value}
-    numeric = bool(levels) and levels[0].length is not None
+    numeric = levels is not None and levels[0].length is not None
     if numeric:
         mins = [None, None]         # (min length, argmin) per half
         for lv in levels:

@@ -675,6 +675,8 @@ def endpoint_itinerary_gen(nu: KneadingPrefix, count: int = 2,
     on periodic words.  The table is the one ``tau_data`` reads, built on
     in doubling steps only while a chain needs a child not met yet.
     """
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     bits = nu.bits
     fail, _, first, second = _word_tables(nu, 1)
 

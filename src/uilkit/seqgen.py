@@ -15,25 +15,25 @@ with its last letter flipped (which advances the cutting structure by one
 step with Q-value m):
 
 * block I:   B(Q(k)-1) B(Q(k)-2) ... B(2) walks the kneading map down to 2;
-* block II:  B(n') u', where n' is the first cutting index whose prefix ends
-  with the flipped stem, so the pair's even-parity completion u' lands with
-  its last letter on a cutting time (B(n') is skipped when the current word
-  already ends with the stem);
-* block III: B(r) with r minimal admissible, a spacer preventing Q(j) = j-1
-  at the next step;
+* block II:  B(n') u', where n' is the first cutting index from 2 to k-1
+  whose prefix ends with the flipped stem, so the pair's even-parity
+  completion u' lands with its last letter on a cutting time (B(n') is
+  skipped when the current word already ends with the stem);
+* block III: B(2), a spacer preventing Q(j) = j-1 at the next step;
 * block IV:  everything accumulated before block III with its last letter
   flipped, a single jump with Q(j) = j - 2 that realizes the odd-parity
   completion u at a cutting time.
 
-Every round re-verifies all postconditions from scratch with both
-admissibility checkers; a failure raises ConstructionStuck with a full
-state dump and must never happen on admissible states.
+Each block is one candidate, with no search and no pre-extension.  Every
+round verifies all postconditions with both admissibility checkers; a
+failure raises ConstructionStuck with a full state dump.  Rounds 1-7 pass
+every check, and they are every round ``generate`` can complete: round 8
+would hold at least 10^10 symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConstructionStuck, DomainError, NotAdmissible
 from .kneading import (CuttingData, KneadingPrefix, _extend_cutting,
@@ -116,20 +116,19 @@ class ExtensionPlan:
     stem: str
     u: str
     u_flip: str
-    n_prime: Optional[int]
-    r: Optional[int]
+    n_prime: int
+    r: int
     block_i: str
     block_ii: str
     block_iii: str
     block_iv: str
-    pre_extension: str = ""
 
     def to_json(self):
         return {"v": self.v, "v_flip": self.v_flip, "stem": self.stem,
                 "u": self.u, "u_flip": self.u_flip, "n_prime": self.n_prime,
                 "r": self.r, "blocks": [self.block_i, self.block_ii,
                                         self.block_iii, self.block_iv],
-                "pre_extension": self.pre_extension}
+                "pre_extension": ""}
 
 
 def _flip_last(word: str) -> str:
@@ -176,7 +175,19 @@ def _verify_admissible(bits: str, stage: str, state, kd: CuttingData):
 
 
 def extend_step(ledger: WordLedger):
-    """One full extension round; returns (new ledger, ExtensionPlan)."""
+    """One full extension round; returns (new ledger, ExtensionPlan).
+
+    Supported ledgers are the generator's rounds from the seed.  Each stage
+    has one check, and a failed one raises ConstructionStuck naming it:
+    ``n-prime-search`` when no m in 2..k-1 has its prefix end in the
+    flipped stem, ``block-ii`` when B(n') u' does not end at a cutting time
+    with v', and ``block-iii`` when B(2) breaks a Q clause or block IV's end
+    is no cutting time ending with v (a stage whose word is inadmissible
+    raises with that stage's name too).  On other ledgers a check may fail
+    where a search for another candidate (B(k-1) pushed first, a second
+    block II with B(n'), a longer spacer B(r)) could go on; no round of
+    ``generate`` has needed one.
+    """
     nu = ledger.nu
     kd = ledger.kd
     S = kd.S
@@ -200,19 +211,8 @@ def extend_step(ledger: WordLedger):
     w_flip = _flip_last(w)
     state.update(v=v, v_flip=v_flip, w=w, u=u, u_flip=u_flip)
 
-    pre_extension = ""
-    n_prime = None
-    for m in range(2, k):
-        if nu[:S[m]].endswith(w_flip):
-            n_prime = m
-            break
-    if n_prime is None and nu[:S[k]].endswith(w_flip):
-        # the flipped stem only ends at the top cutting time: push one block
-        pre_extension = _block(nu, S, k - 1)
-        nu = nu + pre_extension
-        kd = _verify_admissible(nu, "pre-extension", state, kd)
-        S, k = kd.S, kd.max_k
-        n_prime = k - 1
+    n_prime = next((m for m in range(2, k) if nu[:S[m]].endswith(w_flip)),
+                   None)
     if n_prime is None:
         raise ConstructionStuck("n-prime-search", dict(state, w_flip=w_flip))
     state["n_prime"] = n_prime
@@ -222,43 +222,22 @@ def extend_step(ledger: WordLedger):
     cur = nu + block_i
     kd_i = _verify_admissible(cur, "block-i", state, kd)
 
-    def attach_completion(base, include_branch_block):
-        body = "" if not include_branch_block else _block(nu, S, n_prime)
-        candidate = base + body + u_flip
-        kd_c = _verify_admissible(candidate, "block-ii", state, kd_i)
-        end = len(candidate)
-        if end not in kd_c.S or not candidate.endswith(v_flip):
-            return None
-        return candidate, body, kd_c
-
     # skip the branch block when the stem already sits at the current end
-    attempt = None
-    if cur.endswith(w):
-        attempt = attach_completion(cur, False)
-    if attempt is None:
-        attempt = attach_completion(cur, True)
-    if attempt is None:
-        raise ConstructionStuck("block-ii", dict(state, cur_len=len(cur)))
-    cur, branch_body, kd_ii = attempt
-    block_ii = branch_body + u_flip
-    p2 = cur                       # material reused (flipped) by block IV
-    block_iv = _flip_last(p2)
+    block_ii = ("" if cur.endswith(w) else _block(nu, S, n_prime)) + u_flip
+    base_len = len(cur)
+    cur += block_ii
+    kd_ii = _verify_admissible(cur, "block-ii", state, kd_i)
+    if len(cur) not in kd_ii.S or not cur.endswith(v_flip):
+        raise ConstructionStuck("block-ii", dict(state, cur_len=base_len))
 
-    chosen_r = None
-    for r in range(2, kd_ii.max_k):
-        candidate = cur + _block(nu, S, r) + block_iv
-        try:
-            kd_fin = _verify_admissible(candidate, "block-iii", state,
-                                        kd_ii)
-        except ConstructionStuck:
-            continue
-        ok, _ = _segment_conditions(kd_fin, len(ledger.nu))
-        if ok and len(candidate) in kd_fin.S and candidate.endswith(v):
-            chosen_r = r
-            break
-    if chosen_r is None:
+    block_iii = _block(nu, S, 2)
+    block_iv = _flip_last(cur)
+    fin = cur + block_iii + block_iv
+    kd_fin = _verify_admissible(fin, "block-iii", state, kd_ii)
+    ok, _ = _segment_conditions(kd_fin, len(nu))
+    if not (ok and len(fin) in kd_fin.S and fin.endswith(v)):
         raise ConstructionStuck("block-iii", dict(state, cur_len=len(cur)))
-    state["r"] = chosen_r
+    state["r"] = 2
 
     new_ledger = WordLedger(kd_fin, max(ledger.len_cap, len(v) + 1))
     if not (new_ledger.paired(v) and new_ledger.paired(v_flip)):
@@ -267,9 +246,8 @@ def extend_step(ledger: WordLedger):
         raise ConstructionStuck(
             "u-length", dict(state, u_len=len(u),
                              reason="|u| must be a cutting time other than 2"))
-    plan = ExtensionPlan(v, v_flip, w, u, u_flip, n_prime, chosen_r,
-                         block_i, block_ii, _block(nu, S, chosen_r), block_iv,
-                         pre_extension)
+    plan = ExtensionPlan(v, v_flip, w, u, u_flip, n_prime, 2,
+                         block_i, block_ii, block_iii, block_iv)
     return new_ledger, plan
 
 

@@ -464,8 +464,7 @@ def surface_digest():
     for kd in (fib_kd, nonrec_kd, cascade_kd, sqrt3_kd):
         _feed_call(h, long_branched_evidence, kd)
     for slope, kd in ((fib_slope, fib_kd), (sqrt3, sqrt3_kd)):
-        _feed_call(h, long_branched_evidence, kd, 60,
-                   tower_levels(kd, slope, 60))
+        _feed_call(h, long_branched_evidence, kd, tower_levels(kd, slope, 60))
         zp = PrecriticalTable(slope, kd)
         for K, eps in ((1, Fraction(1, 20)), (8, Fraction(1, 20)),
                        (8, Fraction(1, 2))):
@@ -518,7 +517,7 @@ def exact_tower_digest(horizon=600):
                 for x in lv.numeric + (lv.length,):
                     _feed(h, (x.lo, x.hi, x.precision_bits))
             if N:
-                _feed_call(h, long_branched_evidence, kd, N, levels)
+                _feed_call(h, long_branched_evidence, kd, levels)
     return h.hexdigest()
 
 

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -138,12 +139,12 @@ def test_tower_depth_zero_is_no_levels_not_the_horizon(fib_slope, fib_kd):
     assert len(tower_levels(fib_kd, None)) == fib_kd.horizon
     with pytest.raises(DomainError):
         tower_levels(fib_kd, fib_slope, -1)
-    for N in (0, -1):
-        with pytest.raises(DomainError):
-            long_branched_evidence(fib_kd, N, tower_levels(fib_kd, fib_slope,
-                                                           5))
-        with pytest.raises(DomainError):
-            long_branched_evidence(fib_kd, N)
+    # no levels is depth 0, which long_branched_evidence refuses
+    for levels in (tower_levels(fib_kd, fib_slope, 0),
+                   tower_levels(fib_kd, None, 0)):
+        with pytest.raises(DomainError,
+                           match="^long-branched depth must be >= 1, got 0$"):
+            long_branched_evidence(fib_kd, levels)
 
 
 def test_upsilon_index_conventions(fib_slope, fib_kd):
@@ -378,14 +379,35 @@ def test_a_tolerance_at_or_below_zero_is_refused(zp_9_5, eps):
 def test_long_branched_dichotomy(fib_kd, nonrec_kd, fib_slope):
     assert long_branched_evidence(nonrec_kd).is_positive
     assert long_branched_evidence(
-        fib_kd, 60, tower_levels(fib_kd, fib_slope, 60)).is_refuted
+        fib_kd, tower_levels(fib_kd, fib_slope, 60)).is_refuted
 
 
 def test_index_form_levels_select_the_kneading_map_rule(fib_kd):
-    # the index form carries no lengths, so it is read as no levels
+    # the index form carries no lengths, so it is read as no levels, at
+    # the depth of the levels given
+    no_levels = long_branched_evidence(fib_kd)
+    assert no_levels.depth == fib_kd.horizon
     for N in (20, 60):
-        assert long_branched_evidence(fib_kd, N, tower_levels(fib_kd, None, N)) \
-            == long_branched_evidence(fib_kd, N)
+        index_form = long_branched_evidence(fib_kd, tower_levels(fib_kd, None,
+                                                                 N))
+        assert index_form == replace(no_levels, depth=N)
+
+
+def test_long_branched_depth_is_the_number_of_levels():
+    # the depth was a separate N, and levels past it were read: 9/5's
+    # first 50 levels were stamped depth 50 with the argmin 103 of all 200
+    slope = slope_exact(Fraction(9, 5))
+    kd = cutting_data(nu_from_orbit(slope, 200))
+    levels = tower_levels(kd, slope, 200)
+    assert list(inspect.signature(long_branched_evidence).parameters) == \
+        ["kd", "levels"]
+    first = long_branched_evidence(kd, levels[:50])
+    assert first == long_branched_evidence(kd, tower_levels(kd, slope, 50))
+    assert (first.depth, first.witness["argmin"],
+            first.witness["decreasing"]) == (50, 22, False)
+    whole = long_branched_evidence(kd, levels)
+    assert (whole.depth, whole.witness["argmin"],
+            whole.witness["decreasing"]) == (200, 103, True)
 
 
 def test_long_branched_cascade_symbolic():
@@ -785,8 +807,9 @@ def test_exact_tower_ending_at_a_cutting_time_matches_oracle(s):
     _assert_tower_matches_oracle(slope, N - 1)
 
 
-def _long_branched_witness_oracle(levels, N):
+def _long_branched_witness_oracle(levels):
     """min_length, argmin and decreasing of the three-min scan."""
+    N = len(levels)
     lengths = [(lv.length.hi, lv.n) for lv in levels]
     min_len, argmin = min(lengths)
     half = [l for l, n in lengths if n > N // 2]
@@ -795,25 +818,23 @@ def _long_branched_witness_oracle(levels, N):
     return approx(min_len), argmin, decreasing
 
 
-def _assert_witness_matches_oracle(kd, levels, N):
-    w = long_branched_evidence(kd, N, levels).witness
+def _assert_witness_matches_oracle(kd, levels):
+    w = long_branched_evidence(kd, levels).witness
     assert (w["min_length"], w["argmin"], w["decreasing"]) == \
-        _long_branched_witness_oracle(levels, N)
+        _long_branched_witness_oracle(levels)
 
 
 @settings(max_examples=300)
 @given(lengths=st.lists(st.sampled_from(
     [Fraction(0), Fraction(1, 1 << 20), Fraction(1, 7), Fraction(1, 21),
-     Fraction(1, 3), Fraction(1, 2)]), min_size=1, max_size=12),
-       extra=st.integers(0, 3))
-def test_long_branched_witness_matches_three_min_scan(lengths, extra):
+     Fraction(1, 3), Fraction(1, 2)]), min_size=1, max_size=12))
+def test_long_branched_witness_matches_three_min_scan(lengths):
     # few distinct values, so ties fall within a half and across the halves
     slope = slope_exact(Fraction(9, 5))
     kd = cutting_data(nu_from_orbit(slope, 40))
     levels = [hofbauer.TowerLevel(n, 0, length=Scalar.exact(x))
               for n, x in enumerate(lengths, 1)]
-    for N in {len(levels), len(levels) + extra}:
-        _assert_witness_matches_oracle(kd, levels, N)
+    _assert_witness_matches_oracle(kd, levels)
 
 
 @pytest.mark.parametrize("make, N", [
@@ -826,7 +847,7 @@ def test_long_branched_witness_matches_three_min_scan_on_towers(make, N):
     kd = cutting_data(nu_from_orbit(slope, N))
     levels = tower_levels(kd, slope, N)
     for depth in (1, 2, 3, N // 3, N):
-        _assert_witness_matches_oracle(kd, levels[:depth], depth)
+        _assert_witness_matches_oracle(kd, levels[:depth])
 
 
 @pytest.mark.parametrize("name", ["9/5", "sqrt3", "nonrec41:120", "interval"])
@@ -1105,9 +1126,8 @@ def test_long_branched_verdict_holds_as_n_grows(request, kd_name, horizon,
     table = OrbitTable(slope) if with_slope else None
     statuses = {}
     for N in range(20, horizon + 1, 20):
-        levels = tower_levels(kd, slope, N, orbit=table) if with_slope \
-            else None
-        statuses[N] = long_branched_evidence(kd, N, levels).status
+        levels = tower_levels(kd, slope, N, orbit=table)
+        statuses[N] = long_branched_evidence(kd, levels).status
     decided = [N for N, status in statuses.items() if status != "undetermined"]
     assert decided and all(statuses[N] == statuses[decided[0]]
                            for N in statuses if N >= decided[0])

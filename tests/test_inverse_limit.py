@@ -231,6 +231,17 @@ def test_generator_nonrecurrent_fails(nonrec_nu):
         endpoint_itinerary_gen(nonrec_nu, count=2, depth=30)
 
 
+def test_generator_refuses_a_count_below_one():
+    # count 0 raised NoRecurrenceWitness ("no recurrence chain reaches the
+    # requested depth"), a false statement about a recurrent word
+    nu = nu_from_q(fibonacci_q, 200)
+    for count in (0, -1):
+        with pytest.raises(DomainError,
+                           match=f"^count must be >= 1, got {count}$"):
+            endpoint_itinerary_gen(nu, count=count)
+    assert len(endpoint_itinerary_gen(nu, count=1)) == 1
+
+
 # -- folding -----------------------------------------------------------------------
 
 def test_folding_nonrecurrent_classes(nonrec_slope, nonrec_nu):
@@ -1602,3 +1613,40 @@ def test_refuted_folding_verdict_stays_as_depth_grows(name):
                     ("refuted", first.witness["far_at"],
                      first.witness["missing_word"]), (symbols, block, depth)
     assert refuted >= 10
+
+
+def test_arc_and_reconstruction_input_refusals():
+    # s_{-n} is 1-based; the word-image oracle and reconstruct_x0 need an
+    # exact slope; unit mode needs a finite word; the mode is one of two
+    s = slope_exact(Fraction(9, 5))
+    nu = nu_from_orbit(s, 40)
+    orbit = OrbitTable(s)
+    with pytest.raises(IndexError, match="^0$"):
+        BackwardWord("011").at(0)
+    assert BackwardWord("011").at(1) == "1"
+    with pytest.raises(DomainError, match="^the word-image oracle needs an "
+                                          "exact rational slope$"):
+        word_image_interval(slope_interval(Fraction(179, 100),
+                                           Fraction(181, 100)), "01")
+    with pytest.raises(DomainError,
+                       match="^unit mode needs a finite backward word$"):
+        basic_arc_interval(tau_data(BackwardWord("", "01"), nu), orbit)
+    with pytest.raises(DomainError, match="^unknown mode 'bogus'$"):
+        basic_arc_interval(tau_data(BackwardWord("01"), nu), orbit, "01",
+                           mode="bogus")
+    # 01000 ends in 1000, which the word (1001...) does not start with:
+    # no point reads it forward, and its cylinder is empty
+    assert word_image_interval(s, "01000") is None
+    with pytest.raises(UnrealizableWord,
+                       match="^forward word '01000' unrealizable$"):
+        reconstruct_x0(s, "01000")
+    td = tau_data(BackwardWord("01000"), nu)
+    with pytest.raises(UnrealizableWord,
+                       match="^a shifted window exceeds the kneading word$"):
+        basic_arc_interval(td, orbit, "01000", cutting_data(nu))
+    # without the cutting data no realizability check runs; the match
+    # sets hold no lower constraint, and the word is no domain endpoint
+    with pytest.raises(UnrealizableWord, match="^no lower constraint and no "
+                                               "domain endpoint: empty "
+                                               "cylinder$"):
+        basic_arc_interval(td, orbit, "01000")

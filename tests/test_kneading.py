@@ -1055,3 +1055,21 @@ def test_beta_of_is_defined_on_1_to_the_horizon_only():
         for n in (0, -2, 20):
             with pytest.raises(IndexError):
                 got.beta_of(n)
+
+
+def test_symbol_access_and_dotted_input_refusals():
+    # nu_n and the tail read are 1-based, Q(k) starts at k = 1, and a
+    # dotted word starts with a symbol and holds only 0, 1 and dots
+    nu = KneadingPrefix("1000101", periodic_tail=(4, 3))
+    for read in (nu.__getitem__, nu.symbol_at):
+        with pytest.raises(IndexError, match="^0$"):
+            read(0)
+    assert (nu[1], nu.symbol_at(1), nu.symbol_at(8)) == ("1", "1", "1")
+    with pytest.raises(DomainError, match="^k must be >= 1$"):
+        example35_q(0)
+    with pytest.raises(DomainError,
+                       match="^kneading word cannot start with a dot$"):
+        parse_dotted(".1.0.0.0.101")
+    with pytest.raises(DomainError,
+                       match="^unexpected character '2' in kneading word$"):
+        parse_dotted("1.0.0.0.102")

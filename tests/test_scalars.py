@@ -1084,3 +1084,23 @@ def test_a_word_that_is_not_a_str_is_refused():
         with pytest.raises(TypeError):
             entry(["1", "0", "0"])
     assert slope_for_prefix("100").is_exact
+
+
+def test_scalar_and_refine_refusals():
+    # a precision is positive; only an exact scalar has a value; refine
+    # stops at its cap, and refuses a c_n that the enclosure does not hold
+    for bits in (0, -3):
+        with pytest.raises(ValueError,
+                           match="^precision_bits must be positive$"):
+            Scalar(0, 1, bits)
+    with pytest.raises(ValueError, match="^not an exact rational$"):
+        Scalar.interval(0, 1).value
+    s = parse_slope("sqrt3")
+    c10 = critical_orbit(s, 10)[-1][0]
+    assert c10.precision_bits == 192
+    with pytest.raises(PrecisionExhausted, match=" above target at cap 192$"):
+        refine(c10, 0, s, 10, prec_cap=192)
+    with pytest.raises(DomainError,
+                       match="^refinement produced a disjoint enclosure$"):
+        refine(c10, c10.width() / 2, s, 9)          # c10 does not hold c_9
+    assert refine(c10, c10.width() / 2, s, 10).width() <= c10.width() / 2

@@ -341,6 +341,167 @@ def test_final_certificate_refuses_a_word_that_breaks_a_q_clause(
     assert certificate["length"] >= 25
 
 
+def _searching_extend_step(ledger, fallbacks):
+    """``extend_step`` as it was, with its three searches: a pre-extension
+    when the flipped stem ends only at the top cutting time, a second
+    block-II attempt with the branch block, and block III's r tried upward.
+    Appends to ``fallbacks`` each time it leaves the first candidate."""
+    _block, _flip = seqgen._block, seqgen._flip_last
+    _verify = seqgen._verify_admissible
+    nu, kd = ledger.nu, ledger.kd
+    S, k = kd.S, kd.max_k
+    state = {"nu_len": len(nu), "k": k}
+    v, v_flip = shortest_missing_pair(ledger)
+    stem = v[:-1]
+    w = next((stem[:j] for j in range(len(stem), 0, -1)
+              if ledger.paired(stem[:j])), None)
+    if w is None:
+        raise ConstructionStuck("common-prefix-in-ledger",
+                                dict(state, v=v, v_flip=v_flip))
+    u, u_flip = v[len(w):], v_flip[len(w):]
+    if u_flip.count("1") % 2 == 1:
+        v, v_flip, u, u_flip = v_flip, v, u_flip, u
+    w_flip = _flip(w)
+    state.update(v=v, v_flip=v_flip, w=w, u=u, u_flip=u_flip)
+    pre_extension = ""
+    n_prime = next((m for m in range(2, k) if nu[:S[m]].endswith(w_flip)),
+                   None)
+    if n_prime is None and nu[:S[k]].endswith(w_flip):
+        fallbacks.append("pre-extension")
+        pre_extension = _block(nu, S, k - 1)
+        nu = nu + pre_extension
+        kd = _verify(nu, "pre-extension", state, kd)
+        S, k = kd.S, kd.max_k
+        n_prime = k - 1
+    if n_prime is None:
+        raise ConstructionStuck("n-prime-search", dict(state, w_flip=w_flip))
+    state["n_prime"] = n_prime
+    block_i = "".join(_block(nu, S, m) for m in range(kd.q_of(k) - 1, 1, -1))
+    cur = nu + block_i
+    kd_i = _verify(cur, "block-i", state, kd)
+
+    def attach_completion(include_branch_block):
+        body = _block(nu, S, n_prime) if include_branch_block else ""
+        candidate = cur + body + u_flip
+        kd_c = _verify(candidate, "block-ii", state, kd_i)
+        if len(candidate) not in kd_c.S or not candidate.endswith(v_flip):
+            return None
+        return candidate, body, kd_c
+
+    attempt = attach_completion(False) if cur.endswith(w) else None
+    if attempt is None:
+        if cur.endswith(w):
+            fallbacks.append("block-ii-second-attempt")
+        attempt = attach_completion(True)
+    if attempt is None:
+        raise ConstructionStuck("block-ii", dict(state, cur_len=len(cur)))
+    cur, body, kd_ii = attempt
+    block_iv = _flip(cur)
+    for r in range(2, kd_ii.max_k):
+        if r > 2:
+            fallbacks.append(f"block-iii-r={r}")
+        candidate = cur + _block(nu, S, r) + block_iv
+        try:
+            kd_fin = _verify(candidate, "block-iii", state, kd_ii)
+        except ConstructionStuck:
+            continue
+        ok, _ = _segment_conditions(kd_fin, len(ledger.nu))
+        if ok and len(candidate) in kd_fin.S and candidate.endswith(v):
+            break
+    else:
+        raise ConstructionStuck("block-iii", dict(state, cur_len=len(cur)))
+    new_ledger = WordLedger(kd_fin, max(ledger.len_cap, len(v) + 1))
+    assert new_ledger.paired(v) and new_ledger.paired(v_flip)
+    assert len(u) in new_ledger.kd.S and len(u) != 2
+    return new_ledger, {
+        "v": v, "v_flip": v_flip, "stem": w, "u": u, "u_flip": u_flip,
+        "n_prime": n_prime, "r": r, "pre_extension": pre_extension,
+        "blocks": [block_i, body + u_flip, _block(nu, S, r), block_iv]}
+
+
+def test_extend_step_takes_the_searches_first_candidate_every_round():
+    # rounds 1-6, the chain of generate(400000): the searching form never
+    # leaves its first candidate, and both forms give the same word,
+    # cutting data, ledger and plan
+    ledger = _seed_ledger()
+    fallbacks = []
+    for _ in range(6):
+        new_ledger, plan = extend_step(ledger)
+        old_ledger, old_plan = _searching_extend_step(ledger, fallbacks)
+        assert new_ledger.nu == old_ledger.nu
+        assert new_ledger.kd == old_ledger.kd
+        assert new_ledger.len_cap == old_ledger.len_cap
+        assert new_ledger.ends_at_cuts == old_ledger.ends_at_cuts
+        assert plan.to_json() == old_plan and plan.r == 2
+        ledger = new_ledger
+    assert fallbacks == []
+    assert ledger.nu == generate(400000)[0].bits and len(ledger.nu) == 7267597
+
+
+def _orbit_ledger(slope, length):
+    return WordLedger(cutting_data(nu_from_orbit(slope_exact(slope), length)))
+
+
+@pytest.mark.parametrize("slope, fallback", [
+    (Fraction(43, 26), ["pre-extension"]),
+    (Fraction(85, 44), ["block-iii-r=3"]),
+])
+def test_extend_step_stops_where_the_search_left_its_first_candidate(
+        slope, fallback):
+    # the declared contract: on a ledger that is not one of the generator's
+    # rounds, a first candidate that fails raises ConstructionStuck, where
+    # the searching form went on to another one
+    ledger = _orbit_ledger(slope, 20)
+    fallbacks = []
+    _searching_extend_step(ledger, fallbacks)
+    assert fallbacks == fallback
+    with pytest.raises(ConstructionStuck):
+        extend_step(ledger)
+
+
+@pytest.mark.parametrize("slope, stage, dump", [
+    # no m in 2..k-1 has its prefix end in the flipped stem
+    (Fraction(43, 26), "n-prime-search", {
+        "k": 10, "v": "0101", "v_flip": "0100", "w": "010", "u": "1",
+        "u_flip": "0", "w_flip": "011"}),
+    # block II admissible, but its end is no cutting time
+    (Fraction(8, 5), "block-ii", {
+        "k": 8, "v": "1111", "v_flip": "1110", "w": "111", "u": "1",
+        "u_flip": "0", "n_prime": 3, "cur_len": 20}),
+    # the word ends with the stem, so block II is u' alone, and no second
+    # attempt with B(n') follows
+    (Fraction(37, 21), "block-ii", {
+        "k": 9, "v": "111", "v_flip": "110", "w": "11", "u": "1",
+        "u_flip": "0", "n_prime": 6, "cur_len": 20}),
+    (Fraction(4, 3), "block-ii", {
+        "k": 6, "v": "111", "v_flip": "110", "w": "11", "u": "1",
+        "u_flip": "0", "n_prime": 4, "verdict": (
+            "Verdict(refuted, rule=admissibility-cut-cocut-disjoint, "
+            "depth=21, witness={'position': 21, 'reason': 'cutting gap 5 "
+            "at position 21 is not a cutting time'})")}),
+    # block III with B(2) admissible, but its end is no cutting time
+    (Fraction(29, 22), "block-iii", {
+        "k": 6, "v": "01010", "v_flip": "01011", "w": "010", "u": "10",
+        "u_flip": "11", "n_prime": 2, "cur_len": 22}),
+    # the searching form raised IndexError here: its r ran past the
+    # cutting times of the word it indexed
+    (Fraction(7, 4), "block-iii", {
+        "k": 11, "v": "0010", "v_flip": "0011", "w": "00", "u": "10",
+        "u_flip": "11", "n_prime": 4, "cur_len": 30}),
+    (Fraction(85, 44), "block-iii", {
+        "k": 11, "v": "0001", "v_flip": "0000", "w": "000", "u": "1",
+        "u_flip": "0", "n_prime": 5, "verdict": (
+            "Verdict(refuted, rule=admissibility-cut-cocut-disjoint, "
+            "depth=63, witness={'position': 33, 'reason': 'position 33 is "
+            "both a cutting and a co-cutting time'})")}),
+])
+def test_each_stage_of_a_round_has_one_check(slope, stage, dump):
+    with pytest.raises(ConstructionStuck) as err:
+        extend_step(_orbit_ledger(slope, 20))
+    assert err.value.stage == stage
+    assert err.value.state == dict(nu_len=20, **dump)
+
+
 # sha256 of json.dumps([word, certificate, plans], sort_keys=True), recorded
 # with the scan that rescans every candidate word from its first symbol
 GENERATE_DIGESTS = {
@@ -365,6 +526,18 @@ def test_ledger_reads_its_word_off_the_cutting_data():
     ledger = WordLedger(kd, 8)
     assert ledger.nu == FIRST_EXTENSION_REFERENCE
     assert ledger.kd is kd and ledger.scratch_equal()
+
+
+def test_a_raised_cap_rebuilds_the_set_from_the_word():
+    # coverage_report past the cap raises it, and the set then holds the
+    # longer words ending at cutting times
+    ledger, _ = extend_step(extend_step(_seed_ledger())[0])
+    assert ledger.len_cap == 8 and len(ledger.nu) == 85
+    coverage_report(ledger, 10)
+    assert ledger.len_cap == 10 and ledger.scratch_equal()
+    assert max(map(len, ledger.ends_at_cuts)) == 10
+    coverage_report(ledger, 4)              # a lower cap is no change
+    assert ledger.len_cap == 10
 
 
 def test_scratch_equal_compares_the_cutting_data():
