@@ -17,14 +17,14 @@ from .scalars import (Scalar, SignRelC, SlopeParam, critical_orbit, refine,
                       sign_rel_c, slope_exact, slope_for_prefix,
                       slope_interval, tent_apply)
 from .kneading import (CuttingData, KneadingPrefix, QAsymptotics,
-                       admissible_disjoint, admissible_q, cocutting_times,
-                       cutting_data, emit_dotted, example35_q, fibonacci_q,
+                       admissible_disjoint, admissible_q, cutting_data,
+                       emit_dotted, example35_q, fibonacci_q,
                        nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                        parse_dotted, q_asymptotics, renorm_scan)
-from .hofbauer import (OrbitTable, PrecriticalPair, PrecriticalTable,
-                       TowerLevel, closest_precriticals, cutting_value_gaps,
-                       f_apply, f_graph_data, long_branched_evidence,
-                       tower_levels, upsilon_index, verify_zzz)
+from .hofbauer import (OrbitTable, PrecriticalTable, TowerLevel,
+                       cutting_value_gaps, f_apply, f_graph_data,
+                       long_branched_evidence, tower_levels, upsilon_index,
+                       verify_zzz)
 from .inverse_limit import (ArcInterval, BackwardWord, PointClassification,
                             PullbackChain, TauData, TwoSidedItinerary,
                             basic_arc_interval, classification_report,

@@ -36,8 +36,7 @@ from typing import Optional
 from . import verdicts as V
 from .errors import (DomainError, InternalInconsistency, PrecisionExhausted,
                      UnresolvedComparison)
-from .kneading import (CuttingData, KneadingPrefix, cutting_data,
-                       nu_from_orbit, q_asymptotics)
+from .kneading import CuttingData, KneadingPrefix, q_asymptotics
 from .scalars import (C, DEFAULT_PREC_CAP, DEFAULT_PRECISION, Scalar,
                       SignRelC, SlopeParam, _SYMBOL, _diff, _frac,
                       _exact_critical_orbit, _grid_ends, _lt, _scalar,
@@ -335,26 +334,6 @@ def _exact_tower_levels(kd: CuttingData, slope: SlopeParam, N: int,
     return levels
 
 
-@dataclass(frozen=True)
-class PrecriticalPair:
-    """z_k and zhat_k = 1 - z_k, with the conventions for k = -1 and kappa = 3.
-
-    ``z_natural`` is the genuine closest precritical point (T^{S_k} maps it to
-    c); ``z`` is the cell-boundary convention value, which differs from the
-    natural point only for k = 0 when kappa = 3 (then z is clamped to c_2).
-    """
-
-    k: int
-    z: Scalar
-    zhat: Scalar
-    z_natural: Scalar
-    flags: tuple = ()
-
-    def to_json(self):
-        return {"k": self.k, "z": self.z.to_json(), "zhat": self.zhat.to_json(),
-                "flags": list(self.flags)}
-
-
 class PrecriticalTable:
     """Certified closest precritical points for a slope, lazily extended.
 
@@ -416,17 +395,6 @@ class PrecriticalTable:
     def hat_natural(self, k: int) -> Scalar:
         return s_one_minus(self.natural(k))
 
-    def pair(self, k: int) -> PrecriticalPair:
-        z = self.boundary(k)
-        if k == -1:
-            return PrecriticalPair(-1, z, self.boundary_hat(-1), z,
-                                   ("boundary-convention",))
-        # only the left boundary is clamped into the core; the hat point
-        # keeps its dynamical meaning T(zhat_0) = c
-        clamped = k == 0 and self.kd.kappa == 3
-        return PrecriticalPair(k, z, self.hat_natural(k), self.natural(k),
-                               ("kappa3-clamped-to-c2",) if clamped else ())
-
     def boundary(self, k: int) -> Scalar:
         """Left cell-boundary value of z_k: c_2 for k = -1, and for k = 0
         when kappa = 3."""
@@ -435,20 +403,11 @@ class PrecriticalTable:
         return self.natural(k)
 
     def boundary_hat(self, k: int) -> Scalar:
-        """Right cell-boundary value zhat_k (c_1 for k = -1)."""
+        """Right cell-boundary value zhat_k (c_1 for k = -1).  Not clamped
+        when kappa = 3: zhat_0 keeps its dynamical meaning T(zhat_0) = c."""
         if k == -1:
             return self.orbit.value(1)
         return self.hat_natural(k)
-
-
-def closest_precriticals(slope: SlopeParam, upto_k: int):
-    """Certified pairs (z_k, zhat_k) for k = 0 .. upto_k, from the shortest
-    kneading prefix (doubling from 4 symbols) that reaches S_{upto_k}."""
-    depth = 4
-    while (kd := cutting_data(nu_from_orbit(slope, depth))).max_k < upto_k:
-        depth *= 2
-    table = PrecriticalTable(slope, kd)
-    return [table.pair(k) for k in range(0, upto_k + 1)]
 
 
 def upsilon_index(x: Scalar, zp: PrecriticalTable) -> int:

@@ -25,9 +25,10 @@ A declared periodic continuation builds its unrolled word's tables per call.
 
 For a finite left word, the zero-th projections of all compatible points
 form an interval whose endpoints are critical-orbit values picked out by
-exactly these matches (plus the domain floor for the two words coding the
-endpoints 0 and 1); the independent oracle is a plain interval pull-back of
-[0, 1] through the word, composing the certified branch maps.
+exactly these matches, taken past the word (plus the domain floor for the
+two words coding the endpoints 0 and 1); the independent oracle is a plain
+interval pull-back of [0, 1] through the word, composing the certified
+branch maps.
 
 An endpoint of the space needs an infinite tau on the side where the point
 sits at the arc's edge.  A finite horizon can never certify a supremum over
@@ -362,10 +363,10 @@ def _periodic_tail_analysis(back, nu, n_max):
 
 # -- arc projections ----------------------------------------------------------
 
-def word_image_interval(slope: SlopeParam, word: str, domain: str = "unit"):
-    """Interval pull-back of [0,1] (or the core) through a backward word.
+def word_image_interval(slope: SlopeParam, word: str):
+    """Interval pull-back of [0,1] through a backward word.
 
-    Composes the certified branch maps: K_0 is the start interval and
+    Composes the certified branch maps: K_0 = [0, 1] and
     K_i = T(K_{i-1} cut to the branch of w_i); K_N is exactly the set of
     zero-th projections compatible with the word.  Returns exact Fractions
     (lo, hi), or None when the cylinder is empty.
@@ -376,12 +377,7 @@ def word_image_interval(slope: SlopeParam, word: str, domain: str = "unit"):
     if not slope.is_exact:
         raise DomainError("the word-image oracle needs an exact rational slope")
     p, q = slope.s.value.numerator, slope.s.value.denominator
-    if domain == "unit":
-        lo, hi, d = 0, 2, 2
-    elif domain == "core":
-        lo, hi, d = p * (2 * q - p), p * q, 2 * q * q
-    else:
-        raise DomainError(f"unknown domain {domain!r}")
+    lo, hi, d = 0, 2, 2
     for ch in word:
         half = d >> 1
         if ch == "0":
@@ -452,44 +448,49 @@ def _extreme_orbit_value(candidates, orbit, want_min):
 
 
 def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = None,
-                       kd: Optional[CuttingData] = None,
-                       mode: str = "unit") -> ArcInterval:
-    """Arc projection interval from the match sets.
+                       *, kd: CuttingData, mode: str = "unit") -> ArcInterval:
+    """Arc projection interval from the match sets; ``kd`` is the cutting
+    data of a kneading word of the table's slope.
 
-    ``unit`` mode reproduces the [0,1] pull-back through the finite word:
-    matches at depths up to the word length contribute their orbit values,
-    and the two words coding the domain endpoints (all zeros, or 1 followed
-    by zeros) contribute the floor 0.  ``core`` mode keeps every match
-    (including saturated full-word ones) as one-sided bounds with the trivial
-    floor c_2; with finite unsaturated matches on both sides the interval is
-    exact and is checked to be the tower level D_{max(tauL, tauR)}; with
-    ``kd``, whose word must be the table's slope's, left-match levels
-    nested within 2^-20 mark it degenerate.
+    ``unit`` mode reproduces the [0,1] pull-back through the finite,
+    nonempty ``word`` whose match sets ``td`` are, taken past the word
+    (``tau_data`` with no depth, or one above the word's length): matches
+    at depths up to the word length contribute their orbit values, and the
+    two words coding the domain endpoints (all zeros, or 1 followed by
+    zeros) contribute the floor 0; a word with a shifted window above the
+    kneading word raises UnrealizableWord.  ``core`` mode keeps every match
+    (including saturated full-word ones) as one-sided bounds with the
+    trivial floor c_2; with finite unsaturated matches on both sides the
+    interval is exact and is checked to be the tower level
+    D_{max(tauL, tauR)}; left-match levels nested within 2^-20 mark it
+    degenerate.
     """
-    if kd is not None:
-        orbit.check_word(kd.nu)
+    orbit.check_word(kd.nu)
     exact, identity, degen = True, None, None
     if mode == "unit":
-        if td.word_len is None:
-            raise DomainError("unit mode needs a finite backward word")
         N = td.word_len
-        nl = [n for n in td.NL if n <= N]
-        nr = [n for n in td.NR if n <= N]
-        domain_floor = word is not None and (
-            word == "0" * N or word == "1" + "0" * (N - 1))
-        if word is not None and kd is not None and \
-                not word_realizable(word, kd.nu):
+        if N is None:
+            raise DomainError("unit mode needs a finite backward word")
+        if word is None or len(word) != N:
+            raise DomainError("unit mode needs the word of the match sets")
+        if not N:
+            raise DomainError("unit mode needs a nonempty word")
+        if td.n_max <= N:
+            raise DomainError(f"unit mode needs match sets past the word: "
+                              f"depth {td.n_max} <= word length {N}")
+        if not word_realizable(word, kd.nu):
             raise UnrealizableWord("a shifted window exceeds the kneading word")
-        if not nr:
-            raise UnrealizableWord("no upper constraint: empty cylinder")
+        # Neither set is empty.  Depth 1 matches the empty prefix, whose
+        # parity is 0.  A word other than 0^N and 1 0^(N-1) ends in
+        # u 1 0^j with u nonempty; its window 1 0^j is realizable only as
+        # a prefix of nu, so depth j + 2 <= N matches with odd parity.
+        nr = [n for n in td.NR if n <= N]
         hi, hi_n = _extreme_orbit_value(nr, orbit, True)
-        if domain_floor:
+        if word == "0" * N or word == "1" + "0" * (N - 1):
             lo, lo_n = Scalar.exact(0), 0
-        elif nl:
-            lo, lo_n = _extreme_orbit_value(nl, orbit, False)
         else:
-            raise UnrealizableWord(
-                "no lower constraint and no domain endpoint: empty cylinder")
+            lo, lo_n = _extreme_orbit_value([n for n in td.NL if n <= N],
+                                            orbit, False)
     elif mode == "core":
         nl, nr = list(td.NL), list(td.NR)
         hi, hi_n = _extreme_orbit_value(nr or [1], orbit, True)
@@ -500,13 +501,12 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
         exact = bool(nl) and bool(nr) and not td.saturatedL \
             and not td.saturatedR and not td.cert_infiniteL \
             and not td.cert_infiniteR
-        if exact and kd is not None:
+        if exact:
             n_star = max(td.tauL, td.tauR)
             if n_star <= kd.horizon and \
                     kd.beta_of(n_star) == min(td.tauL, td.tauR):
                 identity = n_star
-        ends = None if kd is None else \
-            level_ends(orbit, kd, [n for n in nl if n <= kd.horizon])
+        ends = level_ends(orbit, kd, [n for n in nl if n <= kd.horizon])
         if ends is not None and ends[1] - ends[0] <= _DEGENERACY_THRESHOLD:
             degen = max(Fraction(0), ends[1] - ends[0])
     else:
@@ -732,26 +732,25 @@ class PullbackChain:
 def pull_back(J, along, slope: SlopeParam,
               stop_on_nonmonotone: bool = False) -> PullbackChain:
     """Maximal pull-back of J = (a, b), two Scalar ends, along a backward
-    orbit or a symbol word.
+    orbit.
 
-    ``along`` is either a list of point enclosures [x_0, x_{-1}, ...] (each
-    J_k must contain x_{-k}) or a 0/1 word giving the branch of each step.
-    J_{k+1} is the largest interval with T(J_{k+1}) inside J_k: a full branch
-    preimage, or the join of both preimages through c whenever J_k reaches
-    the critical value (the joined interval has c interior unless J_k is
-    pinched at c_1, which is exactly when monotonicity breaks).
+    ``along`` is a list of point enclosures [x_0, x_{-1}, ...]: each J_k
+    must contain x_{-k}, and the side of c that x_{-k} lies on picks the
+    branch of step k.  J_{k+1} is the largest interval with T(J_{k+1})
+    inside J_k: a full branch preimage, or the join of both preimages
+    through c whenever J_k reaches the critical value (the joined interval
+    has c interior unless J_k is pinched at c_1, which is exactly when
+    monotonicity breaks).
     """
     a, b = J
     c1 = tent_apply(slope, Scalar.exact(C))
     zero = Scalar.exact(0)
     intervals = [(a, b)]
     joined_flags = [False]
-    symbols = along if isinstance(along, str) else None
-    points = None if symbols is not None else list(along)
-    steps = len(symbols) if symbols is not None else len(points) - 1
+    points = list(along)
     first_interior = None
     complete = True
-    for k in range(steps):
+    for k in range(len(points) - 1):
         a, b = intervals[-1]
         try:
             reaches_peak = certified_cmp(b, c1) >= 0
@@ -768,16 +767,12 @@ def pull_back(J, along, slope: SlopeParam,
                    branch_preimage(slope, a_eff, 1))
             joined = True
         else:
-            if symbols is not None:
-                side = symbols[k]
-            else:
-                sgn = sign_rel_c(points[k + 1])
-                if sgn is SignRelC.UNRESOLVED:
-                    raise UnresolvedComparison(
-                        f"pull-back step {k + 1}: target straddles c")
-                side = "0" if sgn is SignRelC.BELOW else "1"
+            sgn = sign_rel_c(points[k + 1])
+            if sgn is SignRelC.UNRESOLVED:
+                raise UnresolvedComparison(
+                    f"pull-back step {k + 1}: target straddles c")
             new = ((branch_preimage(slope, a_eff, 0), branch_preimage(slope, b, 0))
-                   if side == "0" else
+                   if sgn is SignRelC.BELOW else
                    (branch_preimage(slope, b, 1), branch_preimage(slope, a_eff, 1)))
             joined = False
         intervals.append(new)

@@ -199,7 +199,11 @@ def _cocut_orbit(bits: str, after: Optional[int] = None):
 
 @dataclass(frozen=True)
 class CuttingData:
-    """Cutting times, kneading map and co-cutting times; beta is read off S."""
+    """Cutting times, kneading map and co-cutting times; beta is read off S.
+
+    ``cocut_censored`` is True when the last rho step of the co-cutting
+    orbit ran off the word, so later co-cutting times may exist.
+    """
 
     S: tuple
     Q: tuple
@@ -258,16 +262,6 @@ def _checked(kd: CuttingData, nu: KneadingPrefix) -> CuttingData:
     if kd.nu.bits != nu.bits:
         raise DomainError("the cutting data belong to another kneading word")
     return kd
-
-
-def cocutting_times(nu: KneadingPrefix):
-    """The rho-orbit of the first 1 after position 1, horizon-truncated.
-
-    Returns (times, censored): ``censored`` is True when the last rho step
-    ran off the prefix, so later co-cutting times may exist.
-    """
-    times = tuple(_cocut_orbit(nu.bits))
-    return times, bool(times)
 
 
 def admissible_disjoint(nu: KneadingPrefix,

@@ -215,8 +215,9 @@ def parse_slope(text: str, depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
     """Slope inputs: exact rationals/decimals, intervals, or preset names.
 
     ``1.84``, ``9/5``, ``fib``, ``fib:300`` (preset to a depth),
-    ``interval:1.79,1.80``.  A bare kneading-matched name is matched to
-    ``depth`` symbols.
+    ``sqrt3:256`` (first enclosure to 256 bits), ``interval:1.79,1.80``.  A
+    bare kneading-matched name is matched to ``depth`` symbols.  A preset
+    suffix below 1 is refused.
     """
     text = text.strip()
     if ":" in text:
@@ -235,6 +236,8 @@ def parse_slope(text: str, depth: int = DEFAULT_PRESET_DEPTH) -> SlopeParam:
             depth = int(rest)
         except ValueError:
             raise ConfigError(f"cannot parse preset depth {rest!r}")
+        if depth < 1:
+            raise ConfigError(f"preset suffix must be >= 1, got {depth}")
         return make(depth)
     if text in _KNEADING_PRESETS:
         return _KNEADING_PRESETS[text](depth)

@@ -15,13 +15,16 @@ that three critical orbits, on an exact, an algebraic and a
 decimal-interval slope, hash to the digest pinned below, which the
 ``Fraction`` implementation of the tent step gave.
 
-A second digest covers the branch-preimage path: every closest precritical
-pair ``PrecriticalTable.pair(k)`` (z, zhat and z_natural, their ends and
-precisions) for k = -1 .. max_k of a 120-symbol kneading prefix, and one
-pull-back chain from [1/4, 1] along a fixed 30-symbol word, on the slopes
+A second digest covers the branch-preimage path: for k = -1 .. max_k of a
+120-symbol kneading prefix, the cell boundaries ``PrecriticalTable.boundary``
+and ``boundary_hat`` and the natural point ``natural(k)`` (z_{-1} for
+k = -1), their ends and precisions, and one pull-back chain from [1/4, 1]
+along points whose sides of c spell a fixed 30-symbol word, on the slopes
 sqrt3, cbrt6, 9/5 and a 10^-40-wide interval around 1.8393.  It was recorded
 while algebraic enclosures still carried recomputation closures, so it pins
-that dropping them changed no end, precision or chain flag.
+that dropping them changed no end, precision or chain flag.  It was recorded
+on the closest-pair record and the 0/1-word form of ``pull_back`` that these
+three reads and the point list replaced, and the feed gives the same digest.
 
 A third digest covers the kneading layer: ``cutting_data`` (every field, or
 the ``NotAdmissible`` position and reason), ``admissible_disjoint`` and
@@ -35,26 +38,33 @@ A fourth digest covers the layers above the kernel: ``tower_levels`` (both
 level Scalars and ``length`` per level) on 9/5, sqrt3, cbrt6 and a
 10^-40-wide interval, the criterion-8 folding battery's verdicts on exact,
 algebraic and interval slopes at three ``eps``, and ``word_image_interval``
-on every word up to 8 symbols and seeded longer ones, in both domains.  It
-was recorded with the ``Fraction`` versions of ``level_ends``,
-``tower_levels``, ``folding_verdict`` and ``word_image_interval`` that the
-integer ones replaced.  It was re-recorded when ``folding_verdict`` began to
-refuse an eps <= 0: without the zero and negative eps the battery had run
-at, the digest is 21fc65ae...5070 on the code before that change and after.
+on every word up to 8 symbols and seeded longer ones.  It was recorded with
+the ``Fraction`` versions of ``level_ends``, ``tower_levels``,
+``folding_verdict`` and ``word_image_interval`` that the integer ones
+replaced.  It was re-recorded when ``folding_verdict`` began to refuse an
+eps <= 0: without the zero and negative eps the battery had run at, the
+digest is 21fc65ae...5070 on the code before that change and after.  It was
+re-recorded again when ``word_image_interval`` lost its core domain: without
+the core-domain pull-backs, the digest is adb545b1...8113 on the code before
+that change and after.
 
 A fifth digest covers the library surface that the classification reaches
 users through: ``endpoint_verdict`` and ``classification_report`` on the
 benchmark itineraries and on periodic-pumping words, ``basic_arc_interval``
-in core mode, ``long_branched_evidence``, ``closest_precriticals``,
-``cutting_value_gaps``, the kneading-map consumers (``classify_chain``,
-``find_qcond_chains``, ``nasty_cascade_rule``, ``renorm_scan``,
-``q_asymptotics``, ``admissible_q``, ``nu_from_q``) on callables and lists,
-``build_chain``, ``generate``, ``slope_for_prefix`` and ``f_apply``.  It was
-recorded while those functions still took settable values that no caller
-set, and it calls them only with arguments both versions accept.  It was
+in core mode, ``long_branched_evidence``, ``cutting_value_gaps``, the
+kneading-map consumers (``classify_chain``, ``find_qcond_chains``,
+``nasty_cascade_rule``, ``renorm_scan``, ``q_asymptotics``,
+``admissible_q``, ``nu_from_q``) on callables and lists, ``build_chain``,
+``generate``, ``slope_for_prefix`` and ``f_apply``.  It was recorded while
+those functions still took settable values that no caller set, and it
+calls them only with arguments both versions accept.  It was
 re-recorded when ``build_chain`` took its points from the exact inverse
 branch instead of a bisection: with ``build_chain`` replaced by a stub
-returning "stub", the digest is 82de2573...9f9f before and after.
+returning "stub", the digest is 82de2573...9f9f before and after.  It was
+re-recorded when ``closest_precriticals`` went and ``basic_arc_interval``
+began to require ``kd``: without those calls and the core arc with no
+``kd``, the digest is 0fd0ea9c...d6d5 on the code before that change and
+after.
 
 A sixth digest covers the tower of an exact slope p/q at depth:
 ``tower_levels`` (both level Scalars and ``length`` per level) and
@@ -80,8 +90,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from uilkit.hofbauer import (OrbitTable, PrecriticalTable,
-                             closest_precriticals, cutting_value_gaps,
+from uilkit.hofbauer import (OrbitTable, PrecriticalTable, cutting_value_gaps,
                              f_apply, long_branched_evidence, tower_levels)
 from uilkit.inverse_limit import (BackwardWord, TwoSidedItinerary,
                                   basic_arc_interval, classification_report,
@@ -107,9 +116,9 @@ PRECRITICAL_DIGEST = \
 KNEADING_DIGEST = \
     "99cb070f664af0baa8aaacc4ea3b09b0bce023634d9f56ab61dc180f27335e1b"
 TOWER_DIGEST = \
-    "21fc65ae9044222fefc0c9c03213037d103a980009c363280584300d822d5070"
+    "adb545b130863b9dbf33866a51d4916f4d8e6717c4afa3b51e0e8f0d778a8113"
 SURFACE_DIGEST = \
-    "bcb356aeee0ceac397f68343a3c3a3631f9ab53edda183539c7d265b202cd72a"
+    "0fd0ea9c1c44e777ce360e37f18d22b67e2eb030d94de0f9031cf1ba1e76d6d5"
 EXACT_TOWER_DIGEST = \
     "4e89918ca3071f5bb543102b4757af2e8ccccb512adf003f5166362188cee368"
 DYADIC_TOWER_DIGEST = \
@@ -213,6 +222,13 @@ def orbit_digest():
     return h.hexdigest()
 
 
+def _pullback_points():
+    """Points whose sides relative to c spell ``PULLBACK_WORD``: 1/4 for
+    "0" and 3/4 for "1", after the start point 1/4."""
+    return [Scalar.exact(Fraction(1 if ch == "0" else 3, 4))
+            for ch in "0" + PULLBACK_WORD]
+
+
 def precritical_digest():
     slopes = (parse_slope("sqrt3"), parse_slope("cbrt6"),
               slope_exact(Fraction(9, 5)), _interval_slope())
@@ -221,12 +237,13 @@ def precritical_digest():
         kd = cutting_data(nu_from_orbit(slope, 120))
         table = PrecriticalTable(slope, kd)
         for k in range(-1, kd.max_k + 1):
-            pair = table.pair(k)
-            for x in (pair.z, pair.zhat, pair.z_natural):
+            z = table.boundary(k)
+            for x in (z, table.boundary_hat(k),
+                      z if k == -1 else table.natural(k)):
                 _hash_ends(h, x)
                 h.update(b";")
         chain = pull_back((Scalar.exact(Fraction(1, 4)), Scalar.exact(1)),
-                          PULLBACK_WORD, slope)
+                          _pullback_points(), slope)
         h.update(f"{chain.monotone_prefix},{chain.complete},"
                  f"{chain.joined};".encode())
         for a, b in chain.intervals:
@@ -343,9 +360,8 @@ def tower_digest(seed=13):
     for s in (Fraction(9, 5), Fraction(3, 2), Fraction(2), Fraction(7, 4),
               nonrec.s.value):
         slope = slope_exact(s)
-        for domain in ("unit", "core"):
-            for w in words:
-                h.update(repr(word_image_interval(slope, w, domain)).encode())
+        for w in words:
+            h.update(repr(word_image_interval(slope, w)).encode())
     return h.hexdigest()
 
 
@@ -410,7 +426,6 @@ def _surface_points(h):
             _feed_call(h, classification_report, it, nu, depth=32)
             td = tau_data(it.backward, nu, 32)
             _feed_call(h, basic_arc_interval, td, orbit, kd=kd, mode="core")
-            _feed_call(h, basic_arc_interval, td, orbit, mode="core")
     for pnu, backs in PUMPING:
         for symbols, block in backs:
             it = TwoSidedItinerary(BackwardWord(symbols, block))
@@ -469,9 +484,6 @@ def surface_digest():
         for K, eps in ((1, Fraction(1, 20)), (8, Fraction(1, 20)),
                        (8, Fraction(1, 2))):
             _feed_call(h, cutting_value_gaps, zp, K, eps)
-    for slope, upto_k in ((fib_slope, 6), (slope_exact(Fraction(9, 5)), 4),
-                          (sqrt3, 5), (slope_exact(2), 0)):
-        _feed_call(h, closest_precriticals, slope, upto_k)
     # chains realized by the inverse branch, strict and relaxed
     ex35 = slope_for_prefix(nu_from_q(example35_q, 120).bits)
     ex35_kd = cutting_data(nu_from_orbit(ex35, 120))

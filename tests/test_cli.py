@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from uilkit import cli, hofbauer
 from uilkit import verdicts as V
 from uilkit.cli import main
-from uilkit.errors import InternalInconsistency
+from uilkit.errors import ConfigError, InternalInconsistency
 from uilkit.kneading import (CuttingData, cascade_q, cutting_data, emit_dotted,
                              fibonacci_q, nu_from_orbit, nu_from_q)
 from uilkit.presets import parse_slope
@@ -567,6 +567,20 @@ def test_horizon_below_one_exits_2(capsys, command, horizon):
     for inputs in (("--nu", word), ("--slope", "9/5"), ("--q", "cascade")):
         code, out = run_cli(capsys, command, *inputs, "--horizon", horizon)
         assert code == 2 and out == "", inputs
+
+
+@pytest.mark.parametrize("preset", ["fib", "ex35", "nonrec41", "appendix",
+                                    "golden", "tribonacci", "sqrt3", "cbrt6"])
+def test_preset_suffix_below_one_exits_2(capsys, preset):
+    # sqrt3:0 and golden:-3 ended in a traceback with exit 1; fib:0 was
+    # refused for a horizon the command line never set
+    for suffix in ("0", "-3"):
+        text = f"{preset}:{suffix}"
+        with pytest.raises(ConfigError, match=f"^preset suffix must be >= 1, "
+                                              f"got {suffix}$"):
+            parse_slope(text)
+        code, out = run_cli(capsys, "knead", "--slope", text)
+        assert code == 2 and out == "", text
 
 
 def test_least_K_and_grid_are_honoured(capsys):

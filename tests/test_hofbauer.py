@@ -12,10 +12,9 @@ import uilkit
 from uilkit import hofbauer, kneading
 from uilkit.errors import (DomainError, PrecisionExhausted,
                            UnresolvedComparison)
-from uilkit.hofbauer import (OrbitTable, PrecriticalTable, closest_precriticals,
-                             cutting_value_gaps, f_apply, f_graph_data,
-                             long_branched_evidence, tower_levels,
-                             upsilon_index, verify_zzz)
+from uilkit.hofbauer import (OrbitTable, PrecriticalTable, cutting_value_gaps,
+                             f_apply, f_graph_data, long_branched_evidence,
+                             tower_levels, upsilon_index, verify_zzz)
 from uilkit.inverse_limit import (BackwardWord, TwoSidedItinerary,
                                   basic_arc_interval, classification_report,
                                   folding_verdict, parse_itinerary,
@@ -33,9 +32,10 @@ from uilkit.verdicts import approx
 
 
 def test_z0_full_tent():
-    pairs = closest_precriticals(slope_exact(2), 0)
-    assert pairs[0].z.value == Fraction(1, 4)
-    assert pairs[0].zhat.value == Fraction(3, 4)
+    s = slope_exact(2)
+    table = PrecriticalTable(s, cutting_data(nu_from_orbit(s, 4)))
+    assert table.boundary(0).value == table.natural(0).value == Fraction(1, 4)
+    assert table.boundary_hat(0).value == Fraction(3, 4)
 
 
 def test_z0_three_halves():
@@ -48,30 +48,32 @@ def test_kappa3_clamp():
     s = slope_exact(Fraction(6, 5))
     kd = cutting_data(nu_from_orbit(s, 40))
     assert kd.kappa == 3
-    pair = PrecriticalTable(s, kd).pair(0)
-    assert "kappa3-clamped-to-c2" in pair.flags
+    table = PrecriticalTable(s, kd)
+    z, zhat, z_natural = table.boundary(0), table.boundary_hat(0), \
+        table.natural(0)
     # the left boundary is clamped into the core; the hat point stays the
     # natural reflection, so it still maps to c in one step
-    assert pair.z.value == OrbitTable(s).value(2).value
-    assert pair.zhat.value == 1 - pair.z_natural.value
-    assert pair.z_natural.value < pair.z.value
-    assert tent_apply(s, pair.zhat).value == Fraction(1, 2)
+    assert z.value == OrbitTable(s).value(2).value
+    assert zhat.value == 1 - z_natural.value
+    assert z_natural.value < z.value
+    assert tent_apply(s, zhat).value == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("s", [Fraction(6, 5), Fraction(9, 5)])
-def test_cell_edges_are_read_without_building_pairs(monkeypatch, s):
-    # boundary and boundary_hat return the convention values themselves;
-    # pair(k) is assembled from them
+def test_cell_edges_are_read_without_building_pairs(s):
+    # boundary and boundary_hat return the convention values themselves:
+    # the natural point and its reflection, but c_2 and c_1 at k = -1 and
+    # c_2 on the left at k = 0 when kappa = 3
     slope = slope_exact(s)
     kd = cutting_data(nu_from_orbit(slope, 60))
     table = PrecriticalTable(slope, kd)
-    pairs = [table.pair(k) for k in range(-1, kd.max_k + 1)]
-    monkeypatch.setattr(hofbauer, "PrecriticalPair", None)
     orbit = table.orbit
-    for pair in pairs:
-        z, zhat = table.boundary(pair.k), table.boundary_hat(pair.k)
-        assert (z.lo, z.hi, zhat.lo, zhat.hi) == \
-            (pair.z.lo, pair.z.hi, pair.zhat.lo, pair.zhat.hi)
+    for k in range(kd.max_k + 1):
+        z, zhat = table.boundary(k), table.boundary_hat(k)
+        want = orbit.value(2) if k == 0 and kd.kappa == 3 else \
+            table.natural(k)
+        assert (z.lo, z.hi) == (want.lo, want.hi)
+        assert zhat.value == 1 - table.natural(k).value
     assert table.boundary(-1).value == orbit.value(2).value
     assert table.boundary_hat(-1).value == orbit.value(1).value
     clamped = kd.kappa == 3
@@ -162,7 +164,7 @@ def test_upsilon_partition_no_early_hits(fib_slope, fib_kd):
     # on Upsilon_k the first critical visit is exactly at time S_k
     zp = PrecriticalTable(fib_slope, fib_kd)
     for k in range(4):
-        lo = zp.boundary(k - 1) if k else zp.pair(-1).z
+        lo = zp.boundary(k - 1)
         hi = zp.boundary(k)
         x = Scalar.exact(lo.value + (hi.value - lo.value) * Fraction(3, 7))
         assert upsilon_index(x, zp) == k
@@ -998,7 +1000,8 @@ def test_precritical_table_trusts_its_own_slopes_word(monkeypatch, make, N):
     extends, words = _spy_sign_kernels(monkeypatch)
     table = PrecriticalTable(slope, kd)
     for k in range(-1, table.max_k + 1):
-        table.pair(k)
+        table.boundary(k)
+        table.boundary_hat(k)
     assert table.max_k >= 8
     assert words == [] and max(extends) <= 2
 

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-every private module-level name is read somewhere in the package, and one
+every private module-level name is read somewhere in the package, every
+name the package exports is read by the program or documented, and one
 check decides whether a word is over 0/1.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
@@ -15,6 +16,7 @@ import uilkit
 
 PACKAGE = sorted(Path(uilkit.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+BENCH = sorted((Path(uilkit.__file__).parents[2] / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -106,6 +108,47 @@ def test_orphaned_private_names_are_found():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert orphaned_private_names(sources) == []
+
+
+def unread_exports(init_source: str, sources) -> list:
+    """Names that ``init_source`` re-exports from sibling modules and that
+    no statement of ``sources`` reads but the one that binds it.  A read is
+    a loaded bare name or a loaded attribute of that name."""
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    reads = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            bound = _bound(stmt)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name not in bound and \
+                        isinstance(getattr(node, "ctx", None), ast.Load):
+                    reads.add(name)
+    return sorted(exported - reads)
+
+
+def test_unread_exports_are_found():
+    init = ("from .a import f, g, h, k, Spare\nfrom .b import m\n"
+            "import os\n")
+    sources = ("def f(n):\n    return f(n - 1)\n"
+               "def g():\n    return h() + B.m\n"
+               "class Spare:\n    def k(self):\n        return Spare\n",
+               "x = k\n")
+    assert unread_exports(init, sources) == ["Spare", "f", "g"]
+
+
+def test_every_export_is_read_or_documented():
+    # the program is the package, its command line and the benchmark;
+    # refine and build_chain have no caller in the program; README
+    # documents both
+    sources = [p.read_text() for p in MODULES + BENCH
+               if not p.name.startswith("test_")]
+    init = Path(uilkit.__file__).read_text()
+    assert unread_exports(init, sources) == ["build_chain", "refine"]
 
 
 def _alphabet_literal(node) -> bool:

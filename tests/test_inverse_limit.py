@@ -276,10 +276,18 @@ def test_reconstruct_x0():
 
 # -- pull-backs and persistence ------------------------------------------------------
 
+def _points_along(word):
+    """A backward orbit for ``pull_back`` whose k-th point lies on the side
+    of c that the k-th symbol of ``word`` names: 1/4 for "0", 3/4 for "1",
+    after the start point 1/4."""
+    return [Scalar.exact(Fraction(1 if ch == "0" else 3, 4))
+            for ch in "0" + word]
+
+
 def test_pull_back_single_branch_monotone():
     slope = slope_exact(Fraction(9, 5))
     J = (Scalar.exact(Fraction(3, 20)), Scalar.exact(Fraction(17, 100)))
-    chain = pull_back(J, "0", slope)
+    chain = pull_back(J, _points_along("0"), slope)
     assert chain.monotone and chain.length == 1
     a, b = chain.intervals[1]
     assert (a.value, b.value) == (Fraction(1, 12), Fraction(17, 180))
@@ -301,7 +309,7 @@ def test_pull_back_maximality():
     # the preimage interval is the largest with T(J') inside J
     slope = slope_exact(Fraction(9, 5))
     J = (Scalar.exact(Fraction(3, 20)), Scalar.exact(Fraction(17, 100)))
-    chain = pull_back(J, "1", slope)
+    chain = pull_back(J, _points_along("1"), slope)
     a, b = chain.intervals[1]
     lo, hi = a.value, b.value
     s = Fraction(9, 5)
@@ -321,7 +329,7 @@ def test_pull_back_stops_where_an_end_cannot_be_ordered_against_c1():
     on_c1 = Scalar.exact(Fraction(9, 10))
     for J in ((Scalar.exact(Fraction(1, 4)), on_c1),     # does J reach c_1?
               (on_c1, Scalar.exact(1))):                 # is J above c_1?
-        chain = pull_back(J, "00", slope)
+        chain = pull_back(J, _points_along("00"), slope)
         assert (chain.length, chain.complete, chain.monotone) == \
             (0, False, False)
 
@@ -342,7 +350,7 @@ def test_verify_monotone_refuses_an_end_it_cannot_order_against_c():
     c1 = tent_apply(slope, Scalar.exact(C))
     J = (Scalar.exact(Fraction(1, 4)),
          Scalar.exact(c1.lo - Fraction(1, 1 << 300)))
-    chain = pull_back(J, "0", slope)
+    chain = pull_back(J, _points_along("0"), slope)
     assert chain.monotone and chain.length == 1
     end = chain.intervals[1][1]
     assert end.lo < C == end.hi
@@ -354,7 +362,7 @@ def test_verify_monotone_refuses_c_inside_the_monotone_prefix():
     # prefix is the error the recheck exists to catch
     slope = _narrow_9_5()
     J = (Scalar.exact(Fraction(22, 25)), Scalar.exact(Fraction(23, 25)))
-    chain = pull_back(J, "0", slope)
+    chain = pull_back(J, _points_along("0"), slope)
     assert chain.joined[1] and chain.monotone_prefix == 0
     assert verify_monotone(chain)
     assert not verify_monotone(dataclasses.replace(chain, monotone_prefix=1))
@@ -363,8 +371,8 @@ def test_verify_monotone_refuses_c_inside_the_monotone_prefix():
 def test_a_join_pinched_at_c1_stays_monotone():
     # J = [c_1, 1] pulls back through c to the point [c, c]
     slope = slope_exact(Fraction(9, 5))
-    chain = pull_back((Scalar.exact(Fraction(9, 10)), Scalar.exact(1)), "0",
-                      slope)
+    chain = pull_back((Scalar.exact(Fraction(9, 10)), Scalar.exact(1)),
+                      _points_along("0"), slope)
     assert chain.joined[1] and chain.monotone and chain.complete
     assert chain.intervals[1][0].value == chain.intervals[1][1].value == C
     assert verify_monotone(chain)
@@ -490,7 +498,6 @@ def test_core_arc_of_nested_left_levels_is_degenerate(fib_slope, fib_nu,
     lo, hi = level_ends(orbit, fib_kd, td.NL)
     assert 0 < hi - lo <= Fraction(1, 1 << 20)
     assert arc.degenerate_width == hi - lo
-    assert basic_arc_interval(td, orbit, mode="core").degenerate_width is None
     # one left level alone is wide: no degeneracy
     wide = tau_data(BackwardWord(fib_nu.bits[:22]), fib_nu)
     assert wide.NL == (2,)
@@ -702,7 +709,7 @@ def test_endpoint_demoted_when_folding_refuted(fib_slope, fib_nu, fib_kd):
 def test_pull_back_forward_containment():
     slope = slope_exact(Fraction(9, 5))
     J = (Scalar.exact(Fraction(1, 5)), Scalar.exact(Fraction(3, 10)))
-    chain = pull_back(J, "011", slope)
+    chain = pull_back(J, _points_along("011"), slope)
     for (a0, b0), (a1, b1) in zip(chain.intervals, chain.intervals[1:]):
         img_a = tent_apply(slope, a1)
         img_b = tent_apply(slope, b1)
@@ -1350,13 +1357,10 @@ def test_generator_expands_each_chain_head_once():
 
 # -- integer ends: differential tests against the Fraction code ----------------
 
-def _word_image_oracle(slope, word, domain="unit"):
+def _word_image_oracle(slope, word):
     """word_image_interval of the Fraction code."""
     s = slope.s.value
-    if domain == "unit":
-        lo, hi = Fraction(0), Fraction(1)
-    else:
-        lo, hi = s * (1 - s / 2), s / 2
+    lo, hi = Fraction(0), Fraction(1)
     half = Fraction(1, 2)
     for ch in word:
         if ch == "0":
@@ -1387,12 +1391,11 @@ def _exact_fractions(draw):
 @given(s=st.one_of(_exact_fractions(),
                    st.sampled_from([Fraction(2), Fraction(3, 2),
                                     Fraction(9, 5), Fraction(5, 4)])),
-       word=st.text(alphabet="01", max_size=40),
-       domain=st.sampled_from(["unit", "core"]))
-def test_word_image_interval_matches_fraction_oracle(s, word, domain):
+       word=st.text(alphabet="01", max_size=40))
+def test_word_image_interval_matches_fraction_oracle(s, word):
     slope = slope_exact(s)
-    assert _pair(word_image_interval(slope, word, domain)) == \
-        _pair(_word_image_oracle(slope, word, domain))
+    assert _pair(word_image_interval(slope, word)) == \
+        _pair(_word_image_oracle(slope, word))
 
 
 def test_word_image_interval_every_short_word():
@@ -1401,12 +1404,9 @@ def test_word_image_interval_every_short_word():
     for s in (Fraction(2), Fraction(3, 2), Fraction(9, 5),
               Fraction(1000001, 1000000)):
         slope = slope_exact(s)
-        for domain in ("unit", "core"):
-            for w in words:
-                assert _pair(word_image_interval(slope, w, domain)) == \
-                    _pair(_word_image_oracle(slope, w, domain)), (s, w)
-    with pytest.raises(DomainError, match="unknown domain"):
-        word_image_interval(slope_exact(Fraction(9, 5)), "0", "box")
+        for w in words:
+            assert _pair(word_image_interval(slope, w)) == \
+                _pair(_word_image_oracle(slope, w)), (s, w)
 
 
 def _folding_oracle(it, slope, nu, depth=64, eps=Fraction(1, 1 << 20),
@@ -1620,6 +1620,7 @@ def test_arc_and_reconstruction_input_refusals():
     # exact slope; unit mode needs a finite word; the mode is one of two
     s = slope_exact(Fraction(9, 5))
     nu = nu_from_orbit(s, 40)
+    kd = cutting_data(nu)
     orbit = OrbitTable(s)
     with pytest.raises(IndexError, match="^0$"):
         BackwardWord("011").at(0)
@@ -1630,10 +1631,10 @@ def test_arc_and_reconstruction_input_refusals():
                                            Fraction(181, 100)), "01")
     with pytest.raises(DomainError,
                        match="^unit mode needs a finite backward word$"):
-        basic_arc_interval(tau_data(BackwardWord("", "01"), nu), orbit)
+        basic_arc_interval(tau_data(BackwardWord("", "01"), nu), orbit, kd=kd)
     with pytest.raises(DomainError, match="^unknown mode 'bogus'$"):
         basic_arc_interval(tau_data(BackwardWord("01"), nu), orbit, "01",
-                           mode="bogus")
+                           kd=kd, mode="bogus")
     # 01000 ends in 1000, which the word (1001...) does not start with:
     # no point reads it forward, and its cylinder is empty
     assert word_image_interval(s, "01000") is None
@@ -1643,10 +1644,74 @@ def test_arc_and_reconstruction_input_refusals():
     td = tau_data(BackwardWord("01000"), nu)
     with pytest.raises(UnrealizableWord,
                        match="^a shifted window exceeds the kneading word$"):
-        basic_arc_interval(td, orbit, "01000", cutting_data(nu))
-    # without the cutting data no realizability check runs; the match
-    # sets hold no lower constraint, and the word is no domain endpoint
-    with pytest.raises(UnrealizableWord, match="^no lower constraint and no "
-                                               "domain endpoint: empty "
-                                               "cylinder$"):
-        basic_arc_interval(td, orbit, "01000")
+        basic_arc_interval(td, orbit, "01000", kd=kd)
+
+
+def test_arc_refuses_short_match_sets_and_missing_cutting_data():
+    # each of these gave a wrong arc or a false "empty cylinder": from
+    # match sets cut at depth 2 the arc of 01001 was [9/50, 9/10], marked
+    # exact, where its pull-back is [9/50, 4689/6250]; the pull-back of
+    # the empty word is [0, 1]; without cutting data no realizability
+    # check ran, and words no point has got an arc
+    s = slope_exact(Fraction(9, 5))
+    nu = nu_from_orbit(s, 40)
+    kd = cutting_data(nu)
+    orbit = OrbitTable(s)
+    td = tau_data(BackwardWord("01001"), nu)
+    for word in (None, "0100", "010010"):
+        with pytest.raises(DomainError, match="^unit mode needs the word of "
+                                              "the match sets$"):
+            basic_arc_interval(td, orbit, word, kd=kd)
+    with pytest.raises(DomainError, match="^unit mode needs a nonempty word$"):
+        basic_arc_interval(tau_data(BackwardWord(""), nu), orbit, "", kd=kd)
+    for depth in (0, 1, 2, 5):
+        short = tau_data(BackwardWord("01001"), nu, depth)
+        with pytest.raises(DomainError, match=f"^unit mode needs match sets "
+                                              f"past the word: depth {depth} "
+                                              f"<= word length 5$"):
+            basic_arc_interval(short, orbit, "01001", kd=kd)
+    for depth in (None, 6):
+        arc = basic_arc_interval(tau_data(BackwardWord("01001"), nu, depth),
+                                 orbit, "01001", kd=kd)
+        assert (arc.lo.value, arc.hi.value) == word_image_interval(s, "01001") \
+            == (Fraction(9, 50), Fraction(4689, 6250))
+    for mode in ("unit", "core"):
+        with pytest.raises(TypeError, match="required keyword-only argument: "
+                                            "'kd'$"):
+            basic_arc_interval(td, orbit, "01001", mode=mode)
+    with pytest.raises(TypeError, match="positional argument"):
+        basic_arc_interval(td, orbit, "01001", kd)
+
+
+ARC_SLOPES = (Fraction(9, 5), Fraction(3, 2), Fraction(17, 10),
+              Fraction(13, 8), Fraction(19, 10), Fraction(8, 5),
+              Fraction(7, 4))
+
+
+@pytest.mark.parametrize("s", ARC_SLOPES, ids=str)
+def test_unit_arc_is_the_pull_back_or_a_refusal(s):
+    # every word of 1-8 symbols at every depth 0 .. N + 1: refused exactly
+    # when the match sets stop at or before the word's length N, else the
+    # pull-back of [0, 1] (UnrealizableWord where the cylinder is empty)
+    slope = slope_exact(s)
+    nu = nu_from_orbit(slope, 40)
+    kd = cutting_data(nu)
+    orbit = OrbitTable(slope)
+    for n in range(1, 9):
+        for tup in itertools.product("01", repeat=n):
+            word = "".join(tup)
+            want = word_image_interval(slope, word)
+            back = BackwardWord(word)
+            for depth in range(n + 2):
+                td = tau_data(back, nu, depth)
+                try:
+                    arc = basic_arc_interval(td, orbit, word, kd=kd)
+                except DomainError:
+                    assert depth <= n, (word, depth)
+                    continue
+                except UnrealizableWord:
+                    got = None
+                else:
+                    got = (arc.lo.value, arc.hi.value)
+                    assert arc.exact
+                assert depth > n and got == want, (word, depth, got, want)

@@ -12,8 +12,8 @@ from uilkit.kneading import (RULE_DISJOINT, RULE_Q, RULE_RENORM,
                              KneadingPrefix, _extend_cutting, _lcp,
                              _materialize_q, _scan_structure,
                              admissible_disjoint, admissible_q, cascade_q,
-                             cocutting_times, cutting_data, emit_dotted,
-                             example35_q, fibonacci_q, nonrecurrent_example_nu,
+                             cutting_data, emit_dotted, example35_q,
+                             fibonacci_q, nonrecurrent_example_nu,
                              nu_from_orbit, nu_from_q, parse_dotted,
                              q_asymptotics, renorm_scan, rho_step)
 from uilkit.presets import parse_q, parse_slope
@@ -95,10 +95,21 @@ def test_example35_values_and_cuts():
 
 
 def test_cocutting_times():
-    nu = KneadingPrefix("1000101")
-    times, censored = cocutting_times(nu)
-    assert times == (5, 6) and censored
-    assert cocutting_times(KneadingPrefix("10")) == ((), False)
+    kd = cutting_data(KneadingPrefix("1000101"))
+    assert (kd.cocut, kd.cocut_censored) == ((5, 6), True)
+    kd = cutting_data(KneadingPrefix("10"))
+    assert (kd.cocut, kd.cocut_censored) == ((), False)
+
+
+def _cocut_by_definition(bits):
+    """The rho-orbit of the first 1 after position 1, with rho(j) the
+    least k > j where nu_k != nu_{k-j}, read off the word by definition."""
+    times, j = [], bits.find("1", 1) + 1
+    while j:
+        times.append(j)
+        j = next((k for k in range(j + 1, len(bits) + 1)
+                  if bits[k - 1] != bits[k - j - 1]), 0)
+    return tuple(times)
 
 
 def test_cocutting_times_agree_with_cutting_data():
@@ -107,9 +118,9 @@ def test_cocutting_times_agree_with_cutting_data():
               for q in (fibonacci_q, example35_q, cascade_q)
               for h in (1, 2, 7, 40, 300)]
     for bits in words:
-        nu = KneadingPrefix(bits)
-        kd = cutting_data(nu)
-        assert cocutting_times(nu) == (kd.cocut, kd.cocut_censored), bits
+        kd = cutting_data(KneadingPrefix(bits))
+        times = _cocut_by_definition(bits)
+        assert (kd.cocut, kd.cocut_censored) == (times, bool(times)), bits
         assert kd.kappa == (kd.cocut[0] if kd.cocut else None), bits
 
 
