@@ -79,7 +79,7 @@ class OrbitTable:
     def __init__(self, slope: SlopeParam, prec_cap: int = DEFAULT_PREC_CAP):
         self.slope = slope
         self.prec_cap = prec_cap
-        self.word = ""
+        self.word, self._held = "", None
         self._values = [Scalar.exact(C)]
         self._step_slope = slope
         self._bits = _start_precision(slope, prec_cap)
@@ -135,8 +135,12 @@ class OrbitTable:
     def check_word(self, nu: KneadingPrefix):
         """DomainError unless ``nu`` is this slope's word: a prefix that
         ``nu_from_orbit`` certified for this slope object passes unread, any
-        other is held whole to ``word``, the table first read to len(nu)."""
-        if nu.certified_for is self.slope:
+        other is held whole to ``word``, the table first read to len(nu).
+        The table remembers the last prefix that ``word`` covered whole, and
+        passes it unread from then on: certified signs never change, not
+        even when a rebuild raises the precision.  A prefix taken as given
+        past an unresolved sign is held again at every call."""
+        if nu.certified_for is self.slope or nu is self._held:
             return
         if len(self._values) <= len(nu.bits):
             self.extend(len(nu.bits))
@@ -146,6 +150,8 @@ class OrbitTable:
                      if a != b)
             raise DomainError(f"kneading word disagrees with the orbit table "
                               f"of {self.slope.name or 'its slope'} at nu_{n}")
+        if len(signs) >= len(word):
+            self._held = nu
 
 
 def orbit_table(slope: SlopeParam, orbit: Optional[OrbitTable] = None,

@@ -15,13 +15,17 @@ final state lists every such length, in O(|tail| + |nu|).  Past the known
 kneading data, the full occurrences of nu met on the way are the depths
 that no known symbol refutes.  This scan is the measured fastest for match
 sets: a Z-array or one ``kneading._lcp`` per position took two to four
-times as long on the workloads' tails.  There is one failure table per
-kneading word, kept with its prefix parities and the first two children of
-each node of its failure tree on the ``KneadingPrefix`` and built on only as
-far as a call reads: a border of nu[:l] depends on nu[:l] alone, so the
-table of nu[:m] is the first m + 1 entries of the word's.  It serves both
-the match sets and the prefix-recurrence chains of the endpoint generator.
-A declared periodic continuation builds its unrolled word's tables per call.
+times as long on the workloads' tails.  The same pass gives a finite
+tail's symbolic realizability: whether a window after its first symbol
+lies above the kneading word is read off the borders the automaton drops
+(``_kmp_scan``), so an arc's word is scanned once, for its match sets and
+its realizability together.  There is one failure table per kneading
+word, kept with its prefix parities and the first two children of each
+node of its failure tree on the ``KneadingPrefix`` and built on only as far
+as a call reads: a border of nu[:l] depends on nu[:l] alone, so the table
+of nu[:m] is the first m + 1 entries of the word's.  It serves both the
+match sets and the prefix-recurrence chains of the endpoint generator.  A
+declared periodic continuation builds its unrolled word's tables per call.
 
 For a finite left word, the zero-th projections of all compatible points
 form an interval whose endpoints are critical-orbit values picked out by
@@ -48,7 +52,7 @@ evidence of persistent recurrence, reported together with the shortcut
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul, xor
@@ -63,7 +67,7 @@ from .kneading import (CuttingData, KneadingPrefix, _checked, _lcp,
                        cutting_data, q_asymptotics)
 from .scalars import (C, Scalar, SignRelC, SlopeParam, _BINARY,
                       _exact_orbit, _grid_ends, _lt, branch_preimage,
-                      certified_cmp, parity_lex_cmp, sign_rel_c, tent_apply)
+                      certified_cmp, sign_rel_c, tent_apply)
 
 RULE_TAU = "backward-word-prefix-matches"
 RULE_ARC = "arc-projection-from-matches"
@@ -169,6 +173,10 @@ class TauData:
     every deeper depth carries a mismatch witness inside the known kneading
     prefix; ``cert_infinite*`` means a periodic pumping certificate exists
     (only possible against a declared periodic kneading continuation).
+    ``window_above`` is, for a finite tail, whether a window of the scanned
+    symbols (the newest n_max - 1) after the first lies above nu, read off
+    the scan and exact when nu[:n_max - 1] is shift-maximal (``_kmp_scan``);
+    it is None for a periodic tail and takes no part in equality.
     """
 
     NL: tuple
@@ -184,6 +192,7 @@ class TauData:
     n_max: int = 0
     word_len: Optional[int] = None
     pump_witness: Optional[tuple] = None
+    window_above: Optional[bool] = field(default=None, compare=False)
 
 
 def _kmp_tables(word: str, fail: list, parity: list, m: int):
@@ -227,19 +236,39 @@ def _word_tables(nu: KneadingPrefix, m: int):
     return nu.match_tables
 
 
-def _kmp_scan(pattern: str, fail: list, m: int, text: str):
+def _kmp_scan(pattern: str, fail: list, parity: list, m: int, text: str):
     """Knuth-Morris-Pratt automaton of ``pattern[:m]`` run over ``text``,
-    with ``fail`` a failure table of ``pattern`` that covers pattern[:m].
+    with ``fail`` a failure table and ``parity`` the prefix parities of
+    ``pattern``, both covering pattern[:m].
 
     Returns the border chain of the final state (every length l, longest
-    first down to 0, with ``text`` ending in ``pattern[:l]``) and the
-    ascending end indices e of full occurrences (``text[:e]`` ends in it).
+    first down to 0, with ``text`` ending in ``pattern[:l]``), the
+    ascending end indices e of full occurrences (``text[:e]`` ends in it),
+    and whether a border the automaton drops is a window of ``text``, other
+    than the whole, that leaves the pattern upward.
+
+    A window tied with pattern[:l] that meets a symbol ch != pattern[l]
+    lies above the pattern in the parity-lexicographic order
+    (``scalars.parity_lex_cmp``) when ch is 1 after an even number of 1s or
+    0 after an odd number, that is, when pattern[:l + 1] has an even number
+    of 1s.  The automaton drops the borders longest first and stops at the
+    first, l', that ch extends.  A shorter border b that ch kills is not
+    visited, but its window is tied with pattern[:b] and then reads ch =
+    pattern[l'], like pattern[l' - b:l' + 1], a shifted window of
+    pattern[:l' + 1] that leaves the pattern at the same place.  So when
+    pattern[:m] is shift-maximal (every shifted window at or below it), no
+    window the automaton skips lies above, and the flag tells exactly
+    whether some window of ``text`` after its first symbol, read as far as
+    it stays within pattern[:m], lies above the pattern; a window that runs
+    off ``text`` or reaches the length m is a tie.
     """
-    state, ends = 0, []
+    state, ends, above = 0, [], False
     for e, ch in enumerate(text, 1):
         if state == m:
             state = fail[state]
         while state and pattern[state] != ch:
+            if not parity[state + 1] and state < e - 1:
+                above = True
             state = fail[state]
         if state < m and pattern[state] == ch:
             state += 1
@@ -249,7 +278,7 @@ def _kmp_scan(pattern: str, fail: list, m: int, text: str):
     while state:
         state = fail[state]
         chain.append(state)
-    return chain, ends
+    return chain, ends, above
 
 
 def tau_data(back: BackwardWord, nu: KneadingPrefix,
@@ -268,10 +297,12 @@ def tau_data(back: BackwardWord, nu: KneadingPrefix,
 
     if back.is_periodic:
         chain, parity, certs = _periodic_tail_analysis(back, nu, n_max)
+        above = None
     else:
         m = max(n_max - 1, 0)
         fail, parity, _, _ = _word_tables(nu, m)
-        chain, _ = _kmp_scan(nu.bits, fail, m, back.unrolled(n_max - 1))
+        chain, _, above = _kmp_scan(nu.bits, fail, parity, m,
+                                    back.unrolled(n_max - 1))
         certs = (False,) * 4 + (None,)
     cfL, cfR, ciL, ciR, pump = certs
 
@@ -284,7 +315,7 @@ def tau_data(back: BackwardWord, nu: KneadingPrefix,
     saturatedL = bool(NL) and NL[-1] == n_max or ciL
     saturatedR = bool(NR) and NR[-1] == n_max or ciR
     return TauData(tuple(NL), tuple(NR), tauL, tauR, saturatedL, saturatedR,
-                   cfL, cfR, ciL, ciR, n_max, avail, pump)
+                   cfL, cfR, ciL, ciR, n_max, avail, pump, above)
 
 
 def _periodic_tail_analysis(back, nu, n_max):
@@ -337,7 +368,8 @@ def _periodic_tail_analysis(back, nu, n_max):
         _kmp_tables(pattern, fail, parity, m)
     else:
         fail, parity, _, _ = _word_tables(nu, m)
-    chain, ends = _kmp_scan(pattern, fail, m, back.unrolled(reach))
+    chain, ends, _ = _kmp_scan(pattern, fail, parity, m,
+                               back.unrolled(reach))
     unrefuted = {ell + 1 for ell in chain}
     unrefuted.update(reach + 1 + m - e for e in ends if e < reach)
 
@@ -394,21 +426,6 @@ def word_image_interval(slope: SlopeParam, word: str):
     return Fraction(lo, d), Fraction(hi, d)
 
 
-def word_realizable(word: str, nu: KneadingPrefix) -> bool:
-    """Symbolic realizability of a word inside [0, 1] itineraries.
-
-    Every point of [0, c_1] has itinerary parity-lex below the kneading
-    sequence, and every symbol after the first sees such a point, so a word
-    is realizable exactly when each of its shifted windows (offset >= 1)
-    stays parity-lex at or below the kneading prefix; ties run off the data
-    and pass (points shadowing the critical value realize them).
-    """
-    for i in range(1, len(word)):
-        if parity_lex_cmp(word[i:], nu.bits) > 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ArcInterval:
     """Projection interval compatible with a backward word.
@@ -458,7 +475,22 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
     at depths up to the word length contribute their orbit values, and the
     two words coding the domain endpoints (all zeros, or 1 followed by
     zeros) contribute the floor 0; a word with a shifted window above the
-    kneading word raises UnrealizableWord.  ``core`` mode keeps every match
+    kneading word raises UnrealizableWord.  Every point of [0, c_1] has
+    its itinerary parity-lex at or below the kneading sequence, and every
+    symbol after the first sees such a point, so a word is realizable
+    exactly when each of its shifted windows (offset >= 1) stays at or
+    below the kneading prefix; ties run off the data and pass (points
+    shadowing the critical value realize them).  The test reads
+    ``td.window_above`` off the scan that gave the match sets, which is
+    exact when nu[:N], N the word's length, is shift-maximal
+    (``_kmp_scan``).  A prefix the table certifies whole is the slope's
+    kneading prefix, and sigma^j(nu) <= nu since c_{j+1} <= c_1 and the
+    itinerary order is monotone (Milnor and Thurston, LNM 1342, 1988).
+    Past an unresolved sign ``check_word`` takes the word as given, and the
+    premise rests on ``cutting_data`` having accepted it: every word of up
+    to 24 symbols that it accepts is shift-maximal (checked exhaustively;
+    the tests repeat it to 18 symbols), and for longer words taken so it is
+    not proven.  ``core`` mode keeps every match
     (including saturated full-word ones) as one-sided bounds with the
     trivial floor c_2; with finite unsaturated matches on both sides the
     interval is exact and is checked to be the tower level
@@ -478,7 +510,7 @@ def basic_arc_interval(td: TauData, orbit: OrbitTable, word: Optional[str] = Non
         if td.n_max <= N:
             raise DomainError(f"unit mode needs match sets past the word: "
                               f"depth {td.n_max} <= word length {N}")
-        if not word_realizable(word, kd.nu):
+        if td.window_above:
             raise UnrealizableWord("a shifted window exceeds the kneading word")
         # Neither set is empty.  Depth 1 matches the empty prefix, whose
         # parity is 0.  A word other than 0^N and 1 0^(N-1) ends in

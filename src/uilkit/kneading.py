@@ -12,7 +12,10 @@ while the co-cutting times are the rho-orbit of the first 1 after position 1.
 ``_lcp`` computes rho(j) - j - 1, the common prefix of nu and its j-shift, by
 slice comparisons; the kneading map's lexicographic check uses it on lists.
 It is one of three prefix primitives, each the measured fastest on its
-traffic, with ``inverse_limit._kmp_scan`` and ``scalars.parity_lex_cmp``.
+traffic, with ``inverse_limit._kmp_scan`` (the match sets, and from the
+same scan the realizability of an arc's word) and ``scalars.parity_lex_cmp``,
+which now serves only ``slope_for_prefix``'s bisection and
+``seqgen.word_admissible``.
 The kneading map Q is defined by S_k - S_{k-1} = S_{Q(k)} with Q(0) = 0,
 and beta(n) = n - S_{k-1} for S_{k-1} < n <= S_k is read off S.
 

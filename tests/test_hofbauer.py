@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import itertools
 import pkgutil
 import re
 from dataclasses import replace
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import uilkit
 from uilkit import hofbauer, kneading
 from uilkit.errors import (DomainError, PrecisionExhausted,
-                           UnresolvedComparison)
+                           UnrealizableWord, UnresolvedComparison)
 from uilkit.hofbauer import (OrbitTable, PrecriticalTable, cutting_value_gaps,
                              f_apply, f_graph_data, long_branched_evidence,
                              tower_levels, upsilon_index, verify_zzz)
@@ -1092,6 +1093,51 @@ def test_table_word_stops_at_the_first_unresolved_sign():
     for word in ("11", "1100110"):
         with pytest.raises(DomainError, match="at nu_[12]$"):
             table.check_word(KneadingPrefix(word))
+
+
+class _CountingWord(str):
+    """A table's sign word that counts the slices taken of it: one per
+    comparison of a kneading word in ``check_word``."""
+    slices = 0
+
+    def __getitem__(self, key):
+        self.slices += 1
+        return str.__getitem__(self, key)
+
+
+def test_table_holds_a_word_once():
+    # the unit-mode arcs of every word of up to 8 symbols (the empty one
+    # refused after the gate) on one literal prefix and one exact table
+    bits = nu_from_q(fibonacci_q, 12).bits
+    nu, slope = KneadingPrefix(bits), slope_for_prefix(bits)
+    kd = cutting_data(nu)
+    orbit = OrbitTable(slope)
+    orbit.extend(len(bits))
+    orbit.word = _CountingWord(orbit.word)
+    calls = 0
+    for n in range(9):
+        for tup in itertools.product("01", repeat=n):
+            word = "".join(tup)
+            td = tau_data(BackwardWord(word), nu)
+            try:
+                basic_arc_interval(td, orbit, word, kd=kd)
+            except DomainError:
+                assert not word
+            except UnrealizableWord:
+                pass
+            calls += 1
+    assert (calls, orbit.word.slices) == (511, 1)
+    # golden's table certifies "10" only: a word past it is held again at
+    # every call, and holding one leaves the next word to its own check
+    golden = OrbitTable(parse_slope("golden"), 1024)
+    golden.extend(40)
+    golden.word = _CountingWord(golden.word)
+    short, long = KneadingPrefix("10"), KneadingPrefix("1011101")
+    for word in (short, long, short, long):
+        golden.check_word(word)
+    assert golden.word.slices == 3
+    with pytest.raises(DomainError, match="at nu_2$"):
+        golden.check_word(KneadingPrefix("11"))
 
 
 def _resolved_prefix(orbit):

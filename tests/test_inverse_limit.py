@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import uilkit
 from uilkit import inverse_limit, verdicts as V
-from uilkit.errors import (DomainError, NoRecurrenceWitness, UnrealizableWord,
-                           UnresolvedComparison)
+from uilkit.errors import (DomainError, NoRecurrenceWitness, NotAdmissible,
+                           UnrealizableWord, UnresolvedComparison)
 from uilkit.hofbauer import OrbitTable, level_ends, tower_levels
 from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
                                   TwoSidedItinerary, backward_points,
@@ -23,16 +23,15 @@ from uilkit.inverse_limit import (RULE_FOLDING, BackwardWord, TauData,
                                   endpoint_itinerary_gen, endpoint_verdict,
                                   folding_verdict, parse_itinerary, pull_back,
                                   reconstruct_x0, reluctance_search, tau_data,
-                                  verify_monotone, word_image_interval,
-                                  word_realizable)
+                                  verify_monotone, word_image_interval)
 from uilkit.kneading import (KneadingPrefix, _lcp, admissible_disjoint,
                              cutting_data, example35_q, fibonacci_q,
                              nonrecurrent_example_nu, nu_from_orbit, nu_from_q,
                              q_asymptotics)
 from uilkit.presets import parse_slope
 from uilkit.seqgen import generate
-from uilkit.scalars import (C, Scalar, slope_exact, slope_for_prefix,
-                            slope_interval, tent_apply)
+from uilkit.scalars import (C, Scalar, parity_lex_cmp, slope_exact,
+                            slope_for_prefix, slope_interval, tent_apply)
 
 
 # -- words, itineraries, match sets ---------------------------------------------
@@ -134,10 +133,106 @@ def test_word_oracle_exhaustive_small():
             assert got == brute, (w, got, brute)
 
 
+def word_realizable(word, nu):
+    """The per-window realizability oracle: every shifted window (offset
+    >= 1) of the word stays parity-lex at or below the kneading word, and
+    ties that run off the data pass."""
+    return all(parity_lex_cmp(word[i:], nu.bits) <= 0
+               for i in range(1, len(word)))
+
+
 def test_word_realizable_gate():
     nu = KneadingPrefix("10010100")
     assert not word_realizable("010001", nu)     # contains a too-long 0-block
     assert word_realizable("10010", nu)
+    for word, above in (("010001", True), ("10010", False)):
+        assert tau_data(BackwardWord(word), nu).window_above is above
+
+
+def _accepted_words(max_len):
+    """Every word of up to ``max_len`` symbols that ``cutting_data``
+    accepts, by DFS: a word it refuses has no accepted extension, since
+    every refusal is at a position the extension reads the same."""
+    out, stack = [], ["1"]
+    while stack:
+        bits = stack.pop()
+        try:
+            cutting_data(KneadingPrefix(bits))
+        except NotAdmissible:
+            continue
+        out.append(bits)
+        if len(bits) < max_len:
+            stack += [bits + "0", bits + "1"]
+    return out
+
+
+def test_words_cutting_data_accepts_are_shift_maximal():
+    # the premise that makes the scan's realizability flag exact on a word
+    # taken as given: no shifted window lies above the word itself
+    words = _accepted_words(18)
+    assert len(words) == 33208
+    for bits in words:
+        assert all(parity_lex_cmp(bits[i:], bits) <= 0
+                   for i in range(1, len(bits))), bits
+
+
+def _seeded_slope_prefixes(count=200):
+    """Kneading prefixes of 8 to 40 symbols of seeded exact slopes."""
+    rng = random.Random(20261022)
+    out = []
+    for _ in range(count):
+        slope = slope_exact(Fraction(rng.randrange(1001, 2000), 1000))
+        out.append(nu_from_orbit(slope, rng.randrange(8, 41)))
+    return out
+
+
+def test_scan_flag_matches_the_per_window_oracle_on_short_words():
+    # the prefixes of 200 seeded exact slopes and the words of up to 12
+    # symbols that cutting_data accepts (criterion 4's prefixes); the flag
+    # of a word of n symbols reads nu[:n] alone, so every pair (word of up
+    # to 10 symbols, prefix) is one (word, nu[:n]) pair
+    prefixes = {}
+    for nu in _seeded_slope_prefixes() + \
+            [KneadingPrefix(bits) for bits in _accepted_words(12)]:
+        for n in range(1, min(len(nu), 10) + 1):
+            prefixes.setdefault(nu.bits[:n], nu)
+    assert len(prefixes) > 200
+    pairs = 0
+    for head, nu in prefixes.items():
+        for tup in itertools.product("01", repeat=len(head)):
+            word = "".join(tup)
+            td = tau_data(BackwardWord(word), nu)
+            assert td.window_above is (not word_realizable(word, nu)), \
+                (word, head)
+            pairs += 1
+    assert pairs > 100_000
+
+
+@st.composite
+def _words_against_real_prefixes(draw):
+    """A real kneading prefix, a word of up to 200 symbols cut from its
+    pieces and random ones, and a depth below or above the word's
+    length."""
+    nu = draw(st.sampled_from([METAMORPHIC_NUS[k] for k in ("fib", "ex35",
+                                                            "nonrec")]))
+    piece = st.one_of(st.text("01", max_size=5),
+                      st.integers(0, 60).map(lambda k: nu.bits[:k]),
+                      st.integers(0, 390).map(lambda i: nu.bits[i:i + 9]))
+    word = "".join(draw(st.lists(piece, max_size=12)))[-200:]
+    depth = draw(st.one_of(st.none(), st.integers(0, len(word) + 3)))
+    return word, nu, depth
+
+
+@settings(max_examples=400)
+@given(_words_against_real_prefixes())
+def test_scan_flag_matches_the_per_window_oracle_on_long_words(args):
+    word, nu, depth = args
+    td = tau_data(BackwardWord(word), nu, depth)
+    scanned = BackwardWord(word).unrolled(td.n_max - 1)
+    assert td.window_above is (not word_realizable(scanned, nu))
+    for block in ("1", "01", nu.bits[:7]):
+        assert tau_data(BackwardWord(word, block), nu, depth).window_above \
+            is None
 
 
 # -- endpoint verdicts -------------------------------------------------------------
@@ -918,15 +1013,19 @@ def _failure_table(pattern):
 
 def _kmp_scan(pattern, text):
     """The KMP scan of ``pattern`` over ``text`` with a failure table built
-    for this call alone: the border chain of the final state and the end
-    indices of full occurrences."""
+    for this call alone: the border chain of the final state, the end
+    indices of full occurrences, and whether a border the scan drops is a
+    window, other than the whole text, that ``parity_lex_cmp`` puts above
+    the pattern."""
     m = len(pattern)
     fail = _failure_table(pattern)
-    state, ends = 0, []
+    state, ends, above = 0, [], False
     for e, ch in enumerate(text, 1):
         if state == m:
             state = fail[state]
         while state and pattern[state] != ch:
+            above = above or state < e - 1 and \
+                parity_lex_cmp(text[e - 1 - state:e], pattern) > 0
             state = fail[state]
         if state < m and pattern[state] == ch:
             state += 1
@@ -936,7 +1035,7 @@ def _kmp_scan(pattern, text):
     while state:
         state = fail[state]
         chain.append(state)
-    return chain, ends
+    return chain, ends, above
 
 
 def _prefix_parity(word):
@@ -962,7 +1061,7 @@ def _whole_word_periodic_tail_analysis(back, nu, n_max):
         base = max(pre_nu + per_nu, explicit + p) + L
         top = max(last, base + 3 * L)
         pattern = "".join(nu.symbol_at(i) for i in range(1, top))
-    chain, ends = _kmp_scan(pattern, back.unrolled(top - 1))
+    chain, ends, _ = _kmp_scan(pattern, back.unrolled(top - 1))
     parity = _prefix_parity(pattern)
     unrefuted = {ell + 1 for ell in chain}
     unrefuted.update(top + len(pattern) - e for e in ends if e < top - 1)
@@ -1097,9 +1196,9 @@ def test_periodic_tail_tau_data_against_the_long_fibonacci_word(monkeypatch):
     reads = []
     scan = inverse_limit._kmp_scan
 
-    def spy(pattern, fail, m, text):
+    def spy(pattern, fail, parity, m, text):
         reads.append(m)
-        return scan(pattern, fail, m, text)
+        return scan(pattern, fail, parity, m, text)
 
     monkeypatch.setattr(inverse_limit, "_kmp_scan", spy)
     for back, read in ((BackwardWord("", "1"), 1),
@@ -1123,7 +1222,7 @@ def per_call_tau_data(back, nu, depth=None):
     if depth is not None:
         n_max = min(n_max, depth)
     pattern = nu.bits[:max(n_max - 1, 0)]
-    chain, _ = _kmp_scan(pattern, back.unrolled(n_max - 1))
+    chain, _, above = _kmp_scan(pattern, back.unrolled(n_max - 1))
     parity = _prefix_parity(pattern)
     NL, NR = [], []
     for ell in reversed(chain):
@@ -1132,7 +1231,7 @@ def per_call_tau_data(back, nu, depth=None):
     return TauData(tuple(NL), tuple(NR), NL[-1] if NL else None,
                    NR[-1] if NR else None, bool(NL) and NL[-1] == n_max,
                    bool(NR) and NR[-1] == n_max, n_max=n_max,
-                   word_len=len(back.symbols))
+                   word_len=len(back.symbols), window_above=above)
 
 
 def _assert_tau_fields_equal(back, nu, depth):
